@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import math
 import sys
 import time
@@ -53,8 +52,6 @@ from .spinmodel import (
     transition_couplings,
 )
 from .symmetry import build_group, orbits, polya_count
-
-WORKERS_ENV = "CAVITYSPIN_WORKERS"
 
 
 class UsageError(Exception):
@@ -375,7 +372,7 @@ def _cmd_crossover(args, cfg, seed: int) -> CommandResult:
         raise UsageError("crossover sweep requires omega > 0")
     ratios = _nonempty(_req(args, cfg, "delta_ratios", _floats), "delta_ratios")
     sectors = _opt(args, cfg, "sectors", int, default=3)
-    tol = _opt(args, cfg, "tol", float, default=1e-10)
+    _opt(args, cfg, "tol", float)  # accepted no-op: g_c_jc is an eigenvalue
     n_max = _opt(args, cfg, "nmax", int)
     tps = transition_couplings(
         geom,
@@ -396,32 +393,17 @@ def _cmd_crossover(args, cfg, seed: int) -> CommandResult:
                 f"delta/omega = {ratio:g} gives no real spin-model coupling"
             )
         g_spin = math.sqrt(rad)
-        try:
-            g_jc = superradiant_critical_g(
-                geom,
-                omega,
-                delta,
-                delta,
-                g_lo=0.5 * g_spin,
-                g_hi=1.5 * g_spin,
-                sectors=sectors,
-                tol=tol,
-                n_max=n_max,
-                seed=seed,
-            )
-        except ValueError:
-            g_jc = superradiant_critical_g(
-                geom,
-                omega,
-                delta,
-                delta,
-                g_lo=0.2 * g_spin,
-                g_hi=3.0 * g_spin,
-                sectors=sectors,
-                tol=tol,
-                n_max=n_max,
-                seed=seed,
-            )
+        g_jc = superradiant_critical_g(
+            geom,
+            omega,
+            delta,
+            delta,
+            g_lo=0.2 * g_spin,
+            g_hi=3.0 * g_spin,
+            sectors=sectors,
+            n_max=n_max,
+            seed=seed,
+        )
         g_closed = one_excitation_crossing_g(geom, omega, delta)
         rows.append(
             (ratio, lam_c, g_spin, g_jc, g_closed, abs(g_jc - g_spin) / g_spin)
@@ -433,7 +415,6 @@ def _cmd_crossover(args, cfg, seed: int) -> CommandResult:
             "omega_at": omega,
             "delta_ratios": ratios,
             "sectors": sectors,
-            "tol": tol,
             "nmax": n_max,
         },
         columns=(
@@ -638,12 +619,8 @@ def _cmd_frustration_scan(args, cfg, seed: int) -> CommandResult:
     ly_ratios = _nonempty(_req(args, cfg, "ly_ratios", _floats), "ly_ratios")
     omega = _opt(args, cfg, "omega", float, default=1.0)
     q_min = _opt(args, cfg, "qmin", float, default=QUALITY_MIN)
-    workers = _opt(
-        args, cfg, "workers", int, default=int(os.environ.get(WORKERS_ENV, "1"))
-    )
-    scan = region_scan(
-        lx, das, etas, ly_ratios, omega_at=omega, q_min=q_min, workers=workers
-    )
+    _opt(args, cfg, "workers", int)  # accepted no-op: the scan is serial
+    scan = region_scan(lx, das, etas, ly_ratios, omega_at=omega, q_min=q_min)
     rows = [
         (r.eta, r.ly_over_lx, r.delta_a_over_omega, r.r, r.q, r.valid) for r in scan
     ]
@@ -735,7 +712,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--omega")
     p.add_argument("--delta-ratios", help="comma-separated delta/omega values")
     p.add_argument("--sectors")
-    p.add_argument("--tol")
+    p.add_argument("--tol", help="accepted and ignored (no search tolerance)")
     p.add_argument("--nmax")
 
     p = sub.add_parser("excitation-curve", help="ground-sector staircase vs coupling")
@@ -781,7 +758,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ly-ratios")
     p.add_argument("--omega")
     p.add_argument("--qmin")
-    p.add_argument("--workers")
+    p.add_argument("--workers", help="accepted and ignored (the scan is serial)")
 
     return parser
 
@@ -871,6 +848,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ValueError,
         ArithmeticError,
         np.linalg.LinAlgError,
+        RuntimeError,
     ) as exc:
         _emit_error("compute", exc)
         return 1

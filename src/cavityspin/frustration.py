@@ -16,7 +16,6 @@ diagonalized numerically.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -26,7 +25,6 @@ from .geometry import ArrayGeometry
 from .params import RegimeError, delta_b_from_eta
 
 QUALITY_MIN = 10.0
-ROOT_TOL = 1e-12
 
 
 def delta_omega_expectation(
@@ -124,6 +122,24 @@ def _sz_grid(params: FrustrationParams, s_z: SzBackground) -> np.ndarray:
     return arr
 
 
+def _mode_pencil(
+    params: FrustrationParams, s_z: SzBackground
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(d0, K)`` with mode matrix ``diag(d0) + lambda_a K``; ``d0`` holds
+    the bare detunings."""
+    sz = _sz_grid(params, s_z)
+    eta = params.eta
+    ly, lx = params.ly, params.lx
+    d0 = np.repeat([params.delta_a, params.delta_b], [ly, lx])
+    k = np.zeros((ly + lx, ly + lx))
+    row_sums = sz.sum(axis=1)  # per row, over its lx sites
+    k[np.arange(ly), np.arange(ly)] = 2.0 * row_sums
+    k[ly + np.arange(lx), ly + np.arange(lx)] = 2.0 * eta * sz.sum(axis=0)
+    k[:ly, ly:] = (1.0 + eta) * sz
+    k[ly:, :ly] = k[:ly, ly:].T
+    return d0, k
+
+
 def photonic_matrix(
     params: FrustrationParams, lambda_a: float, s_z: SzBackground = -1.0
 ) -> np.ndarray:
@@ -133,18 +149,8 @@ def photonic_matrix(
     shifted by the line's total s^z; the off-diagonal block couples a row
     mode to a column mode through their shared site.
     """
-    sz = _sz_grid(params, s_z)
-    lb = params.lambda_b_of(lambda_a)
-    ly, lx = params.ly, params.lx
-    m = np.zeros((ly + lx, ly + lx))
-    row_sums = sz.sum(axis=1)  # per row, over its lx sites
-    col_sums = sz.sum(axis=0)
-    m[np.arange(ly), np.arange(ly)] = params.delta_a + 2.0 * lambda_a * row_sums
-    m[ly + np.arange(lx), ly + np.arange(lx)] = params.delta_b + 2.0 * lb * col_sums
-    g_block = (lambda_a + lb) * sz  # (ly, lx)
-    m[:ly, ly:] = g_block
-    m[ly:, :ly] = g_block.T
-    return m
+    d0, k = _mode_pencil(params, s_z)
+    return np.diag(d0) + lambda_a * k
 
 
 @dataclass(frozen=True)
@@ -229,39 +235,32 @@ def photon_vacuum_stable(
 
 
 def lambda_c_photon(
-    params: FrustrationParams,
-    *,
-    s_z: float = -1.0,
-    tol: float = ROOT_TOL,
-    bracket_cap: float = 1e12,
+    params: FrustrationParams, *, s_z: float = -1.0
 ) -> Optional[float]:
     """Smallest positive row coupling where a mode eigenvalue reaches zero.
 
-    The minimum eigenvalue is tracked numerically, so whichever closed
-    branch crosses first is captured without case analysis.  The initial
-    bracket covers the root of the row-mode branch and is doubled until the
-    minimum goes negative; ``None`` means the spectrum stayed positive up to
-    the cap (no breakdown on the sweep).
+    With ``M0 + lambda K`` the mode matrix and ``M0 = diag(Delta_a, Delta_b)``
+    positive, the spectrum stays positive until ``lambda = -1 / mu``, ``mu``
+    the lowest eigenvalue of ``M0^-1/2 K M0^-1/2``; whichever closed branch
+    crosses first is captured without case analysis.  ``None`` means
+    ``mu >= 0``: no breakdown at any positive coupling.
+
+    A line sum of K adds up to max(Lx, Ly) background values, so a ``mu``
+    within that rounding of zero (measured on the pencil of ``|s_z|``)
+    counts as zero rather than as a breakdown near ``1 / eps``.
     """
-
-    def f(lam: float) -> float:
-        return photonic_spectrum(params, lam, s_z).minimum
-
-    if f(0.0) <= 0.0:
+    sz = _sz_grid(params, s_z)
+    d0, k = _mode_pencil(params, sz)
+    if d0.min() <= 0.0:
         raise RegimeError("mode spectrum not positive at zero coupling")
-    hi = abs(params.delta_a) / max(1, params.lx)  # 2x the row-branch root
-    while f(hi) > 0.0:
-        hi *= 2.0
-        if hi > bracket_cap:
-            return None
-    lo = 0.0
-    while hi - lo > tol * max(hi, 1e-300):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    scale = 1.0 / np.sqrt(d0)
+    mu = float(np.linalg.eigvalsh(scale[:, None] * k * scale[None, :])[0])
+    k_abs = np.abs(_mode_pencil(params, np.abs(sz))[1])
+    noise = (
+        8.0 * max(params.lx, params.ly) * np.finfo(float).eps
+        * float(np.max(np.sum(scale[:, None] * k_abs * scale[None, :], axis=1)))
+    )
+    return None if mu >= -noise else -1.0 / mu
 
 
 def g_c_spin(params: FrustrationParams) -> float:
@@ -379,22 +378,15 @@ def region_scan(
     *,
     omega_at: float = 1.0,
     q_min: float = QUALITY_MIN,
-    workers: int = 1,
 ) -> list[RegionRow]:
     """Usability verdicts over the (eta, Ly/Lx, detuning) grid.
 
-    Rows come back in grid order (eta outermost, detuning innermost)
-    regardless of worker count; failed points stay in the table with empty
-    values and valid = "error".
+    Rows come back in grid order (eta outermost, detuning innermost); failed
+    points stay in the table with empty values and valid = "error".
     """
-    points = [
-        (eta, ratio, da)
+    return [
+        _scan_point(lx, omega_at, q_min, eta, ratio, da)
         for eta in etas
         for ratio in ly_over_lx
         for da in delta_a_over_omega
     ]
-    if workers <= 1:
-        return [_scan_point(lx, omega_at, q_min, *p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_scan_point, lx, omega_at, q_min, *p) for p in points]
-        return [f.result() for f in futures]

@@ -397,39 +397,45 @@ def superradiant_critical_g(
     g_lo: float,
     g_hi: float,
     sectors: int = 3,
-    tol: float = 1e-10,
+    n_max: Optional[int] = None,
     **solver_kwargs,
 ) -> float:
     """Coupling where an excited sector first drops below the vacuum.
 
-    Bisection on ``min_n E0(n) - E_vac`` over ``1 <= n <= sectors``; the
-    vacuum energy is exactly ``-omega_at N / 2``.
+    Sector n is ``D + g V``: photon and spin diagonal D, exchange V at unit
+    coupling.  Against the vacuum energy ``-omega_at N / 2`` the shifted
+    diagonal ``D' = D - E_vac`` is positive, so the sector stays above the
+    vacuum until ``D' + g V`` turns singular, at ``g = -1 / mu`` with ``mu``
+    the lowest eigenvalue of ``D'^-1/2 V D'^-1/2``.  The smallest such g over
+    ``1 <= n <= sectors`` must lie in ``(g_lo, g_hi]``.
     """
     e_vac = -omega_at * geometry.n_sites / 2.0
-
-    def gap(g: float) -> float:
-        jc = EffectiveJCParams(
-            omega_at=omega_at, g=g, delta_a=delta_a, delta_b=delta_b
+    unit = EffectiveJCParams(
+        omega_at=omega_at, g=1.0, delta_a=delta_a, delta_b=delta_b
+    )
+    mu = 0.0
+    for n in range(1, sectors + 1):
+        basis = JCBasis(geometry, n, n_max)
+        h = build_jc_hamiltonian(geometry, unit, basis).matrix.tocoo()
+        d = h.diagonal() - e_vac
+        if d.min() <= 0.0:
+            # a basis state already sits at or below the vacuum at any g
+            raise ValueError("g_lo already past the crossing")
+        off = h.row != h.col
+        rows, cols = h.row[off], h.col[off]
+        w = operator_from_entries(
+            basis.dim, rows, cols, h.data[off] / np.sqrt(d[rows] * d[cols])
         )
-        best = math.inf
-        for n in range(1, sectors + 1):
-            spec, _ = jc_sector_ground(geometry, jc, n, **solver_kwargs)
-            best = min(best, spec.ground_energy)
-        return best - e_vac
-
-    flo, fhi = gap(g_lo), gap(g_hi)
-    if flo <= 0.0:
+        spec = ground_state(w, **solver_kwargs)
+        if not spec.converged:
+            raise ArithmeticError(f"sector n_total={n} solve did not converge")
+        mu = min(mu, spec.ground_energy)
+    g_c = -1.0 / mu if mu < 0.0 else math.inf
+    if g_c <= g_lo:
         raise ValueError("g_lo already past the crossing")
-    if fhi > 0.0:
+    if g_c > g_hi:
         raise ValueError("g_hi below the crossing")
-    lo, hi = g_lo, g_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return g_c
 
 
 @dataclass(frozen=True)

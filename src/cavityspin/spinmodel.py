@@ -16,7 +16,7 @@ ground vectors give two-point spin correlations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .linalg import (
     operator_from_entries,
 )
 from .params import SpinCouplings
-
-BISECTION_TOL = 1e-10
 
 
 def build_spin_interaction(
@@ -144,24 +142,29 @@ class TransitionPoint:
     lambda_c: float
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+def _sector_line(
+    geometry: ArrayGeometry,
+    omega_at: float,
+    n_exc: int,
+    sign: float,
+    include_lambda_shift: bool,
+) -> tuple[float, float]:
+    """``(c, a)`` with sector ground energy ``c + lambda * a`` at
+    ``lambda_a = lambda_b = lambda`` of the given sign.
+
+    The sector diagonal is uniform, so the Hamiltonian is
+    ``c I + |lambda| H_unit`` with ``c = omega_at/2 (2 n_exc - N)`` and
+    ``H_unit`` the sector matrix at unit coupling ``sign`` and zero
+    splitting.  Its ground energy is exactly linear on each side of zero.
+    """
+    unit = SpinCouplings(lambda_a=sign, lambda_b=sign, omega_at=0.0)
+    spec, _ = sector_ground(
+        geometry, unit, n_exc, include_lambda_shift=include_lambda_shift
+    )
+    if not spec.converged:
+        raise ArithmeticError(f"sector n_exc={n_exc} ground solve did not converge")
+    c = omega_at / 2.0 * (2 * n_exc - geometry.n_sites)
+    return c, sign * spec.ground_energy
 
 
 def transition_couplings(
@@ -172,13 +175,15 @@ def transition_couplings(
     lambda_max: float,
     include_lambda_shift: bool = True,
     max_transitions: Optional[int] = None,
-    tol: float = BISECTION_TOL,
+    tol: Optional[float] = None,
 ) -> list[TransitionPoint]:
-    """Sector crossings n -> n+1 located by bisection inside a bracket.
+    """Sector crossings n -> n+1 inside a bracket, from exact linear energies.
 
-    Both bracket ends must carry the same coupling sign (the hop ground
-    energy is only piecewise linear across zero).  Sectors are scanned in
-    increasing n until no crossing falls inside the bracket.
+    Both bracket ends must carry the same coupling sign; there every sector
+    ground energy is ``c_n + lambda a_n`` (:func:`_sector_line`), so the
+    crossing n -> n+1 sits at ``omega_at / (a_n - a_{n+1})``.  Sectors are
+    scanned in increasing n until no crossing falls inside the bracket.
+    ``tol`` is accepted and ignored: the crossings are exact.
     """
     if lambda_min >= lambda_max:
         raise ValueError("need lambda_min < lambda_max")
@@ -186,25 +191,22 @@ def transition_couplings(
         raise ValueError("bracket must not straddle lambda = 0")
     n_sites = geometry.n_sites
     cap = n_sites if max_transitions is None else min(max_transitions, n_sites)
-
-    cache: dict[tuple[int, float], float] = {}
-
-    def energy(n: int, lam: float) -> float:
-        key = (n, lam)
-        if key not in cache:
-            c = SpinCouplings(lambda_a=lam, lambda_b=lam, omega_at=omega_at)
-            cache[key] = sector_ground_energy(geometry, c, n, include_lambda_shift)
-        return cache[key]
+    sign = -1.0 if lambda_max <= 0.0 else 1.0
 
     out: list[TransitionPoint] = []
+    _, a_lo = _sector_line(geometry, omega_at, 0, sign, include_lambda_shift)
     for n in range(cap):
-        f = lambda lam: energy(n, lam) - energy(n + 1, lam)  # noqa: E731
-        flo, fhi = f(lambda_min), f(lambda_max)
-        if flo == 0.0 or fhi == 0.0 or flo * fhi < 0.0:
-            lam_c = _bisect(f, lambda_min, lambda_max, tol)
+        _, a_hi = _sector_line(geometry, omega_at, n + 1, sign, include_lambda_shift)
+        slope = a_lo - a_hi  # E_n - E_{n+1} = slope * lambda - omega_at
+        flo = slope * lambda_min - omega_at
+        fhi = slope * lambda_max - omega_at
+        if flo * fhi <= 0.0:
+            # the gap vanishes identically only for omega_at = 0, equal slopes
+            lam_c = omega_at / slope if slope != 0.0 else lambda_min
             out.append(TransitionPoint(n_from=n, n_to=n + 1, lambda_c=lam_c))
         elif out:
             break  # past the last crossing inside the bracket
+        a_lo = a_hi
     return out
 
 
@@ -217,14 +219,20 @@ def excitation_curve(
     """Ground-state excitation number along a coupling sweep.
 
     Returns ``(lambda, n_exc, energy)`` rows; ties resolve to the smaller
-    sector.
+    sector.  Each sector is solved at most once per coupling sign.
     """
+    lines: dict[tuple[float, int], tuple[float, float]] = {}
     rows = []
     for lam in lambdas:
-        c = SpinCouplings(lambda_a=lam, lambda_b=lam, omega_at=omega_at)
+        sign = -1.0 if lam < 0.0 else 1.0
         best_n, best_e = 0, np.inf
         for n in range(geometry.n_sites + 1):
-            e = sector_ground_energy(geometry, c, n, include_lambda_shift)
+            if (sign, n) not in lines:
+                lines[sign, n] = _sector_line(
+                    geometry, omega_at, n, sign, include_lambda_shift
+                )
+            c, a = lines[sign, n]
+            e = c + lam * a + 0.0  # + 0.0 turns -0.0 into 0.0
             if e < best_e - 1e-14 * max(1.0, abs(e)):
                 best_n, best_e = n, e
         rows.append((float(lam), best_n, float(best_e)))

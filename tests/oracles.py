@@ -4,10 +4,12 @@ Everything here lives in the explicit product space (2^N for spins,
 2^N * (cap+1)^M with photons) built from Kronecker factors, and projects
 onto sectors by reading diagonal counting operators.  Slow and obvious on
 purpose: these are the ground truth the fast implementations are tested
-against.
+against.  Spin operators are sparse Kronecker products; only the sector
+block taken out of them is made dense.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 # qubit basis: index 0 lowered, index 1 raised
 SPLUS = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -16,26 +18,34 @@ SZ = np.diag([-1.0, 1.0])
 NUM = np.diag([0.0, 1.0])
 
 
-def site_operators(ops_by_site: dict, n_sites: int) -> np.ndarray:
-    """Embed qubit operators in one Kronecker pass; site j carries bit
-    weight 2**j, so the product-space index equals the occupation bitmask."""
-    out = np.array([[1.0]])
-    for j in range(n_sites):
-        out = np.kron(ops_by_site.get(j, np.eye(2)), out)
-    return out
+def site_operators(ops_by_site: dict, n_sites: int) -> sp.csr_matrix:
+    """Embed qubit operators in sparse Kronecker passes; site j carries bit
+    weight 2**j, so the product-space index equals the occupation bitmask.
+    Each run of idle sites enters as one identity factor."""
+    out = sp.identity(1, format="csr")
+    done = 0
+    for j in sorted(ops_by_site):
+        out = sp.kron(ops_by_site[j], sp.kron(sp.identity(1 << (j - done)), out))
+        done = j + 1
+    return sp.kron(sp.identity(1 << (n_sites - done)), out, format="csr")
 
 
-def pair_coherence_op(s: int, t: int, n_sites: int) -> np.ndarray:
+def sector_block(op, masks: list) -> np.ndarray:
+    """Dense block of a product-space operator on the given basis states."""
+    return op.tocsr()[masks][:, masks].toarray()
+
+
+def pair_coherence_op(s: int, t: int, n_sites: int) -> sp.csr_matrix:
     """sigma+_s sigma-_t (site occupation when s == t)."""
     if s == t:
         return site_operators({s: NUM}, n_sites)
     return site_operators({s: SPLUS, t: SMINUS}, n_sites)
 
 
-def dense_spin_full(geometry, couplings, include_lambda_shift=True) -> np.ndarray:
-    """Full 2^N spin Hamiltonian: line hops plus uniform splitting."""
+def dense_spin_full(geometry, couplings, include_lambda_shift=True) -> sp.csr_matrix:
+    """Full 2^N spin Hamiltonian, sparse: line hops plus uniform splitting."""
     n = geometry.n_sites
-    h = np.zeros((1 << n, 1 << n))
+    h = sp.csr_matrix((1 << n, 1 << n))
     for s, t, kind in geometry.line_pairs():
         lam = couplings.lambda_a if kind == "row" else couplings.lambda_b
         hop = site_operators({s: SPLUS, t: SMINUS}, n)
@@ -56,7 +66,7 @@ def dense_spin_sector(geometry, couplings, n_exc, include_lambda_shift=True):
     """(sector block, masks) sliced out of the full spin Hamiltonian."""
     h = dense_spin_full(geometry, couplings, include_lambda_shift)
     masks = sector_masks(geometry.n_sites, n_exc)
-    return h[np.ix_(masks, masks)], masks
+    return sector_block(h, masks), masks
 
 
 def multiplet_columns(evals: np.ndarray, evecs: np.ndarray, rtol: float = 1e-8):
@@ -88,11 +98,10 @@ def spin_correlation_reference(geometry, couplings, n_exc, include_lambda_shift=
     evals, evecs = np.linalg.eigh(block)
     cols = multiplet_columns(evals, evecs)
     n = geometry.n_sites
-    sl = np.ix_(masks, masks)
     c = np.zeros((n, n))
     for s in range(n):
         for t in range(n):
-            op = pair_coherence_op(s, t, n)[sl]
+            op = sector_block(pair_coherence_op(s, t, n), masks)
             c[s, t] = float(np.mean(np.einsum("ik,ij,jk->k", cols, op, cols)))
     nn, nnn = independent_pair_classes(geometry.lx, geometry.ly)
     sigma_nn = float(np.mean([c[s, t] for s, t in nn]))

@@ -1,11 +1,12 @@
 """Result tables, CSV/JSON round trips, and the command line surface."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
-from cavityspin import io
+from cavityspin import io, jcmodel, linalg, spinmodel
 from cavityspin.cli import main
 
 
@@ -179,6 +180,79 @@ def test_cli_compute_errors_exit_1(capsys):
     assert code == 1 and out == ""
     payload = json.loads(err)
     assert payload["error"]["kind"] == "compute"
+
+
+def test_cli_solver_failure_is_compute_error(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("Lanczos found 0/1 pairs after 0 restarts")
+
+    monkeypatch.setattr(linalg, "_lanczos_lowest", fail)
+    # dim C(16, 8) = 12870 is past the dense cutoff, so Lanczos runs
+    code, out, err = run_cli(
+        capsys,
+        ["spin-ed", "--lx", "4", "--ly", "4", "--omega", "1.0",
+         "--lambda-a=-0.1", "--nexc", "8"],
+    )
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"]["kind"] == "compute"
+    assert payload["error"]["type"] == "RuntimeError"
+
+
+@pytest.mark.parametrize(
+    "module, argv",
+    [
+        (spinmodel, ["excitation-curve", "--lx", "2", "--ly", "2", "--omega", "1",
+                     "--lambdas=-0.2"]),
+        (spinmodel, ["crossover", "--lx", "2", "--ly", "2", "--omega", "1",
+                     "--delta-ratios", "20"]),
+        (jcmodel, ["crossover", "--lx", "2", "--ly", "2", "--omega", "1",
+                   "--delta-ratios", "20"]),
+    ],
+)
+def test_cli_unconverged_critical_coupling_is_compute_error(
+    monkeypatch, capsys, module, argv
+):
+    solve = linalg.ground_state
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(solve(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(module, "ground_state", unconverged)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"]["kind"] == "compute"
+    assert payload["error"]["type"] == "ArithmeticError"
+
+
+def test_cli_excitation_curve_prints_unsigned_zero(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["excitation-curve", "--lx", "2", "--ly", "2", "--omega", "0",
+         "--lambdas", "0", "--units", "raw"],
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "0,0,0"
+
+
+def test_cli_crossover_tol_is_a_no_op(tmp_path, capsys):
+    base = [
+        "crossover", "--lx", "2", "--ly", "2", "--omega", "1",
+        "--delta-ratios", "20",
+    ]
+    outs = []
+    for tag, extra in (("plain", []), ("tol", ["--tol", "1e-3"])):
+        out = tmp_path / f"{tag}.csv"
+        code, _, _ = run_cli(capsys, base + extra + ["--out", str(out)])
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    sides = [json.loads((tmp_path / f"{t}.csv.json").read_text()) for t in ("plain", "tol")]
+    assert "tol" not in sides[0]["config"]
+    assert sides[0]["config_hash"] == sides[1]["config_hash"]
+    code, _, err = run_cli(capsys, base + ["--tol", "fine"])
+    assert code == 2 and json.loads(err)["error"]["kind"] == "usage"
 
 
 def test_cli_io_errors_exit_2(capsys, tmp_path):

@@ -143,6 +143,37 @@ def test_superradiant_critical_g_matches_first_crossing():
         )
 
 
+@pytest.mark.parametrize(
+    "geom, delta_a, delta_b, sectors, n_max, cap",
+    [
+        (ArrayGeometry(2, 2), 5.0, 9.0, 2, None, 2),
+        (ArrayGeometry(2, 2), 12.0, 4.0, 3, 1, 1),
+        (ArrayGeometry(3, 1), 6.0, (4.0, 7.0, 9.0), 2, None, 2),
+    ],
+)
+def test_superradiant_critical_g_brackets_dense_gap_sign_change(
+    geom, delta_a, delta_b, sectors, n_max, cap
+):
+    # unequal detunings and a per-mode cutoff below the sector total: the
+    # dense gap min_n E0(n) - E_vac must change sign across the returned g
+    omega = 1.0
+    closed = jcmodel.one_excitation_crossing_g(geom, omega, 4.0)
+    g_c = jcmodel.superradiant_critical_g(
+        geom, omega, delta_a, delta_b, g_lo=0.2 * closed, g_hi=3.0 * closed,
+        sectors=sectors, n_max=n_max,
+    )
+    e_vac = -omega * geom.n_sites / 2.0
+
+    def dense_gap(g):
+        jc = EffectiveJCParams(omega_at=omega, g=g, delta_a=delta_a, delta_b=delta_b)
+        return min(
+            float(np.linalg.eigvalsh(dense_jc_sector(geom, jc, n, cap)[0])[0])
+            for n in range(1, sectors + 1)
+        ) - e_vac
+
+    assert dense_gap(g_c * (1.0 - 1e-8)) > 0.0 > dense_gap(g_c * (1.0 + 1e-8))
+
+
 def test_ground_state_scan_dispersive():
     geom = ArrayGeometry(2, 2)
     jc = EffectiveJCParams(omega_at=1.0, g=0.1, delta_a=30.0, delta_b=30.0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cavityspin import spinmodel
 from cavityspin.basis import SectorBasis
@@ -11,6 +12,7 @@ from cavityspin.params import SpinCouplings
 from oracles import (
     dense_spin_full,
     dense_spin_sector,
+    sector_block,
     sector_masks,
     spin_correlation_reference,
 )
@@ -36,7 +38,7 @@ def test_sector_matrix_matches_dense_product_space():
                     geom, c, basis, shift
                 ).to_dense()
                 masks = sector_masks(n, n_exc)
-                ref = full[np.ix_(masks, masks)]
+                ref = sector_block(full, masks)
                 assert mine.shape == ref.shape
                 assert np.allclose(mine, ref, atol=1e-13)
 
@@ -99,6 +101,58 @@ def test_transition_couplings_square_array():
         include_lambda_shift=False,
     )
     assert pts_ns[0].lambda_c == pytest.approx(-1.0 / 8.0, abs=1e-9)
+
+
+def _dense_sector_minima(geom, lam, shift, sectors):
+    c = SpinCouplings(lambda_a=lam, lambda_b=lam, omega_at=1.0)
+    full = dense_spin_full(geom, c, shift)
+    return {
+        n: float(
+            scipy.linalg.eigvalsh(
+                sector_block(full, sector_masks(geom.n_sites, n)),
+                subset_by_index=[0, 0],
+            )[0]
+        )
+        for n in sectors
+    }
+
+
+@pytest.mark.parametrize(
+    "lx, ly, shift, bracket",
+    [
+        (4, 3, True, (-2.0, -1e-9)),
+        (4, 3, False, (1e-9, 2.0)),
+        (5, 2, True, (-2.0, -1e-9)),
+        (5, 2, False, (-2.0, -1e-9)),
+        (5, 2, False, (1e-9, 2.0)),
+    ],
+)
+def test_transition_couplings_every_crossing_matches_dense(lx, ly, shift, bracket):
+    geom = ArrayGeometry(lx, ly)
+    pts = spinmodel.transition_couplings(
+        geom, 1.0, lambda_min=bracket[0], lambda_max=bracket[1],
+        include_lambda_shift=shift,
+    )
+    # reported crossings: the first run of sectors whose dense gap
+    # E_n - E_{n+1} changes sign between the bracket ends
+    every = range(geom.n_sites + 1)
+    lo, hi = (_dense_sector_minima(geom, lam, shift, every) for lam in bracket)
+    expected = []
+    for n in range(geom.n_sites):
+        if (lo[n] - lo[n + 1]) * (hi[n] - hi[n + 1]) <= 0.0:
+            expected.append(n)
+        elif expected:
+            break
+    assert len(expected) > 1
+    assert [(p.n_from, p.n_to) for p in pts] == [(n, n + 1) for n in expected]
+    for p in pts:
+        assert bracket[0] <= p.lambda_c <= bracket[1]
+        n = p.n_from
+        below, above = (
+            _dense_sector_minima(geom, p.lambda_c * f, shift, (n, n + 1))
+            for f in (1.0 - 1e-8, 1.0 + 1e-8)
+        )
+        assert (below[n] - below[n + 1]) * (above[n] - above[n + 1]) < 0.0
 
 
 def test_transition_bracket_validation():
