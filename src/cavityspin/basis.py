@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,14 @@ def enumerate_masks(n_sites: int, n_exc: int) -> np.ndarray:
     return out
 
 
+class MaskBlock(NamedTuple):
+    """Sorted spin masks times an inner dimension, from row ``offset`` on."""
+
+    masks: np.ndarray
+    inner: int
+    offset: int
+
+
 @dataclass
 class SectorBasis:
     """Ordered basis of a fixed-excitation sector on an array geometry."""
@@ -68,6 +77,11 @@ class SectorBasis:
     @property
     def dim(self) -> int:
         return len(self.states)
+
+    @property
+    def blocks(self) -> tuple[MaskBlock]:
+        """The whole sector as one block of inner dimension 1."""
+        return (MaskBlock(self.states, 1, 0),)
 
     def rank(self, mask: int) -> int:
         """Index of a bitmask via the combinatorial number system."""

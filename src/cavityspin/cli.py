@@ -185,40 +185,52 @@ def _resolve_level(args, cfg, *, need_modes: bool):
         }
         return couplings, None, semantic
 
-    delta_a = _req(args, cfg, "delta_a", float)
-    delta_b = _opt(args, cfg, "delta_b", float)
-    eta = _opt(args, cfg, "eta", float)
-    if delta_b is not None and eta is not None:
-        raise UsageError("give --delta-b or --eta, not both")
     if level == "jc":
+        delta_a, delta_b, eta = _detunings(args, cfg)
         omega = _req(args, cfg, "omega", float)
         g = _req(args, cfg, "g", float)
         if delta_b is None:
             delta_b = delta_b_from_eta(delta_a, omega, eta) if eta is not None else delta_a
         jc = EffectiveJCParams(omega_at=omega, g=g, delta_a=delta_a, delta_b=delta_b)
     else:
-        drive = PhysicalDriveParams(
-            omega_rabi=_req(args, cfg, "rabi", float),
-            g0=_req(args, cfg, "g0", float),
-            delta_e=_req(args, cfg, "delta_e", float),
-        )
-        jc = derive_effective_params(drive, delta_a, delta_a)
-        if delta_b is None:
-            delta_b = (
-                delta_b_from_eta(delta_a, jc.omega_at, eta)
-                if eta is not None
-                else delta_a
-            )
-        jc = dataclasses.replace(jc, delta_b=delta_b)
+        _, jc = _drive_level(args, cfg)
     couplings = derive_spin_couplings(jc)
     semantic = {
         "level": level,
         "omega_at": jc.omega_at,
         "g": jc.g,
-        "delta_a": delta_a,
-        "delta_b": delta_b,
+        "delta_a": jc.delta_a,
+        "delta_b": jc.delta_b,
     }
     return couplings, jc, semantic
+
+
+def _detunings(args, cfg) -> tuple[float, Optional[float], Optional[float]]:
+    """``(delta_a, delta_b, eta)``; at most one of the last two is given."""
+    delta_a = _req(args, cfg, "delta_a", float)
+    delta_b = _opt(args, cfg, "delta_b", float)
+    eta = _opt(args, cfg, "eta", float)
+    if delta_b is not None and eta is not None:
+        raise UsageError("give --delta-b or --eta, not both")
+    return delta_a, delta_b, eta
+
+
+def _drive_level(args, cfg) -> tuple[PhysicalDriveParams, EffectiveJCParams]:
+    """Drive flags and the effective JC parameters they give.
+
+    ``delta_b`` comes from ``--delta-b``, else from ``--eta`` at the derived
+    splitting, else it equals ``delta_a``.
+    """
+    delta_a, delta_b, eta = _detunings(args, cfg)
+    drive = PhysicalDriveParams(
+        omega_rabi=_req(args, cfg, "rabi", float),
+        g0=_req(args, cfg, "g0", float),
+        delta_e=_req(args, cfg, "delta_e", float),
+    )
+    jc = derive_effective_params(drive, delta_a, delta_a)
+    if delta_b is None:
+        delta_b = delta_b_from_eta(delta_a, jc.omega_at, eta) if eta is not None else delta_a
+    return drive, dataclasses.replace(jc, delta_b=delta_b)
 
 
 # ---------------------------------------------------------------------------
@@ -226,29 +238,14 @@ def _resolve_level(args, cfg, *, need_modes: bool):
 
 
 def _cmd_derive_params(args, cfg, seed: int) -> CommandResult:
-    drive = PhysicalDriveParams(
-        omega_rabi=_req(args, cfg, "rabi", float),
-        g0=_req(args, cfg, "g0", float),
-        delta_e=_req(args, cfg, "delta_e", float),
-    )
-    delta_a = _req(args, cfg, "delta_a", float)
-    delta_b = _opt(args, cfg, "delta_b", float)
-    eta = _opt(args, cfg, "eta", float)
-    if delta_b is not None and eta is not None:
-        raise UsageError("give --delta-b or --eta, not both")
-    jc = derive_effective_params(drive, delta_a, delta_a)
-    if delta_b is None:
-        delta_b = (
-            delta_b_from_eta(delta_a, jc.omega_at, eta) if eta is not None else delta_a
-        )
-    jc = dataclasses.replace(jc, delta_b=delta_b)
+    drive, jc = _drive_level(args, cfg)
     couplings, tag = analyze(jc)
     row = (
         jc.omega_at,
         jc.g,
         jc.g_sign,
-        delta_a,
-        delta_b,
+        jc.delta_a,
+        jc.delta_b,
         couplings.lambda_a,
         couplings.lambda_b,
         couplings.eta,
@@ -265,8 +262,8 @@ def _cmd_derive_params(args, cfg, seed: int) -> CommandResult:
             "rabi": drive.omega_rabi,
             "g0": drive.g0,
             "delta_e": drive.delta_e,
-            "delta_a": delta_a,
-            "delta_b": delta_b,
+            "delta_a": jc.delta_a,
+            "delta_b": jc.delta_b,
         },
         columns=(
             "omega_at",

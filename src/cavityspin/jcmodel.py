@@ -28,6 +28,12 @@ from .linalg import (
     ground_state,
     operator_from_entries,
 )
+from .observables import (
+    CorrelationResult,
+    block_segments,
+    multiplet_correlations,
+    site_occupations,
+)
 from .params import EffectiveJCParams, RegimeError, ScalarOrPerLine
 
 MAX_JC_DIM = 2_000_000
@@ -115,6 +121,12 @@ class JCBlock:
     masks: np.ndarray
     photons: PhotonBlock
     offset: int
+
+    @property
+    def inner(self) -> int:
+        """Photon configurations per spin mask (the observables kernel's
+        inner dimension)."""
+        return self.photons.count
 
     @property
     def size(self) -> int:
@@ -305,7 +317,10 @@ def jc_sector_ground(
 ) -> tuple[SpectrumResult, JCBasis]:
     basis = JCBasis(geometry, n_total, n_max)
     h = build_jc_hamiltonian(geometry, jc, basis)
-    return ground_state(h, min(k, basis.dim), **solver_kwargs), basis
+    spec = ground_state(h, min(k, basis.dim), **solver_kwargs)
+    if not spec.converged:
+        raise ArithmeticError(f"sector n_total={n_total} ground solve did not converge")
+    return spec, basis
 
 
 @dataclass(frozen=True)
@@ -452,10 +467,6 @@ class JCObservables:
     delta_omega_mean: Optional[float]
 
 
-def _as_columns(vectors: np.ndarray) -> np.ndarray:
-    return vectors[:, None] if vectors.ndim == 1 else vectors
-
-
 def measure_observables(
     vectors: np.ndarray,
     basis: JCBasis,
@@ -471,23 +482,14 @@ def measure_observables(
     interaction-strength regime classification.
     """
     geometry = basis.geometry
-    v = _as_columns(vectors)
-    ncol = v.shape[1]
     n_sites = geometry.n_sites
-    n_modes = geometry.n_modes
-    spin_occ = np.zeros(n_sites)
-    phot_occ = np.zeros(n_modes)
+    spin_occ = site_occupations(vectors, basis)
+    phot_occ = np.zeros(geometry.n_modes)
     cross = np.zeros(n_sites)
 
-    for blk in basis.blocks:
-        seg = v[blk.offset : blk.offset + blk.size].reshape(
-            len(blk.masks), blk.photons.count, ncol
-        )
-        w_mask = (seg**2).sum(axis=(1, 2)) / ncol  # weight per spin mask
+    for blk, seg in block_segments(vectors, basis):
+        ncol = seg.shape[2]
         w_phot = (seg**2).sum(axis=(0, 2)) / ncol  # weight per photon config
-        for s in range(n_sites):
-            bit = np.int64(1) << s
-            spin_occ[s] += w_mask[(blk.masks & bit) != 0].sum()
         phot_occ += blk.photons.configs.T @ w_phot
         # photon move between the two modes of each site, spin mask fixed
         for s in range(n_sites):
@@ -538,62 +540,9 @@ def measure_observables(
     )
 
 
-def jc_pair_correlations(vectors: np.ndarray, basis: JCBasis) -> np.ndarray:
-    """Spin correlation matrix ``<sigma^+_s sigma^-_t>`` with photons traced
-    out, averaged over the given orthonormal columns."""
-    geometry = basis.geometry
-    n_sites = geometry.n_sites
-    v = _as_columns(vectors)
-    ncol = v.shape[1]
-    c = np.zeros((n_sites, n_sites))
-    for blk in basis.blocks:
-        seg = v[blk.offset : blk.offset + blk.size].reshape(
-            len(blk.masks), blk.photons.count, ncol
-        )
-        w_mask = (seg**2).sum(axis=(1, 2)) / ncol
-        for s in range(n_sites):
-            bit = np.int64(1) << s
-            c[s, s] += w_mask[(blk.masks & bit) != 0].sum()
-        for s in range(n_sites):
-            for t in range(n_sites):
-                if s == t:
-                    continue
-                bit_s = (blk.masks >> s) & 1
-                bit_t = (blk.masks >> t) & 1
-                sel = np.nonzero((bit_t == 1) & (bit_s == 0))[0]
-                if len(sel) == 0:
-                    continue
-                flip = np.int64((1 << s) | (1 << t))
-                partner = blk.masks[sel] ^ flip
-                pr = np.searchsorted(blk.masks, partner)
-                c[s, t] += float(
-                    (seg[pr, :, :] * seg[sel, :, :]).sum() / ncol
-                )
-    return c
-
-
-def jc_correlation_ratio(spectrum: SpectrumResult, basis: JCBasis):
-    """Shared-line vs unshared-pair correlation ratio of the ground
-    multiplet, photons traced out.  Mirrors the sector-model observable."""
-    from .spinmodel import CorrelationResult
-
-    geometry = basis.geometry
-    multiplet = spectrum.ground_multiplet()
-    c = jc_pair_correlations(multiplet, basis)
-    nn = geometry.nn_pairs()
-    nnn = geometry.nnn_pairs()
-    sigma_nn = float(np.mean([c[s, t] for s, t in nn])) if nn else 0.0
-    sigma_nnn = float(np.mean([c[s, t] for s, t in nnn])) if nnn else 0.0
-    ratio = sigma_nnn / sigma_nn if sigma_nn != 0.0 else None
-    return CorrelationResult(
-        sigma_nn=sigma_nn,
-        sigma_nnn=sigma_nnn,
-        ratio=ratio,
-        defined=ratio is not None,
-        multiplet_size=multiplet.shape[1],
-        cluster_truncated=spectrum.ground_cluster_truncated
-        and spectrum.eigenvectors.shape[1] < basis.dim,
-    )
+def jc_correlation_ratio(spectrum: SpectrumResult, basis: JCBasis) -> CorrelationResult:
+    """Ground-multiplet correlation ratio with the photons traced out."""
+    return multiplet_correlations(spectrum, basis)
 
 
 def collective_mode_hamiltonian(

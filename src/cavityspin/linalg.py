@@ -41,14 +41,6 @@ class SparseOperator:
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        if self.dim != other.dim:
-            raise ValueError("operator dimensions differ")
-        return SparseOperator(
-            matrix=(self.matrix + other.matrix).tocsr(),
-            hermitian=self.hermitian and other.hermitian,
-        )
-
     def symmetry_defect(self) -> float:
         """Largest |H - H^T| entry; zero for an exactly symmetric assembly."""
         d = self.matrix - self.matrix.T
@@ -59,10 +51,6 @@ def operator_from_entries(dim, rows, cols, vals, hermitian=True) -> SparseOperat
     m = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     m.sum_duplicates()
     return SparseOperator(matrix=m, hermitian=hermitian)
-
-
-def identity_operator(dim: int, scale: float = 1.0) -> SparseOperator:
-    return SparseOperator(matrix=sp.identity(dim, format="csr") * scale)
 
 
 @dataclass
@@ -91,8 +79,18 @@ class SpectrumResult:
 
     @property
     def ground_cluster_truncated(self) -> bool:
-        """True when the lowest cluster fills every computed pair (it may extend)."""
-        return bool(np.all(self.degeneracy == self.degeneracy[0]))
+        """True when the lowest cluster may extend past the computed pairs.
+
+        The dense path sees the whole spectrum and returns the full cluster.
+        A Lanczos result is cut short when the lowest cluster fills every
+        computed pair and those pairs do not span the space (the vectors'
+        row count is the dimension).
+        """
+        return bool(
+            self.method != "dense"
+            and len(self.eigenvalues) < self.eigenvectors.shape[0]
+            and np.all(self.degeneracy == self.degeneracy[0])
+        )
 
 
 def label_degeneracies(eigenvalues: np.ndarray, rtol: float = DEGENERACY_RTOL) -> np.ndarray:
@@ -132,9 +130,15 @@ def ground_state(
 
 
 def _dense_lowest(op: SparseOperator, k: int) -> SpectrumResult:
+    """Lowest ``max(k, m)`` pairs, ``m`` the size of the lowest cluster."""
     h = op.to_dense()
     vals, vecs = np.linalg.eigh(h)
-    vals, vecs = vals[:k], vecs[:, :k]
+    # first gap under the label_degeneracies rule closes the lowest cluster
+    scale = np.maximum(1.0, np.maximum(np.abs(vals[1:]), np.abs(vals[:-1])))
+    gaps = np.nonzero(np.diff(vals) > DEGENERACY_RTOL * scale)[0]
+    m = int(gaps[0]) + 1 if len(gaps) else len(vals)
+    n = max(k, m)
+    vals, vecs = vals[:n], vecs[:, :n]
     res = _residuals(op, vals, vecs)
     return SpectrumResult(
         eigenvalues=vals, eigenvectors=vecs, residual_norms=res, method="dense"

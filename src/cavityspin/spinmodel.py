@@ -26,62 +26,10 @@ from .linalg import (
     SparseOperator,
     SpectrumResult,
     ground_state,
-    identity_operator,
     operator_from_entries,
 )
+from .observables import CorrelationResult, multiplet_correlations, site_occupations
 from .params import SpinCouplings
-
-
-def build_spin_interaction(
-    geometry: ArrayGeometry, couplings: SpinCouplings, basis: SectorBasis
-) -> SparseOperator:
-    """Excitation-hopping matrix of the sector (no diagonal part).
-
-    Off-diagonal element between configurations differing by one excitation
-    moved within a row is ``2 lambda_a``; within a column ``2 lambda_b``.
-    """
-    if basis.geometry != geometry:
-        raise ValueError("basis geometry mismatch")
-    states = basis.states
-    dim = basis.dim
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    amp = {"row": 2.0 * couplings.lambda_a, "col": 2.0 * couplings.lambda_b}
-    for s, t, kind in geometry.line_pairs():
-        a = amp[kind]
-        if a == 0.0:
-            continue
-        bit_s = (states >> s) & 1
-        bit_t = (states >> t) & 1
-        sel = np.nonzero(bit_s != bit_t)[0]
-        if len(sel) == 0:
-            continue
-        flip = np.int64((1 << s) | (1 << t))
-        partners = states[sel] ^ flip
-        pidx = basis.bulk_rank(partners)
-        rows.append(sel)
-        cols.append(pidx)
-        vals.append(np.full(len(sel), a))
-    if not rows:
-        return operator_from_entries(dim, [], [], [])
-    return operator_from_entries(
-        dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
-
-
-def add_diagonal(
-    geometry: ArrayGeometry,
-    couplings: SpinCouplings,
-    basis: SectorBasis,
-    include_lambda_shift: bool,
-) -> SparseOperator:
-    """Uniform sector diagonal from the (optionally shifted) spin splitting."""
-    coeff = couplings.omega_at / 2.0
-    if include_lambda_shift:
-        coeff += couplings.lambda_a + couplings.lambda_b
-    value = coeff * (2 * basis.n_exc - geometry.n_sites)
-    return identity_operator(basis.dim, value)
 
 
 def build_sector_hamiltonian(
@@ -90,8 +38,44 @@ def build_sector_hamiltonian(
     basis: SectorBasis,
     include_lambda_shift: bool = True,
 ) -> SparseOperator:
-    return build_spin_interaction(geometry, couplings, basis) + add_diagonal(
-        geometry, couplings, basis, include_lambda_shift
+    """Sector matrix: excitation hops plus the uniform diagonal.
+
+    Off-diagonal element between configurations differing by one excitation
+    moved within a row is ``2 lambda_a``; within a column ``2 lambda_b``.
+    The diagonal comes from the (optionally shifted) spin splitting; a zero
+    diagonal is left out of the sparsity pattern.
+    """
+    if basis.geometry != geometry:
+        raise ValueError("basis geometry mismatch")
+    states = basis.states
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
+    amp = {"row": 2.0 * couplings.lambda_a, "col": 2.0 * couplings.lambda_b}
+    for s, t, kind in geometry.line_pairs():
+        a = amp[kind]
+        if a == 0.0:
+            continue
+        sel = np.nonzero(((states >> s) & 1) != ((states >> t) & 1))[0]
+        if len(sel) == 0:
+            continue
+        flip = np.int64((1 << s) | (1 << t))
+        rows.append(sel)
+        cols.append(basis.bulk_rank(states[sel] ^ flip))
+        vals.append(np.full(len(sel), a))
+    coeff = couplings.omega_at / 2.0
+    if include_lambda_shift:
+        coeff += couplings.lambda_a + couplings.lambda_b
+    diag = coeff * (2 * basis.n_exc - geometry.n_sites)
+    if diag != 0.0:
+        idx = np.arange(basis.dim)
+        rows.append(idx)
+        cols.append(idx)
+        vals.append(np.full(basis.dim, diag))
+    if not rows:
+        return operator_from_entries(basis.dim, [], [], [])
+    return operator_from_entries(
+        basis.dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     )
 
 
@@ -118,7 +102,10 @@ def sector_ground(
 ) -> tuple[SpectrumResult, SectorBasis]:
     basis = SectorBasis(geometry, n_exc)
     h = build_sector_hamiltonian(geometry, couplings, basis, include_lambda_shift)
-    return ground_state(h, min(k, basis.dim), **solver_kwargs), basis
+    spec = ground_state(h, min(k, basis.dim), **solver_kwargs)
+    if not spec.converged:
+        raise ArithmeticError(f"sector n_exc={n_exc} ground solve did not converge")
+    return spec, basis
 
 
 def sector_ground_energy(
@@ -161,8 +148,6 @@ def _sector_line(
     spec, _ = sector_ground(
         geometry, unit, n_exc, include_lambda_shift=include_lambda_shift
     )
-    if not spec.converged:
-        raise ArithmeticError(f"sector n_exc={n_exc} ground solve did not converge")
     c = omega_at / 2.0 * (2 * n_exc - geometry.n_sites)
     return c, sign * spec.ground_energy
 
@@ -239,94 +224,17 @@ def excitation_curve(
     return rows
 
 
-def pair_correlations(vectors: np.ndarray, basis: SectorBasis) -> np.ndarray:
-    """Matrix ``C[s, t] = <sigma^+_s sigma^-_t>`` averaged over given vectors.
-
-    ``vectors`` holds an orthonormal (near-)degenerate multiplet as columns;
-    the average is the normalized projector trace, so the result does not
-    depend on the basis chosen inside the multiplet.  Diagonal entries are
-    site occupations.
-    """
-    n_sites = basis.geometry.n_sites
-    if vectors.ndim == 1:
-        vectors = vectors[:, None]
-    d = vectors.shape[1]
-    occ = basis.occupations().astype(float)
-    c = np.zeros((n_sites, n_sites))
-    weights = (vectors**2).sum(axis=1) / d
-    c[np.arange(n_sites), np.arange(n_sites)] = occ.T @ weights
-    states = basis.states
-    for s in range(n_sites):
-        for t in range(n_sites):
-            if s == t:
-                continue
-            bit_s = (states >> s) & 1
-            bit_t = (states >> t) & 1
-            sel = np.nonzero((bit_t == 1) & (bit_s == 0))[0]
-            if len(sel) == 0:
-                continue
-            flip = np.int64((1 << s) | (1 << t))
-            pidx = basis.bulk_rank(states[sel] ^ flip)
-            c[s, t] = float(
-                np.sum(vectors[pidx, :] * vectors[sel, :]) / d
-            )
-    return c
-
-
-@dataclass(frozen=True)
-class CorrelationResult:
-    """Row/column-partner vs unshared-pair correlation averages."""
-
-    sigma_nn: float
-    sigma_nnn: float
-    ratio: Optional[float]
-    defined: bool
-    multiplet_size: int = 1
-    cluster_truncated: bool = False
-
-
 def correlation_ratio(
     spectrum: SpectrumResult, basis: SectorBasis
 ) -> CorrelationResult:
-    """Average NNN/NN correlation ratio of the ground multiplet.
+    """Average NNN/NN correlation ratio of the ground multiplet; undefined
+    for the empty and the fully excited sector.
 
-    NN pairs share a row or column (the pairs the interaction couples);
-    NNN pairs share neither.  In a fixed sector single-spin coherences
-    vanish, so raw and connected correlators coincide.  Undefined for the
-    empty and the fully excited sector.
+    The body is shared with ``jcmodel.jc_correlation_ratio``; neither calls
+    the other, so the benchmark tracer (``perfbench/layers.py``) times each
+    model's call as its own layer.
     """
-    geometry = basis.geometry
-    n = geometry.n_sites
-    if basis.n_exc in (0, n):
-        return CorrelationResult(
-            sigma_nn=0.0, sigma_nnn=0.0, ratio=None, defined=False
-        )
-    multiplet = spectrum.ground_multiplet()
-    c = pair_correlations(multiplet, basis)
-    nn = geometry.nn_pairs()
-    nnn = geometry.nnn_pairs()
-    sigma_nn = float(np.mean([c[s, t] for s, t in nn]))
-    if nnn:
-        sigma_nnn = float(np.mean([c[s, t] for s, t in nnn]))
-    else:
-        sigma_nnn = 0.0
-    ratio = sigma_nnn / sigma_nn if sigma_nn != 0.0 else None
-    return CorrelationResult(
-        sigma_nn=sigma_nn,
-        sigma_nnn=sigma_nnn,
-        ratio=ratio,
-        defined=ratio is not None,
-        multiplet_size=multiplet.shape[1],
-        cluster_truncated=spectrum.ground_cluster_truncated and spectrum.eigenvectors.shape[1] < basis.dim,
-    )
-
-
-def site_occupations(vectors: np.ndarray, basis: SectorBasis) -> np.ndarray:
-    """Per-site excitation probability of a state or averaged multiplet."""
-    if vectors.ndim == 1:
-        vectors = vectors[:, None]
-    weights = (vectors**2).sum(axis=1) / vectors.shape[1]
-    return basis.occupations().astype(float).T @ weights
+    return multiplet_correlations(spectrum, basis)
 
 
 def sigma_z_expectations(vectors: np.ndarray, basis: SectorBasis) -> np.ndarray:

@@ -208,6 +208,14 @@ def test_cli_solver_failure_is_compute_error(monkeypatch, capsys):
                      "--delta-ratios", "20"]),
         (jcmodel, ["crossover", "--lx", "2", "--ly", "2", "--omega", "1",
                    "--delta-ratios", "20"]),
+        (spinmodel, ["spin-ed", "--lx", "2", "--ly", "2", "--omega", "1",
+                     "--lambda-a=-0.2", "--nexc", "2"]),
+        (jcmodel, ["jc-ed", "--lx", "2", "--ly", "2", "--omega", "1",
+                   "--delta-a", "6", "--g", "0.4", "--ntotal", "1"]),
+        (jcmodel, ["jc-ed", "--lx", "2", "--ly", "2", "--omega", "1",
+                   "--delta-a", "6", "--g", "0.4"]),
+        (spinmodel, ["correlations", "--lx", "2", "--ly", "2", "--omega", "1",
+                     "--lambda-a=-0.2", "--nexc", "2"]),
     ],
 )
 def test_cli_unconverged_critical_coupling_is_compute_error(
@@ -224,6 +232,20 @@ def test_cli_unconverged_critical_coupling_is_compute_error(
     payload = json.loads(err)
     assert payload["error"]["kind"] == "compute"
     assert payload["error"]["type"] == "ArithmeticError"
+
+
+def test_cli_spin_ed_counts_the_frustrated_multiplet(capsys):
+    # lambda_a > 0 > lambda_b on 3x3: the one-excitation ground level is
+    # 2-fold (one_exc_closed_spectrum); the default k=1 must still count both
+    code, out, _ = run_cli(
+        capsys,
+        ["spin-ed", "--lx", "3", "--ly", "3", "--lambda-a", "0.1",
+         "--lambda-b=-0.3", "--omega", "1", "--nexc", "1"],
+    )
+    assert code == 0
+    table = io.parse_csv(out)
+    assert table.columns == ("n_exc", "dim", "energy", "multiplet_size")
+    assert table.rows[0][3] == 2
 
 
 def test_cli_excitation_curve_prints_unsigned_zero(capsys):

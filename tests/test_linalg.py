@@ -6,10 +6,14 @@ import pytest
 from cavityspin.linalg import (
     SparseOperator,
     ground_state,
-    identity_operator,
     label_degeneracies,
     operator_from_entries,
 )
+
+
+def _scaled_identity(dim, scale=1.0):
+    d = np.arange(dim)
+    return operator_from_entries(dim, d, d, np.full(dim, scale))
 
 
 def _random_operator(rng, dim, density=0.05, diag_scale=1.0):
@@ -35,14 +39,6 @@ def test_matvec_matches_dense():
     v = rng.normal(size=40)
     assert np.allclose(op.matvec(v), h @ v, atol=1e-13)
     assert op.symmetry_defect() == 0.0
-
-
-def test_operator_addition_and_identity():
-    rng = np.random.default_rng(1)
-    a = _random_operator(rng, 15)
-    b = identity_operator(15, scale=2.5)
-    c = a + b
-    assert np.allclose(c.to_dense(), a.to_dense() + 2.5 * np.eye(15), atol=1e-14)
 
 
 def test_dense_and_lanczos_agree_on_random_spectra():
@@ -85,10 +81,25 @@ def test_lanczos_resolves_exact_degeneracies():
 
 
 def test_ground_multiplet_truncation_flag():
-    op = identity_operator(10, scale=-1.0)  # fully degenerate
-    res = ground_state(op, 3, method="dense")
+    op = _scaled_identity(40, scale=-1.0)  # fully degenerate
+    res = ground_state(op, 3, method="lanczos")
+    assert res.method == "lanczos"
     assert res.ground_multiplet().shape[1] == 3
     assert res.ground_cluster_truncated  # the cluster continues past k
+
+
+def test_dense_path_returns_the_whole_ground_cluster():
+    res = ground_state(_scaled_identity(10, scale=-1.0), 3, method="dense")
+    assert res.ground_multiplet().shape[1] == 10
+    assert np.allclose(res.eigenvalues, -1.0)
+    assert not res.ground_cluster_truncated
+    # a split cluster stops at the first gap; k above it keeps k pairs
+    d = np.arange(6)
+    op = operator_from_entries(6, d, d, [-2.0, -2.0, -2.0 + 1e-12, -1.0, 0.0, 1.0])
+    assert ground_state(op, 1, method="dense").ground_multiplet().shape[1] == 3
+    res = ground_state(op, 5, method="dense")
+    assert len(res.eigenvalues) == 5 and res.ground_multiplet().shape[1] == 3
+    assert not res.ground_cluster_truncated
 
 
 def test_label_degeneracies_clusters():
@@ -97,7 +108,7 @@ def test_label_degeneracies_clusters():
 
 
 def test_input_validation():
-    op = identity_operator(4)
+    op = _scaled_identity(4)
     with pytest.raises(ValueError):
         ground_state(op, 0)
     with pytest.raises(ValueError):

@@ -229,6 +229,8 @@ def test_correlations_undefined_at_sector_edges():
         res = spinmodel.correlation_ratio(spec, basis)
         assert not res.defined
         assert res.ratio is None
+        assert res.sigma_nn == 0.0 and res.sigma_nnn == 0.0
+        assert res.multiplet_size == 1 and not res.cluster_truncated
 
 
 def test_site_occupations_sum_to_sector_count():

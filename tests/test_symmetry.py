@@ -105,7 +105,11 @@ def test_orbit_hamiltonian_equals_brute_projection():
         c = SpinCouplings(lambda_a=lam, lambda_b=lam, omega_at=1.0)
         oh = symmetry.orbit_basis_hamiltonian(geom, c, n_exc)
         basis = SectorBasis(geom, n_exc)
-        hop = spinmodel.build_spin_interaction(geom, c, basis).to_dense()
+        # zero splitting and no shift leave only the hops
+        hop_only = SpinCouplings(lambda_a=lam, lambda_b=lam, omega_at=0.0)
+        hop = spinmodel.build_sector_hamiltonian(
+            geom, hop_only, basis, include_lambda_shift=False
+        ).to_dense()
         p = np.zeros((basis.dim, len(oh.classes)))
         for i, cls in enumerate(oh.classes):
             for m in cls.members:
