@@ -118,11 +118,6 @@ class SectorBasis:
             raise ValueError("mask outside this sector")
         return idx
 
-    def occupations(self) -> np.ndarray:
-        """dim x n_sites 0/1 array of site occupations, one row per state."""
-        sites = np.arange(self.geometry.n_sites, dtype=np.int64)
-        return ((self.states[:, None] >> sites[None, :]) & 1).astype(np.int8)
-
 
 def _comb_table(n: int, k: int) -> np.ndarray:
     """Pascal table C[p, j] for p <= n, j <= k, as int64."""

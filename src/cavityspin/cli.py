@@ -24,7 +24,6 @@ from . import io as tableio
 from .frustration import QUALITY_MIN, region_scan
 from .geometry import ArrayGeometry
 from .jcmodel import (
-    JCBasis,
     jc_correlation_ratio,
     jc_ground_state,
     jc_sector_ground,
@@ -342,8 +341,7 @@ def _cmd_jc_ed(args, cfg, seed: int) -> CommandResult:
             rows.append((n, basis.dim, spec.ground_energy, None))
     else:
         result = jc_ground_state(geom, jc, n_max=n_max, seed=seed)
-        for n, energy in result.scan:
-            dim = JCBasis(geom, n, n_max).dim
+        for n, dim, energy in result.scan:
             rows.append(
                 (n, dim, energy, "true" if n == result.n_total else "false")
             )

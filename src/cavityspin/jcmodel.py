@@ -206,12 +206,6 @@ class JCBasis:
             return blk.offset + im * blk.photons.count + ip
         raise KeyError((mask, tuple(photons)))
 
-    def spin_excitation_counts(self) -> np.ndarray:
-        out = np.empty(self.dim, dtype=np.int64)
-        for blk in self.blocks:
-            out[blk.offset : blk.offset + blk.size] = blk.k
-        return out
-
 
 def _expand(value: ScalarOrPerLine, count: int) -> np.ndarray:
     if isinstance(value, (int, float)):
@@ -313,11 +307,11 @@ def jc_sector_ground(
     *,
     n_max: Optional[int] = None,
     k: int = 1,
-    **solver_kwargs,
+    seed: int = 0,
 ) -> tuple[SpectrumResult, JCBasis]:
     basis = JCBasis(geometry, n_total, n_max)
     h = build_jc_hamiltonian(geometry, jc, basis)
-    spec = ground_state(h, min(k, basis.dim), **solver_kwargs)
+    spec = ground_state(h, min(k, basis.dim), seed=seed)
     if not spec.converged:
         raise ArithmeticError(f"sector n_total={n_total} ground solve did not converge")
     return spec, basis
@@ -331,7 +325,7 @@ class JCGroundResult:
     energy: float
     spectrum: SpectrumResult
     basis: JCBasis
-    scan: tuple[tuple[int, float], ...]
+    scan: tuple[tuple[int, int, float], ...]  # (n_total, dim, energy) per sector
 
 
 def jc_ground_state(
@@ -341,30 +335,30 @@ def jc_ground_state(
     initial_span: int = 4,
     span_cap: int = 64,
     rtol: float = 1e-8,
-    k: int = 1,
-    **solver_kwargs,
+    n_max: Optional[int] = None,
+    seed: int = 0,
 ) -> JCGroundResult:
     """Scan sectors upward until the minimum is interior.
 
     The scanned range doubles while the lowest energy sits at its top; a
     minimum still at the cap means the photon branch is unbounded for these
     parameters, which is reported as a regime error rather than a value.
-    Sector ties (within ``rtol``) resolve to the smaller total.
+    Sector ties (within ``rtol``) resolve to the smaller total.  Each sector
+    is solved once; the winner's spectrum and basis come from the scan.
     """
-    energies: dict[int, float] = {}
+    solved: dict[int, tuple[SpectrumResult, JCBasis]] = {}
 
     def energy(n: int) -> float:
-        if n not in energies:
-            spec, _ = jc_sector_ground(geometry, jc, n, **solver_kwargs)
-            energies[n] = spec.ground_energy
-        return energies[n]
+        if n not in solved:
+            solved[n] = jc_sector_ground(geometry, jc, n, n_max=n_max, seed=seed)
+        return solved[n][0].ground_energy
 
     span = initial_span
     while True:
         best_n = 0
         for n in range(span + 1):
             e = energy(n)
-            if e < energies[best_n] - rtol * max(1.0, abs(e)):
+            if e < energy(best_n) - rtol * max(1.0, abs(e)):
                 best_n = n
         if best_n < span:
             break
@@ -375,14 +369,15 @@ def jc_ground_state(
             )
         span = min(2 * span, span_cap)
 
-    spectrum, basis = jc_sector_ground(geometry, jc, best_n, k=k, **solver_kwargs)
-    scan = tuple(sorted(energies.items()))
+    spectrum, basis = solved[best_n]
     return JCGroundResult(
         n_total=best_n,
         energy=spectrum.ground_energy,
         spectrum=spectrum,
         basis=basis,
-        scan=scan,
+        scan=tuple(
+            (n, b.dim, s.ground_energy) for n, (s, b) in sorted(solved.items())
+        ),
     )
 
 
@@ -413,7 +408,7 @@ def superradiant_critical_g(
     g_hi: float,
     sectors: int = 3,
     n_max: Optional[int] = None,
-    **solver_kwargs,
+    seed: int = 0,
 ) -> float:
     """Coupling where an excited sector first drops below the vacuum.
 
@@ -441,7 +436,7 @@ def superradiant_critical_g(
         w = operator_from_entries(
             basis.dim, rows, cols, h.data[off] / np.sqrt(d[rows] * d[cols])
         )
-        spec = ground_state(w, **solver_kwargs)
+        spec = ground_state(w, seed=seed)
         if not spec.converged:
             raise ArithmeticError(f"sector n_total={n} solve did not converge")
         mu = min(mu, spec.ground_energy)

@@ -1,11 +1,10 @@
 """Sparse operator container and low-lying eigensolvers.
 
 Small problems (dimension <= DENSE_CUTOFF) go through dense ``eigh``.  Larger
-ones use Lanczos with full reorthogonalization plus deflation restarts:
-each converged eigenvector is projected out and the iteration restarts from
-a fresh seeded random vector, so degenerate multiplets are recovered one
-copy at a time instead of being silently merged.  Residual norms
-``|H v - E v|`` are reported for every pair on both paths.
+ones use ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``)
+in deflated rounds until the lowest degeneracy cluster is provably closed.
+Both paths return every copy of the lowest level, and residual norms
+``|H v - E v|`` are reported for every pair.
 """
 
 from __future__ import annotations
@@ -22,10 +21,9 @@ DEGENERACY_RTOL = 1e-8
 
 @dataclass
 class SparseOperator:
-    """Real Hermitian operator stored in compressed sparse row form."""
+    """Real symmetric operator stored in compressed sparse row form."""
 
     matrix: sp.csr_matrix
-    hermitian: bool = True
 
     @property
     def dim(self) -> int:
@@ -47,10 +45,10 @@ class SparseOperator:
         return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
 
 
-def operator_from_entries(dim, rows, cols, vals, hermitian=True) -> SparseOperator:
+def operator_from_entries(dim, rows, cols, vals) -> SparseOperator:
     m = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     m.sum_duplicates()
-    return SparseOperator(matrix=m, hermitian=hermitian)
+    return SparseOperator(matrix=m)
 
 
 @dataclass
@@ -73,184 +71,115 @@ class SpectrumResult:
         return float(self.eigenvalues[0])
 
     def ground_multiplet(self) -> np.ndarray:
-        """Columns spanning the lowest degeneracy cluster among computed pairs."""
+        """Columns spanning the lowest degeneracy cluster, every copy of it."""
         sel = self.degeneracy == self.degeneracy[0]
         return self.eigenvectors[:, sel]
-
-    @property
-    def ground_cluster_truncated(self) -> bool:
-        """True when the lowest cluster may extend past the computed pairs.
-
-        The dense path sees the whole spectrum and returns the full cluster.
-        A Lanczos result is cut short when the lowest cluster fills every
-        computed pair and those pairs do not span the space (the vectors'
-        row count is the dimension).
-        """
-        return bool(
-            self.method != "dense"
-            and len(self.eigenvalues) < self.eigenvectors.shape[0]
-            and np.all(self.degeneracy == self.degeneracy[0])
-        )
 
 
 def label_degeneracies(eigenvalues: np.ndarray, rtol: float = DEGENERACY_RTOL) -> np.ndarray:
     """Cluster sorted eigenvalues whose gaps fall below rtol * max(1, |E|)."""
     e = np.asarray(eigenvalues, dtype=float)
+    scale = np.maximum(1.0, np.maximum(np.abs(e[1:]), np.abs(e[:-1])))
     labels = np.zeros(len(e), dtype=np.int64)
-    for i in range(1, len(e)):
-        gap = e[i] - e[i - 1]
-        scale = max(1.0, abs(e[i]), abs(e[i - 1]))
-        labels[i] = labels[i - 1] + (0 if gap <= rtol * scale else 1)
+    labels[1:] = np.cumsum(np.diff(e) > rtol * scale)
     return labels
 
 
+def _lowest_cluster_size(sorted_vals: np.ndarray) -> int:
+    return int(np.count_nonzero(label_degeneracies(sorted_vals) == 0))
+
+
 def ground_state(
-    op: SparseOperator,
-    k: int = 1,
-    *,
-    dense_cutoff: int = DENSE_CUTOFF,
-    method: str = "auto",
-    seed: int = 0,
-    tol: float = 1e-11,
-    max_restarts: int = 200,
+    op: SparseOperator, k: int = 1, *, method: str = "auto", seed: int = 0
 ) -> SpectrumResult:
-    """Lowest ``k`` eigenpairs of a real symmetric sparse operator."""
-    if not op.hermitian:
-        raise ValueError("ground_state requires a Hermitian operator")
+    """Lowest ``max(k, m)`` eigenpairs of a real symmetric sparse operator,
+    ``m`` the size of the lowest degeneracy cluster.
+
+    Every copy of the lowest level is returned on both paths.  Past that
+    cluster the Lanczos pairs are ARPACK's converged ones, which can skip
+    a level that sits above a degenerate one.
+    """
     dim = op.dim
     if not 1 <= k <= dim:
         raise ValueError(f"k={k} outside [1, {dim}]")
     if method == "auto":
-        method = "dense" if dim <= dense_cutoff else "lanczos"
+        method = "dense" if dim <= DENSE_CUTOFF else "lanczos"
     if method == "dense" or dim <= max(4 * k, 32):
         return _dense_lowest(op, k)
     if method != "lanczos":
         raise ValueError(f"unknown method {method!r}")
-    return _lanczos_lowest(op, k, seed=seed, tol=tol, max_restarts=max_restarts)
+    return _lanczos_lowest(op, k, seed=seed)
 
 
 def _dense_lowest(op: SparseOperator, k: int) -> SpectrumResult:
-    """Lowest ``max(k, m)`` pairs, ``m`` the size of the lowest cluster."""
-    h = op.to_dense()
-    vals, vecs = np.linalg.eigh(h)
-    # first gap under the label_degeneracies rule closes the lowest cluster
-    scale = np.maximum(1.0, np.maximum(np.abs(vals[1:]), np.abs(vals[:-1])))
-    gaps = np.nonzero(np.diff(vals) > DEGENERACY_RTOL * scale)[0]
-    m = int(gaps[0]) + 1 if len(gaps) else len(vals)
-    n = max(k, m)
-    vals, vecs = vals[:n], vecs[:, :n]
-    res = _residuals(op, vals, vecs)
-    return SpectrumResult(
-        eigenvalues=vals, eigenvectors=vecs, residual_norms=res, method="dense"
+    vals, vecs = np.linalg.eigh(op.to_dense())
+    n = max(k, _lowest_cluster_size(vals))
+    return _result(op, vals[:n], vecs[:, :n], "dense")
+
+
+def _result(op: SparseOperator, vals, vecs, method: str) -> SpectrumResult:
+    r = np.linalg.norm(op.matrix @ vecs - vecs * vals[None, :], axis=0)
+    # dense eigh is backward stable; only the iterative path can fall short
+    converged = method == "dense" or bool(
+        np.all(r <= RESIDUAL_TOL * np.maximum(1.0, np.abs(vals)))
     )
-
-
-def _residuals(op: SparseOperator, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    r = op.matrix @ vecs - vecs * vals[None, :]
-    return np.linalg.norm(r, axis=0)
-
-
-def _lanczos_lowest(
-    op: SparseOperator,
-    k: int,
-    *,
-    seed: int,
-    tol: float,
-    max_restarts: int,
-) -> SpectrumResult:
-    """Deflated Lanczos with full reorthogonalization at every step."""
-    dim = op.dim
-    rng = np.random.default_rng(seed)
-    found_vals: list[float] = []
-    found_vecs: list[np.ndarray] = []
-    block = min(dim, max(2 * k + 30, 50))
-    last_residual = np.inf
-
-    for _ in range(max_restarts):
-        if len(found_vals) >= k:
-            break
-        deflate = np.column_stack(found_vecs) if found_vecs else None
-        v = rng.standard_normal(dim)
-        v = _orthogonalize(v, deflate)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-
-        steps = min(block, dim - len(found_vals))
-        if steps <= 0:
-            break
-        vmat = np.empty((dim, steps), dtype=float)
-        wmat = np.empty((dim, steps), dtype=float)
-        vmat[:, 0] = v / nv
-        m = 0
-        while m < steps:
-            w = op.matvec(vmat[:, m])
-            wmat[:, m] = w
-            a = float(vmat[:, m] @ w)
-            m += 1
-            if m == steps:
-                break
-            # full reorthogonalization against deflated and Krylov vectors
-            w = _orthogonalize(w, deflate)
-            w = _orthogonalize(w, vmat[:, :m])
-            b = float(np.linalg.norm(w))
-            if b < 1e-13 * max(1.0, abs(a)):
-                break  # invariant subspace exhausted
-            vmat[:, m] = w / b
-
-        # Rayleigh-Ritz on the built subspace; the tridiagonal coefficients
-        # are not trusted because converged Ritz directions re-enter through
-        # roundoff and silently break the three-term structure.
-        t = vmat[:, :m].T @ wmat[:, :m]
-        t = 0.5 * (t + t.T)
-        tvals, tvecs = np.linalg.eigh(t)
-
-        accepted_any = False
-        for j in range(m):
-            if len(found_vals) >= k:
-                break
-            x = vmat[:, :m] @ tvecs[:, j]
-            x = _orthogonalize(x, np.column_stack(found_vecs) if found_vecs else None)
-            nx = np.linalg.norm(x)
-            if nx < 1e-8:
-                continue
-            x /= nx
-            hx = op.matvec(x)
-            theta = float(x @ hx)
-            r = float(np.linalg.norm(hx - theta * x))
-            last_residual = r
-            if r <= tol * max(1.0, abs(theta)):
-                found_vals.append(theta)
-                found_vecs.append(x)
-                accepted_any = True
-            else:
-                break  # lower pairs must converge before higher ones are kept
-        if not accepted_any:
-            block = min(dim, block * 2)
-
-    if len(found_vals) < k:
-        raise RuntimeError(
-            f"Lanczos found {len(found_vals)}/{k} pairs after {max_restarts} "
-            f"restarts (last residual {last_residual:.3e})"
-        )
-
-    order = np.argsort(found_vals)[:k]
-    vals = np.array([found_vals[i] for i in order])
-    vecs = np.column_stack([found_vecs[i] for i in order])
-    res = _residuals(op, vals, vecs)
     return SpectrumResult(
         eigenvalues=vals,
         eigenvectors=vecs,
-        residual_norms=res,
-        method="lanczos",
-        converged=bool(np.all(res <= RESIDUAL_TOL * np.maximum(1.0, np.abs(vals)))),
+        residual_norms=r,
+        method=method,
+        converged=converged,
     )
 
 
-def _orthogonalize(v: np.ndarray, basis) -> np.ndarray:
-    """Two rounds of classical Gram-Schmidt against the given columns."""
-    if basis is None or basis.shape[1] == 0:
-        return v
-    for _ in range(2):
-        v = v - basis @ (basis.T @ v)
-    return v
+def _lanczos_lowest(op: SparseOperator, k: int, *, seed: int) -> SpectrumResult:
+    """ARPACK rounds on the operator with every found pair shifted away.
+
+    Each round asks ``eigsh`` for the pairs still missing (at least one)
+    from a fresh seeded start vector.  Found pairs ``Q`` are deflated as
+    ``H + sigma Q Q^T`` with ``sigma`` above the Gershgorin bound of the
+    spectral width, so a later round sees only the rest of the spectrum and
+    its lowest value either adds a copy to the lowest cluster or closes it.
+    A single Krylov start can miss copies of a degenerate level, hence the
+    extra round.  The cluster is closed from the start when Perron-Frobenius
+    proves the ground level simple.
+    """
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    dim = op.dim
+    rng = np.random.default_rng(seed)
+    sigma = 2.0 * float(abs(op.matrix).sum(axis=1).max()) + 1.0
+    vals = np.empty(0)
+    vecs = np.empty((dim, 0))
+
+    def deflated(x):
+        return op.matvec(x) + sigma * (vecs @ (vecs.T @ x))
+
+    a = LinearOperator((dim, dim), matvec=deflated, dtype=float)
+    closed = _perron_frobenius_simple(op.matrix)
+    while len(vals) < k or not closed:
+        theta, x = eigsh(
+            a, k=max(1, k - len(vals)), which="SA", v0=rng.standard_normal(dim)
+        )
+        later = len(vals) > 0
+        vals = np.concatenate([vals, theta])
+        vecs = np.column_stack([vecs, x])
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        if later:
+            # once every pair is found the round returns sigma + lambda_min
+            closed = theta.min() > vals[_lowest_cluster_size(vals) - 1]
+    n = max(k, _lowest_cluster_size(vals))
+    return _result(op, vals[:n], vecs[:, :n], "lanczos")
+
+
+def _perron_frobenius_simple(matrix: sp.csr_matrix) -> bool:
+    """True when every off-diagonal entry is <= 0 and the nonzero pattern is
+    connected: then the lowest eigenvalue is simple (Perron-Frobenius)."""
+    from scipy.sparse.csgraph import connected_components
+
+    off = sp.triu(matrix, k=1, format="csr")
+    off.eliminate_zeros()  # csgraph counts a stored zero as an edge
+    if off.nnz and off.data.max() > 0.0:
+        return False
+    return connected_components(off, directed=False)[0] == 1

@@ -66,7 +66,11 @@ def pair_correlations(vectors: np.ndarray, basis) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CorrelationResult:
-    """Row/column-partner vs unshared-pair correlation averages."""
+    """Row/column-partner vs unshared-pair correlation averages.
+
+    ``cluster_truncated`` is always False: both solver paths return every
+    copy of the ground level.  It stays for callers that read it.
+    """
 
     sigma_nn: float
     sigma_nnn: float
@@ -99,5 +103,4 @@ def multiplet_correlations(spectrum, basis) -> CorrelationResult:
         ratio=ratio,
         defined=ratio is not None,
         multiplet_size=multiplet.shape[1],
-        cluster_truncated=spectrum.ground_cluster_truncated,
     )

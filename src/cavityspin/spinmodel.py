@@ -98,11 +98,11 @@ def sector_ground(
     *,
     include_lambda_shift: bool = True,
     k: int = 1,
-    **solver_kwargs,
+    seed: int = 0,
 ) -> tuple[SpectrumResult, SectorBasis]:
     basis = SectorBasis(geometry, n_exc)
     h = build_sector_hamiltonian(geometry, couplings, basis, include_lambda_shift)
-    spec = ground_state(h, min(k, basis.dim), **solver_kwargs)
+    spec = ground_state(h, min(k, basis.dim), seed=seed)
     if not spec.converged:
         raise ArithmeticError(f"sector n_exc={n_exc} ground solve did not converge")
     return spec, basis

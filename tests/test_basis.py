@@ -49,12 +49,3 @@ def test_bulk_rank_matches_scalar_rank():
     with pytest.raises(ValueError):
         basis.bulk_rank(np.array([0b11, 0b101], dtype=np.int64))
 
-
-def test_occupations_columns_follow_site_indexing():
-    geom = ArrayGeometry(3, 2)
-    basis = SectorBasis(geom, 2)
-    occ = basis.occupations()
-    assert occ.shape == (basis.dim, geom.n_sites)
-    assert np.array_equal(occ.sum(axis=1), np.full(basis.dim, 2))
-    i = basis.rank(0b000011)  # sites 0 and 1 excited
-    assert list(occ[i]) == [1, 1, 0, 0, 0, 0]

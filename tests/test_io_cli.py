@@ -248,6 +248,38 @@ def test_cli_spin_ed_counts_the_frustrated_multiplet(capsys):
     assert table.rows[0][3] == 2
 
 
+@pytest.mark.parametrize("extra", [[], ["--k", "6"]])
+def test_cli_spin_ed_counts_the_frustrated_multiplet_on_the_lanczos_path(capsys, extra):
+    # dims 4368 and 8008 are past the dense cutoff; the levels are 3- and 2-fold
+    code, out, _ = run_cli(
+        capsys,
+        ["spin-ed", "--lx", "4", "--ly", "4", "--lambda-a", "0.1",
+         "--lambda-b=-0.3", "--omega", "1", "--nexc", "5,6", *extra],
+    )
+    assert code == 0
+    table = io.parse_csv(out)
+    assert [(r[1], r[3]) for r in table.rows] == [(4368, 3), (8008, 2)]
+
+
+def test_cli_jc_ed_scan_builds_each_sector_basis_once(monkeypatch, capsys):
+    built = []
+    init = jcmodel.JCBasis.__init__
+
+    def counting_init(self, geometry, n_total, n_max=None):
+        built.append(n_total)
+        init(self, geometry, n_total, n_max)
+
+    monkeypatch.setattr(jcmodel.JCBasis, "__init__", counting_init)
+    code, out, _ = run_cli(
+        capsys,
+        ["jc-ed", "--lx", "2", "--ly", "2", "--omega", "1", "--delta-a", "6",
+         "--delta-b", "6", "--g", "0.4"],
+    )
+    assert code == 0
+    assert sorted(built) == [0, 1, 2, 3, 4]
+    assert [r[0] for r in io.parse_csv(out).rows] == [0, 1, 2, 3, 4]
+
+
 def test_cli_excitation_curve_prints_unsigned_zero(capsys):
     code, out, _ = run_cli(
         capsys,

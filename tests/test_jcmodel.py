@@ -180,7 +180,10 @@ def test_ground_state_scan_dispersive():
     res = jcmodel.jc_ground_state(geom, jc)
     assert res.n_total == 0
     assert res.energy == pytest.approx(-2.0)
-    assert dict(res.scan)[0] == res.energy
+    assert [n for n, _, _ in res.scan] == [0, 1, 2, 3, 4]
+    n, dim, energy = res.scan[0]
+    assert energy == res.energy
+    assert dim == res.basis.dim == 1
     assert res.basis.n_total == 0
 
 

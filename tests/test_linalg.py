@@ -80,31 +80,70 @@ def test_lanczos_resolves_exact_degeneracies():
     assert np.max(np.abs(proj - res.ground_multiplet())) < 1e-7
 
 
-def test_ground_multiplet_truncation_flag():
-    op = _scaled_identity(40, scale=-1.0)  # fully degenerate
-    res = ground_state(op, 3, method="lanczos")
-    assert res.method == "lanczos"
-    assert res.ground_multiplet().shape[1] == 3
-    assert res.ground_cluster_truncated  # the cluster continues past k
+def test_lanczos_returns_the_whole_ground_cluster():
+    # fully degenerate: every one of the 40 copies comes back at k=3
+    res = ground_state(_scaled_identity(40, scale=-1.0), 3, method="lanczos")
+    assert res.method == "lanczos" and res.converged
+    assert res.ground_multiplet().shape[1] == 40
+    assert np.allclose(res.eigenvalues, -1.0)
+    # a 6-fold diagonal ground level among 60 states at k=1
+    d = np.arange(60)
+    levels = np.concatenate([np.full(6, -1.0), np.linspace(0.0, 1.0, 54)])
+    res = ground_state(operator_from_entries(60, d, d, levels), 1, method="lanczos")
+    assert len(res.eigenvalues) == 6 and res.ground_multiplet().shape[1] == 6
+    assert np.allclose(res.eigenvalues, -1.0)
+    # k above the cluster keeps k converged pairs
+    res = ground_state(operator_from_entries(60, d, d, levels), 8, method="lanczos")
+    assert len(res.eigenvalues) == 8 and res.ground_multiplet().shape[1] == 6
+    assert res.converged
+    assert np.abs(res.eigenvalues[:, None] - levels[None, :]).min(axis=1).max() < 1e-12
+
+
+def test_lanczos_counts_the_copies_of_disconnected_blocks():
+    # two identical chains with non-positive hops: each block alone has a
+    # simple ground level (Perron-Frobenius), the whole operator a 2-fold one
+    n = 30
+    i = np.arange(n - 1)
+    rows = np.concatenate([i, i + 1, i + n, i + n + 1])
+    cols = np.concatenate([i + 1, i, i + n + 1, i + n])
+    vals = np.full(len(rows), -1.0)
+    op = operator_from_entries(2 * n, rows, cols, vals)
+    res = ground_state(op, 1, method="lanczos")
+    dense = ground_state(op, 1, method="dense")
+    assert res.ground_multiplet().shape[1] == dense.ground_multiplet().shape[1] == 2
+    assert np.allclose(res.eigenvalues, dense.eigenvalues, atol=1e-12)
 
 
 def test_dense_path_returns_the_whole_ground_cluster():
     res = ground_state(_scaled_identity(10, scale=-1.0), 3, method="dense")
     assert res.ground_multiplet().shape[1] == 10
     assert np.allclose(res.eigenvalues, -1.0)
-    assert not res.ground_cluster_truncated
     # a split cluster stops at the first gap; k above it keeps k pairs
     d = np.arange(6)
     op = operator_from_entries(6, d, d, [-2.0, -2.0, -2.0 + 1e-12, -1.0, 0.0, 1.0])
     assert ground_state(op, 1, method="dense").ground_multiplet().shape[1] == 3
     res = ground_state(op, 5, method="dense")
     assert len(res.eigenvalues) == 5 and res.ground_multiplet().shape[1] == 3
-    assert not res.ground_cluster_truncated
 
 
 def test_label_degeneracies_clusters():
     labels = label_degeneracies(np.array([-1.0, -1.0, -0.5, 0.0, 0.0, 0.0]))
     assert list(labels) == [0, 0, 1, 2, 2, 2]
+    assert len(label_degeneracies(np.empty(0))) == 0
+
+    def loop_labels(e, rtol=1e-8):
+        out = [0]
+        for i in range(1, len(e)):
+            scale = max(1.0, abs(e[i]), abs(e[i - 1]))
+            out.append(out[-1] + (0 if e[i] - e[i - 1] <= rtol * scale else 1))
+        return out
+
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        levels = rng.normal(scale=10.0 ** rng.integers(-2, 4), size=8)
+        e = np.repeat(levels, rng.integers(1, 4, size=8))
+        e = np.sort(e * (1.0 + rng.choice([0.0, 1e-10, 1e-9, 2e-8], size=len(e))))
+        assert list(label_degeneracies(e)) == loop_labels(e)
 
 
 def test_input_validation():
@@ -113,6 +152,3 @@ def test_input_validation():
         ground_state(op, 0)
     with pytest.raises(ValueError):
         ground_state(op, 5)
-    bad = operator_from_entries(3, [0], [1], [1.0], hermitian=False)
-    with pytest.raises(ValueError):
-        ground_state(bad, 1)
