@@ -1,11 +1,9 @@
 """Fixed-excitation-number occupation bases over bitmask-encoded spin states.
 
 A sector with ``n_exc`` raised spins out of ``n_sites`` is the set of all
-bitmasks of that Hamming weight, stored in ascending integer order.  Ranking
-uses the combinatorial number system: for set bit positions
-``p_1 < p_2 < ... < p_k`` the rank is ``sum_j C(p_j, j)``, which is exactly
-the ascending-order index.  Bulk lookups during matrix assembly go through a
-vectorized binary search on the sorted state table instead.
+bitmasks of that Hamming weight, stored in ascending integer order.  A
+state's rank is its index in that table, found by a vectorized binary search
+(one mask or many); a mask outside the sector is an error, never an index.
 """
 
 from __future__ import annotations
@@ -72,7 +70,6 @@ class SectorBasis:
         self.geometry = geometry
         self.n_exc = n_exc
         self.states = enumerate_masks(geometry.n_sites, n_exc)
-        self._comb = _comb_table(geometry.n_sites, n_exc)
 
     @property
     def dim(self) -> int:
@@ -84,32 +81,12 @@ class SectorBasis:
         return (MaskBlock(self.states, 1, 0),)
 
     def rank(self, mask: int) -> int:
-        """Index of a bitmask via the combinatorial number system."""
-        if mask < 0 or int(mask).bit_count() != self.n_exc:
+        """Index of one bitmask in the sorted state table."""
+        mask = int(mask)
+        in_range = 0 <= mask < 1 << self.geometry.n_sites
+        if not in_range or mask.bit_count() != self.n_exc:
             raise ValueError(f"mask {mask:#x} is not a weight-{self.n_exc} state")
-        r = 0
-        j = 1
-        m = int(mask)
-        while m:
-            p = (m & -m).bit_length() - 1
-            r += self._comb[p, j]
-            m &= m - 1
-            j += 1
-        return int(r)
-
-    def unrank(self, index: int) -> int:
-        """Bitmask at a given index, inverse of :meth:`rank`."""
-        if not 0 <= index < self.dim:
-            raise IndexError(index)
-        r = int(index)
-        mask = 0
-        for j in range(self.n_exc, 0, -1):
-            p = j - 1
-            while p + 1 <= self.geometry.n_sites - 1 and self._comb[p + 1, j] <= r:
-                p += 1
-            mask |= 1 << p
-            r -= self._comb[p, j]
-        return mask
+        return int(self.bulk_rank(np.array([mask], dtype=np.int64))[0])
 
     def bulk_rank(self, masks: np.ndarray) -> np.ndarray:
         """Vectorized rank of many masks (binary search on the state table)."""
@@ -118,12 +95,3 @@ class SectorBasis:
             raise ValueError("mask outside this sector")
         return idx
 
-
-def _comb_table(n: int, k: int) -> np.ndarray:
-    """Pascal table C[p, j] for p <= n, j <= k, as int64."""
-    table = np.zeros((n + 1, k + 1), dtype=np.int64)
-    table[:, 0] = 1
-    for p in range(1, n + 1):
-        for j in range(1, k + 1):
-            table[p, j] = table[p - 1, j] + table[p - 1, j - 1]
-    return table

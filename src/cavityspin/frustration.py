@@ -23,6 +23,7 @@ import numpy as np
 
 from .geometry import ArrayGeometry
 from .params import RegimeError, delta_b_from_eta
+from .spinmodel import one_exc_closed_spectrum
 
 QUALITY_MIN = 10.0
 
@@ -44,28 +45,12 @@ def delta_omega_expectation(
     )
 
 
-def one_exc_spin_spectrum(
-    geometry: ArrayGeometry, lambda_a: float, lambda_b: float
-) -> list[tuple[float, int]]:
-    """One-excitation interaction eigenvalues with multiplicities.
-
-    Sum of the row-hop table {-1 x (Lx-1), Lx-1 x 1} scaled by 2 lambda_a
-    and the column analog; with lambda_a > 0 > lambda_b the minimum is
-    -2 lambda_a + 2 (Ly-1) lambda_b, (Lx-1)-fold.
-    """
-    from .spinmodel import one_exc_closed_spectrum
-    from .params import SpinCouplings
-
-    c = SpinCouplings(lambda_a=lambda_a, lambda_b=lambda_b, omega_at=0.0)
-    return one_exc_closed_spectrum(geometry, c)
-
-
 def gs_energies_01(geometry, couplings) -> tuple[float, float]:
     """Closed-form ground energies of the 0- and 1-excitation sectors."""
     n = geometry.n_sites
     omp = couplings.omega_at_prime
     e0 = omp / 2.0 * (-n)
-    spectrum = one_exc_spin_spectrum(geometry, couplings.lambda_a, couplings.lambda_b)
+    spectrum = one_exc_closed_spectrum(geometry, couplings)
     e1 = omp / 2.0 * (-n + 2) + spectrum[0][0]
     return e0, e1
 

@@ -39,22 +39,6 @@ from .params import EffectiveJCParams, RegimeError, ScalarOrPerLine
 MAX_JC_DIM = 2_000_000
 
 
-def composition_count(total: int, parts: int, cap: int) -> int:
-    """Number of ways to place ``total`` quanta into ``parts`` modes, each
-    holding at most ``cap``.  Inclusion-exclusion over overflowing modes."""
-    if total < 0:
-        return 0
-    if parts == 0:
-        return 1 if total == 0 else 0
-    count = 0
-    for j in range(parts + 1):
-        rem = total - j * (cap + 1)
-        if rem < 0:
-            break
-        count += (-1) ** j * math.comb(parts, j) * math.comb(rem + parts - 1, parts - 1)
-    return count
-
-
 def bounded_compositions(total: int, parts: int, cap: int) -> np.ndarray:
     """All distributions of ``total`` quanta over ``parts`` capped modes,
     lexicographically ascending, shape (count, parts)."""
@@ -151,19 +135,12 @@ class JCBasis:
         blocks: list[JCBlock] = []
         offset = 0
         for k in range(min(n_sites, n_total), -1, -1):
-            n_phot = composition_count(n_total - k, n_modes, n_max)
-            if n_phot == 0:
+            photons = PhotonBlock.build(n_total - k, n_modes, n_max)
+            if photons.count == 0:
                 continue
             masks = enumerate_masks(n_sites, k)
-            blocks.append(
-                JCBlock(
-                    k=k,
-                    masks=masks,
-                    photons=PhotonBlock.build(n_total - k, n_modes, n_max),
-                    offset=offset,
-                )
-            )
-            offset += len(masks) * n_phot
+            blocks.append(JCBlock(k=k, masks=masks, photons=photons, offset=offset))
+            offset += len(masks) * photons.count
         if offset > MAX_JC_DIM:
             raise ValueError(f"sector dimension {offset} exceeds guard {MAX_JC_DIM}")
         if offset == 0:

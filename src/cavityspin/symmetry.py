@@ -20,9 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import SectorBasis
+from .basis import SectorBasis, enumerate_masks
 from .geometry import ArrayGeometry
 from .params import SpinCouplings
+from .spinmodel import build_sector_hamiltonian
 
 MAX_MATERIALIZED_SITES = 16
 
@@ -214,17 +215,6 @@ def polya_count(group: PermutationGroup, n_exc: int) -> int:
     return cycle_index(group).pattern_inventory()[n_exc]
 
 
-def apply_perm(perm: Perm, mask: int) -> int:
-    """Push a configuration forward: new bit perm[s] = old bit s."""
-    out = 0
-    m = mask
-    while m:
-        s = (m & -m).bit_length() - 1
-        out |= 1 << perm[s]
-        m &= m - 1
-    return out
-
-
 @dataclass(frozen=True)
 class OrbitClass:
     """One equivalence class of configurations under the group action."""
@@ -235,38 +225,71 @@ class OrbitClass:
     members: tuple[int, ...] = field(repr=False, default=())
 
 
-def orbits(group: PermutationGroup, n_exc: int) -> list[OrbitClass]:
-    """Partition of the sector into orbit classes, sorted by (size, rep)."""
+def _orbit_labels(
+    group: PermutationGroup, n_exc: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sector masks (ascending) and, per mask, the index of its orbit's
+    smallest mask.
+
+    Orbits are the connected components of the Schreier graph on the
+    generators, so only generator images are formed (one vectorized pass per
+    site); minimum labels are pushed along those edges and compressed by
+    pointer jumping until they stop changing.
+    """
     if group.elements is None:
         raise ValueError("orbit partition needs materialized elements")
     dim = comb(group.degree, n_exc)
     if dim > 2_000_000:
         raise ValueError(f"sector dimension {dim} too large to partition")
-    from .basis import enumerate_masks
-
     masks = enumerate_masks(group.degree, n_exc)
+    images = []
+    for gen in group.generators:
+        img = np.zeros_like(masks)
+        for s, t in enumerate(gen):
+            img |= ((masks >> s) & 1) << t
+        images.append(np.searchsorted(masks, img))
+    label = np.arange(dim)
+    while True:
+        new = label
+        for img in images:
+            new = np.minimum(new, new[img])
+        new = new[new]
+        if np.array_equal(new, label):
+            return masks, label
+        label = new
+
+
+def _orbit_table(
+    group: PermutationGroup, n_exc: int
+) -> tuple[list[OrbitClass], np.ndarray]:
+    """Orbit classes sorted by (size, representative), and the class index
+    of every sector state in ascending mask order."""
+    masks, labels = _orbit_labels(group, n_exc)
+    reps, which, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     order = group.order
-    visited: set[int] = set()
-    classes: list[OrbitClass] = []
-    for m in masks:
-        m = int(m)
-        if m in visited:
-            continue
-        members = {apply_perm(p, m) for p in group.elements}
-        visited |= members
-        size = len(members)
-        if order % size:
-            raise ArithmeticError("orbit size does not divide group order")
-        classes.append(
-            OrbitClass(
-                representative=min(members),
-                size=size,
-                stabilizer_order=order // size,
-                members=tuple(sorted(members)),
-            )
+    if np.any(order % sizes):
+        raise ArithmeticError("orbit size does not divide group order")
+    grouped = masks[np.argsort(labels, kind="stable")]
+    members = np.split(grouped, np.cumsum(sizes)[:-1])
+    # rep indices ascend with their masks, so this is (size, representative)
+    ranked = np.lexsort((reps, sizes))
+    classes = [
+        OrbitClass(
+            representative=int(masks[reps[i]]),
+            size=int(sizes[i]),
+            stabilizer_order=order // int(sizes[i]),
+            members=tuple(members[i].tolist()),
         )
-    classes.sort(key=lambda c: (c.size, c.representative))
-    return classes
+        for i in ranked
+    ]
+    position = np.empty_like(ranked)
+    position[ranked] = np.arange(len(ranked))
+    return classes, position[which]
+
+
+def orbits(group: PermutationGroup, n_exc: int) -> list[OrbitClass]:
+    """Partition of the sector into orbit classes, sorted by (size, rep)."""
+    return _orbit_table(group, n_exc)[0]
 
 
 @dataclass(frozen=True)
@@ -301,21 +324,19 @@ def orbit_basis_hamiltonian(
         raise ValueError("orbit projection requires lambda_a == lambda_b")
     lam = couplings.lambda_a
     group = build_group(geometry, include_transpose)
-    classes = orbits(group, n_exc)
-    class_of: dict[int, int] = {}
-    for i, cls in enumerate(classes):
-        for m in cls.members:
-            class_of[m] = i
-    k = len(classes)
-    counts = np.zeros((k, k), dtype=np.int64)
-    for i, cls in enumerate(classes):
-        rep = cls.representative
-        for s, t, _ in geometry.line_pairs():
-            bs = (rep >> s) & 1
-            bt = (rep >> t) & 1
-            if bs != bt:
-                counts[i, class_of[rep ^ ((1 << s) | (1 << t))]] += 1
+    classes, which = _orbit_table(group, n_exc)
+    # the hop rule at unit amplitude: 2 * 1/2 per allowed move, no diagonal
+    half = SpinCouplings(lambda_a=0.5, lambda_b=0.5, omega_at=0.0)
+    basis = SectorBasis(geometry, n_exc)
+    hops = build_sector_hamiltonian(
+        geometry, half, basis, include_lambda_shift=False
+    ).matrix
+    indicator = np.zeros((basis.dim, len(classes)))
+    indicator[np.arange(basis.dim), which] = 1.0
     sizes = np.array([c.size for c in classes], dtype=float)
+    # every member of class i has the same moves into class j
+    per_member = indicator.T @ (hops @ indicator) / sizes[:, None]
+    counts = np.rint(per_member).astype(np.int64)
     unit = 2.0 * lam
     matrix = unit * counts * np.sqrt(sizes[:, None] / sizes[None, :])
     return OrbitHamiltonian(
@@ -349,7 +370,7 @@ def ground_state_orbit_decomposition(
     """
     amps = np.empty(len(classes))
     for i, cls in enumerate(classes):
-        idx = [basis.rank(m) for m in cls.members]
+        idx = basis.bulk_rank(np.asarray(cls.members))
         amps[i] = float(np.sum(vector[idx])) / np.sqrt(cls.size)
     norm = float(np.sum(amps**2))
     total = float(np.sum(np.asarray(vector) ** 2))

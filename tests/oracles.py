@@ -8,6 +8,8 @@ against.  Spin operators are sparse Kronecker products; only the sector
 block taken out of them is made dense.
 """
 
+from itertools import combinations
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -187,3 +189,23 @@ def jc_correlation_reference(geometry, jc, n_total, cap):
     sigma_nnn = float(np.mean([c[s, t] for s, t in nnn])) if nnn else 0.0
     ratio = sigma_nnn / sigma_nn if sigma_nn != 0.0 else None
     return sigma_nn, sigma_nnn, ratio
+
+
+def brute_orbits(elements, n_sites: int, n_exc: int) -> list:
+    """Orbits of the weight-``n_exc`` masks under a listed permutation group,
+    found by applying every element to each mask not yet reached.  Returns
+    sorted ``(size, representative, members)`` triples, members ascending."""
+    perms = np.asarray(elements, dtype=np.int64)
+    seen = set()
+    out = []
+    for sites in combinations(range(n_sites), n_exc):
+        mask = sum(1 << s for s in sites)
+        if mask in seen:
+            continue
+        images = np.zeros(len(perms), dtype=np.int64)
+        for s in sites:
+            images |= np.int64(1) << perms[:, s]  # bit s moves to bit perm[s]
+        members = tuple(sorted(set(images.tolist())))
+        seen.update(members)
+        out.append((len(members), members[0], members))
+    return sorted(out)

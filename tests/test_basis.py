@@ -29,15 +29,23 @@ def test_enumeration_guards():
         enumerate_masks(63, 1)
 
 
-def test_rank_unrank_round_trip():
+def test_rank_is_table_index():
     basis = SectorBasis(ArrayGeometry(3, 3), 4)
     for i, m in enumerate(basis.states):
         assert basis.rank(int(m)) == i
-        assert basis.unrank(i) == int(m)
     with pytest.raises(ValueError):
         basis.rank(0b111)  # wrong weight
-    with pytest.raises(IndexError):
-        basis.unrank(basis.dim)
+
+
+@pytest.mark.parametrize(
+    "n_exc, mask",
+    [(1, 1 << 4), (2, 0b10001), (1, 1 << 5), (1, 1 << 70), (1, -1)],
+)
+def test_rank_rejects_masks_outside_the_sector(n_exc, mask):
+    # 2x2 sites are bits 0..3: the right weight on a higher bit is no state
+    basis = SectorBasis(ArrayGeometry(2, 2), n_exc)
+    with pytest.raises(ValueError):
+        basis.rank(mask)
 
 
 def test_bulk_rank_matches_scalar_rank():
@@ -46,6 +54,6 @@ def test_bulk_rank_matches_scalar_rank():
     idx = rng.permutation(basis.dim)[:200]
     masks = basis.states[idx]
     assert np.array_equal(basis.bulk_rank(masks), idx)
+    assert [basis.rank(int(m)) for m in masks] == idx.tolist()
     with pytest.raises(ValueError):
         basis.bulk_rank(np.array([0b11, 0b101], dtype=np.int64))
-

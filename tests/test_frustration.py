@@ -14,7 +14,6 @@ from cavityspin.frustration import (
     gs_energies_01,
     lambda_c_photon,
     lambda_c_spin,
-    one_exc_spin_spectrum,
     photon_vacuum_stable,
     photonic_matrix,
     photonic_spectrum,
@@ -44,7 +43,8 @@ def test_one_exc_spectrum_matches_kron_blocks():
         jy = np.ones((ly, ly)) - np.eye(ly)
         h = 2 * la * np.kron(np.eye(ly), jx) + 2 * lb * np.kron(jy, np.eye(lx))
         ev = np.linalg.eigvalsh(h)
-        closed = one_exc_spin_spectrum(geom, la, lb)
+        c = SpinCouplings(lambda_a=la, lambda_b=lb, omega_at=0.0)
+        closed = spinmodel.one_exc_closed_spectrum(geom, c)
         flat = np.sort(np.concatenate([[val] * m for val, m in closed]))
         assert flat.shape == ev.shape
         assert np.max(np.abs(flat - ev)) < 1e-12

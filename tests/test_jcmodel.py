@@ -21,15 +21,6 @@ def brute_compositions(total, parts, cap):
     ]
 
 
-def test_composition_count_brute_force():
-    for total in range(6):
-        for parts in range(4):
-            for cap in range(4):
-                assert jcmodel.composition_count(total, parts, cap) == len(
-                    brute_compositions(total, parts, cap)
-                )
-
-
 def test_bounded_compositions_complete_and_sorted():
     arr = jcmodel.bounded_compositions(3, 3, 2)
     assert arr.shape == (len(brute_compositions(3, 3, 2)), 3)

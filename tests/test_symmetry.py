@@ -10,6 +10,7 @@ from cavityspin import spinmodel, symmetry
 from cavityspin.basis import SectorBasis
 from cavityspin.geometry import ArrayGeometry
 from cavityspin.params import SpinCouplings
+from oracles import brute_orbits
 
 
 def test_group_orders():
@@ -83,20 +84,25 @@ def test_polya_count_bounds():
         symmetry.polya_count(group, 5)
 
 
-def test_apply_perm_moves_bits():
-    geom = ArrayGeometry(3, 2)
-    group = symmetry.build_group(geom)
-    rng = np.random.default_rng(5)
-    for mask in rng.integers(0, 1 << 6, size=12):
-        mask = int(mask)
-        for p in group.elements:
-            moved = symmetry.apply_perm(p, mask)
-            expected = 0
-            for s in range(6):
-                if (mask >> s) & 1:
-                    expected |= 1 << p[s]
-            assert moved == expected
-            assert bin(moved).count("1") == bin(mask).count("1")
+@pytest.mark.parametrize(
+    "lx, ly, transpose",
+    [
+        (4, 3, None),
+        (6, 2, None),
+        (1, 4, None),
+        (2, 1, None),
+        (3, 3, False),
+        (4, 4, False),
+    ],
+)
+def test_orbits_match_brute_force_group_action(lx, ly, transpose):
+    geom = ArrayGeometry(lx, ly)
+    group = symmetry.build_group(geom, transpose)
+    for n_exc in range(geom.n_sites + 1):
+        classes = symmetry.orbits(group, n_exc)
+        ref = brute_orbits(group.elements, geom.n_sites, n_exc)
+        assert [(c.size, c.representative, c.members) for c in classes] == ref
+        assert all(c.size * c.stabilizer_order == group.order for c in classes)
 
 
 def test_orbit_hamiltonian_equals_brute_projection():
