@@ -1,0 +1,169 @@
+#!/usr/bin/env python3
+"""Dense ``eigh`` against ARPACK Lanczos on real sector Hamiltonians.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python3 scripts/solver_sweep.py timing
+    PYTHONPATH=src python3 scripts/solver_sweep.py cold
+    PYTHONPATH=src python3 scripts/solver_sweep.py agree
+
+``timing`` solves spin sectors (attractive and frustrated couplings) and JC
+sectors of dimension 50-4096 at k=1 on both paths and prints the best of a
+few repeats per path.  ``cold`` times fresh CLI processes that solve one
+sector of dimension 495-1001, once forced dense and once forced Lanczos
+(median of 7 each): the first Lanczos solve of a process also pays the
+import of ``scipy.sparse.linalg``.  ``linalg.DENSE_CUTOFF`` is read off
+these two tables.
+
+``agree`` solves every sector of 3x3, 4x3, 6x2, 5x3 and 7x2 with
+32 < dim <= 4096, at one attractive and two frustrated coupling pairs, once
+dense and once by Lanczos for each of the seeds 0-7.  It prints the case
+count, the worst relative energy error over the ground cluster and every
+multiplet-size mismatch, and exits 1 on any mismatch or an error over 1e-12.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+import time
+from math import comb
+
+import numpy as np
+
+from cavityspin.basis import SectorBasis
+from cavityspin.geometry import ArrayGeometry
+from cavityspin.jcmodel import JCBasis, build_jc_hamiltonian
+from cavityspin.linalg import ground_state
+from cavityspin.params import EffectiveJCParams, SpinCouplings
+from cavityspin.spinmodel import build_sector_hamiltonian
+
+ATTRACTIVE = SpinCouplings(lambda_a=-0.15, lambda_b=-0.07, omega_at=1.0)
+FRUSTRATED = (
+    SpinCouplings(lambda_a=0.1, lambda_b=-0.3, omega_at=1.0),
+    SpinCouplings(lambda_a=-0.2, lambda_b=0.12, omega_at=1.0),
+)
+AGREE_ARRAYS = ((3, 3), (4, 3), (6, 2), (5, 3), (7, 2))
+TIMING_ARRAYS = ((3, 3), (4, 3), (4, 4), (5, 3), (7, 2), (5, 4))
+JC = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.5)
+JC_SECTORS = (((2, 2), 3), ((2, 2), 4), ((3, 2), 3), ((2, 2), 5),
+              ((3, 3), 3), ((3, 2), 4), ((3, 2), 5), ((4, 2), 4), ((3, 3), 4))
+MAX_DIM = 4096
+RTOL = 1e-12
+
+
+def spin_operator(lx, ly, n, couplings):
+    geom = ArrayGeometry(lx, ly)
+    return build_sector_hamiltonian(geom, couplings, SectorBasis(geom, n))
+
+
+def _best(op, method, repeats):
+    best = np.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        res = ground_state(op, 1, method=method)
+        best = min(best, time.perf_counter() - t0)
+    return best, res
+
+
+def timing() -> int:
+    cases = []
+    for lx, ly in TIMING_ARRAYS:
+        for n in range(lx * ly // 2 + 1):
+            dim = comb(lx * ly, n)
+            if 50 <= dim <= MAX_DIM:
+                for tag, c in (("attr", ATTRACTIVE), ("frus", FRUSTRATED[0])):
+                    cases.append((dim, f"spin {lx}x{ly} n={n} {tag}",
+                                  lambda lx=lx, ly=ly, n=n, c=c: spin_operator(lx, ly, n, c)))
+    for (lx, ly), n in JC_SECTORS:
+        geom = ArrayGeometry(lx, ly)
+        basis = JCBasis(geom, n)
+        cases.append((basis.dim, f"jc {lx}x{ly} n={n}",
+                      lambda g=geom, b=basis: build_jc_hamiltonian(g, JC, b)))
+    print(f"{'dim':>5} {'case':<24} {'dense_s':>9} {'lanczos_s':>9} winner")
+    for dim, label, build in sorted(cases, key=lambda c: c[0]):
+        op = build()
+        repeats = 5 if dim <= 1000 else 2
+        td, rd = _best(op, "dense", repeats)
+        tl, rl = _best(op, "lanczos", repeats)
+        same = abs(rd.ground_energy - rl.ground_energy) <= 1e-10 * max(1, abs(rd.ground_energy))
+        win = "dense" if td < tl else "lanczos"
+        print(f"{dim:5d} {label:<24} {td:9.4f} {tl:9.4f} {win}{'' if same else ' MISMATCH'}")
+        sys.stdout.flush()
+    return 0
+
+
+COLD_CASES = (
+    "spin-ed --lx 4 --ly 3 --lambda-a=-0.15 --lambda-b=-0.07 --omega 1 --nexc 4",
+    "spin-ed --lx 4 --ly 3 --lambda-a=0.1 --lambda-b=-0.3 --omega 1 --nexc 4",
+    "spin-ed --lx 4 --ly 4 --lambda-a=0.1 --lambda-b=-0.3 --omega 1 --nexc 3",
+    "jc-ed --lx 3 --ly 2 --omega 1 --g 0.4 --delta-a 6 --delta-b 5.5 --ntotal 4",
+    "spin-ed --lx 4 --ly 3 --lambda-a=-0.15 --lambda-b=-0.07 --omega 1 --nexc 5",
+    "spin-ed --lx 4 --ly 3 --lambda-a=0.1 --lambda-b=-0.3 --omega 1 --nexc 5",
+    "spin-ed --lx 4 --ly 3 --lambda-a=0.1 --lambda-b=-0.3 --omega 1 --nexc 6",
+    "spin-ed --lx 7 --ly 2 --lambda-a=0.1 --lambda-b=-0.3 --omega 1 --nexc 4",
+)
+# runs the CLI with the cutoff forced to argv[1]
+COLD_MAIN = (
+    "import sys, cavityspin.linalg as L; L.DENSE_CUTOFF = int(sys.argv[1]); "
+    "from cavityspin.cli import main; sys.exit(main(sys.argv[2:]))"
+)
+
+
+def cold() -> int:
+    def run(cutoff, argv):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", COLD_MAIN, str(cutoff), *argv.split()],
+                       env=dict(os.environ), capture_output=True, check=True)
+        return time.perf_counter() - t0
+
+    print(f"{'dense_s':>7} {'lanczos_s':>9}  command")
+    for argv in COLD_CASES:
+        dense, lanc = [], []
+        for _ in range(7):
+            dense.append(run(sys.maxsize, argv))
+            lanc.append(run(0, argv))
+        print(f"{statistics.median(dense):7.3f} {statistics.median(lanc):9.3f}  {argv}")
+        sys.stdout.flush()
+    return 0
+
+
+def agree() -> int:
+    cases = worst = 0
+    bad = []
+    for lx, ly in AGREE_ARRAYS:
+        for n in range(lx * ly + 1):
+            if not 32 < comb(lx * ly, n) <= MAX_DIM:
+                continue
+            for c in (ATTRACTIVE, *FRUSTRATED):
+                op = spin_operator(lx, ly, n, c)
+                dense = ground_state(op, 1, method="dense")
+                m = dense.ground_multiplet().shape[1]
+                for seed in range(8):
+                    lanc = ground_state(op, 1, method="lanczos", seed=seed)
+                    cases += 1
+                    ml = lanc.ground_multiplet().shape[1]
+                    e = dense.eigenvalues[:m]
+                    err = np.abs(lanc.eigenvalues[:min(m, ml)] - e[:min(m, ml)]).max()
+                    rel = float(err / max(1.0, abs(e[0])))
+                    worst = max(worst, rel)
+                    if ml != m or not lanc.converged or rel > RTOL:
+                        bad.append((lx, ly, n, c.lambda_a, c.lambda_b, seed, m, ml, rel))
+    print(f"cases {cases}  worst relative energy error {worst:.3g}  failures {len(bad)}")
+    for row in bad:
+        print("  %dx%d n=%d la=%g lb=%g seed=%d dense m=%d lanczos m=%d rel=%.3g" % row)
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("mode", choices=("timing", "cold", "agree"))
+    args = parser.parse_args(argv)
+    return {"timing": timing, "cold": cold, "agree": agree}[args.mode]()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

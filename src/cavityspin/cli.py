@@ -50,7 +50,7 @@ from .spinmodel import (
     sector_ground,
     transition_couplings,
 )
-from .symmetry import build_group, orbits, polya_count
+from .symmetry import build_group, cycle_index, orbits
 
 
 class UsageError(Exception):
@@ -300,14 +300,14 @@ def _cmd_spin_ed(args, cfg, seed: int) -> CommandResult:
     couplings, _, level = _resolve_level(args, cfg, need_modes=False)
     nexc = _nonempty(_req(args, cfg, "nexc", _ints), "nexc")
     shift = _bool(args, cfg, "shift", True)
-    k = _opt(args, cfg, "k", int, default=1)
+    _opt(args, cfg, "k", int)  # accepted no-op: every solve returns the ground cluster
     for n in nexc:
         if not 0 <= n <= geom.n_sites:
             raise UsageError(f"n_exc={n} outside [0, {geom.n_sites}]")
     rows = []
     for n in nexc:
         spec, basis = sector_ground(
-            geom, couplings, n, include_lambda_shift=shift, k=k, seed=seed
+            geom, couplings, n, include_lambda_shift=shift, seed=seed
         )
         rows.append(
             (n, basis.dim, spec.ground_energy, spec.ground_multiplet().shape[1])
@@ -319,7 +319,6 @@ def _cmd_spin_ed(args, cfg, seed: int) -> CommandResult:
             "params": level,
             "nexc": nexc,
             "shift": shift,
-            "k": k,
         },
         columns=("n_exc", "dim", "energy", "multiplet_size"),
         rows=rows,
@@ -452,10 +451,10 @@ def _cmd_correlations(args, cfg, seed: int) -> CommandResult:
     couplings, _, level = _resolve_level(args, cfg, need_modes=False)
     nexc = _nonempty(_req(args, cfg, "nexc", _ints), "nexc")
     jc_ratio = _opt(args, cfg, "jc_delta_ratio", float)
-    k = _opt(args, cfg, "k", int, default=8)
+    _opt(args, cfg, "k", int)  # accepted no-op: every solve returns the ground cluster
     rows = []
     for n in nexc:
-        spec, basis = sector_ground(geom, couplings, n, k=k, seed=seed)
+        spec, basis = sector_ground(geom, couplings, n, seed=seed)
         r = correlation_ratio(spec, basis)
         rows.append(("spin", n, r.sigma_nn, r.sigma_nnn, r.ratio))
     if jc_ratio is not None:
@@ -470,7 +469,7 @@ def _cmd_correlations(args, cfg, seed: int) -> CommandResult:
         delta_b = omega - g * g / (2.0 * couplings.lambda_b)
         jc = EffectiveJCParams(omega_at=omega, g=g, delta_a=delta_a, delta_b=delta_b)
         for n in nexc:
-            spec, basis = jc_sector_ground(geom, jc, n, k=k, seed=seed)
+            spec, basis = jc_sector_ground(geom, jc, n, seed=seed)
             r = jc_correlation_ratio(spec, basis)
             rows.append(("jc", n, r.sigma_nn, r.sigma_nnn, r.ratio))
     return CommandResult(
@@ -480,7 +479,6 @@ def _cmd_correlations(args, cfg, seed: int) -> CommandResult:
             "params": level,
             "nexc": nexc,
             "jc_delta_ratio": jc_ratio,
-            "k": k,
         },
         columns=("model", "n_exc", "sigma_nn", "sigma_nnn", "ratio"),
         rows=rows,
@@ -576,12 +574,13 @@ def _cmd_polya(args, cfg, seed: int) -> CommandResult:
     _nonempty(nexc, "nexc")
     transpose = _bool(args, cfg, "transpose", None)
     group = build_group(geom, transpose)
+    inventory = cycle_index(group).pattern_inventory()
     rows = []
     for n in nexc:
         if not 0 <= n <= geom.n_sites:
             raise UsageError(f"n_exc={n} outside [0, {geom.n_sites}]")
         classes = orbits(group, n)
-        count = polya_count(group, n)
+        count = inventory[n]
         if count != len(classes):
             raise ArithmeticError(
                 f"pattern inventory {count} disagrees with orbit partition "
@@ -678,6 +677,9 @@ def _add_level(p: argparse.ArgumentParser, include_spin: bool = True) -> None:
         p.add_argument("--lambda-b")
 
 
+_K_HELP = "accepted and ignored (each sector solve returns its whole ground cluster)"
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cavityspin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -692,7 +694,7 @@ def _build_parser() -> _Parser:
     _add_level(p)
     p.add_argument("--nexc", help="comma-separated excitation sectors")
     p.add_argument("--shift", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--k", help="eigenpairs per sector")
+    p.add_argument("--k", help=_K_HELP)
 
     p = sub.add_parser("jc-ed", help="JC lattice ground states per total-excitation sector")
     _add_common(p)
@@ -723,7 +725,7 @@ def _build_parser() -> _Parser:
     _add_level(p)
     p.add_argument("--nexc")
     p.add_argument("--jc-delta-ratio", help="also run the JC model at this delta/omega")
-    p.add_argument("--k")
+    p.add_argument("--k", help=_K_HELP)
 
     p = sub.add_parser("analytic-1d", help="single-mode closed-form phase classification")
     _add_common(p)

@@ -5,6 +5,15 @@ ones use ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``)
 in deflated rounds until the lowest degeneracy cluster is provably closed.
 Both paths return every copy of the lowest level, and residual norms
 ``|H v - E v|`` are reported for every pair.
+
+The cutoff comes from ``scripts/solver_sweep.py`` on 2 cores.  In one
+process (``timing``: spin sectors at attractive and frustrated couplings and
+JC sectors of dimension 66-3432, k=1) Lanczos is faster in every case from
+dimension 455 up (3432: 2.9 s dense, 0.008-0.05 s Lanczos), by at most
+12 ms per solve below 792.  But the first Lanczos solve of a process also
+imports ``scipy.sparse.linalg`` (30-60 ms), so a fresh CLI process solving
+one sector (``cold``) is 20-27 ms slower on Lanczos at dimension 495-620,
+and even or faster at 792-924.
 """
 
 from __future__ import annotations
@@ -14,9 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-DENSE_CUTOFF = 4096
+DENSE_CUTOFF = 700
 RESIDUAL_TOL = 1e-10
 DEGENERACY_RTOL = 1e-8
+CLOSING_ROUNDS = 2
 
 
 @dataclass
@@ -140,9 +150,11 @@ def _lanczos_lowest(op: SparseOperator, k: int, *, seed: int) -> SpectrumResult:
     ``H + sigma Q Q^T`` with ``sigma`` above the Gershgorin bound of the
     spectral width, so a later round sees only the rest of the spectrum and
     its lowest value either adds a copy to the lowest cluster or closes it.
-    A single Krylov start can miss copies of a degenerate level, hence the
-    extra round.  The cluster is closed from the start when Perron-Frobenius
-    proves the ground level simple.
+    A single Krylov start can miss copies of a degenerate level, and so can
+    one extra round: a round may converge to the next level while copies of
+    the lowest are still missing.  The cluster is closed only after two
+    consecutive rounds from independent starts both land above it, or from
+    the start when Perron-Frobenius proves the ground level simple.
     """
     from scipy.sparse.linalg import LinearOperator, eigsh
 
@@ -156,8 +168,9 @@ def _lanczos_lowest(op: SparseOperator, k: int, *, seed: int) -> SpectrumResult:
         return op.matvec(x) + sigma * (vecs @ (vecs.T @ x))
 
     a = LinearOperator((dim, dim), matvec=deflated, dtype=float)
-    closed = _perron_frobenius_simple(op.matrix)
-    while len(vals) < k or not closed:
+    needed = 0 if _perron_frobenius_simple(op.matrix) else CLOSING_ROUNDS
+    above = 0  # consecutive later rounds whose lowest value is above the cluster
+    while len(vals) < k or above < needed:
         theta, x = eigsh(
             a, k=max(1, k - len(vals)), which="SA", v0=rng.standard_normal(dim)
         )
@@ -168,7 +181,7 @@ def _lanczos_lowest(op: SparseOperator, k: int, *, seed: int) -> SpectrumResult:
         vals, vecs = vals[order], vecs[:, order]
         if later:
             # once every pair is found the round returns sigma + lambda_min
-            closed = theta.min() > vals[_lowest_cluster_size(vals) - 1]
+            above = above + 1 if theta.min() > vals[_lowest_cluster_size(vals) - 1] else 0
     n = max(k, _lowest_cluster_size(vals))
     return _result(op, vals[:n], vecs[:, :n], "lanczos")
 

@@ -290,6 +290,28 @@ def test_cli_excitation_curve_prints_unsigned_zero(capsys):
     assert out.splitlines()[1] == "0,0,0"
 
 
+@pytest.mark.parametrize("command", ["spin-ed", "correlations"])
+def test_cli_k_is_a_no_op(tmp_path, capsys, command):
+    # 4x3 n=5 (dim 792) takes the Lanczos path; every solve returns the
+    # whole ground cluster, so asking for more pairs changes nothing
+    base = [
+        command, "--lx", "4", "--ly", "3", "--omega", "1",
+        "--lambda-a", "0.1", "--lambda-b=-0.3", "--nexc", "2,5",
+    ]
+    outs = []
+    for tag, extra in (("plain", []), ("k1", ["--k", "1"]), ("k8", ["--k", "8"])):
+        out = tmp_path / f"{tag}.csv"
+        code, _, _ = run_cli(capsys, base + extra + ["--out", str(out)])
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+    sides = [json.loads((tmp_path / f"{t}.csv.json").read_text()) for t in ("plain", "k8")]
+    assert "k" not in sides[0]["config"] and "k" not in sides[1]["config"]
+    assert sides[0]["config_hash"] == sides[1]["config_hash"]
+    code, _, err = run_cli(capsys, base + ["--k", "many"])
+    assert code == 2 and json.loads(err)["error"]["kind"] == "usage"
+
+
 def test_cli_crossover_tol_is_a_no_op(tmp_path, capsys):
     base = [
         "crossover", "--lx", "2", "--ly", "2", "--omega", "1",

@@ -1,14 +1,20 @@
 """Sparse symmetric eigensolver: dense and iterative paths must agree."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
+from cavityspin.basis import SectorBasis
+from cavityspin.geometry import ArrayGeometry
 from cavityspin.linalg import (
     SparseOperator,
     ground_state,
     label_degeneracies,
     operator_from_entries,
 )
+from cavityspin.params import SpinCouplings
+from cavityspin.spinmodel import build_sector_hamiltonian
 
 
 def _scaled_identity(dim, scale=1.0):
@@ -152,3 +158,41 @@ def test_input_validation():
         ground_state(op, 0)
     with pytest.raises(ValueError):
         ground_state(op, 5)
+
+
+def _sector_operator(lx, ly, n_exc, lambda_a, lambda_b):
+    geom = ArrayGeometry(lx, ly)
+    couplings = SpinCouplings(lambda_a=lambda_a, lambda_b=lambda_b, omega_at=1.0)
+    return build_sector_hamiltonian(geom, couplings, SectorBasis(geom, n_exc))
+
+
+def test_lanczos_needs_two_rounds_above_the_cluster_to_close_it():
+    # frustrated 7x2, n=11 (dim 364): the ground level is 14-fold, and at
+    # seed 0 the fourth round lands on the next level (+0.419) while 11
+    # copies are still missing; one such round used to close the cluster
+    op = _sector_operator(7, 2, 11, 0.1, -0.3)
+    dense = ground_state(op, 1, method="dense")
+    lanc = ground_state(op, 1, method="lanczos", seed=0)
+    assert dense.ground_multiplet().shape[1] == 14
+    assert lanc.method == "lanczos" and lanc.converged
+    assert lanc.ground_multiplet().shape[1] == 14
+    assert np.abs(lanc.eigenvalues - dense.eigenvalues).max() <= 1e-12
+
+
+@pytest.mark.parametrize("lambda_a, lambda_b", [(-0.15, -0.07), (0.1, -0.3), (-0.2, 0.12)])
+def test_auto_method_matches_dense_on_every_sector(lambda_a, lambda_b):
+    # every sector with 32 < dim of 3x3, 4x3 and 6x2; the larger ones take
+    # the Lanczos path under method="auto"
+    for lx, ly in ((3, 3), (4, 3), (6, 2)):
+        for n in range(lx * ly + 1):
+            if comb(lx * ly, n) <= 32:
+                continue
+            op = _sector_operator(lx, ly, n, lambda_a, lambda_b)
+            dense = ground_state(op, 1, method="dense")
+            auto = ground_state(op, 1, method="auto")
+            m = dense.ground_multiplet().shape[1]
+            assert auto.converged
+            assert auto.ground_multiplet().shape[1] == m, (lx, ly, n)
+            scale = max(1.0, abs(dense.ground_energy))
+            err = np.abs(auto.eigenvalues[:m] - dense.eigenvalues[:m]).max()
+            assert err <= 1e-12 * scale, (lx, ly, n, err)
