@@ -13,13 +13,20 @@ few repeats per path.  ``cold`` times fresh CLI processes that solve one
 sector of dimension 495-1001, once forced dense and once forced Lanczos
 (median of 7 each): the first Lanczos solve of a process also pays the
 import of ``scipy.sparse.linalg``.  ``linalg.DENSE_CUTOFF`` is read off
-these two tables.
+these two tables.  The attractive ``cold`` rows measure what the CLI runs:
+forced to cutoff 0 they take the symmetric orbit block of
+``spinmodel.sector_ground``, not a full-sector Lanczos solve.
 
 ``agree`` solves every sector of 3x3, 4x3, 6x2, 5x3 and 7x2 with
 32 < dim <= 4096, at one attractive and two frustrated coupling pairs, once
 dense and once by Lanczos for each of the seeds 0-7.  It prints the case
 count, the worst relative energy error over the ground cluster and every
 multiplet-size mismatch, and exits 1 on any mismatch or an error over 1e-12.
+It then solves every sector of the same arrays that ``sector_ground`` routes
+to the symmetric orbit block (attractive couplings, dim past the dense
+cutoff) at two attractive pairs, one with lambda_a == lambda_b, and compares
+energy, multiplet size and the NN and NNN correlations with the full-sector
+solve (1e-12 relative on the energy, 1e-12 absolute on the correlations).
 """
 
 from __future__ import annotations
@@ -39,9 +46,15 @@ from cavityspin.geometry import ArrayGeometry
 from cavityspin.jcmodel import JCBasis, build_jc_hamiltonian
 from cavityspin.linalg import ground_state
 from cavityspin.params import EffectiveJCParams, SpinCouplings
-from cavityspin.spinmodel import build_sector_hamiltonian
+from cavityspin.spinmodel import (
+    _takes_symmetric_block,
+    build_sector_hamiltonian,
+    correlation_ratio,
+    sector_ground,
+)
 
 ATTRACTIVE = SpinCouplings(lambda_a=-0.15, lambda_b=-0.07, omega_at=1.0)
+ATTRACTIVE_EQUAL = SpinCouplings(lambda_a=-0.1, lambda_b=-0.1, omega_at=1.0)
 FRUSTRATED = (
     SpinCouplings(lambda_a=0.1, lambda_b=-0.3, omega_at=1.0),
     SpinCouplings(lambda_a=-0.2, lambda_b=0.12, omega_at=1.0),
@@ -155,6 +168,35 @@ def agree() -> int:
     print(f"cases {cases}  worst relative energy error {worst:.3g}  failures {len(bad)}")
     for row in bad:
         print("  %dx%d n=%d la=%g lb=%g seed=%d dense m=%d lanczos m=%d rel=%.3g" % row)
+    return max(1 if bad else 0, agree_symmetric_block())
+
+
+def agree_symmetric_block() -> int:
+    cases = 0
+    worst_e = worst_c = 0.0
+    bad = []
+    for lx, ly in AGREE_ARRAYS:
+        geom = ArrayGeometry(lx, ly)
+        for n in range(lx * ly + 1):
+            for c in (ATTRACTIVE, ATTRACTIVE_EQUAL):
+                if not _takes_symmetric_block(geom, c, n, 1):
+                    continue
+                spec, basis = sector_ground(geom, c, n)
+                ref = ground_state(build_sector_hamiltonian(geom, c, basis))
+                cases += 1
+                e = ref.ground_energy
+                rel = abs(spec.ground_energy - e) / max(1.0, abs(e))
+                mine, theirs = correlation_ratio(spec, basis), correlation_ratio(ref, basis)
+                dc = max(abs(mine.sigma_nn - theirs.sigma_nn),
+                         abs(mine.sigma_nnn - theirs.sigma_nnn))
+                worst_e, worst_c = max(worst_e, rel), max(worst_c, dc)
+                if mine.multiplet_size != theirs.multiplet_size or rel > RTOL or dc > RTOL:
+                    bad.append((lx, ly, n, c.lambda_a, c.lambda_b, theirs.multiplet_size,
+                                mine.multiplet_size, rel, dc))
+    print(f"symmetric block: cases {cases}  worst relative energy error {worst_e:.3g}  "
+          f"worst correlation error {worst_c:.3g}  failures {len(bad)}")
+    for row in bad:
+        print("  %dx%d n=%d la=%g lb=%g full m=%d block m=%d rel=%.3g corr=%.3g" % row)
     return 1 if bad else 0
 
 

@@ -14,6 +14,10 @@ dimension 455 up (3432: 2.9 s dense, 0.008-0.05 s Lanczos), by at most
 imports ``scipy.sparse.linalg`` (30-60 ms), so a fresh CLI process solving
 one sector (``cold``) is 20-27 ms slower on Lanczos at dimension 495-620,
 and even or faster at 792-924.
+
+Attractive spin sectors past the cutoff reach this module as their small
+orbit-sum block (``spinmodel.sector_ground``): the operator is the block,
+usually far below the cutoff, and the sector never becomes a matrix.
 """
 
 from __future__ import annotations

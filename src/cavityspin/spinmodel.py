@@ -11,6 +11,16 @@ two pieces:
 
 Ground energies per sector give level crossings (superradiant steps), and
 ground vectors give two-point spin correlations.
+
+With both couplings negative every hop is negative and the hop graph of a
+sector ``0 < n_exc < N`` is connected, so by Perron-Frobenius the sector
+ground state is unique and invariant under every row and every column
+permutation.  :func:`sector_ground` then solves for that one pair on the
+block of normalized orbit sums under S_Ly x S_Lx (159 classes for the
+184 756 states of 5x4 n=10) whenever the sector is past the dense cutoff,
+and expands the block vector back onto the sector basis.  Every other case,
+and every request for more than the ground pair, is solved on the full
+sector matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import SectorBasis
+from .basis import SectorBasis, sector_dimension
 from .geometry import ArrayGeometry
 from .linalg import (
     SparseOperator,
@@ -30,6 +40,40 @@ from .linalg import (
 )
 from .observables import CorrelationResult, multiplet_correlations, site_occupations
 from .params import SpinCouplings
+
+
+def _line_moves(
+    geometry: ArrayGeometry, states: np.ndarray, kind: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every single-excitation move along the rows (``kind="row"``) or the
+    columns (``kind="col"``) out of the given configurations.
+
+    Returns the index in ``states`` of each move's source and the mask it
+    moves to: one raised spin trades places with a lowered one on the same
+    line.  This is the hop rule of the model; every matrix here uses it.
+    """
+    src = [np.empty(0, dtype=np.int64)]
+    dst = [np.empty(0, dtype=np.int64)]
+    for s, t, line in geometry.line_pairs():
+        if line != kind:
+            continue
+        sel = np.nonzero(((states >> s) & 1) != ((states >> t) & 1))[0]
+        src.append(sel)
+        dst.append(states[sel] ^ np.int64((1 << s) | (1 << t)))
+    return np.concatenate(src), np.concatenate(dst)
+
+
+def _diagonal(
+    geometry: ArrayGeometry,
+    couplings: SpinCouplings,
+    n_exc: int,
+    include_lambda_shift: bool,
+) -> float:
+    """The uniform sector diagonal: the (optionally shifted) splitting."""
+    coeff = couplings.omega_at / 2.0
+    if include_lambda_shift:
+        coeff += couplings.lambda_a + couplings.lambda_b
+    return coeff * (2 * n_exc - geometry.n_sites)
 
 
 def build_sector_hamiltonian(
@@ -47,26 +91,17 @@ def build_sector_hamiltonian(
     """
     if basis.geometry != geometry:
         raise ValueError("basis geometry mismatch")
-    states = basis.states
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
-    amp = {"row": 2.0 * couplings.lambda_a, "col": 2.0 * couplings.lambda_b}
-    for s, t, kind in geometry.line_pairs():
-        a = amp[kind]
+    for kind, a in (("row", 2.0 * couplings.lambda_a), ("col", 2.0 * couplings.lambda_b)):
         if a == 0.0:
             continue
-        sel = np.nonzero(((states >> s) & 1) != ((states >> t) & 1))[0]
-        if len(sel) == 0:
-            continue
-        flip = np.int64((1 << s) | (1 << t))
-        rows.append(sel)
-        cols.append(basis.bulk_rank(states[sel] ^ flip))
-        vals.append(np.full(len(sel), a))
-    coeff = couplings.omega_at / 2.0
-    if include_lambda_shift:
-        coeff += couplings.lambda_a + couplings.lambda_b
-    diag = coeff * (2 * basis.n_exc - geometry.n_sites)
+        src, dst = _line_moves(geometry, basis.states, kind)
+        rows.append(src)
+        cols.append(basis.bulk_rank(dst))
+        vals.append(np.full(len(src), a))
+    diag = _diagonal(geometry, couplings, basis.n_exc, include_lambda_shift)
     if diag != 0.0:
         idx = np.arange(basis.dim)
         rows.append(idx)
@@ -77,6 +112,30 @@ def build_sector_hamiltonian(
     return operator_from_entries(
         basis.dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     )
+
+
+def class_hop_counts(
+    geometry: ArrayGeometry,
+    masks: np.ndarray,
+    which: np.ndarray,
+    representatives: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integer row and column move counts between orbit classes.
+
+    ``masks`` is the sorted sector table, ``which`` the class index of each
+    of its states and ``representatives[i]`` one mask of class i.  Entry
+    ``[i, j]`` counts the moves from that representative into class j.
+    Under row and column permutations every member of a class has the same
+    counts; a group that also transposes keeps only their sum well defined.
+    """
+    k = len(representatives)
+    out = []
+    for kind in ("row", "col"):
+        src, dst = _line_moves(geometry, representatives, kind)
+        counts = np.zeros((k, k), dtype=np.int64)
+        np.add.at(counts, (src, which[np.searchsorted(masks, dst)]), 1)
+        out.append(counts)
+    return out[0], out[1]
 
 
 def hop_count(geometry: ArrayGeometry, mask: int) -> int:
@@ -91,6 +150,82 @@ def hop_count(geometry: ArrayGeometry, mask: int) -> int:
     return total
 
 
+def _perron_frobenius_sector(
+    geometry: ArrayGeometry, couplings: SpinCouplings, n_exc: int
+) -> bool:
+    """True when the sector ground state is provably simple and symmetric.
+
+    With both couplings negative every hop is negative, and for
+    ``0 < n_exc < N`` the rook-move hop graph of the sector is connected.
+    By Perron-Frobenius the ground state is then unique with positive
+    amplitudes, so every row and column permutation leaves it invariant.
+    """
+    return (
+        couplings.lambda_a < 0.0
+        and couplings.lambda_b < 0.0
+        and 0 < n_exc < geometry.n_sites
+    )
+
+
+def _takes_symmetric_block(
+    geometry: ArrayGeometry, couplings: SpinCouplings, n_exc: int, k: int
+) -> bool:
+    """Whether :func:`sector_ground` solves on the orbit-sum block: one
+    Perron-Frobenius ground pair of a sector past the dense cutoff that the
+    orbit labelling can hold."""
+    from .linalg import DENSE_CUTOFF  # read at call time: scripts may reset it
+    from .symmetry import MAX_LABELLED_DIM  # symmetry imports this module
+
+    dim = sector_dimension(geometry.n_sites, n_exc)
+    return (
+        k == 1
+        and _perron_frobenius_sector(geometry, couplings, n_exc)
+        and DENSE_CUTOFF < dim <= MAX_LABELLED_DIM
+    )
+
+
+def _symmetric_block_ground(
+    geometry: ArrayGeometry,
+    couplings: SpinCouplings,
+    basis: SectorBasis,
+    include_lambda_shift: bool,
+    seed: int,
+) -> SpectrumResult:
+    """Sector ground pair from the block of normalized orbit sums under
+    S_Ly x S_Lx, expanded back onto the sector basis.
+
+    The block is ``(2 lambda_a C_row + 2 lambda_b C_col) sqrt(s_i / s_j)``
+    plus the uniform diagonal, ``C`` the move counts out of each class
+    representative and ``s`` the class sizes; it is assembled in the equal,
+    exactly symmetric form ``E / sqrt(s_i s_j)`` with ``E = C s_i`` the
+    integer edge counts between classes.  A block vector ``c`` is the
+    sector vector with amplitude ``c_i / sqrt(s_i)`` on every member of
+    class i, and its residual is the block residual.
+    """
+    from .symmetry import _orbit_labels, build_group  # symmetry imports this module
+
+    group = build_group(geometry, include_transpose=False, materialize=False)
+    labels = _orbit_labels(group, basis.states)
+    reps, which, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    hop_row, hop_col = class_hop_counts(geometry, basis.states, which, basis.states[reps])
+    edges = (
+        2.0 * couplings.lambda_a * (hop_row * sizes[:, None])
+        + 2.0 * couplings.lambda_b * (hop_col * sizes[:, None])
+    )
+    diag = _diagonal(geometry, couplings, basis.n_exc, include_lambda_shift)
+    block = edges / np.sqrt(np.outer(sizes, sizes)) + diag * np.eye(len(sizes))
+    i, j = np.nonzero(block)
+    spec = ground_state(operator_from_entries(len(sizes), i, j, block[i, j]), seed=seed)
+    vector = (spec.eigenvectors[:, 0] / np.sqrt(sizes))[which]
+    return SpectrumResult(
+        eigenvalues=spec.eigenvalues[:1],
+        eigenvectors=vector[:, None],
+        residual_norms=spec.residual_norms[:1],
+        method="symmetric-block",
+        converged=spec.converged,
+    )
+
+
 def sector_ground(
     geometry: ArrayGeometry,
     couplings: SpinCouplings,
@@ -100,9 +235,21 @@ def sector_ground(
     k: int = 1,
     seed: int = 0,
 ) -> tuple[SpectrumResult, SectorBasis]:
+    """Lowest ``k`` pairs of a sector, with every copy of the ground level.
+
+    A single Perron-Frobenius ground pair past the dense cutoff
+    (:func:`_takes_symmetric_block`) is solved on the small block of
+    row x column symmetric orbit sums; every other case is solved on the
+    full sector matrix.
+    """
     basis = SectorBasis(geometry, n_exc)
-    h = build_sector_hamiltonian(geometry, couplings, basis, include_lambda_shift)
-    spec = ground_state(h, min(k, basis.dim), seed=seed)
+    if _takes_symmetric_block(geometry, couplings, n_exc, k):
+        spec = _symmetric_block_ground(
+            geometry, couplings, basis, include_lambda_shift, seed
+        )
+    else:
+        h = build_sector_hamiltonian(geometry, couplings, basis, include_lambda_shift)
+        spec = ground_state(h, min(k, basis.dim), seed=seed)
     if not spec.converged:
         raise ArithmeticError(f"sector n_exc={n_exc} ground solve did not converge")
     return spec, basis

@@ -8,6 +8,14 @@ by the cycle index polynomial (coefficients kept as exact rationals) and the
 two-color pattern inventory.  Projecting the Hamiltonian onto normalized
 orbit sums gives a small dense block that contains the permutation-symmetric
 part of the spectrum, including the ground state for attractive couplings.
+
+Orbit labels are formed from generator images alone, so they need no
+materialized group and no 16-site cap: ``spinmodel.sector_ground`` labels
+attractive sectors of up to ``MAX_LABELLED_DIM`` states under the
+row x column group this way and solves on their orbit block.  Class
+tables with stabilizer orders, the cycle index and ``orbit_basis_hamiltonian``
+read the group order and so keep the cap.  The hop counts between classes
+come from ``spinmodel.class_hop_counts``, the model's one hop rule.
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations as iter_permutations
-from math import comb
 from typing import Optional
 
 import numpy as np
@@ -23,9 +30,10 @@ import numpy as np
 from .basis import SectorBasis, enumerate_masks
 from .geometry import ArrayGeometry
 from .params import SpinCouplings
-from .spinmodel import build_sector_hamiltonian
+from .spinmodel import class_hop_counts
 
 MAX_MATERIALIZED_SITES = 16
+MAX_LABELLED_DIM = 2_000_000
 
 Perm = tuple[int, ...]
 
@@ -225,23 +233,20 @@ class OrbitClass:
     members: tuple[int, ...] = field(repr=False, default=())
 
 
-def _orbit_labels(
-    group: PermutationGroup, n_exc: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sector masks (ascending) and, per mask, the index of its orbit's
+def _orbit_labels(group: PermutationGroup, masks: np.ndarray) -> np.ndarray:
+    """Per sector mask (``masks`` ascending), the index of its orbit's
     smallest mask.
 
     Orbits are the connected components of the Schreier graph on the
     generators, so only generator images are formed (one vectorized pass per
     site); minimum labels are pushed along those edges and compressed by
-    pointer jumping until they stop changing.
+    pointer jumping until they stop changing.  Only generators are read, so
+    a group built with ``materialize=False`` labels any sector up to
+    ``MAX_LABELLED_DIM`` states.
     """
-    if group.elements is None:
-        raise ValueError("orbit partition needs materialized elements")
-    dim = comb(group.degree, n_exc)
-    if dim > 2_000_000:
+    dim = len(masks)
+    if dim > MAX_LABELLED_DIM:
         raise ValueError(f"sector dimension {dim} too large to partition")
-    masks = enumerate_masks(group.degree, n_exc)
     images = []
     for gen in group.generators:
         img = np.zeros_like(masks)
@@ -255,18 +260,18 @@ def _orbit_labels(
             new = np.minimum(new, new[img])
         new = new[new]
         if np.array_equal(new, label):
-            return masks, label
+            return label
         label = new
 
 
 def _orbit_table(
-    group: PermutationGroup, n_exc: int
+    group: PermutationGroup, masks: np.ndarray
 ) -> tuple[list[OrbitClass], np.ndarray]:
-    """Orbit classes sorted by (size, representative), and the class index
-    of every sector state in ascending mask order."""
-    masks, labels = _orbit_labels(group, n_exc)
-    reps, which, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    """Orbit classes of the sector ``masks`` (ascending) sorted by
+    (size, representative), and the class index of every sector state."""
     order = group.order
+    labels = _orbit_labels(group, masks)
+    reps, which, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     if np.any(order % sizes):
         raise ArithmeticError("orbit size does not divide group order")
     grouped = masks[np.argsort(labels, kind="stable")]
@@ -289,7 +294,7 @@ def _orbit_table(
 
 def orbits(group: PermutationGroup, n_exc: int) -> list[OrbitClass]:
     """Partition of the sector into orbit classes, sorted by (size, rep)."""
-    return _orbit_table(group, n_exc)[0]
+    return _orbit_table(group, enumerate_masks(group.degree, n_exc))[0]
 
 
 @dataclass(frozen=True)
@@ -324,19 +329,13 @@ def orbit_basis_hamiltonian(
         raise ValueError("orbit projection requires lambda_a == lambda_b")
     lam = couplings.lambda_a
     group = build_group(geometry, include_transpose)
-    classes, which = _orbit_table(group, n_exc)
-    # the hop rule at unit amplitude: 2 * 1/2 per allowed move, no diagonal
-    half = SpinCouplings(lambda_a=0.5, lambda_b=0.5, omega_at=0.0)
-    basis = SectorBasis(geometry, n_exc)
-    hops = build_sector_hamiltonian(
-        geometry, half, basis, include_lambda_shift=False
-    ).matrix
-    indicator = np.zeros((basis.dim, len(classes)))
-    indicator[np.arange(basis.dim), which] = 1.0
+    masks = enumerate_masks(geometry.n_sites, n_exc)
+    classes, which = _orbit_table(group, masks)
+    reps = np.array([c.representative for c in classes], dtype=np.int64)
+    # with the transpose in the group only the row + column sum is invariant
+    hop_row, hop_col = class_hop_counts(geometry, masks, which, reps)
+    counts = hop_row + hop_col
     sizes = np.array([c.size for c in classes], dtype=float)
-    # every member of class i has the same moves into class j
-    per_member = indicator.T @ (hops @ indicator) / sizes[:, None]
-    counts = np.rint(per_member).astype(np.int64)
     unit = 2.0 * lam
     matrix = unit * counts * np.sqrt(sizes[:, None] / sizes[None, :])
     return OrbitHamiltonian(

@@ -187,11 +187,12 @@ def test_cli_solver_failure_is_compute_error(monkeypatch, capsys):
         raise RuntimeError("Lanczos found 0/1 pairs after 0 restarts")
 
     monkeypatch.setattr(linalg, "_lanczos_lowest", fail)
-    # dim C(16, 8) = 12870 is past the dense cutoff, so Lanczos runs
+    # dim C(16, 8) = 12870 is past the dense cutoff; frustrated couplings
+    # keep the full sector, so Lanczos runs
     code, out, err = run_cli(
         capsys,
         ["spin-ed", "--lx", "4", "--ly", "4", "--omega", "1.0",
-         "--lambda-a=-0.1", "--nexc", "8"],
+         "--lambda-a", "0.1", "--lambda-b=-0.3", "--nexc", "8"],
     )
     assert code == 1 and out == ""
     payload = json.loads(err)
@@ -216,6 +217,9 @@ def test_cli_solver_failure_is_compute_error(monkeypatch, capsys):
                    "--delta-a", "6", "--g", "0.4"]),
         (spinmodel, ["correlations", "--lx", "2", "--ly", "2", "--omega", "1",
                      "--lambda-a=-0.2", "--nexc", "2"]),
+        # dim 12870, attractive: solved on the symmetric orbit block
+        (spinmodel, ["correlations", "--lx", "4", "--ly", "4", "--omega", "1",
+                     "--lambda-a=-0.1", "--nexc", "8"]),
     ],
 )
 def test_cli_unconverged_critical_coupling_is_compute_error(

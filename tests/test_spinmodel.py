@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cavityspin import spinmodel
+from cavityspin import linalg, spinmodel
 from cavityspin.basis import SectorBasis
 from cavityspin.geometry import ArrayGeometry
 from cavityspin.params import SpinCouplings
@@ -250,3 +250,90 @@ def test_sector_ground_energy_matches_dense():
         block, _ = dense_spin_sector(geom, c, n_exc)
         e = spinmodel.sector_ground_energy(geom, c, n_exc)
         assert e == pytest.approx(float(np.linalg.eigvalsh(block)[0]), abs=1e-10)
+
+
+def test_symmetric_block_route_matches_full_sector_ed():
+    # every sector past the dense cutoff, at three random attractive pairs
+    # (one with lambda_a == lambda_b); the reference solves the full sector
+    rng = np.random.default_rng(2017)
+    pairs = [tuple(-rng.uniform(0.02, 0.3, size=2)) for _ in range(2)]
+    pairs.append((pairs[0][0], pairs[0][0]))
+    cases = 0
+    for lx, ly in [(4, 3), (6, 2), (7, 2), (5, 3), (4, 4)]:
+        geom = ArrayGeometry(lx, ly)
+        for la, lb in pairs:
+            c = SpinCouplings(lambda_a=float(la), lambda_b=float(lb), omega_at=1.0)
+            for n_exc in range(geom.n_sites + 1):
+                if basisdim(geom, n_exc) <= linalg.DENSE_CUTOFF:
+                    continue
+                assert spinmodel._takes_symmetric_block(geom, c, n_exc, 1)
+                spec, basis = spinmodel.sector_ground(geom, c, n_exc)
+                assert spec.method == "symmetric-block" and spec.converged
+                h = spinmodel.build_sector_hamiltonian(geom, c, basis)
+                assert linalg._perron_frobenius_simple(h.matrix)
+                ref = linalg.ground_state(h)
+                assert spec.ground_energy == pytest.approx(ref.ground_energy, rel=1e-12)
+                assert spec.ground_multiplet().shape[1] == 1
+                # the expanded vector is a normalized eigenvector of the sector
+                v = spec.eigenvectors[:, 0]
+                assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+                r = h.matvec(v) - spec.ground_energy * v
+                assert np.linalg.norm(r) <= 1e-10 * max(1.0, abs(spec.ground_energy))
+                mine = spinmodel.correlation_ratio(spec, basis)
+                theirs = spinmodel.correlation_ratio(ref, basis)
+                assert mine.multiplet_size == theirs.multiplet_size == 1
+                assert abs(mine.sigma_nn - theirs.sigma_nn) <= 1e-12
+                assert abs(mine.sigma_nnn - theirs.sigma_nnn) <= 1e-12
+                cases += 1
+    assert cases == 3 * (3 + 3 + 7 + 8 + 9)
+
+
+@pytest.mark.parametrize("lx, ly, n_exc", [(9, 2, 3), (9, 2, 15), (17, 1, 4), (1, 17, 13)])
+def test_symmetric_block_route_past_sixteen_sites(lx, ly, n_exc):
+    # the labels need no materialized group; a single line is one class
+    geom = ArrayGeometry(lx, ly)
+    c = SpinCouplings(lambda_a=-0.11, lambda_b=-0.23, omega_at=0.9)
+    spec, basis = spinmodel.sector_ground(geom, c, n_exc)
+    assert spec.method == "symmetric-block"
+    ref = linalg.ground_state(spinmodel.build_sector_hamiltonian(geom, c, basis))
+    assert spec.ground_energy == pytest.approx(ref.ground_energy, rel=1e-12)
+    mine = spinmodel.correlation_ratio(spec, basis)
+    theirs = spinmodel.correlation_ratio(ref, basis)
+    assert abs(mine.sigma_nn - theirs.sigma_nn) <= 1e-12
+    assert abs(mine.sigma_nnn - theirs.sigma_nnn) <= 1e-12
+
+
+@pytest.mark.parametrize("lx, ly", [(1, 5), (5, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])
+def test_route_condition_implies_a_simple_ground_level(lx, ly):
+    # the analytic condition must never hold where the built matrix fails
+    # the Perron-Frobenius test (nonpositive off-diagonal, connected)
+    geom = ArrayGeometry(lx, ly)
+    values = (-0.3, -0.1, 0.0, 0.2)
+    held = 0
+    for la in values:
+        for lb in values:
+            c = SpinCouplings(lambda_a=la, lambda_b=lb, omega_at=0.8)
+            for n_exc in range(geom.n_sites + 1):
+                if not spinmodel._perron_frobenius_sector(geom, c, n_exc):
+                    continue
+                held += 1
+                basis = SectorBasis(geom, n_exc)
+                h = spinmodel.build_sector_hamiltonian(geom, c, basis)
+                assert linalg._perron_frobenius_simple(h.matrix), (la, lb, n_exc)
+    assert held == 4 * (geom.n_sites - 1)
+
+
+def test_route_is_taken_only_for_one_attractive_pair_past_the_cutoff():
+    geom = ArrayGeometry(4, 3)  # C(12, 4) = 495, C(12, 5) = 792
+    attractive = SpinCouplings(lambda_a=-0.15, lambda_b=-0.07, omega_at=1.0)
+    frustrated = SpinCouplings(lambda_a=0.1, lambda_b=-0.3, omega_at=1.0)
+    take = spinmodel._takes_symmetric_block
+    assert take(geom, attractive, 5, 1)
+    assert not take(geom, attractive, 4, 1)  # at or below the dense cutoff
+    assert not take(geom, attractive, 5, 2)  # pairs past the ground level
+    assert not take(geom, frustrated, 5, 1)
+    assert not take(geom, SpinCouplings(lambda_a=-0.1, lambda_b=0.0, omega_at=1.0), 5, 1)
+    spec, _ = spinmodel.sector_ground(geom, attractive, 4)
+    assert spec.method == "dense"
+    spec, _ = spinmodel.sector_ground(geom, attractive, 5, k=2)
+    assert spec.method == "lanczos" and len(spec.eigenvalues) == 2
