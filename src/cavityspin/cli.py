@@ -144,7 +144,10 @@ def _nonempty(grid: list, name: str) -> list:
 def _geometry(args, cfg) -> ArrayGeometry:
     lx = _req(args, cfg, "lx", int)
     ly = _req(args, cfg, "ly", int)
-    return ArrayGeometry(lx, ly)
+    try:
+        return ArrayGeometry(lx, ly)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _resolve_level(args, cfg, *, need_modes: bool):
@@ -573,6 +576,8 @@ def _cmd_polya(args, cfg, seed: int) -> CommandResult:
         nexc = list(range(geom.n_sites + 1))
     _nonempty(nexc, "nexc")
     transpose = _bool(args, cfg, "transpose", None)
+    if transpose and geom.lx != geom.ly:
+        raise UsageError("transpose requires a square array")
     group = build_group(geom, transpose)
     inventory = cycle_index(group).pattern_inventory()
     rows = []

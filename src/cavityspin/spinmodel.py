@@ -204,7 +204,7 @@ def _symmetric_block_ground(
     """
     from .symmetry import _orbit_labels, build_group  # symmetry imports this module
 
-    group = build_group(geometry, include_transpose=False, materialize=False)
+    group = build_group(geometry, include_transpose=False)
     labels = _orbit_labels(group, basis.states)
     reps, which, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     hop_row, hop_col = class_hop_counts(geometry, basis.states, which, basis.states[reps])

@@ -9,20 +9,20 @@ two-color pattern inventory.  Projecting the Hamiltonian onto normalized
 orbit sums gives a small dense block that contains the permutation-symmetric
 part of the spectrum, including the ground state for attractive couplings.
 
-Orbit labels are formed from generator images alone, so they need no
-materialized group and no 16-site cap: ``spinmodel.sector_ground`` labels
-attractive sectors of up to ``MAX_LABELLED_DIM`` states under the
-row x column group this way and solves on their orbit block.  Class
-tables with stabilizer orders, the cycle index and ``orbit_basis_hamiltonian``
-read the group order and so keep the cap.  The hop counts between classes
-come from ``spinmodel.class_hop_counts``, the model's one hop rule.
+The group is held as generators: orbit labels come from generator images,
+the order and the cycle index from closed forms, so sectors of up to
+``MAX_LABELLED_DIM`` states are partitioned on any array.  The hop counts
+between classes come from ``spinmodel.class_hop_counts``, the model's one
+hop rule.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations as iter_permutations
+from math import comb, factorial, gcd, prod
 from typing import Optional
 
 import numpy as np
@@ -32,7 +32,6 @@ from .geometry import ArrayGeometry
 from .params import SpinCouplings
 from .spinmodel import class_hop_counts
 
-MAX_MATERIALIZED_SITES = 16
 MAX_LABELLED_DIM = 2_000_000
 
 Perm = tuple[int, ...]
@@ -40,97 +39,79 @@ Perm = tuple[int, ...]
 
 @dataclass(frozen=True)
 class PermutationGroup:
-    """A site-permutation group with optional materialized element list."""
+    """Row x column permutations of an array, optionally with the transpose,
+    held as generators; the order and cycle index are closed forms."""
 
-    degree: int
+    geometry: ArrayGeometry
+    transpose: bool
     generators: tuple[Perm, ...]
-    elements: Optional[tuple[Perm, ...]] = None
+
+    @property
+    def degree(self) -> int:
+        return self.geometry.n_sites
 
     @property
     def order(self) -> int:
-        if self.elements is None:
-            raise ValueError("group was built without materialized elements")
-        return len(self.elements)
+        """Lx! Ly!, doubled by a transpose that moves a site (not on 1x1)."""
+        flips = 2 if self.transpose and self.degree > 1 else 1
+        return factorial(self.geometry.lx) * factorial(self.geometry.ly) * flips
 
 
-def _compose(p: Perm, q: Perm) -> Perm:
-    """(p o q)(x) = p(q(x))."""
-    return tuple(p[q[x]] for x in range(len(q)))
-
-
-def _row_swap_perm(geometry: ArrayGeometry, i: int, j: int) -> Perm:
-    images = list(range(geometry.n_sites))
-    for col in range(geometry.lx):
-        images[geometry.site(i, col)] = geometry.site(j, col)
-        images[geometry.site(j, col)] = geometry.site(i, col)
+def _swap_perm(n_sites: int, line: list[int], other: list[int]) -> Perm:
+    """Exchange two parallel lines of sites, site by site."""
+    images = list(range(n_sites))
+    for s, t in zip(line, other):
+        images[s], images[t] = t, s
     return tuple(images)
 
 
-def _col_swap_perm(geometry: ArrayGeometry, i: int, j: int) -> Perm:
-    images = list(range(geometry.n_sites))
-    for row in range(geometry.ly):
-        images[geometry.site(row, i)] = geometry.site(row, j)
-        images[geometry.site(row, j)] = geometry.site(row, i)
-    return tuple(images)
-
-
-def _transpose_perm(geometry: ArrayGeometry) -> Perm:
+def _transpose_perm(geometry: ArrayGeometry, row_cycles: tuple[int, ...] = ()) -> Perm:
+    """Site permutation (rho, id) o T: the transpose, then the row
+    permutation rho with cycles of lengths ``row_cycles`` (none moved by
+    default)."""
     if geometry.lx != geometry.ly:
         raise ValueError("transpose requires a square array")
-    images = list(range(geometry.n_sites))
-    for row in range(geometry.ly):
-        for col in range(geometry.lx):
-            images[geometry.site(row, col)] = geometry.site(col, row)
-    return tuple(images)
+    rho: list[int] = []
+    for a in row_cycles or (1,) * geometry.lx:
+        rho += [len(rho) + (i + 1) % a for i in range(a)]
+    side = range(geometry.lx)
+    return tuple(geometry.site(rho[col], row) for row in side for col in side)
 
 
 def build_group(
-    geometry: ArrayGeometry,
-    include_transpose: Optional[bool] = None,
-    *,
-    materialize: bool = True,
+    geometry: ArrayGeometry, include_transpose: Optional[bool] = None
 ) -> PermutationGroup:
     """Row-permutation x column-permutation group, optionally with transpose.
 
     ``include_transpose=None`` auto-includes it exactly for square arrays
     (the coupling-equality condition is the caller's responsibility when the
-    group is used to block-reduce a Hamiltonian).  Materialization is capped
-    at 16 sites; beyond that only generators are returned.
+    group is used to block-reduce a Hamiltonian).  Only the adjacent row and
+    column swaps (and the transpose) are formed.
     """
-    gens: list[Perm] = []
-    for i in range(geometry.ly - 1):
-        gens.append(_row_swap_perm(geometry, i, i + 1))
-    for i in range(geometry.lx - 1):
-        gens.append(_col_swap_perm(geometry, i, i + 1))
+    n = geometry.n_sites
+    rows, cols = geometry.row_sites, geometry.col_sites
+    gens = [_swap_perm(n, rows(i), rows(i + 1)) for i in range(geometry.ly - 1)]
+    gens += [_swap_perm(n, cols(i), cols(i + 1)) for i in range(geometry.lx - 1)]
     if include_transpose is None:
         include_transpose = geometry.lx == geometry.ly
     if include_transpose:
         gens.append(_transpose_perm(geometry))
-    if not gens:
-        gens.append(tuple(range(geometry.n_sites)))
-    if not materialize:
-        return PermutationGroup(degree=geometry.n_sites, generators=tuple(gens))
-    if geometry.n_sites > MAX_MATERIALIZED_SITES:
-        raise ValueError(
-            f"{geometry.n_sites} sites exceeds the materialization cap "
-            f"{MAX_MATERIALIZED_SITES}; pass materialize=False for generators only"
-        )
-    identity = tuple(range(geometry.n_sites))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for gen in gens:
-                q = _compose(gen, p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    elements = tuple(sorted(seen))
-    return PermutationGroup(
-        degree=geometry.n_sites, generators=tuple(gens), elements=elements
-    )
+    return PermutationGroup(geometry, include_transpose, tuple(gens))
+
+
+def _partitions(n: int, largest: Optional[int] = None):
+    """Partitions of n as non-increasing tuples of parts."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _centralizer_order(parts: tuple[int, ...]) -> int:
+    """z = prod_j j^m_j m_j! for a cycle type with m_j cycles of length j."""
+    return prod(j**m * factorial(m) for j, m in Counter(parts).items())
 
 
 def cycle_type(perm: Perm) -> tuple[int, ...]:
@@ -203,17 +184,32 @@ class CycleIndexPolynomial:
 
 
 def cycle_index(group: PermutationGroup) -> CycleIndexPolynomial:
-    if group.elements is None:
-        raise ValueError("cycle index needs materialized elements")
-    counts: dict[tuple[int, ...], int] = {}
-    for p in group.elements:
-        t = cycle_type(p)
-        counts[t] = counts.get(t, 0) + 1
-    order = group.order
-    terms = tuple(
-        (t, Fraction(c, order)) for t, c in sorted(counts.items(), reverse=True)
-    )
-    return CycleIndexPolynomial(degree=group.degree, terms=terms)
+    """Cycle index on the sites, summed over cycle types.
+
+    Row and column permutations of types p and q move the sites in
+    gcd(a, b) cycles of length lcm(a, b) for each row cycle a and column
+    cycle b; the pair weighs 1/(z_p z_q) (Harary & Palmer, *Graphical
+    Enumeration*, 1973).  On the transpose coset the site type of
+    (sigma, tau) o T depends only on the type rho of sigma tau, so one
+    permutation per rho, weighted 1/z_rho, stands for it; each coset then
+    weighs half.
+    """
+    geom = group.geometry
+    z = _centralizer_order
+    halves = 2 if group.transpose else 1
+    weights: defaultdict[tuple[int, ...], Fraction] = defaultdict(Fraction)
+    for p in _partitions(geom.ly):
+        for q in _partitions(geom.lx):
+            counts = [0] * geom.n_sites
+            for a in p:
+                for b in q:
+                    counts[a * b // gcd(a, b) - 1] += gcd(a, b)
+            weights[tuple(counts)] += Fraction(1, halves * z(p) * z(q))
+    if group.transpose:
+        for rho in _partitions(geom.lx):
+            weights[cycle_type(_transpose_perm(geom, rho))] += Fraction(1, 2 * z(rho))
+    terms = tuple(sorted(weights.items(), reverse=True))
+    return CycleIndexPolynomial(degree=geom.n_sites, terms=terms)
 
 
 def polya_count(group: PermutationGroup, n_exc: int) -> int:
@@ -240,20 +236,15 @@ def _orbit_labels(group: PermutationGroup, masks: np.ndarray) -> np.ndarray:
     Orbits are the connected components of the Schreier graph on the
     generators, so only generator images are formed (one vectorized pass per
     site); minimum labels are pushed along those edges and compressed by
-    pointer jumping until they stop changing.  Only generators are read, so
-    a group built with ``materialize=False`` labels any sector up to
-    ``MAX_LABELLED_DIM`` states.
+    pointer jumping until they stop changing.
     """
-    dim = len(masks)
-    if dim > MAX_LABELLED_DIM:
-        raise ValueError(f"sector dimension {dim} too large to partition")
     images = []
     for gen in group.generators:
         img = np.zeros_like(masks)
         for s, t in enumerate(gen):
             img |= ((masks >> s) & 1) << t
         images.append(np.searchsorted(masks, img))
-    label = np.arange(dim)
+    label = np.arange(len(masks))
     while True:
         new = label
         for img in images:
@@ -265,14 +256,21 @@ def _orbit_labels(group: PermutationGroup, masks: np.ndarray) -> np.ndarray:
 
 
 def _orbit_table(
-    group: PermutationGroup, masks: np.ndarray
-) -> tuple[list[OrbitClass], np.ndarray]:
-    """Orbit classes of the sector ``masks`` (ascending) sorted by
-    (size, representative), and the class index of every sector state."""
+    group: PermutationGroup, n_exc: int
+) -> tuple[list[OrbitClass], np.ndarray, np.ndarray]:
+    """Orbit classes of the sector sorted by (size, representative), the
+    class index of every sector state and the ascending sector masks.
+
+    Sectors past ``MAX_LABELLED_DIM`` are refused before enumeration.
+    """
+    dim = comb(group.degree, max(n_exc, 0))  # enumerate_masks names a bad n_exc
+    if dim > MAX_LABELLED_DIM:
+        raise ValueError(f"sector dimension {dim} too large to partition")
+    masks = enumerate_masks(group.degree, n_exc)
     order = group.order
     labels = _orbit_labels(group, masks)
     reps, which, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-    if np.any(order % sizes):
+    if np.any(order % sizes):  # the closed order against the labelling
         raise ArithmeticError("orbit size does not divide group order")
     grouped = masks[np.argsort(labels, kind="stable")]
     members = np.split(grouped, np.cumsum(sizes)[:-1])
@@ -289,12 +287,12 @@ def _orbit_table(
     ]
     position = np.empty_like(ranked)
     position[ranked] = np.arange(len(ranked))
-    return classes, position[which]
+    return classes, position[which], masks
 
 
 def orbits(group: PermutationGroup, n_exc: int) -> list[OrbitClass]:
     """Partition of the sector into orbit classes, sorted by (size, rep)."""
-    return _orbit_table(group, enumerate_masks(group.degree, n_exc))[0]
+    return _orbit_table(group, n_exc)[0]
 
 
 @dataclass(frozen=True)
@@ -329,8 +327,7 @@ def orbit_basis_hamiltonian(
         raise ValueError("orbit projection requires lambda_a == lambda_b")
     lam = couplings.lambda_a
     group = build_group(geometry, include_transpose)
-    masks = enumerate_masks(geometry.n_sites, n_exc)
-    classes, which = _orbit_table(group, masks)
+    classes, which, masks = _orbit_table(group, n_exc)
     reps = np.array([c.representative for c in classes], dtype=np.int64)
     # with the transpose in the group only the row + column sum is invariant
     hop_row, hop_col = class_hop_counts(geometry, masks, which, reps)

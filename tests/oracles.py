@@ -8,6 +8,8 @@ against.  Spin operators are sparse Kronecker products; only the sector
 block taken out of them is made dense.
 """
 
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -209,3 +211,55 @@ def brute_orbits(elements, n_sites: int, n_exc: int) -> list:
         seen.update(members)
         out.append((len(members), members[0], members))
     return sorted(out)
+
+
+def _swap(i: int, j: int, x: int) -> int:
+    return j if x == i else i if x == j else x
+
+
+def brute_group(geometry, transpose=None) -> list:
+    """Every site permutation of the row x column group of the array, with
+    the transpose when asked (by default on squares), closed from adjacent
+    line swaps by breadth-first composition.  Sorted element tuples."""
+    lx, ly = geometry.lx, geometry.ly
+
+    def perm(move):  # move takes (row, col) to its image cell
+        images = (move(*divmod(s, lx)) for s in range(lx * ly))
+        return tuple(c + lx * r for r, c in images)
+
+    gens = [perm(lambda r, c, i=i: (_swap(i, i + 1, r), c)) for i in range(ly - 1)]
+    gens += [perm(lambda r, c, i=i: (r, _swap(i, i + 1, c))) for i in range(lx - 1)]
+    if (lx == ly) if transpose is None else transpose:
+        gens.append(perm(lambda r, c: (c, r)))
+    identity = tuple(range(lx * ly))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[x] for x in p)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return sorted(seen)
+
+
+def brute_cycle_index(elements) -> dict:
+    """{cycle-length counts (b_1, ..., b_n): share of the elements}, from
+    walking the cycles of every listed permutation."""
+    types = Counter()
+    for p in elements:
+        counts = [0] * len(p)
+        seen = set()
+        for start in range(len(p)):
+            length, x = 0, start
+            while x not in seen:
+                seen.add(x)
+                x = p[x]
+                length += 1
+            if length:
+                counts[length - 1] += 1
+        types[tuple(counts)] += 1
+    return {t: Fraction(c, len(elements)) for t, c in types.items()}

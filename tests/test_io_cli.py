@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from cavityspin import io, jcmodel, linalg, spinmodel
+from cavityspin import io, jcmodel, linalg, spinmodel, symmetry
 from cavityspin.cli import main
 
 
@@ -170,6 +170,16 @@ def test_cli_usage_errors_exit_2(capsys):
                                     "--ly-ratios", "1"])
     assert code == 2
     assert "empty sweep grid" in json.loads(err)["error"]["message"]
+    # bad geometry flags are usage errors too
+    for argv, message in [
+        (["polya", "--lx", "3", "--ly", "2", "--transpose"], "square array"),
+        (["spin-ed", "--lx", "0", "--ly", "2", "--omega", "1.0",
+          "--lambda-a", "-0.1"], "dimensions must be >= 1"),
+    ]:
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        payload = json.loads(err)["error"]
+        assert payload["kind"] == "usage" and message in payload["message"]
 
 
 def test_cli_compute_errors_exit_1(capsys):
@@ -180,6 +190,18 @@ def test_cli_compute_errors_exit_1(capsys):
     assert code == 1 and out == ""
     payload = json.loads(err)
     assert payload["error"]["kind"] == "compute"
+
+
+def test_cli_polya_refuses_oversized_sector_before_enumerating(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("sector enumerated past the labelling guard")
+
+    monkeypatch.setattr(symmetry, "enumerate_masks", fail)
+    code, out, err = run_cli(capsys, ["polya", "--lx", "6", "--ly", "6", "--nexc", "7"])
+    assert code == 1 and out == ""
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == "compute"
+    assert payload["message"] == "sector dimension 8347680 too large to partition"
 
 
 def test_cli_solver_failure_is_compute_error(monkeypatch, capsys):

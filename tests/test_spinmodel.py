@@ -290,7 +290,7 @@ def test_symmetric_block_route_matches_full_sector_ed():
 
 @pytest.mark.parametrize("lx, ly, n_exc", [(9, 2, 3), (9, 2, 15), (17, 1, 4), (1, 17, 13)])
 def test_symmetric_block_route_past_sixteen_sites(lx, ly, n_exc):
-    # the labels need no materialized group; a single line is one class
+    # a single line is one class
     geom = ArrayGeometry(lx, ly)
     c = SpinCouplings(lambda_a=-0.11, lambda_b=-0.23, omega_at=0.9)
     spec, basis = spinmodel.sector_ground(geom, c, n_exc)

@@ -10,7 +10,7 @@ from cavityspin import spinmodel, symmetry
 from cavityspin.basis import SectorBasis
 from cavityspin.geometry import ArrayGeometry
 from cavityspin.params import SpinCouplings
-from oracles import brute_orbits
+from oracles import brute_cycle_index, brute_group, brute_orbits
 
 
 def test_group_orders():
@@ -27,18 +27,48 @@ def test_transpose_requires_square():
         symmetry.build_group(ArrayGeometry(3, 2), include_transpose=True)
 
 
-def test_materialization_cap():
+def test_no_site_cap():
     geom = ArrayGeometry(5, 4)
-    with pytest.raises(ValueError):
-        symmetry.build_group(geom)
-    gens_only = symmetry.build_group(geom, materialize=False)
-    assert gens_only.elements is None
-    with pytest.raises(ValueError):
-        _ = gens_only.order
-    with pytest.raises(ValueError):
-        symmetry.cycle_index(gens_only)
-    with pytest.raises(ValueError):
-        symmetry.orbits(gens_only, 1)
+    group = symmetry.build_group(geom)
+    assert group.order == 2880
+    classes = symmetry.orbits(group, 10)
+    assert symmetry.polya_count(group, 10) == len(classes) == 159
+    assert sum(c.size for c in classes) == comb(20, 10) == 184_756
+    line = symmetry.orbits(symmetry.build_group(ArrayGeometry(17, 1)), 3)
+    assert [c.size for c in line] == [comb(17, 3)]
+
+
+@pytest.mark.parametrize(
+    "lx, ly, transpose, total, at",
+    [
+        (4, 4, False, 317, None),
+        (5, 5, False, 5_624, None),
+        (6, 6, False, 251_610, None),
+        (7, 7, False, 33_642_660, None),
+        (5, 4, None, 1_053, None),
+        (6, 6, True, 127_757, (18, 15_331)),
+    ],
+)
+def test_cycle_index_totals_without_enumeration(lx, ly, transpose, total, at):
+    # n x n totals without transpose are OEIS A002724
+    group = symmetry.build_group(ArrayGeometry(lx, ly), transpose)
+    inventory = symmetry.cycle_index(group).pattern_inventory()
+    assert sum(inventory) == total
+    if at is not None:
+        assert inventory[at[0]] == at[1]
+
+
+@pytest.mark.parametrize("transpose", [None, False])
+@pytest.mark.parametrize(
+    "lx, ly",
+    [(1, 1), (2, 1), (1, 4), (3, 2), (4, 3), (6, 2), (2, 2), (3, 3), (4, 4)],
+)
+def test_closed_group_data_match_brute_group(lx, ly, transpose):
+    geom = ArrayGeometry(lx, ly)
+    group = symmetry.build_group(geom, transpose)
+    elements = brute_group(geom, transpose)
+    assert group.order == len(elements)
+    assert dict(symmetry.cycle_index(group).terms) == brute_cycle_index(elements)
 
 
 def test_cycle_type_known_permutations():
@@ -98,9 +128,10 @@ def test_polya_count_bounds():
 def test_orbits_match_brute_force_group_action(lx, ly, transpose):
     geom = ArrayGeometry(lx, ly)
     group = symmetry.build_group(geom, transpose)
+    elements = brute_group(geom, transpose)
     for n_exc in range(geom.n_sites + 1):
         classes = symmetry.orbits(group, n_exc)
-        ref = brute_orbits(group.elements, geom.n_sites, n_exc)
+        ref = brute_orbits(elements, geom.n_sites, n_exc)
         assert [(c.size, c.representative, c.members) for c in classes] == ref
         assert all(c.size * c.stabilizer_order == group.order for c in classes)
 
