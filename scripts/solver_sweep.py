@@ -10,12 +10,13 @@ Run from the root of a checkout:
 ``timing`` solves spin sectors (attractive and frustrated couplings) and JC
 sectors of dimension 50-4096 at k=1 on both paths and prints the best of a
 few repeats per path.  ``cold`` times fresh CLI processes that solve one
-sector of dimension 495-1001, once forced dense and once forced Lanczos
+sector of dimension 495-2002, once forced dense and once forced Lanczos
 (median of 7 each): the first Lanczos solve of a process also pays the
-import of ``scipy.sparse.linalg``.  ``linalg.DENSE_CUTOFF`` is read off
-these two tables.  The attractive ``cold`` rows measure what the CLI runs:
-forced to cutoff 0 they take the symmetric orbit block of
-``spinmodel.sector_ground``, not a full-sector Lanczos solve.
+import of ``scipy.sparse``, which a dense solve never makes.
+``linalg.DENSE_CUTOFF`` is read off these two tables.  The attractive
+``cold`` rows measure what the CLI runs: forced to cutoff 0 they take the
+symmetric orbit block of ``spinmodel.sector_ground``, not a full-sector
+Lanczos solve.
 
 ``agree`` solves every sector of 3x3, 4x3, 6x2, 5x3 and 7x2 with
 32 < dim <= 4096, at one attractive and two frustrated coupling pairs, once
@@ -118,6 +119,9 @@ COLD_CASES = (
     "spin-ed --lx 4 --ly 3 --lambda-a=0.1 --lambda-b=-0.3 --omega 1 --nexc 5",
     "spin-ed --lx 4 --ly 3 --lambda-a=0.1 --lambda-b=-0.3 --omega 1 --nexc 6",
     "spin-ed --lx 7 --ly 2 --lambda-a=0.1 --lambda-b=-0.3 --omega 1 --nexc 4",
+    "spin-ed --lx 5 --ly 3 --lambda-a=0.1 --lambda-b=-0.3 --omega 1 --nexc 4",
+    "spin-ed --lx 4 --ly 4 --lambda-a=0.1 --lambda-b=-0.3 --omega 1 --nexc 4",
+    "spin-ed --lx 7 --ly 2 --lambda-a=0.1 --lambda-b=-0.3 --omega 1 --nexc 5",
 )
 # runs the CLI with the cutoff forced to argv[1]
 COLD_MAIN = (

@@ -27,8 +27,9 @@ def sector_dimension(n_sites: int, n_exc: int) -> int:
 def enumerate_masks(n_sites: int, n_exc: int) -> np.ndarray:
     """All weight-``n_exc`` bitmasks on ``n_sites`` bits, ascending.
 
-    Uses the constant-time successor trick (lowest set block is advanced and
-    compacted) so the table is produced already sorted.
+    Built bit by bit: the weight-k table on n bits is the weight-k table on
+    n - 1 bits (top bit clear) followed by the weight-(k-1) table on n - 1
+    bits with the top bit set, so every table comes out already sorted.
     """
     if not 0 <= n_exc <= n_sites:
         raise ValueError(f"n_exc={n_exc} outside [0, {n_sites}]")
@@ -37,17 +38,18 @@ def enumerate_masks(n_sites: int, n_exc: int) -> np.ndarray:
     dim = comb(n_sites, n_exc)
     if dim > MAX_SECTOR_DIM:
         raise ValueError(f"sector dimension {dim} exceeds guard {MAX_SECTOR_DIM}")
-    out = np.empty(dim, dtype=np.int64)
-    if n_exc == 0:
-        out[0] = 0
-        return out
-    v = (1 << n_exc) - 1
-    for i in range(dim):
-        out[i] = v
-        low = v & -v
-        carry = v + low
-        v = carry | (((v ^ carry) >> 2) // low)
-    return out
+    # weight-k tables on the bits placed so far, for each k that can still
+    # reach n_exc with the bits left
+    empty = np.empty(0, dtype=np.int64)
+    tables = {0: np.zeros(1, dtype=np.int64)}
+    for n in range(n_sites):
+        top = np.int64(1) << n
+        low = max(0, n_exc - (n_sites - n - 1))
+        tables = {
+            k: np.concatenate([tables.get(k, empty), tables.get(k - 1, empty) | top])
+            for k in range(low, min(n + 1, n_exc) + 1)
+        }
+    return tables[n_exc]
 
 
 class MaskBlock(NamedTuple):

@@ -613,6 +613,8 @@ def _cmd_polya(args, cfg, seed: int) -> CommandResult:
 
 def _cmd_frustration_scan(args, cfg, seed: int) -> CommandResult:
     lx = _req(args, cfg, "lx", int)
+    if lx < 1:
+        raise UsageError(f"array dimensions must be >= 1, got lx={lx}")
     das = _nonempty(_req(args, cfg, "delta_a_ratios", _floats), "delta_a_ratios")
     etas = _nonempty(_req(args, cfg, "etas", _floats), "etas")
     ly_ratios = _nonempty(_req(args, cfg, "ly_ratios", _floats), "ly_ratios")

@@ -403,15 +403,15 @@ def superradiant_critical_g(
     mu = 0.0
     for n in range(1, sectors + 1):
         basis = JCBasis(geometry, n, n_max)
-        h = build_jc_hamiltonian(geometry, unit, basis).matrix.tocoo()
-        d = h.diagonal() - e_vac
+        h = build_jc_hamiltonian(geometry, unit, basis)
+        on = h.rows == h.cols
+        d = np.bincount(h.rows[on], weights=h.vals[on], minlength=basis.dim) - e_vac
         if d.min() <= 0.0:
             # a basis state already sits at or below the vacuum at any g
             raise ValueError("g_lo already past the crossing")
-        off = h.row != h.col
-        rows, cols = h.row[off], h.col[off]
+        rows, cols = h.rows[~on], h.cols[~on]
         w = operator_from_entries(
-            basis.dim, rows, cols, h.data[off] / np.sqrt(d[rows] * d[cols])
+            basis.dim, rows, cols, h.vals[~on] / np.sqrt(d[rows] * d[cols])
         )
         spec = ground_state(w, seed=seed)
         if not spec.converged:

@@ -1,19 +1,26 @@
 """Sparse operator container and low-lying eigensolvers.
 
-Small problems (dimension <= DENSE_CUTOFF) go through dense ``eigh``.  Larger
-ones use ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``)
-in deflated rounds until the lowest degeneracy cluster is provably closed.
-Both paths return every copy of the lowest level, and residual norms
+An operator is its ``(rows, cols, vals)`` entries and its dimension.  Small
+problems (dimension <= DENSE_CUTOFF) fill a numpy array from the entries and
+go through dense ``eigh``.  Larger ones use ARPACK's implicitly restarted
+Lanczos (``scipy.sparse.linalg.eigsh``) on the CSR ``matrix``, built on first
+use, in deflated rounds until the lowest degeneracy cluster is provably
+closed.  Both paths return every copy of the lowest level, and residual norms
 ``|H v - E v|`` are reported for every pair.
+
+Only the Lanczos path, ``nnz`` and ``symmetry_defect`` import scipy, so a
+process whose solves are all dense (and one that solves nothing) runs on
+numpy alone.  The first Lanczos solve of a process pays for the whole
+``scipy.sparse`` import.
 
 The cutoff comes from ``scripts/solver_sweep.py`` on 2 cores.  In one
 process (``timing``: spin sectors at attractive and frustrated couplings and
 JC sectors of dimension 66-3432, k=1) Lanczos is faster in every case from
 dimension 455 up (3432: 2.9 s dense, 0.008-0.05 s Lanczos), by at most
-12 ms per solve below 792.  But the first Lanczos solve of a process also
-imports ``scipy.sparse.linalg`` (30-60 ms), so a fresh CLI process solving
-one sector (``cold``) is 20-27 ms slower on Lanczos at dimension 495-620,
-and even or faster at 792-924.
+12 ms per solve below 792.  A fresh CLI process solving one sector
+(``cold``) pays the scipy import only on Lanczos: that is 0.24-0.30 s slower
+at dimension 495-1001 and 0.09 s slower at 1365, and faster from 1820 up
+(0.67 s against 0.98 s dense).
 
 Attractive spin sectors past the cutoff reach this module as their small
 orbit-sum block (``spinmodel.sector_ground``): the operator is the block,
@@ -23,9 +30,9 @@ usually far below the cutoff, and the sector never becomes a matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 DENSE_CUTOFF = 700
 RESIDUAL_TOL = 1e-10
@@ -35,13 +42,22 @@ CLOSING_ROUNDS = 2
 
 @dataclass
 class SparseOperator:
-    """Real symmetric operator stored in compressed sparse row form."""
+    """Real symmetric operator held as its entries; duplicates add up."""
 
-    matrix: sp.csr_matrix
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    @cached_property
+    def matrix(self):
+        """The operator in compressed sparse row form (imports scipy)."""
+        import scipy.sparse as sp
+
+        m = sp.coo_matrix((self.vals, (self.rows, self.cols)), shape=(self.dim, self.dim))
+        m = m.tocsr()
+        m.sum_duplicates()
+        return m
 
     @property
     def nnz(self) -> int:
@@ -51,7 +67,9 @@ class SparseOperator:
         return self.matrix @ v
 
     def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        h = np.zeros((self.dim, self.dim))
+        np.add.at(h, (self.rows, self.cols), self.vals)
+        return h
 
     def symmetry_defect(self) -> float:
         """Largest |H - H^T| entry; zero for an exactly symmetric assembly."""
@@ -60,9 +78,12 @@ class SparseOperator:
 
 
 def operator_from_entries(dim, rows, cols, vals) -> SparseOperator:
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-    m.sum_duplicates()
-    return SparseOperator(matrix=m)
+    return SparseOperator(
+        dim,
+        np.asarray(rows, dtype=np.intp),
+        np.asarray(cols, dtype=np.intp),
+        np.asarray(vals, dtype=float),
+    )
 
 
 @dataclass
@@ -126,13 +147,15 @@ def ground_state(
 
 
 def _dense_lowest(op: SparseOperator, k: int) -> SpectrumResult:
-    vals, vecs = np.linalg.eigh(op.to_dense())
+    h = op.to_dense()
+    vals, vecs = np.linalg.eigh(h)
     n = max(k, _lowest_cluster_size(vals))
-    return _result(op, vals[:n], vecs[:, :n], "dense")
+    return _result(h, vals[:n], vecs[:, :n], "dense")
 
 
-def _result(op: SparseOperator, vals, vecs, method: str) -> SpectrumResult:
-    r = np.linalg.norm(op.matrix @ vecs - vecs * vals[None, :], axis=0)
+def _result(h, vals, vecs, method: str) -> SpectrumResult:
+    """Pairs of ``h`` (a dense array or the CSR matrix) with residual norms."""
+    r = np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
     # dense eigh is backward stable; only the iterative path can fall short
     converged = method == "dense" or bool(
         np.all(r <= RESIDUAL_TOL * np.maximum(1.0, np.abs(vals)))
@@ -187,12 +210,14 @@ def _lanczos_lowest(op: SparseOperator, k: int, *, seed: int) -> SpectrumResult:
             # once every pair is found the round returns sigma + lambda_min
             above = above + 1 if theta.min() > vals[_lowest_cluster_size(vals) - 1] else 0
     n = max(k, _lowest_cluster_size(vals))
-    return _result(op, vals[:n], vecs[:, :n], "lanczos")
+    return _result(op.matrix, vals[:n], vecs[:, :n], "lanczos")
 
 
-def _perron_frobenius_simple(matrix: sp.csr_matrix) -> bool:
-    """True when every off-diagonal entry is <= 0 and the nonzero pattern is
-    connected: then the lowest eigenvalue is simple (Perron-Frobenius)."""
+def _perron_frobenius_simple(matrix) -> bool:
+    """True when every off-diagonal entry of a CSR matrix is <= 0 and the
+    nonzero pattern is connected: then the lowest eigenvalue is simple
+    (Perron-Frobenius)."""
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
     off = sp.triu(matrix, k=1, format="csr")

@@ -11,6 +11,7 @@ block taken out of them is made dense.
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -263,3 +264,18 @@ def brute_cycle_index(elements) -> dict:
                 counts[length - 1] += 1
         types[tuple(counts)] += 1
     return {t: Fraction(c, len(elements)) for t, c in types.items()}
+
+
+def successor_masks(n_sites: int, n_exc: int) -> np.ndarray:
+    """Weight-``n_exc`` bitmasks in ascending order from the constant-time
+    successor step (Gosper's hack: advance the lowest block of set bits and
+    compact the rest to the bottom), one mask per Python iteration."""
+    out = np.empty(comb(n_sites, n_exc), dtype=np.int64)
+    v = (1 << n_exc) - 1
+    for i in range(len(out)):
+        out[i] = v
+        if v:
+            low = v & -v
+            carry = v + low
+            v = carry | (((v ^ carry) >> 2) // low)
+    return out

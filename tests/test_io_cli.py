@@ -3,9 +3,14 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cavityspin
 from cavityspin import io, jcmodel, linalg, spinmodel, symmetry
 from cavityspin.cli import main
 
@@ -175,6 +180,8 @@ def test_cli_usage_errors_exit_2(capsys):
         (["polya", "--lx", "3", "--ly", "2", "--transpose"], "square array"),
         (["spin-ed", "--lx", "0", "--ly", "2", "--omega", "1.0",
           "--lambda-a", "-0.1"], "dimensions must be >= 1"),
+        (["frustration-scan", "--lx", "0", "--delta-a-ratios", "1",
+          "--etas=-3", "--ly-ratios", "1"], "dimensions must be >= 1"),
     ]:
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
@@ -420,3 +427,63 @@ def test_cli_seed_changes_nothing_semantic(capsys):
     t1, t2 = io.parse_csv(out1), io.parse_csv(out2)
     i = t1.columns.index("energy")
     assert t1.rows[0][i] == pytest.approx(t2.rows[0][i], abs=1e-11)
+
+
+# runs cli.main on each argv of the JSON list in argv[1], then prints the exit
+# codes and every scipy module the process imported
+FRESH_CLI = """
+import json, sys
+from cavityspin.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        codes.append(main(argv))
+    except SystemExit as exc:  # --help
+        codes.append(exc.code)
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def _fresh_cli(argvs):
+    src = str(Path(cavityspin.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_CLI, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_dense_and_no_solve_commands_never_import_scipy():
+    argvs = [
+        ["--help"],
+        ["derive-params", "--omega", "1.0", "--g0", "0.05", "--rabi", "4.0",
+         "--delta-e", "60", "--delta-a", "30", "--eta=-3"],
+        ["analytic-1d", "--omega", "1.0", "--lam=-0.05", "--delta", "2.0", "--n", "4"],
+        ["meanfield", "--lx", "18", "--ly", "18", "--delta", "30", "--omega", "1",
+         "--g=0.9,1.83"],
+        ["polya", "--lx", "3", "--ly", "3", "--nexc", "0,1,2,3,4"],
+        ["frustration-scan", "--lx", "10", "--delta-a-ratios", "0.4,0.6",
+         "--etas=-3,-5", "--ly-ratios", "1,3"],
+        ["spin-ed", "--lx", "3", "--ly", "3", "--lambda-a=-0.15", "--lambda-b=-0.08",
+         "--omega", "0.7", "--nexc", "0,1,2"],
+        ["crossover", "--lx", "2", "--ly", "2", "--omega", "1", "--delta-ratios", "20,40"],
+        # past the dense cutoff, routed to the small symmetric orbit block
+        ["spin-ed", "--lx", "5", "--ly", "4", "--lambda-a=-0.15", "--lambda-b=-0.07",
+         "--omega", "1", "--nexc", "10"],
+    ]
+    assert _fresh_cli(argvs) == {"codes": [0] * len(argvs), "scipy": []}
+
+
+def test_cli_lanczos_solve_imports_scipy_and_converges():
+    # frustrated 4x4 n=8: dim 12870, full-sector Lanczos; an unconverged
+    # solve would be a compute error with exit 1
+    argv = ["spin-ed", "--lx", "4", "--ly", "4", "--lambda-a=0.1", "--lambda-b=-0.3",
+            "--omega", "1", "--nexc", "8"]
+    result = _fresh_cli([argv])
+    assert result["codes"] == [0]
+    assert "scipy.sparse.linalg" in result["scipy"]
