@@ -4,6 +4,7 @@ A sector with ``n_exc`` raised spins out of ``n_sites`` is the set of all
 bitmasks of that Hamming weight, stored in ascending integer order.  A
 state's rank is its index in that table, found by a vectorized binary search
 (one mask or many); a mask outside the sector is an error, never an index.
+The model's one hop rule, :func:`line_moves`, acts on these tables.
 """
 
 from __future__ import annotations
@@ -50,6 +51,28 @@ def enumerate_masks(n_sites: int, n_exc: int) -> np.ndarray:
             for k in range(low, min(n + 1, n_exc) + 1)
         }
     return tables[n_exc]
+
+
+def line_moves(
+    geometry: ArrayGeometry, states: np.ndarray, kind: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every single-excitation move along the rows (``kind="row"``) or the
+    columns (``kind="col"``) out of the given configurations.
+
+    Returns the index in ``states`` of each move's source and the mask it
+    moves to: one raised spin trades places with a lowered one on the same
+    line.  This is the hop rule of the model; every sector matrix, orbit
+    block and pair correlation uses it.
+    """
+    src = [np.empty(0, dtype=np.int64)]
+    dst = [np.empty(0, dtype=np.int64)]
+    for s, t, line in geometry.line_pairs():
+        if line != kind:
+            continue
+        sel = np.nonzero(((states >> s) & 1) != ((states >> t) & 1))[0]
+        src.append(sel)
+        dst.append(states[sel] ^ np.int64((1 << s) | (1 << t)))
+    return np.concatenate(src), np.concatenate(dst)
 
 
 class MaskBlock(NamedTuple):

@@ -141,6 +141,15 @@ def _nonempty(grid: list, name: str) -> list:
     return grid
 
 
+def _sectors(values: list[int], name: str, top: float = math.inf) -> list[int]:
+    """A non-empty ``--nexc`` or ``--ntotal`` list, every sector in
+    [0, top]: checked before any solve, so a bad one is a usage error."""
+    for n in _nonempty(values, name):
+        if not 0 <= n <= top:
+            raise UsageError(f"n_{name[1:]}={n} outside [0, {top}]")
+    return values
+
+
 def _geometry(args, cfg) -> ArrayGeometry:
     lx = _req(args, cfg, "lx", int)
     ly = _req(args, cfg, "ly", int)
@@ -301,12 +310,9 @@ def _cmd_derive_params(args, cfg, seed: int) -> CommandResult:
 def _cmd_spin_ed(args, cfg, seed: int) -> CommandResult:
     geom = _geometry(args, cfg)
     couplings, _, level = _resolve_level(args, cfg, need_modes=False)
-    nexc = _nonempty(_req(args, cfg, "nexc", _ints), "nexc")
+    nexc = _sectors(_req(args, cfg, "nexc", _ints), "nexc", geom.n_sites)
     shift = _bool(args, cfg, "shift", True)
     _opt(args, cfg, "k", int)  # accepted no-op: every solve returns the ground cluster
-    for n in nexc:
-        if not 0 <= n <= geom.n_sites:
-            raise UsageError(f"n_exc={n} outside [0, {geom.n_sites}]")
     rows = []
     for n in nexc:
         spec, basis = sector_ground(
@@ -337,8 +343,7 @@ def _cmd_jc_ed(args, cfg, seed: int) -> CommandResult:
     ntotal = _opt(args, cfg, "ntotal", _ints)
     rows = []
     if ntotal is not None:
-        _nonempty(ntotal, "ntotal")
-        for n in ntotal:
+        for n in _sectors(ntotal, "ntotal"):
             spec, basis = jc_sector_ground(geom, jc, n, n_max=n_max, seed=seed)
             rows.append((n, basis.dim, spec.ground_energy, None))
     else:
@@ -452,7 +457,7 @@ def _cmd_excitation_curve(args, cfg, seed: int) -> CommandResult:
 def _cmd_correlations(args, cfg, seed: int) -> CommandResult:
     geom = _geometry(args, cfg)
     couplings, _, level = _resolve_level(args, cfg, need_modes=False)
-    nexc = _nonempty(_req(args, cfg, "nexc", _ints), "nexc")
+    nexc = _sectors(_req(args, cfg, "nexc", _ints), "nexc", geom.n_sites)
     jc_ratio = _opt(args, cfg, "jc_delta_ratio", float)
     _opt(args, cfg, "k", int)  # accepted no-op: every solve returns the ground cluster
     rows = []
@@ -574,7 +579,7 @@ def _cmd_polya(args, cfg, seed: int) -> CommandResult:
     nexc = _opt(args, cfg, "nexc", _ints)
     if nexc is None:
         nexc = list(range(geom.n_sites + 1))
-    _nonempty(nexc, "nexc")
+    _sectors(nexc, "nexc", geom.n_sites)
     transpose = _bool(args, cfg, "transpose", None)
     if transpose and geom.lx != geom.ly:
         raise UsageError("transpose requires a square array")
@@ -582,8 +587,6 @@ def _cmd_polya(args, cfg, seed: int) -> CommandResult:
     inventory = cycle_index(group).pattern_inventory()
     rows = []
     for n in nexc:
-        if not 0 <= n <= geom.n_sites:
-            raise UsageError(f"n_exc={n} outside [0, {geom.n_sites}]")
         classes = orbits(group, n)
         count = inventory[n]
         if count != len(classes):

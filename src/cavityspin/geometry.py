@@ -9,7 +9,7 @@ couples to exactly two modes.  Sites are indexed ``s = col + lx * row`` with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -47,18 +47,6 @@ class ArrayGeometry:
     def col_sites(self, col: int) -> list[int]:
         return [self.site(row, col) for row in range(self.ly)]
 
-    def same_line(self, s: int, t: int) -> Optional[str]:
-        """'row' / 'col' if the two distinct sites share that line, else None."""
-        ri, ci = self.row_col(s)
-        rj, cj = self.row_col(t)
-        if s == t:
-            return None
-        if ri == rj:
-            return "row"
-        if ci == cj:
-            return "col"
-        return None
-
     def line_pairs(self) -> Iterator[tuple[int, int, str]]:
         """Unordered site pairs sharing a row or a column, each pair once."""
         for row in range(self.ly):
@@ -71,19 +59,6 @@ class ArrayGeometry:
             for a in range(self.ly):
                 for b in range(a + 1, self.ly):
                     yield sites[a], sites[b], "col"
-
-    def nn_pairs(self) -> list[tuple[int, int]]:
-        """Pairs coupled by the effective interaction (shared row or column)."""
-        return [(s, t) for s, t, _ in self.line_pairs()]
-
-    def nnn_pairs(self) -> list[tuple[int, int]]:
-        """Pairs sharing neither a row nor a column."""
-        out = []
-        for s in range(self.n_sites):
-            for t in range(s + 1, self.n_sites):
-                if self.same_line(s, t) is None:
-                    out.append((s, t))
-        return out
 
     def transpose(self) -> "ArrayGeometry":
         return ArrayGeometry(lx=self.ly, ly=self.lx)

@@ -7,14 +7,20 @@ inner dimension 1; a :class:`~cavityspin.jcmodel.JCBasis` has one block per
 raised-spin count, whose inner dimension is its photon-configuration count.
 Summing over the inner index traces the photons out, so occupations and
 two-point spin correlations of either model come from the same loops.
+Pair correlations are never formed pair by pair: the shared-line sum comes
+from the moves of the hop rule (``basis.line_moves``) and the all-pairs sum
+from the lowering operator ``S- = sum_s sigma-_s``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator, Optional
 
 import numpy as np
+
+from .basis import enumerate_masks, line_moves
 
 
 def block_segments(vectors: np.ndarray, basis) -> Iterator[tuple[object, np.ndarray]]:
@@ -39,31 +45,6 @@ def site_occupations(vectors: np.ndarray, basis) -> np.ndarray:
     return occ
 
 
-def pair_correlations(vectors: np.ndarray, basis) -> np.ndarray:
-    """Matrix ``C[s, t] = <sigma^+_s sigma^-_t>`` averaged over given vectors.
-
-    ``vectors`` holds an orthonormal (near-)degenerate multiplet as columns;
-    the average is the normalized projector trace, so the result does not
-    depend on the basis chosen inside the multiplet.  Diagonal entries are
-    site occupations.
-    """
-    n_sites = basis.geometry.n_sites
-    c = np.diag(site_occupations(vectors, basis))
-    for blk, seg in block_segments(vectors, basis):
-        masks = blk.masks
-        for s in range(n_sites):
-            for t in range(n_sites):
-                if s == t:
-                    continue
-                sel = np.nonzero(((masks >> t) & 1 == 1) & ((masks >> s) & 1 == 0))[0]
-                if len(sel) == 0:
-                    continue
-                flip = np.int64((1 << s) | (1 << t))
-                partner = np.searchsorted(masks, masks[sel] ^ flip)
-                c[s, t] += float((seg[partner] * seg[sel]).sum() / seg.shape[2])
-    return c
-
-
 @dataclass(frozen=True)
 class CorrelationResult:
     """Row/column-partner vs unshared-pair correlation averages.
@@ -85,18 +66,47 @@ def multiplet_correlations(spectrum, basis) -> CorrelationResult:
 
     NN pairs share a row or column (the pairs the interaction couples);
     NNN pairs share neither.  In a fixed sector single-spin coherences
-    vanish, so raw and connected correlators coincide.  Undefined (ratio
-    ``None``) when the NN average is zero, as in the empty and the fully
+    vanish, so raw and connected correlators coincide, and for real vectors
+    ``<sigma+_s sigma-_t>`` is symmetric in s and t.  Two identities give
+    the pair sums without visiting pairs:
+
+    * the NN sum is half the expectation of the 0/1 hop matrix, one term
+      per move of :func:`~cavityspin.basis.line_moves`;
+    * the sum over all ordered pairs ``s != t`` is ``||S- v||^2 - n``,
+      with ``S-`` mapping each block onto the masks of one raised spin
+      fewer at the same inner index.
+
+    An array with no pair of a kind averages to 0.0.  Undefined (ratio
+    ``None``) when the NN average is zero up to round-off (``|sigma_nn| <=
+    1e-12``, against ``sigma <= n/N <= 1``), as in the empty and the fully
     excited spin sector.
     """
     geometry = basis.geometry
     multiplet = spectrum.ground_multiplet()
-    c = pair_correlations(multiplet, basis)
-    sigma_nn, sigma_nnn = (
-        float(np.mean([c[s, t] for s, t in pairs])) if pairs else 0.0
-        for pairs in (geometry.nn_pairs(), geometry.nnn_pairs())
-    )
-    ratio = sigma_nnn / sigma_nn if sigma_nn != 0.0 else None
+    n_sites = geometry.n_sites
+    hops = 0.0  # <A>, A the 0/1 matrix of row and column moves
+    ordered = 0.0  # sum over ordered pairs s != t
+    for blk, seg in block_segments(multiplet, basis):
+        for kind in ("row", "col"):
+            src, dst = line_moves(geometry, blk.masks, kind)
+            hops += float((seg[src] * seg[np.searchsorted(blk.masks, dst)]).sum())
+        n_exc = int(blk.masks[0]).bit_count()
+        if n_exc == 0:
+            continue
+        lowered = enumerate_masks(n_sites, n_exc - 1)
+        image = np.zeros((len(lowered),) + seg.shape[1:])
+        for s in range(n_sites):
+            sel = np.nonzero((blk.masks >> s) & 1)[0]
+            lower = blk.masks[sel] ^ np.int64(1 << s)  # one image per s: no collisions
+            image[np.searchsorted(lowered, lower)] += seg[sel]
+        ordered += float((image**2).sum() - n_exc * (seg**2).sum())
+    lx, ly = geometry.lx, geometry.ly
+    n_nn = ly * comb(lx, 2) + lx * comb(ly, 2)
+    n_nnn = 2 * comb(lx, 2) * comb(ly, 2)
+    scale = 2.0 * multiplet.shape[1]  # ordered sums to unordered pairs, per column
+    sigma_nn = hops / (scale * n_nn) if n_nn else 0.0
+    sigma_nnn = (ordered - hops) / (scale * n_nnn) if n_nnn else 0.0
+    ratio = sigma_nnn / sigma_nn if abs(sigma_nn) > 1e-12 else None
     return CorrelationResult(
         sigma_nn=sigma_nn,
         sigma_nnn=sigma_nnn,

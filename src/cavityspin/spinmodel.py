@@ -7,7 +7,8 @@ two pieces:
 * a uniform diagonal ``(omega_at/2 + [lambda_a + lambda_b]) * (2 n_exc - N)``
   coming from the splitting plus (optionally) the static coupling shift;
 * an excitation-hopping interaction moving one raised spin between two sites
-  that share a row (amplitude ``2 lambda_a``) or a column (``2 lambda_b``).
+  that share a row (amplitude ``2 lambda_a``) or a column (``2 lambda_b``),
+  the moves of the one hop rule ``basis.line_moves``.
 
 Ground energies per sector give level crossings (superradiant steps), and
 ground vectors give two-point spin correlations.
@@ -18,9 +19,9 @@ ground state is unique and invariant under every row and every column
 permutation.  :func:`sector_ground` then solves for that one pair on the
 block of normalized orbit sums under S_Ly x S_Lx (159 classes for the
 184 756 states of 5x4 n=10) whenever the sector is past the dense cutoff,
-and expands the block vector back onto the sector basis.  Every other case,
-and every request for more than the ground pair, is solved on the full
-sector matrix.
+built from the row and column class hop counts of ``symmetry``, and expands
+the block vector back onto the sector basis.  Every other case, and every
+request for more than the ground pair, is solved on the full sector matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import SectorBasis, sector_dimension
+from .basis import SectorBasis, line_moves, sector_dimension
 from .geometry import ArrayGeometry
 from .linalg import (
     SparseOperator,
@@ -40,27 +41,7 @@ from .linalg import (
 )
 from .observables import CorrelationResult, multiplet_correlations, site_occupations
 from .params import SpinCouplings
-
-
-def _line_moves(
-    geometry: ArrayGeometry, states: np.ndarray, kind: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every single-excitation move along the rows (``kind="row"``) or the
-    columns (``kind="col"``) out of the given configurations.
-
-    Returns the index in ``states`` of each move's source and the mask it
-    moves to: one raised spin trades places with a lowered one on the same
-    line.  This is the hop rule of the model; every matrix here uses it.
-    """
-    src = [np.empty(0, dtype=np.int64)]
-    dst = [np.empty(0, dtype=np.int64)]
-    for s, t, line in geometry.line_pairs():
-        if line != kind:
-            continue
-        sel = np.nonzero(((states >> s) & 1) != ((states >> t) & 1))[0]
-        src.append(sel)
-        dst.append(states[sel] ^ np.int64((1 << s) | (1 << t)))
-    return np.concatenate(src), np.concatenate(dst)
+from .symmetry import MAX_LABELLED_DIM, _orbit_labels, build_group, class_hop_counts
 
 
 def _diagonal(
@@ -97,7 +78,7 @@ def build_sector_hamiltonian(
     for kind, a in (("row", 2.0 * couplings.lambda_a), ("col", 2.0 * couplings.lambda_b)):
         if a == 0.0:
             continue
-        src, dst = _line_moves(geometry, basis.states, kind)
+        src, dst = line_moves(geometry, basis.states, kind)
         rows.append(src)
         cols.append(basis.bulk_rank(dst))
         vals.append(np.full(len(src), a))
@@ -112,30 +93,6 @@ def build_sector_hamiltonian(
     return operator_from_entries(
         basis.dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     )
-
-
-def class_hop_counts(
-    geometry: ArrayGeometry,
-    masks: np.ndarray,
-    which: np.ndarray,
-    representatives: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integer row and column move counts between orbit classes.
-
-    ``masks`` is the sorted sector table, ``which`` the class index of each
-    of its states and ``representatives[i]`` one mask of class i.  Entry
-    ``[i, j]`` counts the moves from that representative into class j.
-    Under row and column permutations every member of a class has the same
-    counts; a group that also transposes keeps only their sum well defined.
-    """
-    k = len(representatives)
-    out = []
-    for kind in ("row", "col"):
-        src, dst = _line_moves(geometry, representatives, kind)
-        counts = np.zeros((k, k), dtype=np.int64)
-        np.add.at(counts, (src, which[np.searchsorted(masks, dst)]), 1)
-        out.append(counts)
-    return out[0], out[1]
 
 
 def hop_count(geometry: ArrayGeometry, mask: int) -> int:
@@ -174,7 +131,6 @@ def _takes_symmetric_block(
     Perron-Frobenius ground pair of a sector past the dense cutoff that the
     orbit labelling can hold."""
     from .linalg import DENSE_CUTOFF  # read at call time: scripts may reset it
-    from .symmetry import MAX_LABELLED_DIM  # symmetry imports this module
 
     dim = sector_dimension(geometry.n_sites, n_exc)
     return (
@@ -202,8 +158,6 @@ def _symmetric_block_ground(
     sector vector with amplitude ``c_i / sqrt(s_i)`` on every member of
     class i, and its residual is the block residual.
     """
-    from .symmetry import _orbit_labels, build_group  # symmetry imports this module
-
     group = build_group(geometry, include_transpose=False)
     labels = _orbit_labels(group, basis.states)
     reps, which, sizes = np.unique(labels, return_inverse=True, return_counts=True)

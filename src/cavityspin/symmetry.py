@@ -12,8 +12,8 @@ part of the spectrum, including the ground state for attractive couplings.
 The group is held as generators: orbit labels come from generator images,
 the order and the cycle index from closed forms, so sectors of up to
 ``MAX_LABELLED_DIM`` states are partitioned on any array.  The hop counts
-between classes come from ``spinmodel.class_hop_counts``, the model's one
-hop rule.
+between classes come from :func:`class_hop_counts`, which applies the
+model's one hop rule, ``basis.line_moves``.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import SectorBasis, enumerate_masks
+from .basis import SectorBasis, enumerate_masks, line_moves
 from .geometry import ArrayGeometry
 from .params import SpinCouplings
-from .spinmodel import class_hop_counts
 
 MAX_LABELLED_DIM = 2_000_000
 
@@ -293,6 +292,30 @@ def _orbit_table(
 def orbits(group: PermutationGroup, n_exc: int) -> list[OrbitClass]:
     """Partition of the sector into orbit classes, sorted by (size, rep)."""
     return _orbit_table(group, n_exc)[0]
+
+
+def class_hop_counts(
+    geometry: ArrayGeometry,
+    masks: np.ndarray,
+    which: np.ndarray,
+    representatives: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integer row and column move counts between orbit classes.
+
+    ``masks`` is the sorted sector table, ``which`` the class index of each
+    of its states and ``representatives[i]`` one mask of class i.  Entry
+    ``[i, j]`` counts the moves from that representative into class j.
+    Under row and column permutations every member of a class has the same
+    counts; a group that also transposes keeps only their sum well defined.
+    """
+    k = len(representatives)
+    out = []
+    for kind in ("row", "col"):
+        src, dst = line_moves(geometry, representatives, kind)
+        counts = np.zeros((k, k), dtype=np.int64)
+        np.add.at(counts, (src, which[np.searchsorted(masks, dst)]), 1)
+        out.append(counts)
+    return out[0], out[1]
 
 
 @dataclass(frozen=True)

@@ -279,3 +279,32 @@ def successor_masks(n_sites: int, n_exc: int) -> np.ndarray:
             carry = v + low
             v = carry | (((v ^ carry) >> 2) // low)
     return out
+
+
+def pair_loop_correlations(vectors: np.ndarray, basis):
+    """(sigma_nn, sigma_nnn) of the given multiplet columns from the
+    per-pair loop: ``C[s, t] = <sigma+_s sigma-_t>`` built one ordered site
+    pair at a time (one mask selection and one binary search each), then
+    averaged over the shared-line and the unshared pairs.  Works on any
+    basis with mask blocks, so both models share it."""
+    n = basis.geometry.n_sites
+    columns = vectors.shape[1]
+    c = np.zeros((n, n))
+    for blk in basis.blocks:
+        masks = blk.masks
+        seg = vectors[blk.offset : blk.offset + len(masks) * blk.inner]
+        seg = seg.reshape(len(masks), blk.inner, columns)
+        for s in range(n):
+            for t in range(n):
+                if s == t:
+                    continue
+                sel = np.nonzero(((masks >> t) & 1 == 1) & ((masks >> s) & 1 == 0))[0]
+                if len(sel) == 0:
+                    continue
+                partner = np.searchsorted(masks, masks[sel] ^ np.int64((1 << s) | (1 << t)))
+                c[s, t] += float((seg[partner] * seg[sel]).sum() / columns)
+    nn, nnn = independent_pair_classes(basis.geometry.lx, basis.geometry.ly)
+    return tuple(
+        float(np.mean([c[s, t] for s, t in pairs])) if pairs else 0.0
+        for pairs in (nn, nnn)
+    )

@@ -182,11 +182,35 @@ def test_cli_usage_errors_exit_2(capsys):
           "--lambda-a", "-0.1"], "dimensions must be >= 1"),
         (["frustration-scan", "--lx", "0", "--delta-a-ratios", "1",
           "--etas=-3", "--ly-ratios", "1"], "dimensions must be >= 1"),
+        # sectors are range-checked before any solve
+        (["correlations", "--lx", "2", "--ly", "2", "--omega", "1",
+          "--lambda-a=-0.1", "--nexc", "7"], "n_exc=7 outside [0, 4]"),
+        (["correlations", "--lx", "2", "--ly", "2", "--omega", "1",
+          "--lambda-a=-0.1", "--nexc=-1"], "n_exc=-1 outside [0, 4]"),
+        (["spin-ed", "--lx", "2", "--ly", "2", "--omega", "1",
+          "--lambda-a=-0.1", "--nexc", "2,5"], "n_exc=5 outside [0, 4]"),
+        (["polya", "--lx", "2", "--ly", "2", "--nexc", "5"], "n_exc=5 outside"),
+        (["jc-ed", "--lx", "2", "--ly", "2", "--omega", "1", "--delta-a", "6",
+          "--g", "0.4", "--ntotal=-1"], "n_total=-1 outside"),
     ]:
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
         payload = json.loads(err)["error"]
         assert payload["kind"] == "usage" and message in payload["message"]
+
+
+@pytest.mark.parametrize("lx, ly, n_exc", [(2, 2, 1), (3, 2, 5), (6, 2, 9)])
+def test_cli_round_off_sigma_nn_leaves_the_ratio_empty(capsys, lx, ly, n_exc):
+    # row partners give -1/4 and column partners +1/4: sigma_nn is exactly 0,
+    # so a round-off remainder must not be printed as a ratio
+    code, out, _ = run_cli(
+        capsys,
+        ["correlations", "--lx", str(lx), "--ly", str(ly), "--omega", "1",
+         "--lambda-a", "0.1", "--lambda-b=-0.3", "--nexc", str(n_exc)],
+    )
+    assert code == 0
+    (row,) = io.parse_csv(out).rows
+    assert abs(row[2]) <= 1e-12 and row[4] is None
 
 
 def test_cli_compute_errors_exit_1(capsys):

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cavityspin import linalg, spinmodel
+from cavityspin import jcmodel, linalg, spinmodel
 from cavityspin.basis import SectorBasis
 from cavityspin.geometry import ArrayGeometry
-from cavityspin.params import SpinCouplings
+from cavityspin.params import EffectiveJCParams, SpinCouplings
 
 from oracles import (
     dense_spin_full,
     dense_spin_sector,
+    pair_loop_correlations,
     sector_block,
     sector_masks,
     spin_correlation_reference,
@@ -231,6 +232,57 @@ def test_correlations_undefined_at_sector_edges():
         assert res.ratio is None
         assert res.sigma_nn == 0.0 and res.sigma_nnn == 0.0
         assert res.multiplet_size == 1 and not res.cluster_truncated
+
+
+def test_correlations_on_arrays_without_unshared_pairs():
+    # a single row or column has no NNN pair, and n = 0 or N has no move:
+    # those averages are exactly 0.0, not a 0/0
+    c = SpinCouplings(lambda_a=-0.1, lambda_b=-0.07, omega_at=1.0)
+    for lx, ly in [(1, 1), (1, 4), (4, 1)]:
+        geom = ArrayGeometry(lx, ly)
+        for n_exc in range(geom.n_sites + 1):
+            spec, basis = spinmodel.sector_ground(geom, c, n_exc)
+            res = spinmodel.correlation_ratio(spec, basis)
+            assert res.sigma_nnn == 0.0
+            if n_exc in (0, geom.n_sites):
+                assert res.sigma_nn == 0.0 and not res.defined
+
+
+def _kernel_cases():
+    """(spectrum, basis) pairs for the pair-sum kernel: whole small arrays
+    at an attractive and a frustrated pair, the Lanczos 3-fold 4x4 n=5
+    level, a routed 4x4 n=8 sector and JC sectors."""
+    for lx, ly in [(1, 1), (1, 5), (5, 1), (2, 2), (3, 2), (4, 3)]:
+        geom = ArrayGeometry(lx, ly)
+        for la, lb in [(-0.14, -0.063), (0.1, -0.3)]:
+            c = SpinCouplings(lambda_a=la, lambda_b=lb, omega_at=1.0)
+            for n_exc in range(geom.n_sites + 1):
+                yield spinmodel.sector_ground(geom, c, n_exc)
+    geom = ArrayGeometry(4, 4)
+    spec, basis = spinmodel.sector_ground(
+        geom, SpinCouplings(lambda_a=0.1, lambda_b=-0.3, omega_at=1.0), 5
+    )
+    assert spec.method == "lanczos" and spec.ground_multiplet().shape[1] == 3
+    yield spec, basis
+    spec, basis = spinmodel.sector_ground(
+        geom, SpinCouplings(lambda_a=-0.12, lambda_b=-0.05, omega_at=1.0), 8
+    )
+    assert spec.method == "symmetric-block"
+    yield spec, basis
+    jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=4.0)
+    for lx, ly in [(2, 2), (3, 2)]:
+        for n_total in range(4):
+            yield jcmodel.jc_sector_ground(ArrayGeometry(lx, ly), jc, n_total)
+
+
+def test_pair_sums_match_the_per_pair_loop():
+    for spec, basis in _kernel_cases():
+        res = spinmodel.correlation_ratio(spec, basis)
+        multiplet = spec.ground_multiplet()
+        s_nn, s_nnn = pair_loop_correlations(multiplet, basis)
+        assert res.multiplet_size == multiplet.shape[1]
+        assert res.sigma_nn == pytest.approx(s_nn, rel=0, abs=1e-13)
+        assert res.sigma_nnn == pytest.approx(s_nnn, rel=0, abs=1e-13)
 
 
 def test_site_occupations_sum_to_sector_count():
