@@ -95,9 +95,12 @@ def _opt(
     if cast is None:
         return value
     try:
-        return cast(value)
+        out = cast(value)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad value for {_flag(name)}: {exc}") from exc
+    if isinstance(out, float) and not math.isfinite(out):
+        raise UsageError(f"bad value for {_flag(name)}: {out} is not finite")
+    return out
 
 
 def _req(args, cfg, name, cast=None):
@@ -109,10 +112,15 @@ def _req(args, cfg, name, cast=None):
 
 def _floats(value) -> list[float]:
     if isinstance(value, str):
-        return [float(p) for p in value.split(",") if p.strip() != ""]
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(value)]
+        out = [float(p) for p in value.split(",") if p.strip() != ""]
+    elif isinstance(value, (list, tuple)):
+        out = [float(v) for v in value]
+    else:
+        out = [float(value)]
+    for v in out:
+        if not math.isfinite(v):
+            raise ValueError(f"{v} is not finite")
+    return out
 
 
 def _ints(value) -> list[int]:
@@ -498,6 +506,8 @@ def _cmd_analytic_1d(args, cfg, seed: int) -> CommandResult:
     lam = _opt(args, cfg, "lam", float)
     delta = _opt(args, cfg, "delta", float)
     n_spins = _opt(args, cfg, "n", int)
+    if n_spins is not None and n_spins < 1:
+        raise UsageError(f"--n must be >= 1, got {n_spins}")
     given = [v is not None for v in (omega, lam, delta)]
     if any(given) and not all(given):
         raise UsageError("give all of --omega, --lam, --delta or none (sign table)")

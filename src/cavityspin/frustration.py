@@ -212,13 +212,6 @@ def photonic_spectrum(
     )
 
 
-def photon_vacuum_stable(
-    params: FrustrationParams, lambda_a: float, s_z: SzBackground = -1.0
-) -> bool:
-    """True when every mode eigenvalue is positive (finite photon number)."""
-    return photonic_spectrum(params, lambda_a, s_z).minimum > 0.0
-
-
 def lambda_c_photon(
     params: FrustrationParams, *, s_z: float = -1.0
 ) -> Optional[float]:

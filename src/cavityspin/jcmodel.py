@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -28,12 +28,7 @@ from .linalg import (
     ground_state,
     operator_from_entries,
 )
-from .observables import (
-    CorrelationResult,
-    block_segments,
-    multiplet_correlations,
-    site_occupations,
-)
+from .observables import CorrelationResult, multiplet_correlations
 from .params import EffectiveJCParams, RegimeError, ScalarOrPerLine
 
 MAX_JC_DIM = 2_000_000
@@ -156,32 +151,6 @@ class JCBasis:
 
     def col_mode(self, col: int) -> int:
         return self.geometry.ly + col
-
-    def state(self, index: int) -> tuple[int, tuple[int, ...]]:
-        """(spin mask, photon tuple) of one basis state."""
-        for blk in self.blocks:
-            if index < blk.offset + blk.size:
-                local = index - blk.offset
-                im, ip = divmod(local, blk.photons.count)
-                return int(blk.masks[im]), tuple(int(v) for v in blk.photons.configs[ip])
-        raise IndexError(index)
-
-    def index(self, mask: int, photons: Sequence[int]) -> int:
-        k = bin(mask).count("1")
-        for blk in self.blocks:
-            if blk.k != k:
-                continue
-            im = int(np.searchsorted(blk.masks, mask))
-            if im >= len(blk.masks) or blk.masks[im] != mask:
-                break
-            key = 0
-            for m, v in enumerate(photons):
-                key += v * blk.photons.key_weight(m)
-            ip = int(blk.photons.rank_keys(np.array([key]))[0])
-            if ip < 0:
-                break
-            return blk.offset + im * blk.photons.count + ip
-        raise KeyError((mask, tuple(photons)))
 
 
 def _expand(value: ScalarOrPerLine, count: int) -> np.ndarray:
@@ -423,93 +392,6 @@ def superradiant_critical_g(
     if g_c > g_hi:
         raise ValueError("g_hi below the crossing")
     return g_c
-
-
-@dataclass(frozen=True)
-class JCObservables:
-    """One-point observables of a sector state (or averaged multiplet)."""
-
-    n_total: int
-    spin_occupations: np.ndarray  # per site
-    spin_total: float
-    photon_occupations: np.ndarray  # per mode, rows first
-    photon_total: float
-    cross_coherence: np.ndarray  # <a_r^dag b_c + b_c^dag a_r> per site (r, c)
-    delta_omega_sites: Optional[np.ndarray]
-    delta_omega_mean: Optional[float]
-
-
-def measure_observables(
-    vectors: np.ndarray,
-    basis: JCBasis,
-    *,
-    lambda_a: Optional[float] = None,
-    lambda_b: Optional[float] = None,
-) -> JCObservables:
-    """Site, mode, and coherence expectations, averaged over the columns.
-
-    With both couplings given, the per-site frequency-shift operator
-    ``lam_a (2 n_a + x) + lam_b (2 n_b + x)`` with
-    ``x = a^dag b + b^dag a`` is also evaluated; its site mean feeds the
-    interaction-strength regime classification.
-    """
-    geometry = basis.geometry
-    n_sites = geometry.n_sites
-    spin_occ = site_occupations(vectors, basis)
-    phot_occ = np.zeros(geometry.n_modes)
-    cross = np.zeros(n_sites)
-
-    for blk, seg in block_segments(vectors, basis):
-        ncol = seg.shape[2]
-        w_phot = (seg**2).sum(axis=(0, 2)) / ncol  # weight per photon config
-        phot_occ += blk.photons.configs.T @ w_phot
-        # photon move between the two modes of each site, spin mask fixed
-        for s in range(n_sites):
-            r, c = geometry.row_col(s)
-            m1, m2 = basis.row_mode(r), basis.col_mode(c)
-            occ1 = blk.photons.configs[:, m1]
-            occ2 = blk.photons.configs[:, m2]
-            ok = np.nonzero((occ2 > 0) & (occ1 < basis.n_max))[0]
-            if len(ok) == 0:
-                continue
-            tgt = blk.photons.rank_keys(
-                blk.photons.keys[ok]
-                + blk.photons.key_weight(m1)
-                - blk.photons.key_weight(m2)
-            )
-            good = tgt >= 0
-            ok, tgt = ok[good], tgt[good]
-            if len(ok) == 0:
-                continue
-            amp = np.sqrt(occ2[ok] * (occ1[ok] + 1.0))
-            # the operator is a sum of the move and its reverse, hence the 2
-            cross[s] += 2.0 * float(
-                (seg[:, tgt, :] * seg[:, ok, :] * amp[None, :, None]).sum() / ncol
-            )
-
-    d_sites = None
-    d_mean = None
-    if lambda_a is not None and lambda_b is not None:
-        d_sites = np.empty(n_sites)
-        for s in range(n_sites):
-            r, c = geometry.row_col(s)
-            na = phot_occ[basis.row_mode(r)]
-            nb = phot_occ[basis.col_mode(c)]
-            d_sites[s] = lambda_a * (2.0 * na + cross[s]) + lambda_b * (
-                2.0 * nb + cross[s]
-            )
-        d_mean = float(d_sites.mean())
-
-    return JCObservables(
-        n_total=basis.n_total,
-        spin_occupations=spin_occ,
-        spin_total=float(spin_occ.sum()),
-        photon_occupations=phot_occ,
-        photon_total=float(phot_occ.sum()),
-        cross_coherence=cross,
-        delta_omega_sites=d_sites,
-        delta_omega_mean=d_mean,
-    )
 
 
 def jc_correlation_ratio(spectrum: SpectrumResult, basis: JCBasis) -> CorrelationResult:

@@ -92,23 +92,6 @@ def mf_sigma_z(geometry: ArrayGeometry, g: float, delta: float, omega_at: float)
     return (gam * gam - 1.0) / (gam * gam + 1.0)
 
 
-def mf_lambda_c_inf(l_side: int, omega_at: float) -> float:
-    """Large-detuning limit of the critical spin coupling on an L x L array."""
-    if l_side < 1:
-        raise ValueError("side length must be >= 1")
-    return -omega_at / (4.0 * l_side)
-
-
-def mf_excitations_inf(l_side: int, omega_at: float, lam: float) -> float:
-    """Excitation number N/2 (1 + omega_at/(4 L lambda)) in the
-    large-detuning limit, clamped to the physical range [0, N/2]."""
-    if lam == 0.0:
-        return 0.0
-    n = l_side * l_side
-    raw = 0.5 * n * (1.0 + omega_at / (4.0 * l_side * lam))
-    return min(max(raw, 0.0), 0.5 * n)
-
-
 @dataclass(frozen=True)
 class MeanFieldSolution:
     """Closed-form mean-field state of the array at one coupling."""

@@ -5,8 +5,8 @@ dimension): a block fills rows ``offset .. offset + len(masks) * inner``,
 spin mask major.  A :class:`~cavityspin.basis.SectorBasis` is one block with
 inner dimension 1; a :class:`~cavityspin.jcmodel.JCBasis` has one block per
 raised-spin count, whose inner dimension is its photon-configuration count.
-Summing over the inner index traces the photons out, so occupations and
-two-point spin correlations of either model come from the same loops.
+Summing over the inner index traces the photons out, so the two-point spin
+correlations of either model come from the same loops.
 Pair correlations are never formed pair by pair: the shared-line sum comes
 from the moves of the hop rule (``basis.line_moves``) and the all-pairs sum
 from the lowering operator ``S- = sum_s sigma-_s``.
@@ -32,17 +32,6 @@ def block_segments(vectors: np.ndarray, basis) -> Iterator[tuple[object, np.ndar
     for blk in basis.blocks:
         n = len(blk.masks)
         yield blk, v[blk.offset : blk.offset + n * blk.inner].reshape(n, blk.inner, v.shape[1])
-
-
-def site_occupations(vectors: np.ndarray, basis) -> np.ndarray:
-    """Per-site excitation probability, averaged over the given columns."""
-    n_sites = basis.geometry.n_sites
-    occ = np.zeros(n_sites)
-    for blk, seg in block_segments(vectors, basis):
-        w_mask = (seg**2).sum(axis=(1, 2)) / seg.shape[2]  # weight per spin mask
-        for s in range(n_sites):
-            occ[s] += w_mask[(blk.masks >> s) & 1 == 1].sum()
-    return occ
 
 
 @dataclass(frozen=True)

@@ -20,28 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .params import RegimeError
-
-
-@dataclass(frozen=True)
-class AngularSector:
-    """Collective quantum numbers (J, m) of N spin-1/2 with photon number n."""
-
-    n_spins: int
-    j: float
-    m: float
-    n: int
-
-    def __post_init__(self) -> None:
-        jmax = self.n_spins / 2.0
-        if not 0 <= self.j <= jmax or (2 * self.j) % 1:
-            raise ValueError(f"j={self.j} invalid for {self.n_spins} spins")
-        if abs(self.m) > self.j or (self.j - self.m) % 1:
-            raise ValueError(f"m={self.m} invalid for j={self.j}")
-        if self.n < 0:
-            raise ValueError("photon number must be >= 0")
 
 
 def energy_1d(
@@ -67,50 +47,6 @@ def photon_branch(delta: float, lam: float, m: float) -> str:
     if slope < 0.0:
         return "divergent"
     return "marginal"
-
-
-def critical_g_photon(n_spins: int, delta: float, omega_at: float) -> float:
-    """Coupling where the photon branch of the saturated spin state softens.
-
-    Valid on the non-frustrated side (the minimizing projection is m = N/2);
-    a negative radicand means the regime assumption fails.
-    """
-    rad = delta * (delta - omega_at)
-    if rad < 0.0:
-        raise RegimeError(
-            f"delta*(delta-omega_at) = {rad:g} < 0: no photon softening on "
-            "this branch"
-        )
-    return math.sqrt(rad) / math.sqrt(n_spins)
-
-
-def lambda_c_spin_1d(omega_at: float, m_from: float) -> float:
-    """Coupling where levels (J, m) and (J, m+1) cross: omega_at / (4 m)."""
-    if m_from == 0:
-        raise ZeroDivisionError("m = 0 has no finite crossing coupling")
-    return omega_at / (4.0 * m_from)
-
-
-def critical_g_spin(
-    n_spins: int, delta: float, omega_at: float, m_from: Optional[float] = None
-) -> float:
-    """Physical coupling g at the spin crossing m_from -> m_from + 1.
-
-    Defaults to the first rearrangement out of the fully polarized state,
-    m_from = -N/2.  The coupling sign produced by the detuning must match
-    the crossing's sign, otherwise the crossing is unreachable and a
-    regime error is raised.
-    """
-    if m_from is None:
-        m_from = -n_spins / 2.0
-    lam_c = lambda_c_spin_1d(omega_at, m_from)
-    rad = -2.0 * lam_c * (delta - omega_at)
-    if rad < 0.0:
-        raise RegimeError(
-            f"crossing at lambda={lam_c:g} unreachable for delta-omega_at="
-            f"{delta - omega_at:g} (sign mismatch)"
-        )
-    return math.sqrt(rad)
 
 
 @dataclass(frozen=True)

@@ -53,15 +53,6 @@ def _uniform(value: ScalarOrPerLine, name: str) -> float:
     return vals[0]
 
 
-def _as_per_line(value: ScalarOrPerLine, count: int, name: str) -> tuple[float, ...]:
-    if isinstance(value, (int, float)):
-        return (float(value),) * count
-    vals = tuple(float(v) for v in value)
-    if len(vals) != count:
-        raise ValueError(f"{name}: expected {count} per-line values, got {len(vals)}")
-    return vals
-
-
 @dataclass(frozen=True)
 class PhysicalDriveParams:
     """Raw driven-emitter parameters before any elimination."""
@@ -266,14 +257,3 @@ def analyze(jc: EffectiveJCParams, **kwargs) -> tuple[SpinCouplings, RegimeTag]:
     eps_a, eps_b, _ = validity_epsilon(jc)
     tag = classify_regime(couplings, epsilons=(eps_a, eps_b), **kwargs)
     return couplings, tag
-
-
-def per_line_lambdas(
-    jc: EffectiveJCParams, n_rows: int, n_cols: int
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Per-row and per-column couplings for structurally non-uniform detunings."""
-    das = _as_per_line(jc.delta_a, n_rows, "delta_a")
-    dbs = _as_per_line(jc.delta_b, n_cols, "delta_b")
-    lam_a = tuple(lambda_coupling(jc.g, d, jc.omega_at) for d in das)
-    lam_b = tuple(lambda_coupling(jc.g, d, jc.omega_at) for d in dbs)
-    return lam_a, lam_b

@@ -39,7 +39,7 @@ from .linalg import (
     ground_state,
     operator_from_entries,
 )
-from .observables import CorrelationResult, multiplet_correlations, site_occupations
+from .observables import CorrelationResult, multiplet_correlations
 from .params import SpinCouplings
 from .symmetry import MAX_LABELLED_DIM, _orbit_labels, build_group, class_hop_counts
 
@@ -95,18 +95,6 @@ def build_sector_hamiltonian(
     )
 
 
-def hop_count(geometry: ArrayGeometry, mask: int) -> int:
-    """Number of allowed single-excitation moves out of a configuration."""
-    total = 0
-    for row in range(geometry.ly):
-        occ = sum((mask >> s) & 1 for s in geometry.row_sites(row))
-        total += occ * (geometry.lx - occ)
-    for col in range(geometry.lx):
-        occ = sum((mask >> s) & 1 for s in geometry.col_sites(col))
-        total += occ * (geometry.ly - occ)
-    return total
-
-
 def _perron_frobenius_sector(
     geometry: ArrayGeometry, couplings: SpinCouplings, n_exc: int
 ) -> bool:
@@ -152,22 +140,21 @@ def _symmetric_block_ground(
 
     The block is ``(2 lambda_a C_row + 2 lambda_b C_col) sqrt(s_i / s_j)``
     plus the uniform diagonal, ``C`` the move counts out of each class
-    representative and ``s`` the class sizes; it is assembled in the equal,
-    exactly symmetric form ``E / sqrt(s_i s_j)`` with ``E = C s_i`` the
-    integer edge counts between classes.  A block vector ``c`` is the
-    sector vector with amplitude ``c_i / sqrt(s_i)`` on every member of
-    class i, and its residual is the block residual.
+    representative and ``s`` the class sizes, as built in the exactly
+    symmetric form ``E / sqrt(s_i s_j)`` by ``symmetry.class_hop_counts``.
+    A block vector ``c`` is the sector vector with amplitude
+    ``c_i / sqrt(s_i)`` on every member of class i, and its residual is the
+    block residual.
     """
     group = build_group(geometry, include_transpose=False)
     labels = _orbit_labels(group, basis.states)
     reps, which, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-    hop_row, hop_col = class_hop_counts(geometry, basis.states, which, basis.states[reps])
-    edges = (
-        2.0 * couplings.lambda_a * (hop_row * sizes[:, None])
-        + 2.0 * couplings.lambda_b * (hop_col * sizes[:, None])
+    weights = (2.0 * couplings.lambda_a, 2.0 * couplings.lambda_b)
+    _, block = class_hop_counts(
+        group, basis.states, which, basis.states[reps], sizes, weights
     )
     diag = _diagonal(geometry, couplings, basis.n_exc, include_lambda_shift)
-    block = edges / np.sqrt(np.outer(sizes, sizes)) + diag * np.eye(len(sizes))
+    block += diag * np.eye(len(sizes))
     i, j = np.nonzero(block)
     spec = ground_state(operator_from_entries(len(sizes), i, j, block[i, j]), seed=seed)
     vector = (spec.eigenvectors[:, 0] / np.sqrt(sizes))[which]
@@ -336,10 +323,6 @@ def correlation_ratio(
     model's call as its own layer.
     """
     return multiplet_correlations(spectrum, basis)
-
-
-def sigma_z_expectations(vectors: np.ndarray, basis: SectorBasis) -> np.ndarray:
-    return 2.0 * site_occupations(vectors, basis) - 1.0
 
 
 def one_exc_closed_spectrum(

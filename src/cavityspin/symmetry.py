@@ -12,7 +12,9 @@ part of the spectrum, including the ground state for attractive couplings.
 The group is held as generators: orbit labels come from generator images,
 the order and the cycle index from closed forms, so sectors of up to
 ``MAX_LABELLED_DIM`` states are partitioned on any array.  The hop counts
-between classes come from :func:`class_hop_counts`, which applies the
+between classes and the one symmetric orbit block, shared by
+:func:`orbit_basis_hamiltonian` and the attractive-sector solve of
+``spinmodel``, come from :func:`class_hop_counts`, which applies the
 model's one hop rule, ``basis.line_moves``.
 """
 
@@ -137,23 +139,6 @@ class CycleIndexPolynomial:
 
     degree: int
     terms: tuple[tuple[tuple[int, ...], Fraction], ...]
-
-    def coefficient(self, ctype: tuple[int, ...]) -> Fraction:
-        for t, c in self.terms:
-            if t == ctype:
-                return c
-        return Fraction(0)
-
-    def substitute(self, values: list[Fraction]) -> Fraction:
-        """Evaluate with x_j = values[j-1]."""
-        total = Fraction(0)
-        for ctype, coeff in self.terms:
-            term = coeff
-            for j, b in enumerate(ctype, start=1):
-                if b:
-                    term *= values[j - 1] ** b
-            total += term
-        return total
 
     def pattern_inventory(self) -> list[int]:
         """Orbit counts per occupation number from x_j -> b^j + r^j.
@@ -295,27 +280,35 @@ def orbits(group: PermutationGroup, n_exc: int) -> list[OrbitClass]:
 
 
 def class_hop_counts(
-    geometry: ArrayGeometry,
+    group: PermutationGroup,
     masks: np.ndarray,
     which: np.ndarray,
     representatives: np.ndarray,
+    sizes: np.ndarray,
+    weights: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integer row and column move counts between orbit classes.
+    """Integer move counts between orbit classes and their symmetric block.
 
     ``masks`` is the sorted sector table, ``which`` the class index of each
-    of its states and ``representatives[i]`` one mask of class i.  Entry
-    ``[i, j]`` counts the moves from that representative into class j.
-    Under row and column permutations every member of a class has the same
-    counts; a group that also transposes keeps only their sum well defined.
+    of its states, ``representatives[i]`` one mask of class i and
+    ``sizes[i]`` its size.  ``C[i, j]`` counts the row (column) moves from
+    that representative into class j; under row and column permutations
+    every member of a class has the same counts, and a group that also
+    transposes keeps only their sum well defined.  Returns ``C_row + C_col``
+    and the block ``(w_r E_row + w_c E_col) / sqrt(s_i s_j)`` on normalized
+    orbit sums, ``(w_r, w_c) = weights`` and ``E = C s_i`` the integer edge
+    counts, exactly symmetric.
     """
+    if np.any(group.order % sizes):  # the closed order against the labelling
+        raise ArithmeticError("orbit size does not divide group order")
     k = len(representatives)
-    out = []
-    for kind in ("row", "col"):
-        src, dst = line_moves(geometry, representatives, kind)
-        counts = np.zeros((k, k), dtype=np.int64)
+    c_row, c_col = np.zeros((2, k, k), dtype=np.int64)
+    for kind, counts in (("row", c_row), ("col", c_col)):
+        src, dst = line_moves(group.geometry, representatives, kind)
         np.add.at(counts, (src, which[np.searchsorted(masks, dst)]), 1)
-        out.append(counts)
-    return out[0], out[1]
+    w_r, w_c = weights
+    edges = w_r * (c_row * sizes[:, None]) + w_c * (c_col * sizes[:, None])
+    return c_row + c_col, edges / np.sqrt(np.outer(sizes, sizes))
 
 
 @dataclass(frozen=True)
@@ -325,7 +318,9 @@ class OrbitHamiltonian:
     ``matrix`` is in energy units; ``hop_counts[i][j]`` is the integer number
     of single-excitation moves from any fixed member of class i into class j
     (well defined because the Hamiltonian commutes with the group), so
-    ``matrix[i, j] = 2*lambda * hop_counts[i][j] * sqrt(size_i / size_j)``.
+    ``matrix[i, j] = 2*lambda * hop_counts[i][j] * sqrt(size_i / size_j)``,
+    built as ``2*lambda * E[i, j] / sqrt(size_i size_j)`` by
+    :func:`class_hop_counts`.
     """
 
     classes: tuple[OrbitClass, ...]
@@ -348,16 +343,12 @@ def orbit_basis_hamiltonian(
     """
     if couplings.lambda_a != couplings.lambda_b:
         raise ValueError("orbit projection requires lambda_a == lambda_b")
-    lam = couplings.lambda_a
+    unit = 2.0 * couplings.lambda_a
     group = build_group(geometry, include_transpose)
     classes, which, masks = _orbit_table(group, n_exc)
     reps = np.array([c.representative for c in classes], dtype=np.int64)
-    # with the transpose in the group only the row + column sum is invariant
-    hop_row, hop_col = class_hop_counts(geometry, masks, which, reps)
-    counts = hop_row + hop_col
-    sizes = np.array([c.size for c in classes], dtype=float)
-    unit = 2.0 * lam
-    matrix = unit * counts * np.sqrt(sizes[:, None] / sizes[None, :])
+    sizes = np.array([c.size for c in classes], dtype=np.int64)
+    counts, matrix = class_hop_counts(group, masks, which, reps, sizes, (unit, unit))
     return OrbitHamiltonian(
         classes=tuple(classes),
         matrix=matrix,

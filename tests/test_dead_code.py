@@ -1,0 +1,71 @@
+"""No function or class of the package that only unit tests reach.
+
+Every top-level ``def`` and ``class`` of ``src/cavityspin`` must be named
+somewhere other than its own definition in the package, the scripts, the
+benchmark or the acceptance tests: as a name, an attribute, an import or a
+word of a string (the benchmark wraps functions by their names), but not in
+a docstring or a comment.  A result that only a unit test computes is a
+second code path the command line never runs.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cavityspin"
+WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                out.add(id(first.value))
+    return out
+
+
+def _references(tree: ast.AST) -> list[tuple[str, int]]:
+    """``(name, line)`` of every name the module mentions in code."""
+    docs = _docstrings(tree)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            out += [(alias.name, node.lineno) for alias in node.names]
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docs
+        ):
+            out += [(word, node.lineno) for word in WORD.findall(node.value)]
+    return out
+
+
+def test_every_package_definition_has_a_caller_outside_the_unit_tests():
+    users = [
+        *sorted(PACKAGE.glob("*.py")),
+        *sorted((ROOT / "scripts").glob("*.py")),
+        *sorted((ROOT / "perfbench").glob("*.py")),
+        ROOT / "tests" / "test_acceptance.py",
+    ]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in users}
+    refs = {path: _references(tree) for path, tree in trees.items()}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                name == node.name and not (user == path and line in own)
+                for user, found in refs.items()
+                for name, line in found
+            ):
+                unused.append(f"{path.stem}.{node.name}")
+    assert unused == []

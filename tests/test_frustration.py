@@ -14,7 +14,6 @@ from cavityspin.frustration import (
     gs_energies_01,
     lambda_c_photon,
     lambda_c_spin,
-    photon_vacuum_stable,
     photonic_matrix,
     photonic_spectrum,
     quality_and_ratio,
@@ -192,16 +191,16 @@ def test_photon_breakdown_none_when_exact_mu_is_zero():
     szg[1] -= 1e-3 / 4
     lam = lambda_c_photon(p, s_z=szg)
     assert lam == pytest.approx(0.4 / (2 * 1e-3), rel=1e-9)
-    assert photon_vacuum_stable(p, 0.999 * lam, szg)
-    assert not photon_vacuum_stable(p, 1.001 * lam, szg)
+    assert photonic_spectrum(p, 0.999 * lam, szg).minimum > 0.0
+    assert photonic_spectrum(p, 1.001 * lam, szg).minimum < 0.0
 
 
 def test_vacuum_stability_flips_at_breakdown():
     p = FrustrationParams(lx=10, ly=30, delta_a=0.4, omega_at=1.0, eta=-3.0)
     lam_ph = lambda_c_photon(p)
-    assert photon_vacuum_stable(p, 0.0)
-    assert photon_vacuum_stable(p, 0.9 * lam_ph)
-    assert not photon_vacuum_stable(p, 1.1 * lam_ph)
+    assert photonic_spectrum(p, 0.0).minimum > 0.0
+    assert photonic_spectrum(p, 0.9 * lam_ph).minimum > 0.0
+    assert photonic_spectrum(p, 1.1 * lam_ph).minimum < 0.0
 
 
 def test_margin_ratio_grows_with_column_count():
@@ -278,7 +277,8 @@ def test_frustrated_eigenvector_sigma_z_profile():
     diag = (0.5 + c.lambda_a + c.lambda_b) * (2 - lx * ly)
     assert e == pytest.approx(diag + (-2 * c.lambda_a + 2 * (ly - 1) * c.lambda_b))
     assert np.max(np.abs(hv - e * vec)) < 1e-12
-    sz = spinmodel.sigma_z_expectations(vec, basis)
+    # one raised spin: <sigma^z_s> = 2 |amplitude of the state 1 << s|^2 - 1
+    sz = np.array([2.0 * vec[basis.rank(1 << s)] ** 2 - 1.0 for s in range(lx * ly)])
     for s in range(lx * ly):
         want = -1.0 + 1.0 / ly if s in support else -1.0
         assert sz[s] == pytest.approx(want, abs=1e-12)
@@ -290,7 +290,6 @@ def test_photon_sector_stable_at_spin_crossing():
     # photon problem still has a strictly positive spectrum
     p = FrustrationParams(lx=10, ly=30, delta_a=0.4, omega_at=1.0, eta=-3.0)
     lam = lambda_c_spin(p.omega_at, p.eta, p.ly)
-    assert photon_vacuum_stable(p, lam)
     assert photonic_spectrum(p, lam).minimum > 0.0
 
 

@@ -192,6 +192,22 @@ def test_cli_usage_errors_exit_2(capsys):
         (["polya", "--lx", "2", "--ly", "2", "--nexc", "5"], "n_exc=5 outside"),
         (["jc-ed", "--lx", "2", "--ly", "2", "--omega", "1", "--delta-a", "6",
           "--g", "0.4", "--ntotal=-1"], "n_total=-1 outside"),
+        # non-finite numbers are bad flags, single or in a grid
+        (["meanfield", "--lx", "2", "--ly", "2", "--delta", "5", "--omega", "1",
+          "--g=nan"], "bad value for --g"),
+        (["analytic-1d", "--omega", "1", "--lam", "nan", "--delta", "2"],
+         "bad value for --lam: nan is not finite"),
+        (["spin-ed", "--lx", "2", "--ly", "2", "--omega", "inf",
+          "--lambda-a=-0.1", "--nexc", "1"], "bad value for --omega: inf"),
+        (["excitation-curve", "--lx", "2", "--ly", "2", "--omega", "1",
+          "--lambdas=-0.1,-inf"], "bad value for --lambdas"),
+        (["spin-ed", "--lx", "2", "--ly", "2", "--omega", "1",
+          "--lambda-a=-0.1", "--nexc", "1,inf"], "bad value for --nexc"),
+        # a closed-form chain needs at least one spin
+        (["analytic-1d", "--omega", "1", "--lam=-0.1", "--delta", "2", "--n=-3"],
+         "--n must be >= 1"),
+        (["analytic-1d", "--omega", "1", "--lam=-0.1", "--delta", "2", "--n", "0"],
+         "--n must be >= 1"),
     ]:
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""

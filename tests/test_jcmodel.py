@@ -8,6 +8,7 @@ import pytest
 
 from cavityspin import jcmodel, onedim, spinmodel
 from cavityspin.geometry import ArrayGeometry
+from cavityspin.observables import block_segments
 from cavityspin.params import EffectiveJCParams, RegimeError, SpinCouplings
 
 from oracles import dense_jc_sector, jc_correlation_reference
@@ -35,12 +36,19 @@ def test_basis_dimension_and_roundtrip():
     # spins 2 + photons 0, spins 1 + photons 1, spins 0 + photons 2
     assert basis.dim == 6 * 1 + 4 * 4 + 1 * 10
     assert not basis.truncated
-    for idx in range(basis.dim):
-        mask, photons = basis.state(idx)
-        assert bin(mask).count("1") + sum(photons) == 2
-        assert basis.index(mask, photons) == idx
-    with pytest.raises(KeyError):
-        basis.index(0b11, (1, 0, 0, 0))
+    offset = 0
+    for blk in basis.blocks:
+        assert blk.offset == offset
+        offset += blk.size
+        assert all(int(m).bit_count() == blk.k for m in blk.masks)
+        assert np.all(blk.k + blk.photons.configs.sum(axis=1) == 2)
+        ranks = blk.photons.rank_keys(blk.photons.keys)
+        assert np.array_equal(ranks, np.arange(blk.photons.count))
+    assert offset == basis.dim
+    # one photon in the first mode is no configuration of the k=2 block
+    top = basis.blocks[0]
+    assert top.k == 2
+    assert top.photons.rank_keys(np.array([top.photons.key_weight(0)]))[0] == -1
 
 
 def test_basis_guards():
@@ -186,22 +194,24 @@ def test_ground_state_scan_flags_unbounded_photons():
 
 
 def test_observables_conserve_total_excitation():
+    # the observable kernel's block segments carry k raised spins and the
+    # remaining photons of every state, at its place in the vector
     geom = ArrayGeometry(2, 2)
     jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=6.0)
     for n_total in (1, 2):
         spec, basis = jcmodel.jc_sector_ground(geom, jc, n_total, k=4)
-        obs = jcmodel.measure_observables(
-            spec.ground_multiplet(), basis, lambda_a=-0.01, lambda_b=-0.01
-        )
-        assert obs.n_total == n_total
-        assert obs.spin_total + obs.photon_total == pytest.approx(n_total, abs=1e-12)
+        multiplet = spec.ground_multiplet()
+        total = 0.0
+        occ = np.zeros(geom.n_sites)
+        for blk, seg in block_segments(multiplet, basis):
+            w_mask = (seg**2).sum(axis=(1, 2)) / multiplet.shape[1]
+            w_phot = (seg**2).sum(axis=(0, 2)) / multiplet.shape[1]
+            total += blk.k * w_mask.sum() + blk.photons.configs.sum(axis=1) @ w_phot
+            for s in range(geom.n_sites):
+                occ[s] += w_mask[(blk.masks >> s) & 1 == 1].sum()
+        assert total == pytest.approx(n_total, abs=1e-12)
         # uniform array: every site equivalent
-        assert np.allclose(obs.spin_occupations, obs.spin_occupations[0], atol=1e-9)
-        assert obs.delta_omega_mean is not None
-        assert np.isfinite(obs.delta_omega_mean)
-        assert obs.delta_omega_sites.shape == (4,)
-    none_obs = jcmodel.measure_observables(spec.ground_multiplet(), basis)
-    assert none_obs.delta_omega_mean is None
+        assert np.allclose(occ, occ[0], atol=1e-9)
 
 
 def test_jc_correlation_ratio_matches_dense_reference():

@@ -7,7 +7,7 @@ import pytest
 
 from cavityspin import meanfield
 from cavityspin.geometry import ArrayGeometry
-from cavityspin.params import RegimeError
+from cavityspin.params import RegimeError, lambda_coupling
 
 
 def test_large_array_golden_point():
@@ -100,13 +100,18 @@ def test_guards():
 
 
 def test_large_detuning_limits():
-    assert meanfield.mf_lambda_c_inf(4, 1.0) == pytest.approx(-1.0 / 16.0)
-    with pytest.raises(ValueError):
-        meanfield.mf_lambda_c_inf(0, 1.0)
+    # far detuned, lambda = -g^2 / (2 (delta - omega)) puts g_c of an L x L
+    # array at lambda_c = -omega / (4 L), and the excitation number past it
+    # at N/2 (1 + omega / (4 L lambda))
+    geom = ArrayGeometry(4, 4)
+    delta, omega = 1e9, 1.0
+    g_c = meanfield.mf_critical_g(geom, delta, omega)
+    assert lambda_coupling(g_c, delta, omega) == pytest.approx(-1.0 / 16.0, rel=1e-8)
+    assert meanfield.mf_excitations(geom, 0.5 * g_c, delta, omega) == 0.0
     n = 16
-    # clamped to zero before the critical coupling, N/2 far beyond it
-    assert meanfield.mf_excitations_inf(4, 1.0, -1.0 / 32.0) == 0.0
-    assert meanfield.mf_excitations_inf(4, 1.0, 0.0) == 0.0
-    assert meanfield.mf_excitations_inf(4, 1.0, -1.0 / 8.0) == pytest.approx(n / 4.0)
-    assert meanfield.mf_excitations_inf(4, 1.0, -1e12) == pytest.approx(n / 2.0)
-    assert meanfield.mf_excitations_inf(4, 1.0, 1e-9) <= n / 2.0
+    for lam in (-1.0 / 8.0, -1.0, -1e3):
+        g = math.sqrt(-2.0 * lam * (delta - omega))
+        want = 0.5 * n * (1.0 + omega / (16.0 * lam))
+        assert meanfield.mf_excitations(geom, g, delta, omega) == pytest.approx(
+            want, rel=1e-8
+        )

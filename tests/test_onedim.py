@@ -5,7 +5,7 @@ import math
 import pytest
 
 from cavityspin import onedim
-from cavityspin.params import RegimeError
+from cavityspin.params import RegimeError, lambda_coupling
 
 
 def test_energy_levels_by_hand():
@@ -15,19 +15,6 @@ def test_energy_levels_by_hand():
     assert onedim.energy_1d(0, 0, 0, 5.0, 3.0, 9.0) == 0.0
 
 
-def test_angular_sector_validation():
-    onedim.AngularSector(4, 2, -2, 0)
-    onedim.AngularSector(5, 2.5, 0.5, 3)
-    with pytest.raises(ValueError):
-        onedim.AngularSector(4, 2.5, 0, 0)
-    with pytest.raises(ValueError):
-        onedim.AngularSector(4, 1, 2, 0)
-    with pytest.raises(ValueError):
-        onedim.AngularSector(4, 1, 0.5, 0)
-    with pytest.raises(ValueError):
-        onedim.AngularSector(4, 1, -1, -1)
-
-
 def test_photon_branch_slope():
     assert onedim.photon_branch(2.0, -0.1, 3.0) == "finite"
     assert onedim.photon_branch(1.0, -0.5, 1.0) == "divergent"
@@ -35,35 +22,55 @@ def test_photon_branch_slope():
 
 
 def test_critical_g_photon_closed_form():
-    assert onedim.critical_g_photon(9, 30.0, 1.0) == pytest.approx(
-        math.sqrt(30.0 * 29.0) / 3.0, rel=1e-14
-    )
-    with pytest.raises(RegimeError):
-        onedim.critical_g_photon(9, 0.5, 1.0)
+    # the saturated state m = N/2 softens its photon branch, slope
+    # delta + 4 lambda N/2 = 0, at g_c = sqrt(delta (delta - omega) / N)
+    n, delta, omega = 9, 30.0, 1.0
+    g_c = math.sqrt(delta * (delta - omega)) / math.sqrt(n)
+    for g, branch in ((g_c * (1 - 1e-9), "finite"), (g_c * (1 + 1e-9), "divergent")):
+        lam = lambda_coupling(g, delta, omega)
+        assert onedim.photon_branch(delta, lam, n / 2.0) == branch
+    # delta (delta - omega) < 0: the coupling is repulsive and never softens it
+    for g in (0.1, 1.0, 10.0):
+        lam = lambda_coupling(g, 0.5, omega)
+        assert onedim.photon_branch(0.5, lam, n / 2.0) == "finite"
 
 
 def test_lambda_c_spin_ladder():
-    assert onedim.lambda_c_spin_1d(1.0, -2.0) == pytest.approx(-0.125)
-    with pytest.raises(ZeroDivisionError):
-        onedim.lambda_c_spin_1d(1.0, 0.0)
+    # the ground projection steps m -> m + 1 at lambda = omega / (4 m)
+    n, delta, omega = 6, 2.0, 1.0
+    for m in (-3.0, -2.0, -1.0):
+        lam_c = omega / (4.0 * m)
+        before = onedim.ground_state_1d(n, delta, omega, lam_c * (1 - 1e-9))
+        after = onedim.ground_state_1d(n, delta, omega, lam_c * (1 + 1e-9))
+        assert (before.m_star, after.m_star) == (m, m + 1)
 
 
 def test_levels_cross_exactly_at_lambda_c():
     n, delta, omega = 6, 2.0, 1.0
     j = n / 2.0
     for m in (-3.0, -2.0, -1.0):
-        lam_c = onedim.lambda_c_spin_1d(omega, m)
+        lam_c = omega / (4.0 * m)
         lhs = onedim.energy_1d(j, m, 0, delta, omega, lam_c)
         rhs = onedim.energy_1d(j, m + 1, 0, delta, omega, lam_c)
         assert lhs == pytest.approx(rhs, rel=1e-14)
 
 
 def test_critical_g_spin_physical_coupling():
-    g = onedim.critical_g_spin(6, 2.0, 1.0)
-    lam_c = onedim.lambda_c_spin_1d(1.0, -3.0)
-    assert -g * g / (2.0 * (2.0 - 1.0)) == pytest.approx(lam_c, rel=1e-14)
-    with pytest.raises(RegimeError):
-        onedim.critical_g_spin(6, 0.5, 1.0)
+    # the first crossing m = -N/2 at lambda_c = -omega / (2 N) is reached at
+    # g_c = sqrt(-2 lambda_c (delta - omega)), only when delta > omega
+    n, delta, omega = 6, 2.0, 1.0
+    lam_c = omega / (4.0 * (-n / 2.0))
+    g_c = math.sqrt(-2.0 * lam_c * (delta - omega))
+    assert lambda_coupling(g_c, delta, omega) == pytest.approx(lam_c, rel=1e-14)
+    below, above = (
+        onedim.ground_state_1d(n, delta, omega, lambda_coupling(g, delta, omega))
+        for g in (0.99 * g_c, 1.01 * g_c)
+    )
+    assert (below.m_star, above.m_star) == (-3.0, -2.0)
+    # delta < omega makes the coupling repulsive: no crossing at any g
+    repulsive = lambda_coupling(g_c, 0.5, omega)
+    assert repulsive > 0.0
+    assert onedim.classify_1d(omega, repulsive, 0.5).outcome == "no-transition"
 
 
 def _params_for_row(s_o, s_l, s_d):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from cavityspin.geometry import ArrayGeometry
+from cavityspin.jcmodel import mode_detunings
 from cavityspin.params import (
     EffectiveJCParams,
     NonUniformError,
@@ -17,7 +19,6 @@ from cavityspin.params import (
     derive_effective_params,
     derive_spin_couplings,
     lambda_coupling,
-    per_line_lambdas,
     validity_epsilon,
 )
 
@@ -118,11 +119,17 @@ def test_validity_epsilon_and_regime_tags():
 
 
 def test_per_line_couplings_and_uniformity_guard():
+    # per-line detunings reach the lattice model through its one expander,
+    # row modes first; only the closed forms need them uniform
     jc = EffectiveJCParams(
         omega_at=1.0, g=0.1, delta_a=(2.0, 3.0), delta_b=(0.5, 0.6, 0.7)
     )
-    lam_a, lam_b = per_line_lambdas(jc, 2, 3)
-    assert len(lam_a) == 2 and len(lam_b) == 3
-    assert lam_a[0] == pytest.approx(lambda_coupling(0.1, 2.0, 1.0))
+    deltas = mode_detunings(ArrayGeometry(3, 2), jc)
+    lams = [lambda_coupling(jc.g, d, jc.omega_at) for d in deltas]
+    assert len(lams) == 2 + 3
+    assert lams[0] == pytest.approx(lambda_coupling(0.1, 2.0, 1.0))
+    assert lams[4] == pytest.approx(lambda_coupling(0.1, 0.7, 1.0))
+    with pytest.raises(ValueError):
+        mode_detunings(ArrayGeometry(2, 2), jc)
     with pytest.raises(NonUniformError):
         _ = jc.delta_a_uniform

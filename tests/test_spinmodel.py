@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from cavityspin import jcmodel, linalg, spinmodel
-from cavityspin.basis import SectorBasis
+from cavityspin.basis import SectorBasis, line_moves
 from cavityspin.geometry import ArrayGeometry
 from cavityspin.params import EffectiveJCParams, SpinCouplings
 
@@ -71,16 +71,18 @@ def test_one_exc_closed_spectrum_matches_dense():
 
 
 def test_hop_count_equals_mismatched_line_pairs():
-    geom = ArrayGeometry(3, 3)
-    rng = np.random.default_rng(3)
-    for mask in rng.integers(0, 1 << 9, size=40):
-        mask = int(mask)
-        expected = sum(
-            1
-            for s, t, _ in geom.line_pairs()
-            if ((mask >> s) & 1) != ((mask >> t) & 1)
-        )
-        assert spinmodel.hop_count(geom, mask) == expected
+    # a line with occ raised spins out of L has occ * (L - occ) mismatched
+    # pairs, one move of the hop rule each
+    geom = ArrayGeometry(4, 3)
+    masks = np.random.default_rng(3).integers(0, 1 << 12, size=60)
+    for kind, lines, length in (
+        ("row", [geom.row_sites(r) for r in range(geom.ly)], geom.lx),
+        ("col", [geom.col_sites(c) for c in range(geom.lx)], geom.ly),
+    ):
+        src, _ = line_moves(geom, masks, kind)
+        for i, mask in enumerate(masks.tolist()):
+            occ = [sum((mask >> s) & 1 for s in line) for line in lines]
+            assert np.count_nonzero(src == i) == sum(o * (length - o) for o in occ)
 
 
 def test_transition_couplings_square_array():
@@ -283,16 +285,6 @@ def test_pair_sums_match_the_per_pair_loop():
         assert res.multiplet_size == multiplet.shape[1]
         assert res.sigma_nn == pytest.approx(s_nn, rel=0, abs=1e-13)
         assert res.sigma_nnn == pytest.approx(s_nnn, rel=0, abs=1e-13)
-
-
-def test_site_occupations_sum_to_sector_count():
-    geom = ArrayGeometry(3, 2)
-    c = SpinCouplings(lambda_a=-0.3, lambda_b=0.12, omega_at=0.5)
-    spec, basis = spinmodel.sector_ground(geom, c, 2, k=4)
-    occ = spinmodel.site_occupations(spec.ground_multiplet(), basis)
-    assert occ.sum() == pytest.approx(2.0, abs=1e-12)
-    sz = spinmodel.sigma_z_expectations(spec.ground_multiplet(), basis)
-    assert sz.sum() == pytest.approx(2.0 * 2 - 6, abs=1e-12)
 
 
 def test_sector_ground_energy_matches_dense():

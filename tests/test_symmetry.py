@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from cavityspin import spinmodel, symmetry
+from cavityspin import linalg, spinmodel, symmetry
 from cavityspin.basis import SectorBasis
 from cavityspin.geometry import ArrayGeometry
 from cavityspin.params import SpinCouplings
@@ -79,15 +79,15 @@ def test_cycle_type_known_permutations():
 
 def test_plaquette_cycle_index_exact():
     ci = symmetry.cycle_index(symmetry.build_group(ArrayGeometry(2, 2)))
-    assert ci.coefficient((4, 0, 0, 0)) == Fraction(1, 8)
-    assert ci.coefficient((2, 1, 0, 0)) == Fraction(2, 8)
-    assert ci.coefficient((0, 2, 0, 0)) == Fraction(3, 8)
-    assert ci.coefficient((0, 0, 0, 1)) == Fraction(2, 8)
-    assert len(ci.terms) == 4
-    assert sum(c for _, c in ci.terms) == Fraction(1)
+    assert dict(ci.terms) == {
+        (4, 0, 0, 0): Fraction(1, 8),
+        (2, 1, 0, 0): Fraction(2, 8),
+        (0, 2, 0, 0): Fraction(3, 8),
+        (0, 0, 0, 1): Fraction(2, 8),
+    }
     assert ci.pattern_inventory() == [1, 1, 2, 1, 1]
-    # x_j -> 2 counts all inequivalent two-colorings
-    assert ci.substitute([Fraction(2)] * 4) == Fraction(6)
+    # summed over n_exc: all inequivalent two-colorings
+    assert sum(ci.pattern_inventory()) == 6
 
 
 def test_polya_counts_match_orbit_partitions():
@@ -153,13 +153,31 @@ def test_orbit_hamiltonian_equals_brute_projection():
                 p[basis.rank(m), i] = 1.0 / np.sqrt(cls.size)
         projected = p.T @ hop @ p
         assert np.allclose(oh.matrix, projected, atol=1e-12)
-        assert np.allclose(oh.matrix, oh.matrix.T, atol=1e-12)
+        assert np.array_equal(oh.matrix, oh.matrix.T)
         assert oh.energy_unit == pytest.approx(2.0 * lam)
         rebuilt = oh.energy_unit * oh.hop_counts * np.sqrt(
             np.array([c_.size for c_ in oh.classes], float)[:, None]
             / np.array([c_.size for c_ in oh.classes], float)[None, :]
         )
         assert np.allclose(rebuilt, oh.matrix)
+
+
+def test_block_builder_checks_class_sizes_against_the_group_order(monkeypatch):
+    # both orbit blocks run the closed-order check: one class of all 6
+    # states of the 2x2 n=2 sector cannot be an orbit of a group of order 4
+    geom = ArrayGeometry(2, 2)
+    group = symmetry.build_group(geom, include_transpose=False)
+    masks = SectorBasis(geom, 2).states
+    which = np.zeros(len(masks), dtype=np.int64)
+    with pytest.raises(ArithmeticError):
+        symmetry.class_hop_counts(
+            group, masks, which, masks[:1], np.array([6]), (1.0, 1.0)
+        )
+    monkeypatch.setattr(linalg, "DENSE_CUTOFF", 0)
+    monkeypatch.setattr(spinmodel, "_orbit_labels", lambda g, m: np.zeros_like(m))
+    c = SpinCouplings(lambda_a=-0.2, lambda_b=-0.3, omega_at=1.0)
+    with pytest.raises(ArithmeticError):
+        spinmodel.sector_ground(geom, c, 2)
 
 
 def test_orbit_hamiltonian_requires_equal_couplings():
