@@ -18,14 +18,16 @@ import of ``scipy.sparse``, which a dense solve never makes.
 symmetric orbit block of ``spinmodel.sector_ground``, not a full-sector
 Lanczos solve.
 
-``agree`` solves every sector of 3x3, 4x3, 6x2, 5x3 and 7x2 with
-32 < dim <= 4096, at one attractive and two frustrated coupling pairs, once
-dense and once by Lanczos for each of the seeds 0-7.  It prints the case
-count, the worst relative energy error over the ground cluster and every
-multiplet-size mismatch, and exits 1 on any mismatch or an error over 1e-12.
-It then solves every sector of the same arrays that ``sector_ground`` routes
-to the symmetric orbit block (attractive couplings, dim past the dense
-cutoff) at two attractive pairs, one with lambda_a == lambda_b, and compares
+``agree`` solves every spin sector of 3x3, 4x3, 6x2, 5x3 and 7x2 with
+32 < dim <= 4096, at one attractive and two frustrated coupling pairs, and
+every JC sector of 2x2, 3x2, 3x3 and 4x3 with 32 < dim <= 4096 (n_total up
+to 7) at per-line row detunings, once dense and once by Lanczos for each of
+the seeds 0-7.  It prints the case count, the worst relative energy error
+over the ground cluster and every multiplet-size mismatch, and exits 1 on
+any mismatch or an error over 1e-12.  It then solves every sector that
+``spinmodel.sector_ground`` (the spin arrays at two attractive pairs, one
+with lambda_a == lambda_b) or ``jcmodel.jc_sector_ground`` (the JC arrays
+at scalar detunings) routes to the symmetric orbit block, and compares
 energy, multiplet size and the NN and NNN correlations with the full-sector
 solve (1e-12 relative on the energy, 1e-12 absolute on the correlations).
 """
@@ -33,6 +35,7 @@ solve (1e-12 relative on the energy, 1e-12 absolute on the correlations).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import statistics
 import subprocess
@@ -44,13 +47,14 @@ import numpy as np
 
 from cavityspin.basis import SectorBasis
 from cavityspin.geometry import ArrayGeometry
-from cavityspin.jcmodel import JCBasis, build_jc_hamiltonian
+from cavityspin import jcmodel
+from cavityspin.jcmodel import JCBasis, build_jc_hamiltonian, jc_sector_ground
 from cavityspin.linalg import ground_state
+from cavityspin.observables import multiplet_correlations
 from cavityspin.params import EffectiveJCParams, SpinCouplings
 from cavityspin.spinmodel import (
     _takes_symmetric_block,
     build_sector_hamiltonian,
-    correlation_ratio,
     sector_ground,
 )
 
@@ -61,6 +65,7 @@ FRUSTRATED = (
     SpinCouplings(lambda_a=-0.2, lambda_b=0.12, omega_at=1.0),
 )
 AGREE_ARRAYS = ((3, 3), (4, 3), (6, 2), (5, 3), (7, 2))
+JC_AGREE_ARRAYS = ((2, 2), (3, 2), (3, 3), (4, 3))
 TIMING_ARRAYS = ((3, 3), (4, 3), (4, 4), (5, 3), (7, 2), (5, 4))
 JC = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.5)
 JC_SECTORS = (((2, 2), 3), ((2, 2), 4), ((3, 2), 3), ((2, 2), 5),
@@ -148,59 +153,92 @@ def cold() -> int:
     return 0
 
 
+def _agree_operators():
+    """``(label, operator)`` of every agree case: the spin sectors at three
+    coupling pairs, and the JC sectors at per-line detunings (full Lanczos,
+    closed after one round by the gauged Perron-Frobenius test)."""
+    for lx, ly in AGREE_ARRAYS:
+        for n in range(lx * ly + 1):
+            if 32 < comb(lx * ly, n) <= MAX_DIM:
+                for c in (ATTRACTIVE, *FRUSTRATED):
+                    label = f"{lx}x{ly} n={n} la={c.lambda_a:g} lb={c.lambda_b:g}"
+                    yield label, spin_operator(lx, ly, n, c)
+    for geom, basis in _jc_sectors():
+        label = f"jc {geom.lx}x{geom.ly} n={basis.n_total} per-line"
+        yield label, build_jc_hamiltonian(geom, _per_line(geom), basis)
+
+
+def _jc_sectors():
+    for lx, ly in JC_AGREE_ARRAYS:
+        geom = ArrayGeometry(lx, ly)
+        for n in range(1, 8):
+            basis = JCBasis(geom, n)
+            if 32 < basis.dim <= MAX_DIM:
+                yield geom, basis
+
+
+def _per_line(geom):
+    return dataclasses.replace(JC, delta_a=tuple(6.0 + 0.3 * i for i in range(geom.ly)))
+
+
 def agree() -> int:
     cases = worst = 0
     bad = []
-    for lx, ly in AGREE_ARRAYS:
-        for n in range(lx * ly + 1):
-            if not 32 < comb(lx * ly, n) <= MAX_DIM:
-                continue
-            for c in (ATTRACTIVE, *FRUSTRATED):
-                op = spin_operator(lx, ly, n, c)
-                dense = ground_state(op, 1, method="dense")
-                m = dense.ground_multiplet().shape[1]
-                for seed in range(8):
-                    lanc = ground_state(op, 1, method="lanczos", seed=seed)
-                    cases += 1
-                    ml = lanc.ground_multiplet().shape[1]
-                    e = dense.eigenvalues[:m]
-                    err = np.abs(lanc.eigenvalues[:min(m, ml)] - e[:min(m, ml)]).max()
-                    rel = float(err / max(1.0, abs(e[0])))
-                    worst = max(worst, rel)
-                    if ml != m or not lanc.converged or rel > RTOL:
-                        bad.append((lx, ly, n, c.lambda_a, c.lambda_b, seed, m, ml, rel))
+    for label, op in _agree_operators():
+        dense = ground_state(op, 1, method="dense")
+        m = dense.ground_multiplet().shape[1]
+        for seed in range(8):
+            lanc = ground_state(op, 1, method="lanczos", seed=seed)
+            cases += 1
+            ml = lanc.ground_multiplet().shape[1]
+            e = dense.eigenvalues[:m]
+            err = np.abs(lanc.eigenvalues[:min(m, ml)] - e[:min(m, ml)]).max()
+            rel = float(err / max(1.0, abs(e[0])))
+            worst = max(worst, rel)
+            if ml != m or not lanc.converged or rel > RTOL:
+                bad.append((label, seed, m, ml, rel))
     print(f"cases {cases}  worst relative energy error {worst:.3g}  failures {len(bad)}")
     for row in bad:
-        print("  %dx%d n=%d la=%g lb=%g seed=%d dense m=%d lanczos m=%d rel=%.3g" % row)
+        print("  %s seed=%d dense m=%d lanczos m=%d rel=%.3g" % row)
     return max(1 if bad else 0, agree_symmetric_block())
+
+
+def _block_cases():
+    """``(label, routed spectrum, full-sector spectrum, basis)`` of every
+    sector that the spin or the JC solver routes to the symmetric block."""
+    for lx, ly in AGREE_ARRAYS:
+        geom = ArrayGeometry(lx, ly)
+        for n in range(lx * ly + 1):
+            for c in (ATTRACTIVE, ATTRACTIVE_EQUAL):
+                if _takes_symmetric_block(geom, c, n, 1):
+                    spec, basis = sector_ground(geom, c, n)
+                    ref = ground_state(build_sector_hamiltonian(geom, c, basis))
+                    yield f"{lx}x{ly} n={n} la={c.lambda_a:g} lb={c.lambda_b:g}", spec, ref, basis
+    for geom, basis in _jc_sectors():
+        if jcmodel._takes_symmetric_block(JC, basis, 1):
+            spec, basis = jc_sector_ground(geom, JC, basis.n_total)
+            ref = ground_state(build_jc_hamiltonian(geom, JC, basis))
+            yield f"jc {geom.lx}x{geom.ly} n={basis.n_total}", spec, ref, basis
 
 
 def agree_symmetric_block() -> int:
     cases = 0
     worst_e = worst_c = 0.0
     bad = []
-    for lx, ly in AGREE_ARRAYS:
-        geom = ArrayGeometry(lx, ly)
-        for n in range(lx * ly + 1):
-            for c in (ATTRACTIVE, ATTRACTIVE_EQUAL):
-                if not _takes_symmetric_block(geom, c, n, 1):
-                    continue
-                spec, basis = sector_ground(geom, c, n)
-                ref = ground_state(build_sector_hamiltonian(geom, c, basis))
-                cases += 1
-                e = ref.ground_energy
-                rel = abs(spec.ground_energy - e) / max(1.0, abs(e))
-                mine, theirs = correlation_ratio(spec, basis), correlation_ratio(ref, basis)
-                dc = max(abs(mine.sigma_nn - theirs.sigma_nn),
-                         abs(mine.sigma_nnn - theirs.sigma_nnn))
-                worst_e, worst_c = max(worst_e, rel), max(worst_c, dc)
-                if mine.multiplet_size != theirs.multiplet_size or rel > RTOL or dc > RTOL:
-                    bad.append((lx, ly, n, c.lambda_a, c.lambda_b, theirs.multiplet_size,
-                                mine.multiplet_size, rel, dc))
+    for label, spec, ref, basis in _block_cases():
+        cases += 1
+        e = ref.ground_energy
+        rel = abs(spec.ground_energy - e) / max(1.0, abs(e))
+        mine, theirs = multiplet_correlations(spec, basis), multiplet_correlations(ref, basis)
+        dc = max(abs(mine.sigma_nn - theirs.sigma_nn),
+                 abs(mine.sigma_nnn - theirs.sigma_nnn))
+        worst_e, worst_c = max(worst_e, rel), max(worst_c, dc)
+        if mine.multiplet_size != theirs.multiplet_size or rel > RTOL or dc > RTOL:
+            bad.append((label, theirs.multiplet_size, mine.multiplet_size, rel, dc))
     print(f"symmetric block: cases {cases}  worst relative energy error {worst_e:.3g}  "
           f"worst correlation error {worst_c:.3g}  failures {len(bad)}")
     for row in bad:
-        print("  %dx%d n=%d la=%g lb=%g full m=%d block m=%d rel=%.3g corr=%.3g" % row)
+        print("  %s full m=%d block m=%d rel=%.3g corr=%.3g" % row)
     return 1 if bad else 0
 
 

@@ -3,7 +3,7 @@
 A sector with ``n_exc`` raised spins out of ``n_sites`` is the set of all
 bitmasks of that Hamming weight, stored in ascending integer order.  A
 state's rank is its index in that table, found by a vectorized binary search
-(one mask or many); a mask outside the sector is an error, never an index.
+over an array of masks; a mask outside the sector is an error, never an index.
 The model's one hop rule, :func:`line_moves`, acts on these tables.
 """
 
@@ -104,14 +104,6 @@ class SectorBasis:
     def blocks(self) -> tuple[MaskBlock]:
         """The whole sector as one block of inner dimension 1."""
         return (MaskBlock(self.states, 1, 0),)
-
-    def rank(self, mask: int) -> int:
-        """Index of one bitmask in the sorted state table."""
-        mask = int(mask)
-        in_range = 0 <= mask < 1 << self.geometry.n_sites
-        if not in_range or mask.bit_count() != self.n_exc:
-            raise ValueError(f"mask {mask:#x} is not a weight-{self.n_exc} state")
-        return int(self.bulk_rank(np.array([mask], dtype=np.int64))[0])
 
     def bulk_rank(self, masks: np.ndarray) -> np.ndarray:
         """Vectorized rank of many masks (binary search on the state table)."""

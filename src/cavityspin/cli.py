@@ -149,6 +149,14 @@ def _nonempty(grid: list, name: str) -> list:
     return grid
 
 
+def _at_least(value, low, name: str):
+    """An optional flag value checked against its lower bound where it is
+    parsed, so a bad one is a usage error."""
+    if value is not None and value < low:
+        raise UsageError(f"{_flag(name)} must be >= {low}, got {value}")
+    return value
+
+
 def _sectors(values: list[int], name: str, top: float = math.inf) -> list[int]:
     """A non-empty ``--nexc`` or ``--ntotal`` list, every sector in
     [0, top]: checked before any solve, so a bad one is a usage error."""
@@ -207,7 +215,7 @@ def _resolve_level(args, cfg, *, need_modes: bool):
     if level == "jc":
         delta_a, delta_b, eta = _detunings(args, cfg)
         omega = _req(args, cfg, "omega", float)
-        g = _req(args, cfg, "g", float)
+        g = _at_least(_req(args, cfg, "g", float), 0, "g")  # a magnitude
         if delta_b is None:
             delta_b = delta_b_from_eta(delta_a, omega, eta) if eta is not None else delta_a
         jc = EffectiveJCParams(omega_at=omega, g=g, delta_a=delta_a, delta_b=delta_b)
@@ -347,7 +355,7 @@ def _cmd_spin_ed(args, cfg, seed: int) -> CommandResult:
 def _cmd_jc_ed(args, cfg, seed: int) -> CommandResult:
     geom = _geometry(args, cfg)
     _, jc, level = _resolve_level(args, cfg, need_modes=True)
-    n_max = _opt(args, cfg, "nmax", int)
+    n_max = _at_least(_opt(args, cfg, "nmax", int), 0, "nmax")
     ntotal = _opt(args, cfg, "ntotal", _ints)
     rows = []
     if ntotal is not None:
@@ -381,9 +389,9 @@ def _cmd_crossover(args, cfg, seed: int) -> CommandResult:
     if omega <= 0.0:
         raise UsageError("crossover sweep requires omega > 0")
     ratios = _nonempty(_req(args, cfg, "delta_ratios", _floats), "delta_ratios")
-    sectors = _opt(args, cfg, "sectors", int, default=3)
+    sectors = _at_least(_opt(args, cfg, "sectors", int, default=3), 1, "sectors")
     _opt(args, cfg, "tol", float)  # accepted no-op: g_c_jc is an eigenvalue
-    n_max = _opt(args, cfg, "nmax", int)
+    n_max = _at_least(_opt(args, cfg, "nmax", int), 0, "nmax")
     tps = transition_couplings(
         geom,
         omega,
@@ -505,9 +513,7 @@ def _cmd_analytic_1d(args, cfg, seed: int) -> CommandResult:
     omega = _opt(args, cfg, "omega", float)
     lam = _opt(args, cfg, "lam", float)
     delta = _opt(args, cfg, "delta", float)
-    n_spins = _opt(args, cfg, "n", int)
-    if n_spins is not None and n_spins < 1:
-        raise UsageError(f"--n must be >= 1, got {n_spins}")
+    n_spins = _at_least(_opt(args, cfg, "n", int), 1, "n")
     given = [v is not None for v in (omega, lam, delta)]
     if any(given) and not all(given):
         raise UsageError("give all of --omega, --lam, --delta or none (sign table)")

@@ -10,6 +10,12 @@ makes the sector matrix exact, not truncated.
 Mode layout: modes ``0 .. ly-1`` are the row modes, ``ly .. ly+lx-1`` the
 column modes.  Photon configurations are ranked through base-``n_max+1``
 packed keys, which keeps matrix assembly vectorized.
+
+With g > 0 the sector ground state of an untruncated sector is simple, and
+with scalar detunings it is invariant under S_Ly x S_Lx acting on the sites
+and the line modes together; :func:`jc_sector_ground` then solves a single
+ground pair past the dense cutoff on the block of normalized orbit sums
+(114 classes for the 2016 states of 3x3 n_total=4).
 """
 
 from __future__ import annotations
@@ -30,6 +36,15 @@ from .linalg import (
 )
 from .observables import CorrelationResult, multiplet_correlations
 from .params import EffectiveJCParams, RegimeError, ScalarOrPerLine
+from .spinmodel import orbit_block_ground
+from .symmetry import (
+    MAX_LABELLED_DIM,
+    PermutationGroup,
+    build_group,
+    line_images,
+    orbit_partition,
+    site_images,
+)
 
 MAX_JC_DIM = 2_000_000
 
@@ -246,6 +261,58 @@ def build_jc_hamiltonian(
     )
 
 
+def _takes_symmetric_block(jc: EffectiveJCParams, basis: JCBasis, k: int) -> bool:
+    """Whether :func:`jc_sector_ground` solves on the orbit-sum block: one
+    ground pair of an untruncated sector with g > 0 and scalar detunings,
+    past the dense cutoff and inside the labelling guard."""
+    from .linalg import DENSE_CUTOFF  # read at call time: scripts may reset it
+
+    return (
+        k == 1
+        and jc.g > 0.0
+        and all(isinstance(d, (int, float)) for d in (jc.delta_a, jc.delta_b))
+        and not basis.truncated
+        and DENSE_CUTOFF < basis.dim <= MAX_LABELLED_DIM
+    )
+
+
+def _generator_images(group: PermutationGroup, basis: JCBasis) -> list[np.ndarray]:
+    """Per generator, the sector index of every state's image: the site
+    bits and the matching line modes are permuted together."""
+    images = []
+    for perm in group.generators:
+        modes = line_images(basis.geometry, perm)
+        parts = []
+        for blk in basis.blocks:
+            photons = blk.photons
+            weights = np.array([photons.key_weight(m) for m in modes], dtype=np.int64)
+            p_img = photons.rank_keys(photons.configs @ weights)
+            m_img = np.searchsorted(blk.masks, site_images(perm, blk.masks))
+            parts.append(blk.offset + (m_img[:, None] * photons.count + p_img).reshape(-1))
+        images.append(np.concatenate(parts))
+    return images
+
+
+def _symmetric_block_ground(
+    geometry: ArrayGeometry, jc: EffectiveJCParams, basis: JCBasis, seed: int
+) -> SpectrumResult:
+    """Sector ground pair from the block of normalized orbit sums under
+    S_Ly x S_Lx acting on the sites and the line modes together.
+
+    The block is ``P^T H P``, ``P`` the normalized orbit sums: the sector
+    entries summed over pairs of classes, divided by ``sqrt(s_i s_j)``.
+    """
+    group = build_group(geometry, include_transpose=False)
+    _, which, sizes = orbit_partition(
+        group, basis.dim, _generator_images(group, basis)
+    )
+    h = build_jc_hamiltonian(geometry, jc, basis)
+    block = np.zeros((len(sizes), len(sizes)))
+    np.add.at(block, (which[h.rows], which[h.cols]), h.vals)
+    block = (block + block.T) / (2.0 * np.sqrt(np.outer(sizes, sizes)))
+    return orbit_block_ground(block, which, sizes, seed)
+
+
 def jc_sector_ground(
     geometry: ArrayGeometry,
     jc: EffectiveJCParams,
@@ -255,9 +322,22 @@ def jc_sector_ground(
     k: int = 1,
     seed: int = 0,
 ) -> tuple[SpectrumResult, JCBasis]:
+    """Lowest ``k`` pairs of a sector, with every copy of the ground level.
+
+    In the gauge ``(-1)^k`` (k raised spins) every off-diagonal entry is
+    negative, and for g > 0 an untruncated sector is connected, so by
+    Perron-Frobenius its ground state is simple and positive.  With scalar
+    detunings it is then invariant under every row and column permutation,
+    and a single ground pair past the dense cutoff
+    (:func:`_takes_symmetric_block`) is solved on the block of symmetric
+    orbit sums.  Every other case is solved on the full sector matrix.
+    """
     basis = JCBasis(geometry, n_total, n_max)
-    h = build_jc_hamiltonian(geometry, jc, basis)
-    spec = ground_state(h, min(k, basis.dim), seed=seed)
+    if _takes_symmetric_block(jc, basis, k):
+        spec = _symmetric_block_ground(geometry, jc, basis, seed)
+    else:
+        h = build_jc_hamiltonian(geometry, jc, basis)
+        spec = ground_state(h, min(k, basis.dim), seed=seed)
     if not spec.converged:
         raise ArithmeticError(f"sector n_total={n_total} ground solve did not converge")
     return spec, basis

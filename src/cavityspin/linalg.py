@@ -8,9 +8,8 @@ use, in deflated rounds until the lowest degeneracy cluster is provably
 closed.  Both paths return every copy of the lowest level, and residual norms
 ``|H v - E v|`` are reported for every pair.
 
-Only the Lanczos path, ``nnz`` and ``symmetry_defect`` import scipy, so a
-process whose solves are all dense (and one that solves nothing) runs on
-numpy alone.  The first Lanczos solve of a process pays for the whole
+Only the Lanczos path and ``nnz`` import scipy, so a process whose solves
+are all dense (and one that solves nothing) runs on numpy alone.  The first Lanczos solve of a process pays for the whole
 ``scipy.sparse`` import.
 
 The cutoff comes from ``scripts/solver_sweep.py`` on 2 cores.  In one
@@ -25,6 +24,11 @@ at dimension 495-1001 and 0.09 s slower at 1365, and faster from 1820 up
 Attractive spin sectors past the cutoff reach this module as their small
 orbit-sum block (``spinmodel.sector_ground``): the operator is the block,
 usually far below the cutoff, and the sector never becomes a matrix.
+Jaynes-Cummings sectors past the cutoff with scalar detunings reach it as
+their orbit-sum block too (``jcmodel.jc_sector_ground``; 114 classes for
+the 2016 states of 3x3 n_total=4).  The sectors that stay whole (per-line
+detunings, a truncated photon cutoff) close after one Lanczos round: their
+ground level is simple by Perron-Frobenius up to a +-1 gauge.
 """
 
 from __future__ import annotations
@@ -70,11 +74,6 @@ class SparseOperator:
         h = np.zeros((self.dim, self.dim))
         np.add.at(h, (self.rows, self.cols), self.vals)
         return h
-
-    def symmetry_defect(self) -> float:
-        """Largest |H - H^T| entry; zero for an exactly symmetric assembly."""
-        d = self.matrix - self.matrix.T
-        return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
 
 
 def operator_from_entries(dim, rows, cols, vals) -> SparseOperator:
@@ -181,7 +180,8 @@ def _lanczos_lowest(op: SparseOperator, k: int, *, seed: int) -> SpectrumResult:
     one extra round: a round may converge to the next level while copies of
     the lowest are still missing.  The cluster is closed only after two
     consecutive rounds from independent starts both land above it, or from
-    the start when Perron-Frobenius proves the ground level simple.
+    the start when Perron-Frobenius proves the ground level simple (up to
+    a +-1 gauge, as in every Jaynes-Cummings sector).
     """
     from scipy.sparse.linalg import LinearOperator, eigsh
 
@@ -214,14 +214,27 @@ def _lanczos_lowest(op: SparseOperator, k: int, *, seed: int) -> SpectrumResult:
 
 
 def _perron_frobenius_simple(matrix) -> bool:
-    """True when every off-diagonal entry of a CSR matrix is <= 0 and the
-    nonzero pattern is connected: then the lowest eigenvalue is simple
-    (Perron-Frobenius)."""
+    """True when the lowest eigenvalue of a CSR matrix is provably simple:
+    the nonzero off-diagonal pattern is connected and a diagonal +-1 gauge
+    makes every off-diagonal entry negative (Perron-Frobenius).
+
+    The gauge is a two-colouring in which a negative entry joins equal
+    colours and a positive one opposite colours.  In the signed double
+    cover (node ``i`` as ``i`` and ``i + dim``, the second copy the other
+    colour) a positive entry joins ``i`` to ``j + dim`` and a negative one
+    ``i`` to ``j``; the colouring exists and the pattern is connected
+    exactly when the cover has two components that separate every ``i``
+    from ``i + dim``.
+    """
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
-    off = sp.triu(matrix, k=1, format="csr")
+    dim = matrix.shape[0]
+    off = sp.triu(matrix, k=1, format="coo")
     off.eliminate_zeros()  # csgraph counts a stored zero as an edge
-    if off.nnz and off.data.max() > 0.0:
-        return False
-    return connected_components(off, directed=False)[0] == 1
+    other = dim * (off.data > 0.0)
+    src = np.concatenate([off.row, off.row + dim])
+    dst = np.concatenate([off.col + other, off.col + dim - other])
+    cover = sp.coo_matrix((np.ones(len(src)), (src, dst)), shape=(2 * dim, 2 * dim))
+    count, labels = connected_components(cover, directed=False)
+    return count == 2 and bool(np.all(labels[:dim] != labels[dim:]))

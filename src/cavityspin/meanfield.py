@@ -108,10 +108,6 @@ class MeanFieldSolution:
     sigma_z: float
     photons_total: float  # (Lx + Ly) |alpha|^2
 
-    @property
-    def critical_g(self) -> float:
-        return mf_critical_g(ArrayGeometry(self.lx, self.ly), self.delta, self.omega_at)
-
 
 def solve(geometry: ArrayGeometry, g: float, delta: float, omega_at: float) -> MeanFieldSolution:
     """Evaluate all mean-field observables at one coupling."""

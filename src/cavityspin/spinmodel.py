@@ -41,7 +41,12 @@ from .linalg import (
 )
 from .observables import CorrelationResult, multiplet_correlations
 from .params import SpinCouplings
-from .symmetry import MAX_LABELLED_DIM, _orbit_labels, build_group, class_hop_counts
+from .symmetry import (
+    MAX_LABELLED_DIM,
+    build_group,
+    class_hop_counts,
+    mask_partition,
+)
 
 
 def _diagonal(
@@ -128,6 +133,31 @@ def _takes_symmetric_block(
     )
 
 
+def orbit_block_ground(
+    block: np.ndarray, which: np.ndarray, sizes: np.ndarray, seed: int = 0
+) -> SpectrumResult:
+    """Ground pair of a symmetric orbit block, expanded onto the sector.
+
+    Both symmetric-block routes end here, the spin route below and the
+    Jaynes-Cummings one of ``jcmodel``.  ``block`` is the operator on
+    normalized orbit sums, ``which`` the class of every sector state and
+    ``sizes`` the class sizes.  A block vector
+    ``c`` is the sector vector with amplitude ``c_i / sqrt(s_i)`` on every
+    member of class i, and its residual is the block residual.  The caller
+    vouches that the sector ground state is simple and symmetric.
+    """
+    i, j = np.nonzero(block)
+    spec = ground_state(operator_from_entries(len(sizes), i, j, block[i, j]), seed=seed)
+    vector = (spec.eigenvectors[:, 0] / np.sqrt(sizes))[which]
+    return SpectrumResult(
+        eigenvalues=spec.eigenvalues[:1],
+        eigenvectors=vector[:, None],
+        residual_norms=spec.residual_norms[:1],
+        method="symmetric-block",
+        converged=spec.converged,
+    )
+
+
 def _symmetric_block_ground(
     geometry: ArrayGeometry,
     couplings: SpinCouplings,
@@ -142,29 +172,17 @@ def _symmetric_block_ground(
     plus the uniform diagonal, ``C`` the move counts out of each class
     representative and ``s`` the class sizes, as built in the exactly
     symmetric form ``E / sqrt(s_i s_j)`` by ``symmetry.class_hop_counts``.
-    A block vector ``c`` is the sector vector with amplitude
-    ``c_i / sqrt(s_i)`` on every member of class i, and its residual is the
-    block residual.
+    :func:`orbit_block_ground` solves it and expands the vector.
     """
     group = build_group(geometry, include_transpose=False)
-    labels = _orbit_labels(group, basis.states)
-    reps, which, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    reps, which, sizes = mask_partition(group, basis.states)
     weights = (2.0 * couplings.lambda_a, 2.0 * couplings.lambda_b)
     _, block = class_hop_counts(
         group, basis.states, which, basis.states[reps], sizes, weights
     )
     diag = _diagonal(geometry, couplings, basis.n_exc, include_lambda_shift)
     block += diag * np.eye(len(sizes))
-    i, j = np.nonzero(block)
-    spec = ground_state(operator_from_entries(len(sizes), i, j, block[i, j]), seed=seed)
-    vector = (spec.eigenvectors[:, 0] / np.sqrt(sizes))[which]
-    return SpectrumResult(
-        eigenvalues=spec.eigenvalues[:1],
-        eigenvectors=vector[:, None],
-        residual_norms=spec.residual_norms[:1],
-        method="symmetric-block",
-        converged=spec.converged,
-    )
+    return orbit_block_ground(block, which, sizes, seed)
 
 
 def sector_ground(

@@ -11,11 +11,14 @@ part of the spectrum, including the ground state for attractive couplings.
 
 The group is held as generators: orbit labels come from generator images,
 the order and the cycle index from closed forms, so sectors of up to
-``MAX_LABELLED_DIM`` states are partitioned on any array.  The hop counts
-between classes and the one symmetric orbit block, shared by
-:func:`orbit_basis_hamiltonian` and the attractive-sector solve of
-``spinmodel``, come from :func:`class_hop_counts`, which applies the
-model's one hop rule, ``basis.line_moves``.
+``MAX_LABELLED_DIM`` states are partitioned on any array.
+:func:`orbit_partition` labels any state table from its index images, one
+array per generator: spin masks (:func:`mask_partition`) and the states of
+a ``jcmodel`` sector, whose generators move the sites and the line modes
+together.  The hop counts between classes and the spin symmetric orbit
+block, shared by :func:`orbit_basis_hamiltonian` and the attractive-sector
+solve of ``spinmodel``, come from :func:`class_hop_counts`, which applies
+the model's one hop rule, ``basis.line_moves``.
 """
 
 from __future__ import annotations
@@ -213,22 +216,37 @@ class OrbitClass:
     members: tuple[int, ...] = field(repr=False, default=())
 
 
-def _orbit_labels(group: PermutationGroup, masks: np.ndarray) -> np.ndarray:
-    """Per sector mask (``masks`` ascending), the index of its orbit's
-    smallest mask.
+def site_images(perm: Perm, masks: np.ndarray) -> np.ndarray:
+    """The masks with every site bit ``s`` moved to ``perm[s]``."""
+    img = np.zeros_like(masks)
+    for s, t in enumerate(perm):
+        img |= ((masks >> s) & 1) << t
+    return img
 
-    Orbits are the connected components of the Schreier graph on the
-    generators, so only generator images are formed (one vectorized pass per
-    site); minimum labels are pushed along those edges and compressed by
-    pointer jumping until they stop changing.
+
+def line_images(geometry: ArrayGeometry, perm: Perm) -> np.ndarray:
+    """Mode image of every line under a row x column site permutation:
+    row mode ``r`` goes to the row of ``perm[site(r, 0)]``, column mode
+    ``ly + c`` to ``ly`` plus the column of ``perm[site(0, c)]``."""
+    rows = [geometry.row_col(perm[geometry.site(r, 0)])[0] for r in range(geometry.ly)]
+    cols = [geometry.row_col(perm[geometry.site(0, c)])[1] for c in range(geometry.lx)]
+    return np.array(rows + [geometry.ly + c for c in cols], dtype=np.int64)
+
+
+def _check_orbit_sizes(order: int, sizes: np.ndarray) -> None:
+    if np.any(order % sizes):  # the closed order against the labelling
+        raise ArithmeticError("orbit size does not divide group order")
+
+
+def _orbit_labels(count: int, images: list[np.ndarray]) -> np.ndarray:
+    """Per state ``0 .. count-1``, the smallest index of its orbit.
+
+    ``images`` holds one index array per generator: the index of each
+    state's image.  Orbits are the connected components of the Schreier
+    graph on the generators; minimum labels are pushed along its edges and
+    compressed by pointer jumping until they stop changing.
     """
-    images = []
-    for gen in group.generators:
-        img = np.zeros_like(masks)
-        for s, t in enumerate(gen):
-            img |= ((masks >> s) & 1) << t
-        images.append(np.searchsorted(masks, img))
-    label = np.arange(len(masks))
+    label = np.arange(count)
     while True:
         new = label
         for img in images:
@@ -237,6 +255,27 @@ def _orbit_labels(group: PermutationGroup, masks: np.ndarray) -> np.ndarray:
         if np.array_equal(new, label):
             return label
         label = new
+
+
+def orbit_partition(
+    group: PermutationGroup, count: int, images: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(reps, which, sizes)`` of the orbits of ``count`` states, from the
+    generator images of ``group``: the smallest index of each orbit
+    (ascending), the orbit of every state and the orbit sizes, checked
+    against the closed group order."""
+    labels = _orbit_labels(count, images)
+    reps, which, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    _check_orbit_sizes(group.order, sizes)
+    return reps, which, sizes
+
+
+def mask_partition(
+    group: PermutationGroup, masks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`orbit_partition` of a sorted spin-mask table."""
+    images = [np.searchsorted(masks, site_images(g, masks)) for g in group.generators]
+    return orbit_partition(group, len(masks), images)
 
 
 def _orbit_table(
@@ -252,11 +291,8 @@ def _orbit_table(
         raise ValueError(f"sector dimension {dim} too large to partition")
     masks = enumerate_masks(group.degree, n_exc)
     order = group.order
-    labels = _orbit_labels(group, masks)
-    reps, which, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-    if np.any(order % sizes):  # the closed order against the labelling
-        raise ArithmeticError("orbit size does not divide group order")
-    grouped = masks[np.argsort(labels, kind="stable")]
+    reps, which, sizes = mask_partition(group, masks)
+    grouped = masks[np.argsort(which, kind="stable")]
     members = np.split(grouped, np.cumsum(sizes)[:-1])
     # rep indices ascend with their masks, so this is (size, representative)
     ranked = np.lexsort((reps, sizes))
@@ -299,8 +335,7 @@ def class_hop_counts(
     orbit sums, ``(w_r, w_c) = weights`` and ``E = C s_i`` the integer edge
     counts, exactly symmetric.
     """
-    if np.any(group.order % sizes):  # the closed order against the labelling
-        raise ArithmeticError("orbit size does not divide group order")
+    _check_orbit_sizes(group.order, sizes)
     k = len(representatives)
     c_row, c_col = np.zeros((2, k, k), dtype=np.int64)
     for kind, counts in (("row", c_row), ("col", c_col)):

@@ -63,6 +63,15 @@ def dense_spin_full(geometry, couplings, include_lambda_shift=True) -> sp.csr_ma
     return h
 
 
+def symmetry_defect(op) -> float:
+    """Largest |H - H^T| entry of an operator held as its entries (duplicates
+    add up); zero for an exactly symmetric assembly."""
+    m = sp.coo_matrix((op.vals, (op.rows, op.cols)), shape=(op.dim, op.dim)).tocsr()
+    d = m - m.T
+    d.eliminate_zeros()
+    return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
+
+
 def sector_masks(n_sites: int, n_exc: int) -> list:
     return [m for m in range(1 << n_sites) if bin(m).count("1") == n_exc]
 

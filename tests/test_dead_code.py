@@ -1,6 +1,8 @@
 """No function or class of the package that only unit tests reach.
 
-Every top-level ``def`` and ``class`` of ``src/cavityspin`` must be named
+Every top-level ``def`` and ``class`` of ``src/cavityspin``, and every
+method and property in a class body (dunder methods aside: Python calls
+them), must be named
 somewhere other than its own definition in the package, the scripts, the
 benchmark or the acceptance tests: as a name, an attribute, an import or a
 word of a string (the benchmark wraps functions by their names), but not in
@@ -47,6 +49,19 @@ def _references(tree: ast.AST) -> list[tuple[str, int]]:
     return out
 
 
+def _definitions(tree: ast.Module):
+    """``(qualified name, node)`` of the top-level defs and classes and of
+    the methods in class bodies."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item
+
+
 def test_every_package_definition_has_a_caller_outside_the_unit_tests():
     users = [
         *sorted(PACKAGE.glob("*.py")),
@@ -58,14 +73,12 @@ def test_every_package_definition_has_a_caller_outside_the_unit_tests():
     refs = {path: _references(tree) for path, tree in trees.items()}
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for qualified, node in _definitions(trees[path]):
             own = range(node.lineno, node.end_lineno + 1)
             if not any(
                 name == node.name and not (user == path and line in own)
                 for user, found in refs.items()
                 for name, line in found
             ):
-                unused.append(f"{path.stem}.{node.name}")
+                unused.append(f"{path.stem}.{qualified}")
     assert unused == []

@@ -271,14 +271,15 @@ def test_frustrated_eigenvector_sigma_z_profile():
         for col, w in ((0, 1.0), (1, -1.0)):
             s = col + lx * row
             support.append(s)
-            vec[basis.rank(1 << s)] = w / math.sqrt(2 * ly)
+            vec[basis.bulk_rank(np.asarray([1 << s]))] = w / math.sqrt(2 * ly)
     hv = h @ vec
     e = vec @ hv
     diag = (0.5 + c.lambda_a + c.lambda_b) * (2 - lx * ly)
     assert e == pytest.approx(diag + (-2 * c.lambda_a + 2 * (ly - 1) * c.lambda_b))
     assert np.max(np.abs(hv - e * vec)) < 1e-12
     # one raised spin: <sigma^z_s> = 2 |amplitude of the state 1 << s|^2 - 1
-    sz = np.array([2.0 * vec[basis.rank(1 << s)] ** 2 - 1.0 for s in range(lx * ly)])
+    one_spin = basis.bulk_rank(np.int64(1) << np.arange(lx * ly))
+    sz = 2.0 * vec[one_spin] ** 2 - 1.0
     for s in range(lx * ly):
         want = -1.0 + 1.0 / ly if s in support else -1.0
         assert sz[s] == pytest.approx(want, abs=1e-12)

@@ -208,6 +208,15 @@ def test_cli_usage_errors_exit_2(capsys):
          "--n must be >= 1"),
         (["analytic-1d", "--omega", "1", "--lam=-0.1", "--delta", "2", "--n", "0"],
          "--n must be >= 1"),
+        # JC flags are range-checked where they are parsed
+        (["jc-ed", "--lx", "2", "--ly", "2", "--omega", "1", "--delta-a", "6",
+          "--g", "0.4", "--ntotal", "1", "--nmax=-1"], "--nmax must be >= 0"),
+        (["crossover", "--lx", "2", "--ly", "2", "--omega", "1",
+          "--delta-ratios", "20", "--nmax=-1"], "--nmax must be >= 0"),
+        (["crossover", "--lx", "2", "--ly", "2", "--omega", "1",
+          "--delta-ratios", "20", "--sectors", "0"], "--sectors must be >= 1"),
+        (["jc-ed", "--lx", "2", "--ly", "2", "--omega", "1", "--delta-a", "6",
+          "--g=-0.3", "--ntotal", "1"], "--g must be >= 0"),
     ]:
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
@@ -515,6 +524,11 @@ def test_cli_dense_and_no_solve_commands_never_import_scipy():
         # past the dense cutoff, routed to the small symmetric orbit block
         ["spin-ed", "--lx", "5", "--ly", "4", "--lambda-a=-0.15", "--lambda-b=-0.07",
          "--omega", "1", "--nexc", "10"],
+        # Jaynes-Cummings sectors of dim 2016, on their symmetric orbit block
+        ["jc-ed", "--lx", "3", "--ly", "3", "--omega", "1", "--g", "0.4",
+         "--delta-a", "6", "--delta-b", "5.5", "--ntotal", "4"],
+        ["correlations", "--lx", "3", "--ly", "3", "--lambda-a=-0.15",
+         "--lambda-b=-0.07", "--omega", "1", "--nexc", "4", "--jc-delta-ratio", "40"],
     ]
     assert _fresh_cli(argvs) == {"codes": [0] * len(argvs), "scipy": []}
 

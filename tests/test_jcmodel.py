@@ -1,17 +1,18 @@
 """Sector diagonalization of the spin-photon array model."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from cavityspin import jcmodel, onedim, spinmodel
+from cavityspin import jcmodel, linalg, onedim, spinmodel
 from cavityspin.geometry import ArrayGeometry
 from cavityspin.observables import block_segments
 from cavityspin.params import EffectiveJCParams, RegimeError, SpinCouplings
 
-from oracles import dense_jc_sector, jc_correlation_reference
+from oracles import dense_jc_sector, jc_correlation_reference, symmetry_defect
 
 
 def brute_compositions(total, parts, cap):
@@ -76,7 +77,7 @@ def test_sector_matrix_matches_dense_product_space():
     for geom, jc, n_total, cap in cases:
         basis = jcmodel.JCBasis(geom, n_total, cap)
         h = jcmodel.build_jc_hamiltonian(geom, jc, basis)
-        assert h.symmetry_defect() == 0.0
+        assert symmetry_defect(h) == 0.0
         mine = np.sort(np.linalg.eigvalsh(h.to_dense()))
         block, idx = dense_jc_sector(geom, jc, n_total, cap)
         assert basis.dim == len(idx)
@@ -275,3 +276,62 @@ def test_jc_matches_spin_model_in_deep_dispersive_regime():
         gap_jc = jcmodel.jc_sector_ground(geom, jc, n_exc)[0].ground_energy - e0_jc
         gap_spin = spinmodel.sector_ground_energy(geom, c, n_exc) - e0_spin
         assert gap_jc == pytest.approx(gap_spin, abs=5e-4 * n_exc)
+
+
+def _jc_route_sectors():
+    """Every sector with 32 < dim <= 6100 of the four smallest arrays."""
+    for lx, ly in [(2, 2), (3, 2), (3, 3), (4, 3)]:
+        geom = ArrayGeometry(lx, ly)
+        for n_total in range(1, 8):
+            dim = jcmodel.JCBasis(geom, n_total).dim
+            if 32 < dim <= 6100:
+                yield geom, n_total
+
+
+def test_symmetric_block_route_matches_full_sector_ed(monkeypatch):
+    # the cutoff lowered to 32 routes every sector past it; the reference
+    # solves the full sector matrix, dense up to dim 700
+    monkeypatch.setattr(linalg, "DENSE_CUTOFF", 32)
+    jc = EffectiveJCParams(omega_at=1.0, g=0.6, delta_a=1.7, delta_b=1.2)
+    cases = 0
+    for geom, n_total in _jc_route_sectors():
+        spec, basis = jcmodel.jc_sector_ground(geom, jc, n_total)
+        assert spec.method == "symmetric-block" and spec.converged
+        h = jcmodel.build_jc_hamiltonian(geom, jc, basis)
+        ref = linalg.ground_state(h, method="dense" if basis.dim <= 700 else "lanczos")
+        e = ref.ground_energy
+        assert abs(spec.ground_energy - e) <= 1e-12 * abs(e), (geom, n_total)
+        v = spec.eigenvectors[:, 0]
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(h.matvec(v) - e * v) <= 1e-10 * max(1.0, abs(e))
+        mine = jcmodel.jc_correlation_ratio(spec, basis)
+        theirs = jcmodel.jc_correlation_ratio(ref, basis)
+        assert mine.multiplet_size == theirs.multiplet_size == 1
+        assert abs(mine.sigma_nn - theirs.sigma_nn) <= 1e-12
+        assert abs(mine.sigma_nnn - theirs.sigma_nnn) <= 1e-12
+        cases += 1
+    assert cases == 5 + 6 + 4 + 3
+
+
+def test_symmetric_block_route_only_for_one_symmetric_untruncated_pair():
+    geom = ArrayGeometry(3, 3)  # n_total=4: dim 2016, past the dense cutoff
+    jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.5)
+    spec, _ = jcmodel.jc_sector_ground(geom, jc, 4)
+    assert spec.method == "symmetric-block"
+    per_line = EffectiveJCParams(
+        omega_at=1.0, g=0.4, delta_a=(6.0, 6.2, 5.8), delta_b=5.5
+    )
+    off_route = [
+        (per_line, {}),  # per-line detunings break the symmetry
+        (jc, {"n_max": 3}),  # a truncated sector (dim 2010)
+        (jc, {"k": 2}),  # pairs past the ground level
+    ]
+    for params, kwargs in off_route:
+        spec, basis = jcmodel.jc_sector_ground(geom, params, 4, **kwargs)
+        assert basis.dim > linalg.DENSE_CUTOFF
+        assert spec.method == "lanczos", kwargs
+    # no coupling leaves the sector disconnected, with a degenerate ground level
+    uncoupled = dataclasses.replace(jc, g=0.0)
+    assert not jcmodel._takes_symmetric_block(uncoupled, jcmodel.JCBasis(geom, 4), 1)
+    spec, _ = jcmodel.jc_sector_ground(geom, jc, 3)  # dim 545: dense
+    assert spec.method == "dense"

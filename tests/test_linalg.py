@@ -7,14 +7,18 @@ import pytest
 
 from cavityspin.basis import SectorBasis
 from cavityspin.geometry import ArrayGeometry
+from cavityspin.jcmodel import jc_sector_ground
 from cavityspin.linalg import (
-    SparseOperator,
+    CLOSING_ROUNDS,
+    DENSE_CUTOFF,
+    _perron_frobenius_simple,
     ground_state,
     label_degeneracies,
     operator_from_entries,
 )
-from cavityspin.params import SpinCouplings
+from cavityspin.params import EffectiveJCParams, SpinCouplings
 from cavityspin.spinmodel import build_sector_hamiltonian
+from oracles import symmetry_defect
 
 
 def _scaled_identity(dim, scale=1.0):
@@ -44,7 +48,7 @@ def test_matvec_matches_dense():
     assert np.max(np.abs(h - h.T)) == 0.0
     v = rng.normal(size=40)
     assert np.allclose(op.matvec(v), h @ v, atol=1e-13)
-    assert op.symmetry_defect() == 0.0
+    assert symmetry_defect(op) == 0.0
 
 
 def test_dense_and_lanczos_agree_on_random_spectra():
@@ -196,3 +200,56 @@ def test_auto_method_matches_dense_on_every_sector(lambda_a, lambda_b):
             scale = max(1.0, abs(dense.ground_energy))
             err = np.abs(auto.eigenvalues[:m] - dense.eigenvalues[:m]).max()
             assert err <= 1e-12 * scale, (lx, ly, n, err)
+
+
+def _count_eigsh(monkeypatch) -> list:
+    import scipy.sparse.linalg as sla
+
+    calls = []
+    eigsh = sla.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("k"))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigsh", counted)
+    return calls
+
+
+def _cycle(n, hop, seed=0):
+    """A ring of ``n`` states with hop ``hop`` and a random diagonal."""
+    i = np.arange(n)
+    j = (i + 1) % n
+    d = np.random.default_rng(seed).normal(size=n)
+    return operator_from_entries(
+        n, np.r_[i, j, i], np.r_[j, i, i], np.r_[np.full(2 * n, hop), d]
+    )
+
+
+def test_gauged_perron_frobenius_closes_a_jc_sector_after_one_round(monkeypatch):
+    # per-line detunings keep the 3x3 n_total=4 sector (dim 2016) on full
+    # Lanczos; the gauge (-1)^k makes every entry negative, so the ground
+    # level is simple and one eigsh round closes it
+    calls = _count_eigsh(monkeypatch)
+    jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=(6.0, 6.3, 5.7), delta_b=5.5)
+    spec, basis = jc_sector_ground(ArrayGeometry(3, 3), jc, 4)
+    assert basis.dim > DENSE_CUTOFF and spec.method == "lanczos" and spec.converged
+    assert calls == [1]
+    # the superradiant pencils have the same sign pattern
+    assert _perron_frobenius_simple(_cycle(40, 1.0).matrix)
+    assert _perron_frobenius_simple(_cycle(41, -1.0).matrix)
+
+
+def test_positive_hops_on_an_odd_ring_still_take_the_closing_rounds(monkeypatch):
+    # no +-1 gauge makes every hop of an odd ring negative: not provably simple
+    op = _cycle(41, 1.0)
+    assert not _perron_frobenius_simple(op.matrix)
+    calls = _count_eigsh(monkeypatch)
+    res = ground_state(op, 1, method="lanczos")
+    dense = ground_state(op, 1, method="dense")
+    assert len(calls) == 1 + CLOSING_ROUNDS
+    assert res.ground_multiplet().shape[1] == dense.ground_multiplet().shape[1] == 1
+    assert abs(res.ground_energy - dense.ground_energy) <= 1e-12
+    # a disconnected pattern is not simple either, gauged or not
+    d = np.arange(2)
+    assert not _perron_frobenius_simple(operator_from_entries(2, d, d, [1.0, 1.0]).matrix)

@@ -20,7 +20,9 @@ def test_large_array_golden_point():
     assert sol.sigma_z == pytest.approx(-0.25, rel=1e-13)
     assert sol.n_exc == pytest.approx(121.5, rel=1e-13)
     assert sol.photons_total == pytest.approx(36.0 * 9.0 / 32.0, rel=1e-13)
-    assert sol.critical_g == pytest.approx(gc)
+    assert meanfield.mf_critical_g(
+        ArrayGeometry(sol.lx, sol.ly), sol.delta, sol.omega_at
+    ) == pytest.approx(gc)
 
 
 def test_closed_alpha_matches_numeric_minimizer():

@@ -6,10 +6,10 @@ from math import comb
 import numpy as np
 import pytest
 
-from cavityspin import linalg, spinmodel, symmetry
+from cavityspin import jcmodel, linalg, spinmodel, symmetry
 from cavityspin.basis import SectorBasis
 from cavityspin.geometry import ArrayGeometry
-from cavityspin.params import SpinCouplings
+from cavityspin.params import EffectiveJCParams, SpinCouplings
 from oracles import brute_cycle_index, brute_group, brute_orbits
 
 
@@ -149,8 +149,7 @@ def test_orbit_hamiltonian_equals_brute_projection():
         ).to_dense()
         p = np.zeros((basis.dim, len(oh.classes)))
         for i, cls in enumerate(oh.classes):
-            for m in cls.members:
-                p[basis.rank(m), i] = 1.0 / np.sqrt(cls.size)
+            p[basis.bulk_rank(np.asarray(cls.members)), i] = 1.0 / np.sqrt(cls.size)
         projected = p.T @ hop @ p
         assert np.allclose(oh.matrix, projected, atol=1e-12)
         assert np.array_equal(oh.matrix, oh.matrix.T)
@@ -174,10 +173,14 @@ def test_block_builder_checks_class_sizes_against_the_group_order(monkeypatch):
             group, masks, which, masks[:1], np.array([6]), (1.0, 1.0)
         )
     monkeypatch.setattr(linalg, "DENSE_CUTOFF", 0)
-    monkeypatch.setattr(spinmodel, "_orbit_labels", lambda g, m: np.zeros_like(m))
+    monkeypatch.setattr(symmetry, "_orbit_labels", lambda n, images: np.zeros(n, int))
     c = SpinCouplings(lambda_a=-0.2, lambda_b=-0.3, omega_at=1.0)
     with pytest.raises(ArithmeticError):
         spinmodel.sector_ground(geom, c, 2)
+    # the Jaynes-Cummings block: one class of all 8 states of n_total=1
+    jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.0)
+    with pytest.raises(ArithmeticError):
+        jcmodel.jc_sector_ground(geom, jc, 1)
 
 
 def test_orbit_hamiltonian_requires_equal_couplings():
