@@ -41,8 +41,8 @@ def test_enumeration_guards():
 def test_rank_is_table_index():
     basis = SectorBasis(ArrayGeometry(3, 3), 4)
     assert np.array_equal(basis.bulk_rank(basis.states), np.arange(basis.dim))
-    for i, m in enumerate(basis.states[::7]):
-        assert basis.bulk_rank(np.asarray([int(m)]))[0] == 7 * i
+    for i, m in enumerate(basis.states):
+        assert basis.bulk_rank(np.asarray([int(m)]))[0] == i
     with pytest.raises(ValueError):
         basis.bulk_rank(np.asarray([0b111]))  # wrong weight
 
