@@ -557,6 +557,8 @@ def _cmd_meanfield(args, cfg, seed: int) -> CommandResult:
     delta = _req(args, cfg, "delta", float)
     omega = _req(args, cfg, "omega", float)
     gs = _opt(args, cfg, "g", _floats)
+    for g in gs or ():
+        _at_least(g, 0, "g")
     g_c = mf_critical_g(geom, delta, omega)
     rows: list[tuple] = []
     if gs is None:
@@ -839,7 +841,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         units = _opt(args, cfg, "units", str, default="omega")
         if units not in ("omega", "raw"):
             raise UsageError("--units must be 'omega' or 'raw'")
-        seed = _opt(args, cfg, "seed", int, default=0)
+        seed = _at_least(_opt(args, cfg, "seed", int, default=0), 0, "seed")
         handler = _HANDLERS[args.command]
         start = time.monotonic()
         result = handler(args, cfg, seed)

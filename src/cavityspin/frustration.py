@@ -28,23 +28,6 @@ from .spinmodel import one_exc_closed_spectrum
 QUALITY_MIN = 10.0
 
 
-def delta_omega_expectation(
-    lambda_a: float, lambda_b: float, n_a: float, n_b: float
-) -> float:
-    """Estimated spin-frequency shift at row/column photon numbers n_a, n_b.
-
-    Opposite coupling signs suppress every bracket, which is the whole
-    reason the mixed regime can stay self-consistent.
-    """
-    if n_a < 0 or n_b < 0:
-        raise ValueError("photon numbers must be >= 0")
-    return (
-        2.0 * (lambda_a * n_a + lambda_b * n_b)
-        + math.sqrt(n_a * n_b) * (lambda_a + lambda_b)
-        + (lambda_a + lambda_b)
-    )
-
-
 def gs_energies_01(geometry, couplings) -> tuple[float, float]:
     """Closed-form ground energies of the 0- and 1-excitation sectors."""
     n = geometry.n_sites

@@ -15,7 +15,8 @@ With g > 0 the sector ground state of an untruncated sector is simple, and
 with scalar detunings it is invariant under S_Ly x S_Lx acting on the sites
 and the line modes together; :func:`jc_sector_ground` then solves a single
 ground pair past the dense cutoff on the block of normalized orbit sums
-(114 classes for the 2016 states of 3x3 n_total=4).
+(114 classes for the 2016 states of 3x3 n_total=4), which ``symmetry``
+builds from the sector entries whose row is a class representative.
 """
 
 from __future__ import annotations
@@ -36,14 +37,15 @@ from .linalg import (
 )
 from .observables import CorrelationResult, multiplet_correlations
 from .params import EffectiveJCParams, RegimeError, ScalarOrPerLine
-from .spinmodel import orbit_block_ground
 from .symmetry import (
-    MAX_LABELLED_DIM,
     PermutationGroup,
     build_group,
     line_images,
+    orbit_block,
+    orbit_block_ground,
     orbit_partition,
     site_images,
+    takes_orbit_block,
 )
 
 MAX_JC_DIM = 2_000_000
@@ -263,16 +265,13 @@ def build_jc_hamiltonian(
 
 def _takes_symmetric_block(jc: EffectiveJCParams, basis: JCBasis, k: int) -> bool:
     """Whether :func:`jc_sector_ground` solves on the orbit-sum block: one
-    ground pair of an untruncated sector with g > 0 and scalar detunings,
-    past the dense cutoff and inside the labelling guard."""
-    from .linalg import DENSE_CUTOFF  # read at call time: scripts may reset it
-
+    ground pair of an untruncated sector with g > 0 and scalar detunings
+    that passes the size rule ``symmetry.takes_orbit_block``."""
     return (
-        k == 1
-        and jc.g > 0.0
+        jc.g > 0.0
         and all(isinstance(d, (int, float)) for d in (jc.delta_a, jc.delta_b))
         and not basis.truncated
-        and DENSE_CUTOFF < basis.dim <= MAX_LABELLED_DIM
+        and takes_orbit_block(basis.dim, k)
     )
 
 
@@ -299,17 +298,16 @@ def _symmetric_block_ground(
     """Sector ground pair from the block of normalized orbit sums under
     S_Ly x S_Lx acting on the sites and the line modes together.
 
-    The block is ``P^T H P``, ``P`` the normalized orbit sums: the sector
-    entries summed over pairs of classes, divided by ``sqrt(s_i s_j)``.
+    ``symmetry.orbit_block`` builds the block from the sector entries whose
+    row is a class representative.
     """
     group = build_group(geometry, include_transpose=False)
-    _, which, sizes = orbit_partition(
+    reps, which, sizes = orbit_partition(
         group, basis.dim, _generator_images(group, basis)
     )
     h = build_jc_hamiltonian(geometry, jc, basis)
-    block = np.zeros((len(sizes), len(sizes)))
-    np.add.at(block, (which[h.rows], which[h.cols]), h.vals)
-    block = (block + block.T) / (2.0 * np.sqrt(np.outer(sizes, sizes)))
+    keep = reps[which[h.rows]] == h.rows
+    block = orbit_block(which, sizes, which[h.rows[keep]], h.cols[keep], h.vals[keep])
     return orbit_block_ground(block, which, sizes, seed)
 
 

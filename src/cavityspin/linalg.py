@@ -9,8 +9,9 @@ closed.  Both paths return every copy of the lowest level, and residual norms
 ``|H v - E v|`` are reported for every pair.
 
 Only the Lanczos path and ``nnz`` import scipy, so a process whose solves
-are all dense (and one that solves nothing) runs on numpy alone.  The first Lanczos solve of a process pays for the whole
-``scipy.sparse`` import.
+are all dense (and one that solves nothing) runs on numpy alone.  The
+first Lanczos solve of a process pays for the whole ``scipy.sparse``
+import.
 
 The cutoff comes from ``scripts/solver_sweep.py`` on 2 cores.  In one
 process (``timing``: spin sectors at attractive and frustrated couplings and
@@ -21,14 +22,14 @@ dimension 455 up (3432: 2.9 s dense, 0.008-0.05 s Lanczos), by at most
 at dimension 495-1001 and 0.09 s slower at 1365, and faster from 1820 up
 (0.67 s against 0.98 s dense).
 
-Attractive spin sectors past the cutoff reach this module as their small
-orbit-sum block (``spinmodel.sector_ground``): the operator is the block,
-usually far below the cutoff, and the sector never becomes a matrix.
-Jaynes-Cummings sectors past the cutoff with scalar detunings reach it as
-their orbit-sum block too (``jcmodel.jc_sector_ground``; 114 classes for
-the 2016 states of 3x3 n_total=4).  The sectors that stay whole (per-line
-detunings, a truncated photon cutoff) close after one Lanczos round: their
-ground level is simple by Perron-Frobenius up to a +-1 gauge.
+Attractive spin sectors and Jaynes-Cummings sectors with scalar detunings
+past the cutoff reach this module as their small orbit-sum block, through
+``symmetry.orbit_block_ground`` (159 classes for the 184 756 states of
+spin 5x4 n=10, 114 for the 2016 states of JC 3x3 n_total=4): the operator
+is the block, usually far below the cutoff, and a spin sector never
+becomes a matrix.  The JC sectors that stay whole (per-line detunings, a
+truncated photon cutoff) close after one Lanczos round: their ground level
+is simple by Perron-Frobenius up to a +-1 gauge.
 """
 
 from __future__ import annotations

@@ -18,9 +18,10 @@ sector ``0 < n_exc < N`` is connected, so by Perron-Frobenius the sector
 ground state is unique and invariant under every row and every column
 permutation.  :func:`sector_ground` then solves for that one pair on the
 block of normalized orbit sums under S_Ly x S_Lx (159 classes for the
-184 756 states of 5x4 n=10) whenever the sector is past the dense cutoff,
-built from the row and column class hop counts of ``symmetry``, and expands
-the block vector back onto the sector basis.  Every other case, and every
+184 756 states of 5x4 n=10) whenever the sector is past the dense cutoff:
+``symmetry`` builds the block from the sector entries out of one state per
+class, the same entries the full matrix is built from, and expands the
+block vector back onto the sector basis.  Every other case, and every
 request for more than the ground pair, is solved on the full sector matrix.
 """
 
@@ -42,10 +43,11 @@ from .linalg import (
 from .observables import CorrelationResult, multiplet_correlations
 from .params import SpinCouplings
 from .symmetry import (
-    MAX_LABELLED_DIM,
     build_group,
-    class_hop_counts,
     mask_partition,
+    orbit_block,
+    orbit_block_ground,
+    takes_orbit_block,
 )
 
 
@@ -60,6 +62,37 @@ def _diagonal(
     if include_lambda_shift:
         coeff += couplings.lambda_a + couplings.lambda_b
     return coeff * (2 * n_exc - geometry.n_sites)
+
+
+def _sector_entries(
+    geometry: ArrayGeometry,
+    couplings: SpinCouplings,
+    states: np.ndarray,
+    n_exc: int,
+    shift: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sector matrix entries out of the given sector states: the index in
+    ``states`` of each entry's row, the mask of its column and its value.
+
+    Row hops weigh ``2 lambda_a``, column hops ``2 lambda_b``, and the
+    diagonal is the (optionally shifted) splitting; zero terms are left out.
+    """
+    rows = [np.empty(0, dtype=np.int64)]
+    cols = [np.empty(0, dtype=np.int64)]
+    vals = [np.empty(0)]
+    for kind, a in (("row", 2.0 * couplings.lambda_a), ("col", 2.0 * couplings.lambda_b)):
+        if a == 0.0:
+            continue
+        src, dst = line_moves(geometry, states, kind)
+        rows.append(src)
+        cols.append(dst)
+        vals.append(np.full(len(src), a))
+    diag = _diagonal(geometry, couplings, n_exc, shift)
+    if diag != 0.0:
+        rows.append(np.arange(len(states)))
+        cols.append(states)
+        vals.append(np.full(len(states), diag))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def build_sector_hamiltonian(
@@ -77,27 +110,10 @@ def build_sector_hamiltonian(
     """
     if basis.geometry != geometry:
         raise ValueError("basis geometry mismatch")
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for kind, a in (("row", 2.0 * couplings.lambda_a), ("col", 2.0 * couplings.lambda_b)):
-        if a == 0.0:
-            continue
-        src, dst = line_moves(geometry, basis.states, kind)
-        rows.append(src)
-        cols.append(basis.bulk_rank(dst))
-        vals.append(np.full(len(src), a))
-    diag = _diagonal(geometry, couplings, basis.n_exc, include_lambda_shift)
-    if diag != 0.0:
-        idx = np.arange(basis.dim)
-        rows.append(idx)
-        cols.append(idx)
-        vals.append(np.full(basis.dim, diag))
-    if not rows:
-        return operator_from_entries(basis.dim, [], [], [])
-    return operator_from_entries(
-        basis.dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    rows, cols, vals = _sector_entries(
+        geometry, couplings, basis.states, basis.n_exc, include_lambda_shift
     )
+    return operator_from_entries(basis.dim, rows, basis.bulk_rank(cols), vals)
 
 
 def _perron_frobenius_sector(
@@ -121,40 +137,10 @@ def _takes_symmetric_block(
     geometry: ArrayGeometry, couplings: SpinCouplings, n_exc: int, k: int
 ) -> bool:
     """Whether :func:`sector_ground` solves on the orbit-sum block: one
-    Perron-Frobenius ground pair of a sector past the dense cutoff that the
-    orbit labelling can hold."""
-    from .linalg import DENSE_CUTOFF  # read at call time: scripts may reset it
-
-    dim = sector_dimension(geometry.n_sites, n_exc)
-    return (
-        k == 1
-        and _perron_frobenius_sector(geometry, couplings, n_exc)
-        and DENSE_CUTOFF < dim <= MAX_LABELLED_DIM
-    )
-
-
-def orbit_block_ground(
-    block: np.ndarray, which: np.ndarray, sizes: np.ndarray, seed: int = 0
-) -> SpectrumResult:
-    """Ground pair of a symmetric orbit block, expanded onto the sector.
-
-    Both symmetric-block routes end here, the spin route below and the
-    Jaynes-Cummings one of ``jcmodel``.  ``block`` is the operator on
-    normalized orbit sums, ``which`` the class of every sector state and
-    ``sizes`` the class sizes.  A block vector
-    ``c`` is the sector vector with amplitude ``c_i / sqrt(s_i)`` on every
-    member of class i, and its residual is the block residual.  The caller
-    vouches that the sector ground state is simple and symmetric.
-    """
-    i, j = np.nonzero(block)
-    spec = ground_state(operator_from_entries(len(sizes), i, j, block[i, j]), seed=seed)
-    vector = (spec.eigenvectors[:, 0] / np.sqrt(sizes))[which]
-    return SpectrumResult(
-        eigenvalues=spec.eigenvalues[:1],
-        eigenvectors=vector[:, None],
-        residual_norms=spec.residual_norms[:1],
-        method="symmetric-block",
-        converged=spec.converged,
+    Perron-Frobenius ground pair of a sector that passes the size rule
+    ``symmetry.takes_orbit_block``."""
+    return _perron_frobenius_sector(geometry, couplings, n_exc) and takes_orbit_block(
+        sector_dimension(geometry.n_sites, n_exc), k
     )
 
 
@@ -168,20 +154,16 @@ def _symmetric_block_ground(
     """Sector ground pair from the block of normalized orbit sums under
     S_Ly x S_Lx, expanded back onto the sector basis.
 
-    The block is ``(2 lambda_a C_row + 2 lambda_b C_col) sqrt(s_i / s_j)``
-    plus the uniform diagonal, ``C`` the move counts out of each class
-    representative and ``s`` the class sizes, as built in the exactly
-    symmetric form ``E / sqrt(s_i s_j)`` by ``symmetry.class_hop_counts``.
-    :func:`orbit_block_ground` solves it and expands the vector.
+    ``symmetry.orbit_block`` builds the block from the sector entries out
+    of the class representatives, and ``symmetry.orbit_block_ground``
+    solves it and expands the vector.
     """
     group = build_group(geometry, include_transpose=False)
     reps, which, sizes = mask_partition(group, basis.states)
-    weights = (2.0 * couplings.lambda_a, 2.0 * couplings.lambda_b)
-    _, block = class_hop_counts(
-        group, basis.states, which, basis.states[reps], sizes, weights
+    src, dst, vals = _sector_entries(
+        geometry, couplings, basis.states[reps], basis.n_exc, include_lambda_shift
     )
-    diag = _diagonal(geometry, couplings, basis.n_exc, include_lambda_shift)
-    block += diag * np.eye(len(sizes))
+    block = orbit_block(which, sizes, src, basis.bulk_rank(dst), vals)
     return orbit_block_ground(block, which, sizes, seed)
 
 

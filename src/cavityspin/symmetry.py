@@ -15,10 +15,11 @@ the order and the cycle index from closed forms, so sectors of up to
 :func:`orbit_partition` labels any state table from its index images, one
 array per generator: spin masks (:func:`mask_partition`) and the states of
 a ``jcmodel`` sector, whose generators move the sites and the line modes
-together.  The hop counts between classes and the spin symmetric orbit
-block, shared by :func:`orbit_basis_hamiltonian` and the attractive-sector
-solve of ``spinmodel``, come from :func:`class_hop_counts`, which applies
-the model's one hop rule, ``basis.line_moves``.
+together.  Only this module knows the orbit-sum format: :func:`orbit_block`
+projects any commuting Hamiltonian from its entries out of one
+representative per class, for :func:`orbit_basis_hamiltonian` and for the
+attractive-sector solves of ``spinmodel`` and ``jcmodel``, which share the
+size rule :func:`takes_orbit_block` and the solve :func:`orbit_block_ground`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 
 from .basis import SectorBasis, enumerate_masks, line_moves
 from .geometry import ArrayGeometry
+from .linalg import SpectrumResult, ground_state, operator_from_entries
 from .params import SpinCouplings
 
 MAX_LABELLED_DIM = 2_000_000
@@ -233,11 +235,6 @@ def line_images(geometry: ArrayGeometry, perm: Perm) -> np.ndarray:
     return np.array(rows + [geometry.ly + c for c in cols], dtype=np.int64)
 
 
-def _check_orbit_sizes(order: int, sizes: np.ndarray) -> None:
-    if np.any(order % sizes):  # the closed order against the labelling
-        raise ArithmeticError("orbit size does not divide group order")
-
-
 def _orbit_labels(count: int, images: list[np.ndarray]) -> np.ndarray:
     """Per state ``0 .. count-1``, the smallest index of its orbit.
 
@@ -266,7 +263,8 @@ def orbit_partition(
     against the closed group order."""
     labels = _orbit_labels(count, images)
     reps, which, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-    _check_orbit_sizes(group.order, sizes)
+    if np.any(group.order % sizes):  # the closed order against the labelling
+        raise ArithmeticError("orbit size does not divide group order")
     return reps, which, sizes
 
 
@@ -315,35 +313,61 @@ def orbits(group: PermutationGroup, n_exc: int) -> list[OrbitClass]:
     return _orbit_table(group, n_exc)[0]
 
 
-def class_hop_counts(
-    group: PermutationGroup,
-    masks: np.ndarray,
+def orbit_block(
     which: np.ndarray,
-    representatives: np.ndarray,
     sizes: np.ndarray,
-    weights: tuple[float, float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integer move counts between orbit classes and their symmetric block.
+    src: np.ndarray,
+    dst: np.ndarray,
+    vals: np.ndarray,
+) -> np.ndarray:
+    """``P^T H P`` on normalized orbit sums, from the entries of H out of
+    one representative per class.
 
-    ``masks`` is the sorted sector table, ``which`` the class index of each
-    of its states, ``representatives[i]`` one mask of class i and
-    ``sizes[i]`` its size.  ``C[i, j]`` counts the row (column) moves from
-    that representative into class j; under row and column permutations
-    every member of a class has the same counts, and a group that also
-    transposes keeps only their sum well defined.  Returns ``C_row + C_col``
-    and the block ``(w_r E_row + w_c E_col) / sqrt(s_i s_j)`` on normalized
-    orbit sums, ``(w_r, w_c) = weights`` and ``E = C s_i`` the integer edge
-    counts, exactly symmetric.
+    ``which`` is the class of every sector state and ``sizes`` the class
+    sizes; entry t of H has the class ``src[t]`` of its row (a
+    representative), the sector index ``dst[t]`` of its column and the
+    value ``vals[t]``.  H commutes with the group, so every member of class
+    i has the same sums into each class j and ``E = s_i sum vals`` is the
+    sum of H over both classes.  The block is
+    ``(E + E^T) / (2 sqrt(s_i s_j))``, exactly symmetric.
     """
-    _check_orbit_sizes(group.order, sizes)
-    k = len(representatives)
-    c_row, c_col = np.zeros((2, k, k), dtype=np.int64)
-    for kind, counts in (("row", c_row), ("col", c_col)):
-        src, dst = line_moves(group.geometry, representatives, kind)
-        np.add.at(counts, (src, which[np.searchsorted(masks, dst)]), 1)
-    w_r, w_c = weights
-    edges = w_r * (c_row * sizes[:, None]) + w_c * (c_col * sizes[:, None])
-    return c_row + c_col, edges / np.sqrt(np.outer(sizes, sizes))
+    k = len(sizes)
+    sums = np.bincount(src * k + which[dst], weights=vals, minlength=k * k)
+    edges = sums.reshape(k, k) * sizes[:, None]
+    return (edges + edges.T) / (2.0 * np.sqrt(np.outer(sizes, sizes)))
+
+
+def takes_orbit_block(dim: int, k: int) -> bool:
+    """The size rule of both symmetric-block routes: one ground pair of a
+    sector past the dense cutoff that the orbit labelling can hold."""
+    from .linalg import DENSE_CUTOFF  # read at call time: scripts may reset it
+
+    return k == 1 and DENSE_CUTOFF < dim <= MAX_LABELLED_DIM
+
+
+def orbit_block_ground(
+    block: np.ndarray, which: np.ndarray, sizes: np.ndarray, seed: int = 0
+) -> SpectrumResult:
+    """Ground pair of a symmetric orbit block, expanded onto the sector.
+
+    Both symmetric-block routes end here, the spin one of ``spinmodel`` and
+    the Jaynes-Cummings one of ``jcmodel``.  ``block`` is the operator on
+    normalized orbit sums, ``which`` the class of every sector state and
+    ``sizes`` the class sizes.  A block vector
+    ``c`` is the sector vector with amplitude ``c_i / sqrt(s_i)`` on every
+    member of class i, and its residual is the block residual.  The caller
+    vouches that the sector ground state is simple and symmetric.
+    """
+    i, j = np.nonzero(block)
+    spec = ground_state(operator_from_entries(len(sizes), i, j, block[i, j]), seed=seed)
+    vector = (spec.eigenvectors[:, 0] / np.sqrt(sizes))[which]
+    return SpectrumResult(
+        eigenvalues=spec.eigenvalues[:1],
+        eigenvectors=vector[:, None],
+        residual_norms=spec.residual_norms[:1],
+        method="symmetric-block",
+        converged=spec.converged,
+    )
 
 
 @dataclass(frozen=True)
@@ -354,8 +378,7 @@ class OrbitHamiltonian:
     of single-excitation moves from any fixed member of class i into class j
     (well defined because the Hamiltonian commutes with the group), so
     ``matrix[i, j] = 2*lambda * hop_counts[i][j] * sqrt(size_i / size_j)``,
-    built as ``2*lambda * E[i, j] / sqrt(size_i size_j)`` by
-    :func:`class_hop_counts`.
+    built by :func:`orbit_block` from the same moves.
     """
 
     classes: tuple[OrbitClass, ...]
@@ -383,7 +406,12 @@ def orbit_basis_hamiltonian(
     classes, which, masks = _orbit_table(group, n_exc)
     reps = np.array([c.representative for c in classes], dtype=np.int64)
     sizes = np.array([c.size for c in classes], dtype=np.int64)
-    counts, matrix = class_hop_counts(group, masks, which, reps, sizes, (unit, unit))
+    moves = [line_moves(geometry, reps, kind) for kind in ("row", "col")]
+    src = np.concatenate([m[0] for m in moves])
+    dst = np.searchsorted(masks, np.concatenate([m[1] for m in moves]))
+    k = len(classes)
+    counts = np.bincount(src * k + which[dst], minlength=k * k).reshape(k, k)
+    matrix = orbit_block(which, sizes, src, dst, np.full(len(src), unit))
     return OrbitHamiltonian(
         classes=tuple(classes),
         matrix=matrix,

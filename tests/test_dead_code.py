@@ -17,6 +17,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cavityspin"
 WORD = re.compile(r"[A-Za-z_]\w*")
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 
 
 def _docstrings(tree: ast.AST) -> set[int]:
@@ -29,13 +30,51 @@ def _docstrings(tree: ast.AST) -> set[int]:
     return out
 
 
+def _scope(node: ast.AST):
+    """The nodes of a function's own scope: its body without nested
+    functions, classes and lambdas."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, SCOPES):
+            yield from _scope(child)
+
+
+def _local_names(func) -> set[str]:
+    """The parameters of a function and the names it assigns."""
+    args = func.args
+    params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    stored = {
+        node.id
+        for node in _scope(func)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    return stored | {a.arg for a in params if a is not None}
+
+
+def _local_reads(tree: ast.AST) -> set[int]:
+    """Ids of the ``Name`` nodes that read a parameter or an assigned local
+    of their enclosing function: they name the local, not a definition."""
+    out = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = _local_names(func)
+            out |= {
+                id(node)
+                for node in _scope(func)
+                if isinstance(node, ast.Name) and node.id in local
+            }
+    return out
+
+
 def _references(tree: ast.AST) -> list[tuple[str, int]]:
     """``(name, line)`` of every name the module mentions in code."""
     docs = _docstrings(tree)
+    local = _local_reads(tree)
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.append((node.id, node.lineno))
+            if id(node) not in local:
+                out.append((node.id, node.lineno))
         elif isinstance(node, ast.Attribute):
             out.append((node.attr, node.lineno))
         elif isinstance(node, ast.ImportFrom):

@@ -9,7 +9,6 @@ from cavityspin import spinmodel
 from cavityspin.basis import SectorBasis
 from cavityspin.frustration import (
     FrustrationParams,
-    delta_omega_expectation,
     g_c_spin,
     gs_energies_01,
     lambda_c_photon,
@@ -21,15 +20,6 @@ from cavityspin.frustration import (
 )
 from cavityspin.geometry import ArrayGeometry
 from cavityspin.params import RegimeError, SpinCouplings
-
-
-def test_shift_expectation_formula():
-    assert delta_omega_expectation(0.1, -0.2, 1, 0) == pytest.approx(0.1)
-    assert delta_omega_expectation(0.1, -0.2, 0, 1) == pytest.approx(-0.5)
-    # equal magnitudes with opposite signs cancel site by site
-    assert delta_omega_expectation(0.05, -0.05, 3, 3) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        delta_omega_expectation(0.1, -0.2, -1, 0)
 
 
 def test_one_exc_spectrum_matches_kron_blocks():

@@ -217,6 +217,15 @@ def test_cli_usage_errors_exit_2(capsys):
           "--delta-ratios", "20", "--sectors", "0"], "--sectors must be >= 1"),
         (["jc-ed", "--lx", "2", "--ly", "2", "--omega", "1", "--delta-a", "6",
           "--g=-0.3", "--ntotal", "1"], "--g must be >= 0"),
+        (["meanfield", "--lx", "3", "--ly", "3", "--delta", "2", "--omega", "1",
+          "--g=0.1,-0.2"], "--g must be >= 0"),
+        # the seed is checked before any solve, on a routed and a dense sector
+        (["spin-ed", "--lx", "4", "--ly", "4", "--lambda-a", "0.1",
+          "--lambda-b=-0.3", "--omega", "1", "--nexc", "5", "--seed=-1"],
+         "--seed must be >= 0"),
+        (["spin-ed", "--lx", "2", "--ly", "2", "--lambda-a", "0.1",
+          "--lambda-b=-0.3", "--omega", "1", "--nexc", "1", "--seed=-1"],
+         "--seed must be >= 0"),
     ]:
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
@@ -296,8 +305,11 @@ def test_cli_solver_failure_is_compute_error(monkeypatch, capsys):
         (spinmodel, ["correlations", "--lx", "2", "--ly", "2", "--omega", "1",
                      "--lambda-a=-0.2", "--nexc", "2"]),
         # dim 12870, attractive: solved on the symmetric orbit block
-        (spinmodel, ["correlations", "--lx", "4", "--ly", "4", "--omega", "1",
-                     "--lambda-a=-0.1", "--nexc", "8"]),
+        (symmetry, ["correlations", "--lx", "4", "--ly", "4", "--omega", "1",
+                    "--lambda-a=-0.1", "--nexc", "8"]),
+        # dim 2016, scalar detunings: the JC symmetric orbit block
+        (symmetry, ["jc-ed", "--lx", "3", "--ly", "3", "--omega", "1", "--g", "0.4",
+                    "--delta-a", "6", "--delta-b", "5.5", "--ntotal", "4"]),
     ],
 )
 def test_cli_unconverged_critical_coupling_is_compute_error(

@@ -159,21 +159,50 @@ def test_orbit_hamiltonian_equals_brute_projection():
             / np.array([c_.size for c_ in oh.classes], float)[None, :]
         )
         assert np.allclose(rebuilt, oh.matrix)
+    # the builder itself, on entries out of the class representatives: a
+    # spin sector at lambda_a != lambda_b with the shifted diagonal, and a
+    # Jaynes-Cummings sector with its g sqrt(n + 1) amplitudes
+    geom = ArrayGeometry(4, 3)
+    group = symmetry.build_group(geom, include_transpose=False)
+    c = SpinCouplings(lambda_a=-0.13, lambda_b=-0.29, omega_at=1.1)
+    basis = SectorBasis(geom, 5)
+    reps, which, sizes = symmetry.mask_partition(group, basis.states)
+    src, dst, vals = spinmodel._sector_entries(geom, c, basis.states[reps], 5, True)
+    block = symmetry.orbit_block(which, sizes, src, basis.bulk_rank(dst), vals)
+    full = spinmodel.build_sector_hamiltonian(geom, c, basis).to_dense()
+    _assert_brute_projection(block, full, which, sizes)
+
+    geom = ArrayGeometry(3, 2)
+    group = symmetry.build_group(geom, include_transpose=False)
+    jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.5)
+    basis = jcmodel.JCBasis(geom, 3)
+    images = jcmodel._generator_images(group, basis)
+    reps, which, sizes = symmetry.orbit_partition(group, basis.dim, images)
+    h = jcmodel.build_jc_hamiltonian(geom, jc, basis)
+    rep_rows = np.isin(h.rows, reps)
+    block = symmetry.orbit_block(
+        which, sizes, which[h.rows[rep_rows]], h.cols[rep_rows], h.vals[rep_rows]
+    )
+    _assert_brute_projection(block, h.to_dense(), which, sizes)
+
+
+def _assert_brute_projection(block, dense, which, sizes):
+    p = np.zeros((len(which), len(sizes)))
+    p[np.arange(len(which)), which] = 1.0 / np.sqrt(sizes[which])
+    assert np.allclose(block, p.T @ dense @ p, rtol=0, atol=1e-12)
+    assert np.array_equal(block, block.T)
 
 
 def test_block_builder_checks_class_sizes_against_the_group_order(monkeypatch):
-    # both orbit blocks run the closed-order check: one class of all 6
-    # states of the 2x2 n=2 sector cannot be an orbit of a group of order 4
+    # every orbit block runs the closed-order check of orbit_partition: one
+    # class of all 6 states of the 2x2 n=2 sector cannot be an orbit of a
+    # group of order 8 (with the transpose) or 4 (without)
     geom = ArrayGeometry(2, 2)
-    group = symmetry.build_group(geom, include_transpose=False)
-    masks = SectorBasis(geom, 2).states
-    which = np.zeros(len(masks), dtype=np.int64)
-    with pytest.raises(ArithmeticError):
-        symmetry.class_hop_counts(
-            group, masks, which, masks[:1], np.array([6]), (1.0, 1.0)
-        )
     monkeypatch.setattr(linalg, "DENSE_CUTOFF", 0)
     monkeypatch.setattr(symmetry, "_orbit_labels", lambda n, images: np.zeros(n, int))
+    equal = SpinCouplings(lambda_a=-0.2, lambda_b=-0.2, omega_at=1.0)
+    with pytest.raises(ArithmeticError):
+        symmetry.orbit_basis_hamiltonian(geom, equal, 2)
     c = SpinCouplings(lambda_a=-0.2, lambda_b=-0.3, omega_at=1.0)
     with pytest.raises(ArithmeticError):
         spinmodel.sector_ground(geom, c, 2)
