@@ -47,16 +47,11 @@ import numpy as np
 
 from cavityspin.basis import SectorBasis
 from cavityspin.geometry import ArrayGeometry
-from cavityspin import jcmodel
 from cavityspin.jcmodel import JCBasis, build_jc_hamiltonian, jc_sector_ground
 from cavityspin.linalg import ground_state
 from cavityspin.observables import multiplet_correlations
 from cavityspin.params import EffectiveJCParams, SpinCouplings
-from cavityspin.spinmodel import (
-    _takes_symmetric_block,
-    build_sector_hamiltonian,
-    sector_ground,
-)
+from cavityspin.spinmodel import build_sector_hamiltonian, sector_ground
 
 ATTRACTIVE = SpinCouplings(lambda_a=-0.15, lambda_b=-0.07, omega_at=1.0)
 ATTRACTIVE_EQUAL = SpinCouplings(lambda_a=-0.1, lambda_b=-0.1, omega_at=1.0)
@@ -205,18 +200,19 @@ def agree() -> int:
 
 def _block_cases():
     """``(label, routed spectrum, full-sector spectrum, basis)`` of every
-    sector that the spin or the JC solver routes to the symmetric block."""
+    sector that the spin or the JC solver routes to the symmetric block,
+    told by the method of its spectrum."""
     for lx, ly in AGREE_ARRAYS:
         geom = ArrayGeometry(lx, ly)
         for n in range(lx * ly + 1):
             for c in (ATTRACTIVE, ATTRACTIVE_EQUAL):
-                if _takes_symmetric_block(geom, c, n, 1):
-                    spec, basis = sector_ground(geom, c, n)
+                spec, basis = sector_ground(geom, c, n)
+                if spec.method == "symmetric-block":
                     ref = ground_state(build_sector_hamiltonian(geom, c, basis))
                     yield f"{lx}x{ly} n={n} la={c.lambda_a:g} lb={c.lambda_b:g}", spec, ref, basis
     for geom, basis in _jc_sectors():
-        if jcmodel._takes_symmetric_block(JC, basis, 1):
-            spec, basis = jc_sector_ground(geom, JC, basis.n_total)
+        spec, basis = jc_sector_ground(geom, JC, basis.n_total)
+        if spec.method == "symmetric-block":
             ref = ground_state(build_jc_hamiltonian(geom, JC, basis))
             yield f"jc {geom.lx}x{geom.ly} n={basis.n_total}", spec, ref, basis
 

@@ -21,10 +21,6 @@ MAX_SECTOR_DIM = 20_000_000
 MAX_SITES = 62  # states held in int64 bitmasks
 
 
-def sector_dimension(n_sites: int, n_exc: int) -> int:
-    return comb(n_sites, n_exc)
-
-
 def enumerate_masks(n_sites: int, n_exc: int) -> np.ndarray:
     """All weight-``n_exc`` bitmasks on ``n_sites`` bits, ascending.
 

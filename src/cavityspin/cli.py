@@ -213,12 +213,12 @@ def _resolve_level(args, cfg, *, need_modes: bool):
         return couplings, None, semantic
 
     if level == "jc":
-        delta_a, delta_b, eta = _detunings(args, cfg)
+        delta_a, delta_b_at = _detunings(args, cfg)
         omega = _req(args, cfg, "omega", float)
         g = _at_least(_req(args, cfg, "g", float), 0, "g")  # a magnitude
-        if delta_b is None:
-            delta_b = delta_b_from_eta(delta_a, omega, eta) if eta is not None else delta_a
-        jc = EffectiveJCParams(omega_at=omega, g=g, delta_a=delta_a, delta_b=delta_b)
+        jc = EffectiveJCParams(
+            omega_at=omega, g=g, delta_a=delta_a, delta_b=delta_b_at(omega)
+        )
     else:
         _, jc = _drive_level(args, cfg)
     couplings = derive_spin_couplings(jc)
@@ -232,32 +232,35 @@ def _resolve_level(args, cfg, *, need_modes: bool):
     return couplings, jc, semantic
 
 
-def _detunings(args, cfg) -> tuple[float, Optional[float], Optional[float]]:
-    """``(delta_a, delta_b, eta)``; at most one of the last two is given."""
+def _detunings(args, cfg) -> tuple[float, Callable[[float], float]]:
+    """``delta_a`` and ``delta_b`` as a function of the splitting: it is
+    ``--delta-b``, else from ``--eta`` at the splitting, else ``delta_a``.
+    At most one of ``--delta-b`` and ``--eta`` is given."""
     delta_a = _req(args, cfg, "delta_a", float)
     delta_b = _opt(args, cfg, "delta_b", float)
     eta = _opt(args, cfg, "eta", float)
     if delta_b is not None and eta is not None:
         raise UsageError("give --delta-b or --eta, not both")
-    return delta_a, delta_b, eta
+
+    def delta_b_at(omega_at: float) -> float:
+        if eta is not None:
+            return delta_b_from_eta(delta_a, omega_at, eta)
+        return delta_a if delta_b is None else delta_b
+
+    return delta_a, delta_b_at
 
 
 def _drive_level(args, cfg) -> tuple[PhysicalDriveParams, EffectiveJCParams]:
-    """Drive flags and the effective JC parameters they give.
-
-    ``delta_b`` comes from ``--delta-b``, else from ``--eta`` at the derived
-    splitting, else it equals ``delta_a``.
-    """
-    delta_a, delta_b, eta = _detunings(args, cfg)
+    """Drive flags and the effective JC parameters they give, ``delta_b``
+    at the derived splitting."""
+    delta_a, delta_b_at = _detunings(args, cfg)
     drive = PhysicalDriveParams(
         omega_rabi=_req(args, cfg, "rabi", float),
         g0=_req(args, cfg, "g0", float),
         delta_e=_req(args, cfg, "delta_e", float),
     )
     jc = derive_effective_params(drive, delta_a, delta_a)
-    if delta_b is None:
-        delta_b = delta_b_from_eta(delta_a, jc.omega_at, eta) if eta is not None else delta_a
-    return drive, dataclasses.replace(jc, delta_b=delta_b)
+    return drive, dataclasses.replace(jc, delta_b=delta_b_at(jc.omega_at))
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +520,8 @@ def _cmd_analytic_1d(args, cfg, seed: int) -> CommandResult:
     given = [v is not None for v in (omega, lam, delta)]
     if any(given) and not all(given):
         raise UsageError("give all of --omega, --lam, --delta or none (sign table)")
+    if n_spins is not None and not any(given):
+        raise UsageError("--n needs --omega, --lam and --delta")
     columns = (
         "omega_at",
         "lambda",

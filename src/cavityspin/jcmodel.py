@@ -41,10 +41,8 @@ from .symmetry import (
     PermutationGroup,
     build_group,
     line_images,
-    orbit_block,
-    orbit_block_ground,
-    orbit_partition,
-    site_images,
+    mask_images,
+    orbit_ground,
     takes_orbit_block,
 )
 
@@ -263,52 +261,18 @@ def build_jc_hamiltonian(
     )
 
 
-def _takes_symmetric_block(jc: EffectiveJCParams, basis: JCBasis, k: int) -> bool:
-    """Whether :func:`jc_sector_ground` solves on the orbit-sum block: one
-    ground pair of an untruncated sector with g > 0 and scalar detunings
-    that passes the size rule ``symmetry.takes_orbit_block``."""
-    return (
-        jc.g > 0.0
-        and all(isinstance(d, (int, float)) for d in (jc.delta_a, jc.delta_b))
-        and not basis.truncated
-        and takes_orbit_block(basis.dim, k)
-    )
-
-
 def _generator_images(group: PermutationGroup, basis: JCBasis) -> list[np.ndarray]:
     """Per generator, the sector index of every state's image: the site
     bits and the matching line modes are permuted together."""
-    images = []
-    for perm in group.generators:
-        modes = line_images(basis.geometry, perm)
-        parts = []
-        for blk in basis.blocks:
-            photons = blk.photons
-            weights = np.array([photons.key_weight(m) for m in modes], dtype=np.int64)
+    modes = [line_images(basis.geometry, perm) for perm in group.generators]
+    parts: list[list[np.ndarray]] = [[] for _ in modes]
+    for blk in basis.blocks:
+        photons = blk.photons
+        for part, mode, m_img in zip(parts, modes, mask_images(group, blk.masks)):
+            weights = np.array([photons.key_weight(m) for m in mode], dtype=np.int64)
             p_img = photons.rank_keys(photons.configs @ weights)
-            m_img = np.searchsorted(blk.masks, site_images(perm, blk.masks))
-            parts.append(blk.offset + (m_img[:, None] * photons.count + p_img).reshape(-1))
-        images.append(np.concatenate(parts))
-    return images
-
-
-def _symmetric_block_ground(
-    geometry: ArrayGeometry, jc: EffectiveJCParams, basis: JCBasis, seed: int
-) -> SpectrumResult:
-    """Sector ground pair from the block of normalized orbit sums under
-    S_Ly x S_Lx acting on the sites and the line modes together.
-
-    ``symmetry.orbit_block`` builds the block from the sector entries whose
-    row is a class representative.
-    """
-    group = build_group(geometry, include_transpose=False)
-    reps, which, sizes = orbit_partition(
-        group, basis.dim, _generator_images(group, basis)
-    )
-    h = build_jc_hamiltonian(geometry, jc, basis)
-    keep = reps[which[h.rows]] == h.rows
-    block = orbit_block(which, sizes, which[h.rows[keep]], h.cols[keep], h.vals[keep])
-    return orbit_block_ground(block, which, sizes, seed)
+            part.append(blk.offset + (m_img[:, None] * photons.count + p_img).reshape(-1))
+    return [np.concatenate(part) for part in parts]
 
 
 def jc_sector_ground(
@@ -326,13 +290,26 @@ def jc_sector_ground(
     negative, and for g > 0 an untruncated sector is connected, so by
     Perron-Frobenius its ground state is simple and positive.  With scalar
     detunings it is then invariant under every row and column permutation,
-    and a single ground pair past the dense cutoff
-    (:func:`_takes_symmetric_block`) is solved on the block of symmetric
-    orbit sums.  Every other case is solved on the full sector matrix.
+    and a single ground pair that passes the size rule
+    ``symmetry.takes_orbit_block`` is solved by ``symmetry.orbit_ground`` on
+    the block of symmetric orbit sums.  Every other case is solved on the
+    full sector matrix.
     """
     basis = JCBasis(geometry, n_total, n_max)
-    if _takes_symmetric_block(jc, basis, k):
-        spec = _symmetric_block_ground(geometry, jc, basis, seed)
+    if (
+        jc.g > 0.0
+        and all(isinstance(d, (int, float)) for d in (jc.delta_a, jc.delta_b))
+        and not basis.truncated
+        and takes_orbit_block(basis.dim, k)
+    ):
+        group = build_group(geometry, include_transpose=False)
+
+        def entries(reps):
+            h = build_jc_hamiltonian(geometry, jc, basis)
+            return h.rows, h.cols, h.vals
+
+        images = _generator_images(group, basis)
+        spec = orbit_ground(group, basis.dim, images, entries, seed)
     else:
         h = build_jc_hamiltonian(geometry, jc, basis)
         spec = ground_state(h, min(k, basis.dim), seed=seed)
@@ -356,19 +333,18 @@ def jc_ground_state(
     geometry: ArrayGeometry,
     jc: EffectiveJCParams,
     *,
-    initial_span: int = 4,
     span_cap: int = 64,
-    rtol: float = 1e-8,
     n_max: Optional[int] = None,
     seed: int = 0,
 ) -> JCGroundResult:
     """Scan sectors upward until the minimum is interior.
 
-    The scanned range doubles while the lowest energy sits at its top; a
-    minimum still at the cap means the photon branch is unbounded for these
-    parameters, which is reported as a regime error rather than a value.
-    Sector ties (within ``rtol``) resolve to the smaller total.  Each sector
-    is solved once; the winner's spectrum and basis come from the scan.
+    The scanned range, from 0 to 4, doubles while the lowest energy sits at
+    its top; a minimum still at the cap means the photon branch is unbounded
+    for these parameters, which is reported as a regime error rather than a
+    value.  Sector ties (within 1e-8 relative) resolve to the smaller total.
+    Each sector is solved once; the winner's spectrum and basis come from
+    the scan.
     """
     solved: dict[int, tuple[SpectrumResult, JCBasis]] = {}
 
@@ -377,12 +353,12 @@ def jc_ground_state(
             solved[n] = jc_sector_ground(geometry, jc, n, n_max=n_max, seed=seed)
         return solved[n][0].ground_energy
 
-    span = initial_span
+    span = 4
     while True:
         best_n = 0
         for n in range(span + 1):
             e = energy(n)
-            if e < energy(best_n) - rtol * max(1.0, abs(e)):
+            if e < energy(best_n) - 1e-8 * max(1.0, abs(e)):
                 best_n = n
         if best_n < span:
             break

@@ -24,7 +24,7 @@ at dimension 495-1001 and 0.09 s slower at 1365, and faster from 1820 up
 
 Attractive spin sectors and Jaynes-Cummings sectors with scalar detunings
 past the cutoff reach this module as their small orbit-sum block, through
-``symmetry.orbit_block_ground`` (159 classes for the 184 756 states of
+``symmetry.orbit_ground`` (159 classes for the 184 756 states of
 spin 5x4 n=10, 114 for the 2016 states of JC 3x3 n_total=4): the operator
 is the block, usually far below the cutoff, and a spin sector never
 becomes a matrix.  The JC sectors that stay whole (per-line detunings, a
@@ -111,12 +111,13 @@ class SpectrumResult:
         return self.eigenvectors[:, sel]
 
 
-def label_degeneracies(eigenvalues: np.ndarray, rtol: float = DEGENERACY_RTOL) -> np.ndarray:
-    """Cluster sorted eigenvalues whose gaps fall below rtol * max(1, |E|)."""
+def label_degeneracies(eigenvalues: np.ndarray) -> np.ndarray:
+    """Cluster sorted eigenvalues whose gaps fall below
+    ``DEGENERACY_RTOL * max(1, |E|)``."""
     e = np.asarray(eigenvalues, dtype=float)
     scale = np.maximum(1.0, np.maximum(np.abs(e[1:]), np.abs(e[:-1])))
     labels = np.zeros(len(e), dtype=np.int64)
-    labels[1:] = np.cumsum(np.diff(e) > rtol * scale)
+    labels[1:] = np.cumsum(np.diff(e) > DEGENERACY_RTOL * scale)
     return labels
 
 

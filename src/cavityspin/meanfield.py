@@ -128,11 +128,7 @@ def solve(geometry: ArrayGeometry, g: float, delta: float, omega_at: float) -> M
 
 
 def minimize_energy_numeric(
-    geometry: ArrayGeometry,
-    g: float,
-    delta: float,
-    omega_at: float,
-    tol: float = 1e-14,
+    geometry: ArrayGeometry, g: float, delta: float, omega_at: float
 ) -> float:
     """Numerical minimizer of the variational energy over x = |alpha|^2.
 
@@ -156,7 +152,7 @@ def minimize_energy_numeric(
         if hi > 1e30:
             raise RuntimeError("variational energy has no interior minimum")
     lo = 0.0
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > 1e-14 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if slope(mid) < 0.0:
             lo = mid

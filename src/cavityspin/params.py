@@ -134,8 +134,6 @@ def derive_effective_params(
     drive: PhysicalDriveParams,
     delta_a: ScalarOrPerLine,
     delta_b: ScalarOrPerLine,
-    *,
-    elimination_ratio: float = DEFAULT_ELIMINATION_RATIO,
 ) -> EffectiveJCParams:
     """Eliminate the auxiliary excited level of each emitter.
 
@@ -147,15 +145,15 @@ def derive_effective_params(
     omega_at = -(omega * omega) / de
     g_signed = -(g0 * omega) / de
     warns = []
-    if abs(de) < elimination_ratio * max(abs(omega), abs(g0)):
+    if abs(de) < DEFAULT_ELIMINATION_RATIO * max(abs(omega), abs(g0)):
         warns.append(
             f"elimination marginal: |delta_e|={abs(de):g} < "
-            f"{elimination_ratio:g} * max(|omega_rabi|, |g0|)"
+            f"{DEFAULT_ELIMINATION_RATIO:g} * max(|omega_rabi|, |g0|)"
         )
-    if abs(omega) < elimination_ratio * abs(g0):
+    if abs(omega) < DEFAULT_ELIMINATION_RATIO * abs(g0):
         warns.append(
             f"strong single-photon drive: |omega_rabi|={abs(omega):g} < "
-            f"{elimination_ratio:g} * |g0|"
+            f"{DEFAULT_ELIMINATION_RATIO:g} * |g0|"
         )
     return EffectiveJCParams(
         omega_at=omega_at,
@@ -192,15 +190,11 @@ def delta_b_from_eta(delta_a: float, omega_at: float, eta: float) -> float:
     return (delta_a - omega_at) / eta + omega_at
 
 
-def validity_epsilon(
-    jc: EffectiveJCParams,
-    *,
-    epsilon_max: float = DEFAULT_EPSILON_MAX,
-) -> tuple[float, float, bool]:
+def validity_epsilon(jc: EffectiveJCParams) -> tuple[float, float, bool]:
     """Smallness parameters of the dispersive reduction, one per mode family.
 
     Returns ``(eps_a, eps_b, valid)`` with ``eps = |g / (omega_at - delta)|``
-    and ``valid`` true when both fall below ``epsilon_max``.
+    and ``valid`` true when both fall below ``DEFAULT_EPSILON_MAX``.
     """
     da = jc.delta_a_uniform
     db = jc.delta_b_uniform
@@ -208,40 +202,31 @@ def validity_epsilon(
         raise ResonanceError("delta = omega_at: epsilon diverges")
     eps_a = abs(jc.g / (jc.omega_at - da))
     eps_b = abs(jc.g / (jc.omega_at - db))
-    return eps_a, eps_b, (eps_a < epsilon_max and eps_b < epsilon_max)
+    return eps_a, eps_b, (eps_a < DEFAULT_EPSILON_MAX and eps_b < DEFAULT_EPSILON_MAX)
 
 
 def classify_regime(
-    couplings: SpinCouplings,
-    delta_omega_expectation: Optional[float] = None,
-    *,
-    epsilons: Optional[tuple[float, float]] = None,
-    weak_ratio: float = DEFAULT_WEAK_RATIO,
-    epsilon_max: float = DEFAULT_EPSILON_MAX,
+    couplings: SpinCouplings, *, epsilons: Optional[tuple[float, float]] = None
 ) -> RegimeTag:
     """Tag couplings as (non-)frustrated and weak/strong.
 
     Non-frustrated means both couplings negative (every bond can be satisfied
-    simultaneously).  Weak means both magnitudes below ``weak_ratio`` times
-    the relevant spin splitting; when a photon-dressed shift expectation is
-    supplied the splitting is taken as ``omega_at + 2 * shift`` instead of
-    the bare ``omega_at``.
+    simultaneously).  Weak means both magnitudes below
+    ``DEFAULT_WEAK_RATIO`` times the spin splitting ``omega_at``.
     """
     frustration = (
         "non-frustrated"
         if (couplings.lambda_a < 0.0 and couplings.lambda_b < 0.0)
         else "frustrated"
     )
-    reference = abs(couplings.omega_at)
-    if delta_omega_expectation is not None:
-        reference = abs(couplings.omega_at + 2.0 * delta_omega_expectation)
     lam_max = max(abs(couplings.lambda_a), abs(couplings.lambda_b))
-    strength = "weak" if lam_max < weak_ratio * reference else "strong"
+    weak = lam_max < DEFAULT_WEAK_RATIO * abs(couplings.omega_at)
+    strength = "weak" if weak else "strong"
     tag_valid: Optional[bool] = None
     eps_a = eps_b = None
     if epsilons is not None:
         eps_a, eps_b = epsilons
-        tag_valid = eps_a < epsilon_max and eps_b < epsilon_max
+        tag_valid = eps_a < DEFAULT_EPSILON_MAX and eps_b < DEFAULT_EPSILON_MAX
     return RegimeTag(
         frustration=frustration,
         interaction_strength=strength,
@@ -251,9 +236,9 @@ def classify_regime(
     )
 
 
-def analyze(jc: EffectiveJCParams, **kwargs) -> tuple[SpinCouplings, RegimeTag]:
+def analyze(jc: EffectiveJCParams) -> tuple[SpinCouplings, RegimeTag]:
     """Derive couplings and classify them in one step."""
     couplings = derive_spin_couplings(jc)
     eps_a, eps_b, _ = validity_epsilon(jc)
-    tag = classify_regime(couplings, epsilons=(eps_a, eps_b), **kwargs)
+    tag = classify_regime(couplings, epsilons=(eps_a, eps_b))
     return couplings, tag

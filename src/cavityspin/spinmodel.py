@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import SectorBasis, line_moves, sector_dimension
+from .basis import SectorBasis, line_moves
 from .geometry import ArrayGeometry
 from .linalg import (
     SparseOperator,
@@ -42,13 +42,7 @@ from .linalg import (
 )
 from .observables import CorrelationResult, multiplet_correlations
 from .params import SpinCouplings
-from .symmetry import (
-    build_group,
-    mask_partition,
-    orbit_block,
-    orbit_block_ground,
-    takes_orbit_block,
-)
+from .symmetry import build_group, mask_images, orbit_ground, takes_orbit_block
 
 
 def _diagonal(
@@ -133,40 +127,6 @@ def _perron_frobenius_sector(
     )
 
 
-def _takes_symmetric_block(
-    geometry: ArrayGeometry, couplings: SpinCouplings, n_exc: int, k: int
-) -> bool:
-    """Whether :func:`sector_ground` solves on the orbit-sum block: one
-    Perron-Frobenius ground pair of a sector that passes the size rule
-    ``symmetry.takes_orbit_block``."""
-    return _perron_frobenius_sector(geometry, couplings, n_exc) and takes_orbit_block(
-        sector_dimension(geometry.n_sites, n_exc), k
-    )
-
-
-def _symmetric_block_ground(
-    geometry: ArrayGeometry,
-    couplings: SpinCouplings,
-    basis: SectorBasis,
-    include_lambda_shift: bool,
-    seed: int,
-) -> SpectrumResult:
-    """Sector ground pair from the block of normalized orbit sums under
-    S_Ly x S_Lx, expanded back onto the sector basis.
-
-    ``symmetry.orbit_block`` builds the block from the sector entries out
-    of the class representatives, and ``symmetry.orbit_block_ground``
-    solves it and expands the vector.
-    """
-    group = build_group(geometry, include_transpose=False)
-    reps, which, sizes = mask_partition(group, basis.states)
-    src, dst, vals = _sector_entries(
-        geometry, couplings, basis.states[reps], basis.n_exc, include_lambda_shift
-    )
-    block = orbit_block(which, sizes, src, basis.bulk_rank(dst), vals)
-    return orbit_block_ground(block, which, sizes, seed)
-
-
 def sector_ground(
     geometry: ArrayGeometry,
     couplings: SpinCouplings,
@@ -178,15 +138,26 @@ def sector_ground(
 ) -> tuple[SpectrumResult, SectorBasis]:
     """Lowest ``k`` pairs of a sector, with every copy of the ground level.
 
-    A single Perron-Frobenius ground pair past the dense cutoff
-    (:func:`_takes_symmetric_block`) is solved on the small block of
-    row x column symmetric orbit sums; every other case is solved on the
-    full sector matrix.
+    A single Perron-Frobenius ground pair that passes the size rule
+    ``symmetry.takes_orbit_block`` is solved by ``symmetry.orbit_ground``
+    on the small block of row x column symmetric orbit sums, from the
+    sector entries out of the class representatives; every other case is
+    solved on the full sector matrix.
     """
     basis = SectorBasis(geometry, n_exc)
-    if _takes_symmetric_block(geometry, couplings, n_exc, k):
-        spec = _symmetric_block_ground(
-            geometry, couplings, basis, include_lambda_shift, seed
+    if _perron_frobenius_sector(geometry, couplings, n_exc) and takes_orbit_block(
+        basis.dim, k
+    ):
+        group = build_group(geometry, include_transpose=False)
+
+        def entries(reps):
+            src, dst, vals = _sector_entries(
+                geometry, couplings, basis.states[reps], n_exc, include_lambda_shift
+            )
+            return reps[src], basis.bulk_rank(dst), vals
+
+        spec = orbit_ground(
+            group, basis.dim, mask_images(group, basis.states), entries, seed
         )
     else:
         h = build_sector_hamiltonian(geometry, couplings, basis, include_lambda_shift)
@@ -197,15 +168,9 @@ def sector_ground(
 
 
 def sector_ground_energy(
-    geometry: ArrayGeometry,
-    couplings: SpinCouplings,
-    n_exc: int,
-    include_lambda_shift: bool = True,
+    geometry: ArrayGeometry, couplings: SpinCouplings, n_exc: int
 ) -> float:
-    spec, _ = sector_ground(
-        geometry, couplings, n_exc, include_lambda_shift=include_lambda_shift
-    )
-    return spec.ground_energy
+    return sector_ground(geometry, couplings, n_exc)[0].ground_energy
 
 
 @dataclass(frozen=True)

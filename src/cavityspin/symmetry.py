@@ -13,13 +13,17 @@ The group is held as generators: orbit labels come from generator images,
 the order and the cycle index from closed forms, so sectors of up to
 ``MAX_LABELLED_DIM`` states are partitioned on any array.
 :func:`orbit_partition` labels any state table from its index images, one
-array per generator: spin masks (:func:`mask_partition`) and the states of
+array per generator: spin masks (:func:`mask_images`) and the states of
 a ``jcmodel`` sector, whose generators move the sites and the line modes
 together.  Only this module knows the orbit-sum format: :func:`orbit_block`
 projects any commuting Hamiltonian from its entries out of one
-representative per class, for :func:`orbit_basis_hamiltonian` and for the
-attractive-sector solves of ``spinmodel`` and ``jcmodel``, which share the
-size rule :func:`takes_orbit_block` and the solve :func:`orbit_block_ground`.
+representative per class, for :func:`orbit_basis_hamiltonian` and for
+:func:`orbit_ground`, the one symmetric-block route.  The attractive-sector
+solves of ``spinmodel`` and ``jcmodel`` check their Perron-Frobenius
+condition and the size rule :func:`takes_orbit_block`, then hand
+:func:`orbit_ground` their generator images and a function giving the
+Hamiltonian entries of the representative rows; the partition, the block
+and the expanded vector stay here.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 from math import comb, factorial, gcd, prod
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -268,12 +272,10 @@ def orbit_partition(
     return reps, which, sizes
 
 
-def mask_partition(
-    group: PermutationGroup, masks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`orbit_partition` of a sorted spin-mask table."""
-    images = [np.searchsorted(masks, site_images(g, masks)) for g in group.generators]
-    return orbit_partition(group, len(masks), images)
+def mask_images(group: PermutationGroup, masks: np.ndarray) -> list[np.ndarray]:
+    """Per generator, the index of every mask's image in a sorted spin-mask
+    table: the images :func:`orbit_partition` labels."""
+    return [np.searchsorted(masks, site_images(g, masks)) for g in group.generators]
 
 
 def _orbit_table(
@@ -289,7 +291,7 @@ def _orbit_table(
         raise ValueError(f"sector dimension {dim} too large to partition")
     masks = enumerate_masks(group.degree, n_exc)
     order = group.order
-    reps, which, sizes = mask_partition(group, masks)
+    reps, which, sizes = orbit_partition(group, len(masks), mask_images(group, masks))
     grouped = masks[np.argsort(which, kind="stable")]
     members = np.split(grouped, np.cumsum(sizes)[:-1])
     # rep indices ascend with their masks, so this is (size, representative)
@@ -345,19 +347,33 @@ def takes_orbit_block(dim: int, k: int) -> bool:
     return k == 1 and DENSE_CUTOFF < dim <= MAX_LABELLED_DIM
 
 
-def orbit_block_ground(
-    block: np.ndarray, which: np.ndarray, sizes: np.ndarray, seed: int = 0
+def orbit_ground(
+    group: PermutationGroup,
+    count: int,
+    images: list[np.ndarray],
+    entries: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    seed: int = 0,
 ) -> SpectrumResult:
-    """Ground pair of a symmetric orbit block, expanded onto the sector.
+    """Ground pair of a sector of ``count`` states from its block of
+    normalized orbit sums, expanded onto the sector.
 
     Both symmetric-block routes end here, the spin one of ``spinmodel`` and
-    the Jaynes-Cummings one of ``jcmodel``.  ``block`` is the operator on
-    normalized orbit sums, ``which`` the class of every sector state and
-    ``sizes`` the class sizes.  A block vector
-    ``c`` is the sector vector with amplitude ``c_i / sqrt(s_i)`` on every
-    member of class i, and its residual is the block residual.  The caller
-    vouches that the sector ground state is simple and symmetric.
+    the Jaynes-Cummings one of ``jcmodel``.  ``images`` are the generator
+    images of the sector states (:func:`orbit_partition`); the list is
+    emptied once they are labelled, so a sector-sized image table is freed
+    before ``entries`` runs.  ``entries(reps)`` gives the
+    ``(rows, cols, vals)`` sector entries of H for at least every row in
+    the ascending representatives ``reps``; the rows of other states are
+    dropped here.  A block vector ``c`` is the
+    sector vector with amplitude ``c_i / sqrt(s_i)`` on every member of
+    class i, and its residual is the block residual.  The caller vouches
+    that the sector ground state is simple and symmetric.
     """
+    reps, which, sizes = orbit_partition(group, count, images)
+    images.clear()
+    rows, cols, vals = entries(reps)
+    keep = reps[which[rows]] == rows
+    block = orbit_block(which, sizes, which[rows[keep]], cols[keep], vals[keep])
     i, j = np.nonzero(block)
     spec = ground_state(operator_from_entries(len(sizes), i, j, block[i, j]), seed=seed)
     vector = (spec.eigenvectors[:, 0] / np.sqrt(sizes))[which]
@@ -388,11 +404,7 @@ class OrbitHamiltonian:
 
 
 def orbit_basis_hamiltonian(
-    geometry: ArrayGeometry,
-    couplings: SpinCouplings,
-    n_exc: int,
-    *,
-    include_transpose: Optional[bool] = None,
+    geometry: ArrayGeometry, couplings: SpinCouplings, n_exc: int
 ) -> OrbitHamiltonian:
     """Project the hopping interaction onto the orbit basis.
 
@@ -402,7 +414,7 @@ def orbit_basis_hamiltonian(
     if couplings.lambda_a != couplings.lambda_b:
         raise ValueError("orbit projection requires lambda_a == lambda_b")
     unit = 2.0 * couplings.lambda_a
-    group = build_group(geometry, include_transpose)
+    group = build_group(geometry)
     classes, which, masks = _orbit_table(group, n_exc)
     reps = np.array([c.representative for c in classes], dtype=np.int64)
     sizes = np.array([c.size for c in classes], dtype=np.int64)
@@ -433,8 +445,6 @@ def ground_state_orbit_decomposition(
     vector: np.ndarray,
     basis: SectorBasis,
     classes: list[OrbitClass] | tuple[OrbitClass, ...],
-    *,
-    tol: float = 1e-10,
 ) -> OrbitDecomposition:
     """Overlap of a sector state with each normalized orbit sum.
 
@@ -450,21 +460,18 @@ def ground_state_orbit_decomposition(
     return OrbitDecomposition(
         amplitudes=amps,
         norm_in_symmetric_sector=norm,
-        complete=abs(norm - total) <= tol,
+        complete=abs(norm - total) <= 1e-10,
     )
 
 
 def match_up_to_class_permutation(
-    mine: np.ndarray,
-    reference: np.ndarray,
-    *,
-    rtol: float = 1e-12,
+    mine: np.ndarray, reference: np.ndarray
 ) -> Optional[tuple[tuple[int, ...], float]]:
     """Find a simultaneous row/column permutation and scale mapping one
     symmetric matrix onto another; None when impossible.
 
     Returns ``(perm, scale)`` with ``mine[i, j] = scale * reference[perm[i],
-    perm[j]]``.
+    perm[j]]`` to 1e-12 relative.
     """
     k = mine.shape[0]
     if reference.shape != (k, k):
@@ -478,6 +485,6 @@ def match_up_to_class_permutation(
             return tuple(perm), 1.0
         ratios = mine[mask] / permuted[mask]
         scale = float(ratios[0])
-        if np.all(np.abs(ratios - scale) <= rtol * max(1.0, abs(scale))):
+        if np.all(np.abs(ratios - scale) <= 1e-12 * max(1.0, abs(scale))):
             return tuple(perm), scale
     return None

@@ -208,6 +208,8 @@ def test_cli_usage_errors_exit_2(capsys):
          "--n must be >= 1"),
         (["analytic-1d", "--omega", "1", "--lam=-0.1", "--delta", "2", "--n", "0"],
          "--n must be >= 1"),
+        # the sign table has no spin count to use
+        (["analytic-1d", "--n", "4"], "--n needs --omega, --lam and --delta"),
         # JC flags are range-checked where they are parsed
         (["jc-ed", "--lx", "2", "--ly", "2", "--omega", "1", "--delta-a", "6",
           "--g", "0.4", "--ntotal", "1", "--nmax=-1"], "--nmax must be >= 0"),

@@ -313,7 +313,7 @@ def test_symmetric_block_route_matches_full_sector_ed(monkeypatch):
     assert cases == 5 + 6 + 4 + 3
 
 
-def test_symmetric_block_route_only_for_one_symmetric_untruncated_pair():
+def test_symmetric_block_route_only_for_one_symmetric_untruncated_pair(monkeypatch):
     geom = ArrayGeometry(3, 3)  # n_total=4: dim 2016, past the dense cutoff
     jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.5)
     spec, _ = jcmodel.jc_sector_ground(geom, jc, 4)
@@ -330,8 +330,17 @@ def test_symmetric_block_route_only_for_one_symmetric_untruncated_pair():
         spec, basis = jcmodel.jc_sector_ground(geom, params, 4, **kwargs)
         assert basis.dim > linalg.DENSE_CUTOFF
         assert spec.method == "lanczos", kwargs
-    # no coupling leaves the sector disconnected, with a degenerate ground level
-    uncoupled = dataclasses.replace(jc, g=0.0)
-    assert not jcmodel._takes_symmetric_block(uncoupled, jcmodel.JCBasis(geom, 4), 1)
     spec, _ = jcmodel.jc_sector_ground(geom, jc, 3)  # dim 545: dense
     assert spec.method == "dense"
+    # no coupling leaves the sector disconnected, with a 126-fold ground
+    # level: it goes to the full-sector solver, stubbed here for speed
+    full = []
+
+    def full_sector(h, k, seed):
+        full.append(h.dim)
+        return linalg.SpectrumResult(np.zeros(1), np.zeros((h.dim, 1)), np.zeros(1))
+
+    monkeypatch.setattr(jcmodel, "ground_state", full_sector)
+    uncoupled = dataclasses.replace(jc, g=0.0)
+    jcmodel.jc_sector_ground(geom, uncoupled, 4)
+    assert full == [2016]

@@ -110,13 +110,6 @@ def test_validity_epsilon_and_regime_tags():
     assert tag.frustration == "non-frustrated"
     assert tag.interaction_strength == "strong"
 
-    # a photon-dressed shift moves the splitting the strength is compared to
-    weak = classify_regime(
-        SpinCouplings(lambda_a=-0.05, lambda_b=-0.05, omega_at=1.0),
-        delta_omega_expectation=0.0,
-    )
-    assert weak.interaction_strength == "weak"
-
 
 def test_per_line_couplings_and_uniformity_guard():
     # per-line detunings reach the lattice model through its one expander,

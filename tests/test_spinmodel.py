@@ -310,7 +310,6 @@ def test_symmetric_block_route_matches_full_sector_ed():
             for n_exc in range(geom.n_sites + 1):
                 if basisdim(geom, n_exc) <= linalg.DENSE_CUTOFF:
                     continue
-                assert spinmodel._takes_symmetric_block(geom, c, n_exc, 1)
                 spec, basis = spinmodel.sector_ground(geom, c, n_exc)
                 assert spec.method == "symmetric-block" and spec.converged
                 h = spinmodel.build_sector_hamiltonian(geom, c, basis)
@@ -371,13 +370,12 @@ def test_route_is_taken_only_for_one_attractive_pair_past_the_cutoff():
     geom = ArrayGeometry(4, 3)  # C(12, 4) = 495, C(12, 5) = 792
     attractive = SpinCouplings(lambda_a=-0.15, lambda_b=-0.07, omega_at=1.0)
     frustrated = SpinCouplings(lambda_a=0.1, lambda_b=-0.3, omega_at=1.0)
-    take = spinmodel._takes_symmetric_block
-    assert take(geom, attractive, 5, 1)
-    assert not take(geom, attractive, 4, 1)  # at or below the dense cutoff
-    assert not take(geom, attractive, 5, 2)  # pairs past the ground level
-    assert not take(geom, frustrated, 5, 1)
-    assert not take(geom, SpinCouplings(lambda_a=-0.1, lambda_b=0.0, omega_at=1.0), 5, 1)
+    spec, _ = spinmodel.sector_ground(geom, attractive, 5)
+    assert spec.method == "symmetric-block"
     spec, _ = spinmodel.sector_ground(geom, attractive, 4)
-    assert spec.method == "dense"
+    assert spec.method == "dense"  # at or below the dense cutoff
     spec, _ = spinmodel.sector_ground(geom, attractive, 5, k=2)
     assert spec.method == "lanczos" and len(spec.eigenvalues) == 2
+    for c in (frustrated, SpinCouplings(lambda_a=-0.1, lambda_b=0.0, omega_at=1.0)):
+        spec, _ = spinmodel.sector_ground(geom, c, 5)
+        assert spec.method == "lanczos"

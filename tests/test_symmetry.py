@@ -166,7 +166,8 @@ def test_orbit_hamiltonian_equals_brute_projection():
     group = symmetry.build_group(geom, include_transpose=False)
     c = SpinCouplings(lambda_a=-0.13, lambda_b=-0.29, omega_at=1.1)
     basis = SectorBasis(geom, 5)
-    reps, which, sizes = symmetry.mask_partition(group, basis.states)
+    images = symmetry.mask_images(group, basis.states)
+    reps, which, sizes = symmetry.orbit_partition(group, basis.dim, images)
     src, dst, vals = spinmodel._sector_entries(geom, c, basis.states[reps], 5, True)
     block = symmetry.orbit_block(which, sizes, src, basis.bulk_rank(dst), vals)
     full = spinmodel.build_sector_hamiltonian(geom, c, basis).to_dense()
