@@ -12,27 +12,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib.util
 import json
 import math
 import sys
 import time
 from typing import Any, Callable, Optional, Sequence
 
-import numpy as np
-
 from . import io as tableio
-from .frustration import QUALITY_MIN, region_scan
 from .geometry import ArrayGeometry
-from .jcmodel import (
-    jc_correlation_ratio,
-    jc_ground_state,
-    jc_sector_ground,
-    one_excitation_crossing_g,
-    superradiant_critical_g,
-)
-from .meanfield import mf_critical_g
-from .meanfield import solve as mf_solve
-from .onedim import SIGN_TABLE_ROWS, classify_1d, ground_state_1d
 from .params import (
     EffectiveJCParams,
     PhysicalDriveParams,
@@ -44,13 +32,35 @@ from .params import (
     derive_effective_params,
     derive_spin_couplings,
 )
-from .spinmodel import (
-    correlation_ratio,
-    excitation_curve,
-    sector_ground,
-    transition_couplings,
-)
-from .symmetry import build_group, cycle_index, orbits
+
+
+def _lazy(name: str):
+    """The package module ``name``: in ``sys.modules`` from now on, but
+    executed only on its first attribute access."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# A command executes (and imports numpy for) only the models it calls, so
+# --help and the closed forms run without numpy.  basis and linalg are
+# registered too: every layer module is named in sys.modules from the start,
+# where perfbench/layers.py finds the functions it wraps.
+_lazy("basis")
+_lazy("linalg")
+frustration = _lazy("frustration")
+jcmodel = _lazy("jcmodel")
+meanfield = _lazy("meanfield")
+onedim = _lazy("onedim")
+spinmodel = _lazy("spinmodel")
+symmetry = _lazy("symmetry")
 
 
 class UsageError(Exception):
@@ -334,7 +344,7 @@ def _cmd_spin_ed(args, cfg, seed: int) -> CommandResult:
     _opt(args, cfg, "k", int)  # accepted no-op: every solve returns the ground cluster
     rows = []
     for n in nexc:
-        spec, basis = sector_ground(
+        spec, basis = spinmodel.sector_ground(
             geom, couplings, n, include_lambda_shift=shift, seed=seed
         )
         rows.append(
@@ -363,10 +373,10 @@ def _cmd_jc_ed(args, cfg, seed: int) -> CommandResult:
     rows = []
     if ntotal is not None:
         for n in _sectors(ntotal, "ntotal"):
-            spec, basis = jc_sector_ground(geom, jc, n, n_max=n_max, seed=seed)
+            spec, basis = jcmodel.jc_sector_ground(geom, jc, n, n_max=n_max, seed=seed)
             rows.append((n, basis.dim, spec.ground_energy, None))
     else:
-        result = jc_ground_state(geom, jc, n_max=n_max, seed=seed)
+        result = jcmodel.jc_ground_state(geom, jc, n_max=n_max, seed=seed)
         for n, dim, energy in result.scan:
             rows.append(
                 (n, dim, energy, "true" if n == result.n_total else "false")
@@ -395,7 +405,7 @@ def _cmd_crossover(args, cfg, seed: int) -> CommandResult:
     sectors = _at_least(_opt(args, cfg, "sectors", int, default=3), 1, "sectors")
     _opt(args, cfg, "tol", float)  # accepted no-op: g_c_jc is an eigenvalue
     n_max = _at_least(_opt(args, cfg, "nmax", int), 0, "nmax")
-    tps = transition_couplings(
+    tps = spinmodel.transition_couplings(
         geom,
         omega,
         lambda_min=-0.6 * omega,
@@ -414,7 +424,7 @@ def _cmd_crossover(args, cfg, seed: int) -> CommandResult:
                 f"delta/omega = {ratio:g} gives no real spin-model coupling"
             )
         g_spin = math.sqrt(rad)
-        g_jc = superradiant_critical_g(
+        g_jc = jcmodel.superradiant_critical_g(
             geom,
             omega,
             delta,
@@ -425,7 +435,7 @@ def _cmd_crossover(args, cfg, seed: int) -> CommandResult:
             n_max=n_max,
             seed=seed,
         )
-        g_closed = one_excitation_crossing_g(geom, omega, delta)
+        g_closed = jcmodel.one_excitation_crossing_g(geom, omega, delta)
         rows.append(
             (ratio, lam_c, g_spin, g_jc, g_closed, abs(g_jc - g_spin) / g_spin)
         )
@@ -457,7 +467,7 @@ def _cmd_excitation_curve(args, cfg, seed: int) -> CommandResult:
     omega = _req(args, cfg, "omega", float)
     lambdas = _nonempty(_req(args, cfg, "lambdas", _floats), "lambdas")
     shift = _bool(args, cfg, "shift", True)
-    rows = excitation_curve(geom, omega, lambdas, include_lambda_shift=shift)
+    rows = spinmodel.excitation_curve(geom, omega, lambdas, include_lambda_shift=shift)
     return CommandResult(
         semantic={
             "lx": geom.lx,
@@ -481,8 +491,8 @@ def _cmd_correlations(args, cfg, seed: int) -> CommandResult:
     _opt(args, cfg, "k", int)  # accepted no-op: every solve returns the ground cluster
     rows = []
     for n in nexc:
-        spec, basis = sector_ground(geom, couplings, n, seed=seed)
-        r = correlation_ratio(spec, basis)
+        spec, basis = spinmodel.sector_ground(geom, couplings, n, seed=seed)
+        r = spinmodel.correlation_ratio(spec, basis)
         rows.append(("spin", n, r.sigma_nn, r.sigma_nnn, r.ratio))
     if jc_ratio is not None:
         omega = couplings.omega_at
@@ -496,8 +506,8 @@ def _cmd_correlations(args, cfg, seed: int) -> CommandResult:
         delta_b = omega - g * g / (2.0 * couplings.lambda_b)
         jc = EffectiveJCParams(omega_at=omega, g=g, delta_a=delta_a, delta_b=delta_b)
         for n in nexc:
-            spec, basis = jc_sector_ground(geom, jc, n, seed=seed)
-            r = jc_correlation_ratio(spec, basis)
+            spec, basis = jcmodel.jc_sector_ground(geom, jc, n, seed=seed)
+            r = jcmodel.jc_correlation_ratio(spec, basis)
             rows.append(("jc", n, r.sigma_nn, r.sigma_nnn, r.ratio))
     return CommandResult(
         semantic={
@@ -534,15 +544,15 @@ def _cmd_analytic_1d(args, cfg, seed: int) -> CommandResult:
     )
     rows: list[tuple] = []
     if not any(given):
-        for s_o, s_l, s_d, outcome in SIGN_TABLE_ROWS:
+        for s_o, s_l, s_d, outcome in onedim.SIGN_TABLE_ROWS:
             rows.append(
                 (float(s_o), float(s_l), float(s_d), outcome, None, None, None, None)
             )
     else:
-        phase = classify_1d(omega, lam, delta)
+        phase = onedim.classify_1d(omega, lam, delta)
         extra: tuple = (None, None, None, None)
         if n_spins is not None:
-            g1 = ground_state_1d(n_spins, delta, omega, lam)
+            g1 = onedim.ground_state_1d(n_spins, delta, omega, lam)
             extra = (g1.m_star, g1.n_exc, g1.photon_behavior, g1.energy)
         rows.append((omega, lam, delta, phase.outcome) + extra)
     return CommandResult(
@@ -564,14 +574,14 @@ def _cmd_meanfield(args, cfg, seed: int) -> CommandResult:
     gs = _opt(args, cfg, "g", _floats)
     for g in gs or ():
         _at_least(g, 0, "g")
-    g_c = mf_critical_g(geom, delta, omega)
+    g_c = meanfield.mf_critical_g(geom, delta, omega)
     rows: list[tuple] = []
     if gs is None:
         rows.append((None, g_c, None, None, None, None))
     else:
         _nonempty(gs, "g")
         for g in gs:
-            sol = mf_solve(geom, g, delta, omega)
+            sol = meanfield.solve(geom, g, delta, omega)
             rows.append(
                 (
                     g,
@@ -606,11 +616,11 @@ def _cmd_polya(args, cfg, seed: int) -> CommandResult:
     transpose = _bool(args, cfg, "transpose", None)
     if transpose and geom.lx != geom.ly:
         raise UsageError("transpose requires a square array")
-    group = build_group(geom, transpose)
-    inventory = cycle_index(group).pattern_inventory()
+    group = symmetry.build_group(geom, transpose)
+    inventory = symmetry.cycle_index(group).pattern_inventory()
     rows = []
     for n in nexc:
-        classes = orbits(group, n)
+        classes = symmetry.orbits(group, n)
         count = inventory[n]
         if count != len(classes):
             raise ArithmeticError(
@@ -645,9 +655,11 @@ def _cmd_frustration_scan(args, cfg, seed: int) -> CommandResult:
     etas = _nonempty(_req(args, cfg, "etas", _floats), "etas")
     ly_ratios = _nonempty(_req(args, cfg, "ly_ratios", _floats), "ly_ratios")
     omega = _opt(args, cfg, "omega", float, default=1.0)
-    q_min = _opt(args, cfg, "qmin", float, default=QUALITY_MIN)
+    q_min = _opt(args, cfg, "qmin", float, default=frustration.QUALITY_MIN)
     _opt(args, cfg, "workers", int)  # accepted no-op: the scan is serial
-    scan = region_scan(lx, das, etas, ly_ratios, omega_at=omega, q_min=q_min)
+    scan = frustration.region_scan(
+        lx, das, etas, ly_ratios, omega_at=omega, q_min=q_min
+    )
     rows = [
         (r.eta, r.ly_over_lx, r.delta_a_over_omega, r.r, r.q, r.valid) for r in scan
     ]
@@ -877,7 +889,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ResonanceError,
         ValueError,
         ArithmeticError,
-        np.linalg.LinAlgError,
         RuntimeError,
     ) as exc:
         _emit_error("compute", exc)

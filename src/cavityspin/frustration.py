@@ -23,13 +23,14 @@ import numpy as np
 
 from .geometry import ArrayGeometry
 from .params import RegimeError, delta_b_from_eta
-from .spinmodel import one_exc_closed_spectrum
 
 QUALITY_MIN = 10.0
 
 
 def gs_energies_01(geometry, couplings) -> tuple[float, float]:
     """Closed-form ground energies of the 0- and 1-excitation sectors."""
+    from .spinmodel import one_exc_closed_spectrum  # here: the scan needs no spinmodel
+
     n = geometry.n_sites
     omp = couplings.omega_at_prime
     e0 = omp / 2.0 * (-n)

@@ -14,11 +14,10 @@ import hashlib
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from io import StringIO
 from typing import Any, Optional, Union
-
-import numpy as np
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -33,9 +32,11 @@ def format_cell(value: Any) -> str:
         return ""
     if isinstance(value, bool):
         raise TypeError("booleans are ambiguous in CSV; use 'true'/'false' strings")
-    if isinstance(value, (int, np.integer)):
+    # a numpy scalar exists only once numpy is imported: look it up, never import it
+    np = sys.modules.get("numpy")
+    if isinstance(value, int) or np is not None and isinstance(value, np.integer):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float) or np is not None and isinstance(value, np.floating):
         v = float(value)
         if not math.isfinite(v):
             raise ValueError("NaN/inf forbidden in result tables; use a flag column")

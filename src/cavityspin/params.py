@@ -206,13 +206,15 @@ def validity_epsilon(jc: EffectiveJCParams) -> tuple[float, float, bool]:
 
 
 def classify_regime(
-    couplings: SpinCouplings, *, epsilons: Optional[tuple[float, float]] = None
+    couplings: SpinCouplings, *, validity: Optional[tuple[float, float, bool]] = None
 ) -> RegimeTag:
     """Tag couplings as (non-)frustrated and weak/strong.
 
     Non-frustrated means both couplings negative (every bond can be satisfied
     simultaneously).  Weak means both magnitudes below
-    ``DEFAULT_WEAK_RATIO`` times the spin splitting ``omega_at``.
+    ``DEFAULT_WEAK_RATIO`` times the spin splitting ``omega_at``.  The
+    ``(eps_a, eps_b, valid)`` of :func:`validity_epsilon`, when given, fill
+    the dispersive-reduction fields.
     """
     frustration = (
         "non-frustrated"
@@ -222,15 +224,11 @@ def classify_regime(
     lam_max = max(abs(couplings.lambda_a), abs(couplings.lambda_b))
     weak = lam_max < DEFAULT_WEAK_RATIO * abs(couplings.omega_at)
     strength = "weak" if weak else "strong"
-    tag_valid: Optional[bool] = None
-    eps_a = eps_b = None
-    if epsilons is not None:
-        eps_a, eps_b = epsilons
-        tag_valid = eps_a < DEFAULT_EPSILON_MAX and eps_b < DEFAULT_EPSILON_MAX
+    eps_a, eps_b, valid = (None, None, None) if validity is None else validity
     return RegimeTag(
         frustration=frustration,
         interaction_strength=strength,
-        reduction_valid=tag_valid,
+        reduction_valid=valid,
         eps_a=eps_a,
         eps_b=eps_b,
     )
@@ -239,6 +237,5 @@ def classify_regime(
 def analyze(jc: EffectiveJCParams) -> tuple[SpinCouplings, RegimeTag]:
     """Derive couplings and classify them in one step."""
     couplings = derive_spin_couplings(jc)
-    eps_a, eps_b, _ = validity_epsilon(jc)
-    tag = classify_regime(couplings, epsilons=(eps_a, eps_b))
+    tag = classify_regime(couplings, validity=validity_epsilon(jc))
     return couplings, tag

@@ -6,8 +6,10 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cavityspin
@@ -29,6 +31,18 @@ def test_format_cell_rules():
         io.format_cell(math.inf)
     with pytest.raises(TypeError):
         io.format_cell([1, 2])
+    # numpy scalars give the bytes of the equal Python number
+    for value, text in (
+        (np.int64(-7), "-7"),
+        (np.int64(2**62), "4611686018427387904"),
+        (np.float64(0.1), "0.10000000000000001"),
+        (np.float32(0.1), "0.10000000149011612"),
+        (np.float32(-3.5), "-3.5"),
+    ):
+        assert io.format_cell(value) == text
+    for value in (np.bool_(True), Fraction(1, 3)):
+        with pytest.raises(TypeError):
+            io.format_cell(value)
 
 
 def test_parse_cell_inverse():
@@ -289,6 +303,26 @@ def test_cli_solver_failure_is_compute_error(monkeypatch, capsys):
     assert payload["error"]["type"] == "RuntimeError"
 
 
+def test_cli_linalg_error_is_compute_error(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(spinmodel, "sector_ground", fail)
+    code, out, err = run_cli(
+        capsys,
+        ["spin-ed", "--lx", "2", "--ly", "2", "--omega", "1", "--lambda-a=-0.2",
+         "--nexc", "1"],
+    )
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    payload = json.loads(err)["error"]
+    assert payload == {
+        "kind": "compute",
+        "type": "LinAlgError",
+        "message": "Eigenvalues did not converge",
+    }
+
+
 @pytest.mark.parametrize(
     "module, argv",
     [
@@ -493,10 +527,13 @@ def test_cli_seed_changes_nothing_semantic(capsys):
 
 
 # runs cli.main on each argv of the JSON list in argv[1], then prints the exit
-# codes and every scipy module the process imported
+# codes, every scipy module the process imported, whether it imported numpy,
+# the package modules in sys.modules right after the CLI import and those
+# executed by the end (a lazily registered module stays unexecuted until used)
 FRESH_CLI = """
-import json, sys
+import json, sys, types
 from cavityspin.cli import main
+registered = sorted(m for m in sys.modules if m.startswith("cavityspin."))
 codes = []
 for argv in json.loads(sys.argv[1]):
     try:
@@ -504,7 +541,12 @@ for argv in json.loads(sys.argv[1]):
     except SystemExit as exc:  # --help
         codes.append(exc.code)
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "scipy": scipy}))
+executed = sorted(
+    m for m, module in sys.modules.items()
+    if m.startswith("cavityspin.") and type(module) is types.ModuleType
+)
+print(json.dumps({"codes": codes, "scipy": scipy, "numpy": "numpy" in sys.modules,
+                  "registered": registered, "executed": executed}))
 """
 
 
@@ -544,7 +586,9 @@ def test_cli_dense_and_no_solve_commands_never_import_scipy():
         ["correlations", "--lx", "3", "--ly", "3", "--lambda-a=-0.15",
          "--lambda-b=-0.07", "--omega", "1", "--nexc", "4", "--jc-delta-ratio", "40"],
     ]
-    assert _fresh_cli(argvs) == {"codes": [0] * len(argvs), "scipy": []}
+    result = _fresh_cli(argvs)
+    assert result["codes"] == [0] * len(argvs)
+    assert result["scipy"] == []
 
 
 def test_cli_lanczos_solve_imports_scipy_and_converges():
@@ -555,3 +599,41 @@ def test_cli_lanczos_solve_imports_scipy_and_converges():
     result = _fresh_cli([argv])
     assert result["codes"] == [0]
     assert "scipy.sparse.linalg" in result["scipy"]
+
+
+def test_cli_help_and_closed_forms_never_import_numpy():
+    argvs = [
+        ["--help"],
+        ["derive-params", "--omega", "1.0", "--g0", "0.05", "--rabi", "4.0",
+         "--delta-e", "60", "--delta-a", "30", "--eta=-3"],
+        ["analytic-1d"],
+        ["analytic-1d", "--omega", "1.0", "--lam=-0.05", "--delta", "2.0", "--n", "4"],
+        ["meanfield", "--lx", "18", "--ly", "18", "--delta", "30", "--omega", "1",
+         "--g=0.9,1.83"],
+    ]
+    result = _fresh_cli(argvs)
+    assert result["codes"] == [0] * len(argvs)
+    assert result["numpy"] is False
+    # every layer module is in sys.modules as soon as the CLI is imported
+    layers = {"linalg", "basis", "spinmodel", "jcmodel", "frustration", "symmetry", "io"}
+    assert {"cavityspin." + m for m in layers} <= set(result["registered"])
+    assert result["executed"] == [
+        "cavityspin.cli", "cavityspin.geometry", "cavityspin.io",
+        "cavityspin.meanfield", "cavityspin.onedim", "cavityspin.params",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, models",
+    [
+        (["frustration-scan", "--lx", "10", "--delta-a-ratios", "0.4",
+          "--etas=-3", "--ly-ratios", "1"], ["frustration"]),
+        (["spin-ed", "--lx", "2", "--ly", "2", "--lambda-a=-0.2", "--omega", "1",
+          "--nexc", "1"], ["basis", "linalg", "observables", "spinmodel", "symmetry"]),
+    ],
+)
+def test_cli_command_executes_only_its_own_models(argv, models):
+    result = _fresh_cli([argv])
+    assert result["codes"] == [0]
+    base = ["cli", "geometry", "io", "params"]
+    assert result["executed"] == sorted("cavityspin." + m for m in base + models)
