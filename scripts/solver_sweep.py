@@ -8,7 +8,7 @@ Run from the root of a checkout:
     PYTHONPATH=src python3 scripts/solver_sweep.py agree
 
 ``timing`` solves spin sectors (attractive and frustrated couplings) and JC
-sectors of dimension 50-4096 at k=1 on both paths and prints the best of a
+sectors of dimension 50-4096 on both paths and prints the best of a
 few repeats per path.  ``cold`` times fresh CLI processes that solve one
 sector of dimension 495-2002, once forced dense and once forced Lanczos
 (median of 7 each): the first Lanczos solve of a process also pays the
@@ -78,7 +78,7 @@ def _best(op, method, repeats):
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        res = ground_state(op, 1, method=method)
+        res = ground_state(op, method=method)
         best = min(best, time.perf_counter() - t0)
     return best, res
 
@@ -180,13 +180,13 @@ def agree() -> int:
     cases = worst = 0
     bad = []
     for label, op in _agree_operators():
-        dense = ground_state(op, 1, method="dense")
-        m = dense.ground_multiplet().shape[1]
+        dense = ground_state(op, method="dense")
+        m = dense.eigenvectors.shape[1]
         for seed in range(8):
-            lanc = ground_state(op, 1, method="lanczos", seed=seed)
+            lanc = ground_state(op, method="lanczos", seed=seed)
             cases += 1
-            ml = lanc.ground_multiplet().shape[1]
-            e = dense.eigenvalues[:m]
+            ml = lanc.eigenvectors.shape[1]
+            e = dense.eigenvalues
             err = np.abs(lanc.eigenvalues[:min(m, ml)] - e[:min(m, ml)]).max()
             rel = float(err / max(1.0, abs(e[0])))
             worst = max(worst, rel)

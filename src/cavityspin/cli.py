@@ -348,7 +348,7 @@ def _cmd_spin_ed(args, cfg, seed: int) -> CommandResult:
             geom, couplings, n, include_lambda_shift=shift, seed=seed
         )
         rows.append(
-            (n, basis.dim, spec.ground_energy, spec.ground_multiplet().shape[1])
+            (n, basis.dim, spec.ground_energy, spec.eigenvectors.shape[1])
         )
     return CommandResult(
         semantic={

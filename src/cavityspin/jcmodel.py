@@ -9,12 +9,13 @@ makes the sector matrix exact, not truncated.
 
 Mode layout: modes ``0 .. ly-1`` are the row modes, ``ly .. ly+lx-1`` the
 column modes.  Photon configurations are ranked through base-``n_max+1``
-packed keys, which keeps matrix assembly vectorized.
+packed int64 keys, which keeps matrix assembly vectorized; a block whose
+keys would not fit int64 is refused.
 
 With g > 0 the sector ground state of an untruncated sector is simple, and
 with scalar detunings it is invariant under S_Ly x S_Lx acting on the sites
-and the line modes together; :func:`jc_sector_ground` then solves a single
-ground pair past the dense cutoff on the block of normalized orbit sums
+and the line modes together; :func:`jc_sector_ground` then solves the ground
+pair of a sector past the dense cutoff on the block of normalized orbit sums
 (114 classes for the 2016 states of 3x3 n_total=4), which ``symmetry``
 builds from the sector entries whose row is a class representative.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -85,8 +87,12 @@ class PhotonBlock:
     @classmethod
     def build(cls, total: int, n_modes: int, cap: int) -> "PhotonBlock":
         configs = bounded_compositions(total, n_modes, cap)
-        base = cap + 1
-        weights = base ** np.arange(n_modes - 1, -1, -1, dtype=np.int64)
+        # in Python integers, so that a key past int64 is refused, not wrapped
+        weights = [(cap + 1) ** (n_modes - 1 - m) for m in range(n_modes)]
+        last = configs[-1].tolist() if len(configs) else []  # the largest key
+        if max(weights + [sum(map(mul, weights, last))]) > np.iinfo(np.int64).max:
+            raise ValueError(f"photon keys of {n_modes} modes at cap {cap} pass int64")
+        weights = np.array(weights, dtype=np.int64)
         keys = configs @ weights if n_modes else np.zeros(len(configs), np.int64)
         # lex order on configs is ascending key order by construction
         return cls(total=total, n_modes=n_modes, cap=cap, configs=configs, keys=keys)
@@ -281,16 +287,15 @@ def jc_sector_ground(
     n_total: int,
     *,
     n_max: Optional[int] = None,
-    k: int = 1,
     seed: int = 0,
 ) -> tuple[SpectrumResult, JCBasis]:
-    """Lowest ``k`` pairs of a sector, with every copy of the ground level.
+    """Every copy of the ground level of a sector.
 
     In the gauge ``(-1)^k`` (k raised spins) every off-diagonal entry is
     negative, and for g > 0 an untruncated sector is connected, so by
     Perron-Frobenius its ground state is simple and positive.  With scalar
     detunings it is then invariant under every row and column permutation,
-    and a single ground pair that passes the size rule
+    and a sector that passes the size rule
     ``symmetry.takes_orbit_block`` is solved by ``symmetry.orbit_ground`` on
     the block of symmetric orbit sums.  Every other case is solved on the
     full sector matrix.
@@ -300,7 +305,7 @@ def jc_sector_ground(
         jc.g > 0.0
         and all(isinstance(d, (int, float)) for d in (jc.delta_a, jc.delta_b))
         and not basis.truncated
-        and takes_orbit_block(basis.dim, k)
+        and takes_orbit_block(basis.dim)
     ):
         group = build_group(geometry, include_transpose=False)
 
@@ -312,7 +317,7 @@ def jc_sector_ground(
         spec = orbit_ground(group, basis.dim, images, entries, seed)
     else:
         h = build_jc_hamiltonian(geometry, jc, basis)
-        spec = ground_state(h, min(k, basis.dim), seed=seed)
+        spec = ground_state(h, seed=seed)
     if not spec.converged:
         raise ArithmeticError(f"sector n_total={n_total} ground solve did not converge")
     return spec, basis

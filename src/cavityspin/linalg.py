@@ -5,8 +5,9 @@ problems (dimension <= DENSE_CUTOFF) fill a numpy array from the entries and
 go through dense ``eigh``.  Larger ones use ARPACK's implicitly restarted
 Lanczos (``scipy.sparse.linalg.eigsh``) on the CSR ``matrix``, built on first
 use, in deflated rounds until the lowest degeneracy cluster is provably
-closed.  Both paths return every copy of the lowest level, and residual norms
-``|H v - E v|`` are reported for every pair.
+closed.  A solve returns that cluster and nothing else: every copy of the
+lowest level on both paths, with the residual norm ``|H v - E v|`` of every
+pair.
 
 Only the Lanczos path and ``nnz`` import scipy, so a process whose solves
 are all dense (and one that solves nothing) runs on numpy alone.  The
@@ -15,7 +16,7 @@ import.
 
 The cutoff comes from ``scripts/solver_sweep.py`` on 2 cores.  In one
 process (``timing``: spin sectors at attractive and frustrated couplings and
-JC sectors of dimension 66-3432, k=1) Lanczos is faster in every case from
+JC sectors of dimension 66-3432) Lanczos is faster in every case from
 dimension 455 up (3432: 2.9 s dense, 0.008-0.05 s Lanczos), by at most
 12 ms per solve below 792.  A fresh CLI process solving one sector
 (``cold``) pays the scipy import only on Lanczos: that is 0.24-0.30 s slower
@@ -34,7 +35,7 @@ is simple by Perron-Frobenius up to a +-1 gauge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -88,27 +89,18 @@ def operator_from_entries(dim, rows, cols, vals) -> SparseOperator:
 
 @dataclass
 class SpectrumResult:
-    """Lowest part of a spectrum with eigenvectors and quality metadata."""
+    """The lowest degeneracy cluster of a spectrum, every copy of the ground
+    level, with eigenvectors and quality metadata."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # dim x k, column i pairs with eigenvalues[i]
+    eigenvectors: np.ndarray  # dim x m, column i pairs with eigenvalues[i]
     residual_norms: np.ndarray
-    degeneracy: np.ndarray = field(default=None)  # cluster label per eigenvalue
     method: str = "dense"
     converged: bool = True
-
-    def __post_init__(self):
-        if self.degeneracy is None:
-            self.degeneracy = label_degeneracies(self.eigenvalues)
 
     @property
     def ground_energy(self) -> float:
         return float(self.eigenvalues[0])
-
-    def ground_multiplet(self) -> np.ndarray:
-        """Columns spanning the lowest degeneracy cluster, every copy of it."""
-        sel = self.degeneracy == self.degeneracy[0]
-        return self.eigenvectors[:, sel]
 
 
 def label_degeneracies(eigenvalues: np.ndarray) -> np.ndarray:
@@ -126,32 +118,27 @@ def _lowest_cluster_size(sorted_vals: np.ndarray) -> int:
 
 
 def ground_state(
-    op: SparseOperator, k: int = 1, *, method: str = "auto", seed: int = 0
+    op: SparseOperator, *, method: str = "auto", seed: int = 0
 ) -> SpectrumResult:
-    """Lowest ``max(k, m)`` eigenpairs of a real symmetric sparse operator,
-    ``m`` the size of the lowest degeneracy cluster.
-
-    Every copy of the lowest level is returned on both paths.  Past that
-    cluster the Lanczos pairs are ARPACK's converged ones, which can skip
-    a level that sits above a degenerate one.
-    """
+    """The lowest degeneracy cluster of a real symmetric sparse operator:
+    every copy of the lowest level, and no pair above it."""
     dim = op.dim
-    if not 1 <= k <= dim:
-        raise ValueError(f"k={k} outside [1, {dim}]")
+    if dim < 1:
+        raise ValueError(f"empty operator (dim {dim})")
     if method == "auto":
         method = "dense" if dim <= DENSE_CUTOFF else "lanczos"
-    if method == "dense" or dim <= max(4 * k, 32):
-        return _dense_lowest(op, k)
+    if method == "dense" or dim <= 32:
+        return _dense_lowest(op)
     if method != "lanczos":
         raise ValueError(f"unknown method {method!r}")
-    return _lanczos_lowest(op, k, seed=seed)
+    return _lanczos_lowest(op, seed=seed)
 
 
-def _dense_lowest(op: SparseOperator, k: int) -> SpectrumResult:
+def _dense_lowest(op: SparseOperator) -> SpectrumResult:
     h = op.to_dense()
     vals, vecs = np.linalg.eigh(h)
-    n = max(k, _lowest_cluster_size(vals))
-    return _result(h, vals[:n], vecs[:, :n], "dense")
+    m = _lowest_cluster_size(vals)
+    return _result(h, vals[:m], vecs[:, :m], "dense")
 
 
 def _result(h, vals, vecs, method: str) -> SpectrumResult:
@@ -170,11 +157,11 @@ def _result(h, vals, vecs, method: str) -> SpectrumResult:
     )
 
 
-def _lanczos_lowest(op: SparseOperator, k: int, *, seed: int) -> SpectrumResult:
+def _lanczos_lowest(op: SparseOperator, *, seed: int) -> SpectrumResult:
     """ARPACK rounds on the operator with every found pair shifted away.
 
-    Each round asks ``eigsh`` for the pairs still missing (at least one)
-    from a fresh seeded start vector.  Found pairs ``Q`` are deflated as
+    Each round asks ``eigsh`` for one pair from a fresh seeded start
+    vector.  Found pairs ``Q`` are deflated as
     ``H + sigma Q Q^T`` with ``sigma`` above the Gershgorin bound of the
     spectral width, so a later round sees only the rest of the spectrum and
     its lowest value either adds a copy to the lowest cluster or closes it.
@@ -199,10 +186,8 @@ def _lanczos_lowest(op: SparseOperator, k: int, *, seed: int) -> SpectrumResult:
     a = LinearOperator((dim, dim), matvec=deflated, dtype=float)
     needed = 0 if _perron_frobenius_simple(op.matrix) else CLOSING_ROUNDS
     above = 0  # consecutive later rounds whose lowest value is above the cluster
-    while len(vals) < k or above < needed:
-        theta, x = eigsh(
-            a, k=max(1, k - len(vals)), which="SA", v0=rng.standard_normal(dim)
-        )
+    while not len(vals) or above < needed:
+        theta, x = eigsh(a, k=1, which="SA", v0=rng.standard_normal(dim))
         later = len(vals) > 0
         vals = np.concatenate([vals, theta])
         vecs = np.column_stack([vecs, x])
@@ -210,9 +195,9 @@ def _lanczos_lowest(op: SparseOperator, k: int, *, seed: int) -> SpectrumResult:
         vals, vecs = vals[order], vecs[:, order]
         if later:
             # once every pair is found the round returns sigma + lambda_min
-            above = above + 1 if theta.min() > vals[_lowest_cluster_size(vals) - 1] else 0
-    n = max(k, _lowest_cluster_size(vals))
-    return _result(op.matrix, vals[:n], vecs[:, :n], "lanczos")
+            above = above + 1 if theta[0] > vals[_lowest_cluster_size(vals) - 1] else 0
+    m = _lowest_cluster_size(vals)
+    return _result(op.matrix, vals[:m], vecs[:, :m], "lanczos")
 
 
 def _perron_frobenius_simple(matrix) -> bool:

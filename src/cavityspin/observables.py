@@ -71,7 +71,7 @@ def multiplet_correlations(spectrum, basis) -> CorrelationResult:
     excited spin sector.
     """
     geometry = basis.geometry
-    multiplet = spectrum.ground_multiplet()
+    multiplet = spectrum.eigenvectors
     n_sites = geometry.n_sites
     hops = 0.0  # <A>, A the 0/1 matrix of row and column moves
     ordered = 0.0  # sum over ordered pairs s != t

@@ -49,6 +49,17 @@ def photon_branch(delta: float, lam: float, m: float) -> str:
     return "marginal"
 
 
+SIGN_TABLE_ROWS: tuple[tuple[int, int, int, str], ...] = (
+    # (omega_sign, lambda_sign, delta_sign, outcome)
+    (1, 1, 1, "no-transition"),
+    (1, 1, -1, "photon-divergence"),
+    (1, -1, 1, "spin-transition-series"),
+    (-1, -1, -1, "spin-transition-series"),
+    (-1, -1, 1, "photon-divergence"),
+    (-1, 1, -1, "no-transition"),
+)
+
+
 @dataclass(frozen=True)
 class Phase1D:
     """Sign-pattern classification of the single-mode model."""
@@ -83,36 +94,16 @@ def classify_1d(omega_at: float, lam: float, delta: float) -> Phase1D:
             "sign(lambda) must oppose sign(delta - omega_at) for a "
             "photon-mediated coupling"
         )
-    ground = "all-lowered" if s_o > 0 else "all-raised"
-    if s_o > 0:
-        if s_l > 0:
-            outcome = "no-transition" if s_d > 0 else "photon-divergence"
-        else:
-            outcome = "spin-transition-series"
-    else:
-        if s_l < 0:
-            outcome = "spin-transition-series" if s_d < 0 else "photon-divergence"
-        else:
-            outcome = "no-transition"
+    # the sign rule leaves exactly the six patterns of the table
+    outcome = {row[:3]: row[3] for row in SIGN_TABLE_ROWS}[s_o, s_l, s_d]
     return Phase1D(
         outcome=outcome,
         omega_sign=s_o,
         lambda_sign=s_l,
         delta_sign=s_d,
         detuning_sign=s_det,
-        ground_configuration=ground,
+        ground_configuration="all-lowered" if s_o > 0 else "all-raised",
     )
-
-
-SIGN_TABLE_ROWS: tuple[tuple[int, int, int, str], ...] = (
-    # (omega_sign, lambda_sign, delta_sign, outcome)
-    (1, 1, 1, "no-transition"),
-    (1, 1, -1, "photon-divergence"),
-    (1, -1, 1, "spin-transition-series"),
-    (-1, -1, -1, "spin-transition-series"),
-    (-1, -1, 1, "photon-divergence"),
-    (-1, 1, -1, "no-transition"),
-)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ block of normalized orbit sums under S_Ly x S_Lx (159 classes for the
 184 756 states of 5x4 n=10) whenever the sector is past the dense cutoff:
 ``symmetry`` builds the block from the sector entries out of one state per
 class, the same entries the full matrix is built from, and expands the
-block vector back onto the sector basis.  Every other case, and every
-request for more than the ground pair, is solved on the full sector matrix.
+block vector back onto the sector basis.  Every other case is solved on the
+full sector matrix.  Either way a solve returns the whole ground cluster and
+nothing above it.
 """
 
 from __future__ import annotations
@@ -133,12 +134,11 @@ def sector_ground(
     n_exc: int,
     *,
     include_lambda_shift: bool = True,
-    k: int = 1,
     seed: int = 0,
 ) -> tuple[SpectrumResult, SectorBasis]:
-    """Lowest ``k`` pairs of a sector, with every copy of the ground level.
+    """Every copy of the ground level of a sector.
 
-    A single Perron-Frobenius ground pair that passes the size rule
+    A Perron-Frobenius ground pair that passes the size rule
     ``symmetry.takes_orbit_block`` is solved by ``symmetry.orbit_ground``
     on the small block of row x column symmetric orbit sums, from the
     sector entries out of the class representatives; every other case is
@@ -146,7 +146,7 @@ def sector_ground(
     """
     basis = SectorBasis(geometry, n_exc)
     if _perron_frobenius_sector(geometry, couplings, n_exc) and takes_orbit_block(
-        basis.dim, k
+        basis.dim
     ):
         group = build_group(geometry, include_transpose=False)
 
@@ -161,7 +161,7 @@ def sector_ground(
         )
     else:
         h = build_sector_hamiltonian(geometry, couplings, basis, include_lambda_shift)
-        spec = ground_state(h, min(k, basis.dim), seed=seed)
+        spec = ground_state(h, seed=seed)
     if not spec.converged:
         raise ArithmeticError(f"sector n_exc={n_exc} ground solve did not converge")
     return spec, basis
@@ -213,7 +213,6 @@ def transition_couplings(
     lambda_max: float,
     include_lambda_shift: bool = True,
     max_transitions: Optional[int] = None,
-    tol: Optional[float] = None,
 ) -> list[TransitionPoint]:
     """Sector crossings n -> n+1 inside a bracket, from exact linear energies.
 
@@ -221,7 +220,6 @@ def transition_couplings(
     ground energy is ``c_n + lambda a_n`` (:func:`_sector_line`), so the
     crossing n -> n+1 sits at ``omega_at / (a_n - a_{n+1})``.  Sectors are
     scanned in increasing n until no crossing falls inside the bracket.
-    ``tol`` is accepted and ignored: the crossings are exact.
     """
     if lambda_min >= lambda_max:
         raise ValueError("need lambda_min < lambda_max")

@@ -29,18 +29,20 @@ and the expanded vector stay here.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 from math import comb, factorial, gcd, prod
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from .basis import SectorBasis, enumerate_masks, line_moves
 from .geometry import ArrayGeometry
-from .linalg import SpectrumResult, ground_state, operator_from_entries
 from .params import SpinCouplings
+
+if TYPE_CHECKING:
+    from .linalg import SpectrumResult
 
 MAX_LABELLED_DIM = 2_000_000
 
@@ -267,7 +269,9 @@ def orbit_partition(
     against the closed group order."""
     labels = _orbit_labels(count, images)
     reps, which, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-    if np.any(group.order % sizes):  # the closed order against the labelling
+    # the closed order against the labelling, in Python integers (21! > 2**63);
+    # a set, not np.unique, whose hash path costs about 1 MB of peak RSS
+    if any(group.order % s for s in set(sizes.tolist())):
         raise ArithmeticError("orbit size does not divide group order")
     return reps, which, sizes
 
@@ -339,12 +343,12 @@ def orbit_block(
     return (edges + edges.T) / (2.0 * np.sqrt(np.outer(sizes, sizes)))
 
 
-def takes_orbit_block(dim: int, k: int) -> bool:
-    """The size rule of both symmetric-block routes: one ground pair of a
-    sector past the dense cutoff that the orbit labelling can hold."""
+def takes_orbit_block(dim: int) -> bool:
+    """The size rule of both symmetric-block routes: a sector past the
+    dense cutoff that the orbit labelling can hold."""
     from .linalg import DENSE_CUTOFF  # read at call time: scripts may reset it
 
-    return k == 1 and DENSE_CUTOFF < dim <= MAX_LABELLED_DIM
+    return DENSE_CUTOFF < dim <= MAX_LABELLED_DIM
 
 
 def orbit_ground(
@@ -369,6 +373,9 @@ def orbit_ground(
     class i, and its residual is the block residual.  The caller vouches
     that the sector ground state is simple and symmetric.
     """
+    # imported here, not at the top, so that a polya process never runs linalg
+    from .linalg import ground_state, operator_from_entries
+
     reps, which, sizes = orbit_partition(group, count, images)
     images.clear()
     rows, cols, vals = entries(reps)
@@ -376,14 +383,8 @@ def orbit_ground(
     block = orbit_block(which, sizes, which[rows[keep]], cols[keep], vals[keep])
     i, j = np.nonzero(block)
     spec = ground_state(operator_from_entries(len(sizes), i, j, block[i, j]), seed=seed)
-    vector = (spec.eigenvectors[:, 0] / np.sqrt(sizes))[which]
-    return SpectrumResult(
-        eigenvalues=spec.eigenvalues[:1],
-        eigenvectors=vector[:, None],
-        residual_norms=spec.residual_norms[:1],
-        method="symmetric-block",
-        converged=spec.converged,
-    )
+    vectors = (spec.eigenvectors / np.sqrt(sizes)[:, None])[which]
+    return replace(spec, eigenvectors=vectors, method="symmetric-block")
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,7 @@ def test_criterion_03_plaquette_ground_state():
     checks = []
     geom = ArrayGeometry(2, 2)
     couplings = SpinCouplings(lambda_a=-0.3, lambda_b=-0.3, omega_at=1.0)
-    spec, basis = spinmodel.sector_ground(geom, couplings, 2, k=3)
+    spec, basis = spinmodel.sector_ground(geom, couplings, 2)
     classes = symmetry.orbits(symmetry.build_group(geom), 2)
     dec = symmetry.ground_state_orbit_decomposition(
         spec.eigenvectors[:, 0], basis, classes
@@ -167,7 +167,6 @@ def test_criterion_06_transition_couplings():
                 lambda_max=-1e-9,
                 include_lambda_shift=shift,
                 max_transitions=1,
-                tol=1e-12,
             )
             ok = (
                 pts
@@ -248,7 +247,7 @@ def test_criterion_09_correlation_ratios():
     couplings = SpinCouplings(lambda_a=lam, lambda_b=lam, omega_at=omega)
     spin_ratio = {}
     for n_exc in range(1, 9):
-        spec, basis = spinmodel.sector_ground(geom, couplings, n_exc, k=30)
+        spec, basis = spinmodel.sector_ground(geom, couplings, n_exc)
         res = spinmodel.correlation_ratio(spec, basis)
         _, s_nn, s_nnn, ratio, msize = spin_correlation_reference(
             geom, couplings, n_exc
@@ -268,7 +267,7 @@ def test_criterion_09_correlation_ratios():
     delta_b = omega - g * g / (2.0 * lam)
     jc = EffectiveJCParams(omega_at=omega, g=g, delta_a=delta_a, delta_b=delta_b)
     for n_total in (1, 2, 3):
-        jspec, jbasis = jcmodel.jc_sector_ground(geom, jc, n_total, k=16)
+        jspec, jbasis = jcmodel.jc_sector_ground(geom, jc, n_total)
         jres = jcmodel.jc_correlation_ratio(jspec, jbasis)
         diff = abs(jres.ratio - spin_ratio[n_total])
         checks.append(

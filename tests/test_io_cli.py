@@ -264,13 +264,17 @@ def test_cli_round_off_sigma_nn_leaves_the_ratio_empty(capsys, lx, ly, n_exc):
 
 
 def test_cli_compute_errors_exit_1(capsys):
-    code, out, err = run_cli(
-        capsys,
+    for argv in (
         ["meanfield", "--lx", "2", "--ly", "2", "--delta", "-5.0", "--omega", "1.0"],
-    )
-    assert code == 1 and out == ""
-    payload = json.loads(err)
-    assert payload["error"]["kind"] == "compute"
+        # base-3 photon keys of 40 modes at total 3 pass 2**63 - 1: refused,
+        # not a silently wrong energy
+        ["jc-ed", "--lx", "39", "--ly", "1", "--omega", "1", "--g", "0.3",
+         "--delta-a", "5", "--delta-b", "5", "--ntotal", "3", "--nmax", "2"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"]["kind"] == "compute"
 
 
 def test_cli_polya_refuses_oversized_sector_before_enumerating(monkeypatch, capsys):
@@ -340,12 +344,13 @@ def test_cli_linalg_error_is_compute_error(monkeypatch, capsys):
                    "--delta-a", "6", "--g", "0.4"]),
         (spinmodel, ["correlations", "--lx", "2", "--ly", "2", "--omega", "1",
                      "--lambda-a=-0.2", "--nexc", "2"]),
+        # symmetry.orbit_ground reads linalg.ground_state at call time
         # dim 12870, attractive: solved on the symmetric orbit block
-        (symmetry, ["correlations", "--lx", "4", "--ly", "4", "--omega", "1",
-                    "--lambda-a=-0.1", "--nexc", "8"]),
+        (linalg, ["correlations", "--lx", "4", "--ly", "4", "--omega", "1",
+                  "--lambda-a=-0.1", "--nexc", "8"]),
         # dim 2016, scalar detunings: the JC symmetric orbit block
-        (symmetry, ["jc-ed", "--lx", "3", "--ly", "3", "--omega", "1", "--g", "0.4",
-                    "--delta-a", "6", "--delta-b", "5.5", "--ntotal", "4"]),
+        (linalg, ["jc-ed", "--lx", "3", "--ly", "3", "--omega", "1", "--g", "0.4",
+                  "--delta-a", "6", "--delta-b", "5.5", "--ntotal", "4"]),
     ],
 )
 def test_cli_unconverged_critical_coupling_is_compute_error(
@@ -364,9 +369,27 @@ def test_cli_unconverged_critical_coupling_is_compute_error(
     assert payload["error"]["type"] == "ArithmeticError"
 
 
+def test_cli_runs_arrays_whose_group_order_passes_int64(capsys):
+    # 21! > 2**63 - 1: one class of the 210 states of 21x1 n=2
+    code, out, err = run_cli(capsys, ["polya", "--lx", "21", "--ly", "1", "--nexc", "2"])
+    assert code == 0 and err == ""
+    assert io.parse_csv(out).rows == [(2, 1, 210, 243290200817664000)]
+    # dim 1330 takes the symmetric block; the line energy is closed form:
+    # (omega/2 + 2 lambda)(2n - N) + 2 lambda n (N - n) = -15.3
+    code, out, err = run_cli(
+        capsys,
+        ["spin-ed", "--lx", "21", "--ly", "1", "--lambda-a=-0.1", "--omega", "1",
+         "--nexc", "3", "--units", "raw"],
+    )
+    assert code == 0 and err == ""
+    (row,) = io.parse_csv(out).rows
+    assert row[:2] == (3, 1330) and row[3] == 1
+    assert row[2] == pytest.approx(-15.3, abs=1e-12)
+
+
 def test_cli_spin_ed_counts_the_frustrated_multiplet(capsys):
     # lambda_a > 0 > lambda_b on 3x3: the one-excitation ground level is
-    # 2-fold (one_exc_closed_spectrum); the default k=1 must still count both
+    # 2-fold (one_exc_closed_spectrum); the one ground solve must count both
     code, out, _ = run_cli(
         capsys,
         ["spin-ed", "--lx", "3", "--ly", "3", "--lambda-a", "0.1",
@@ -630,6 +653,7 @@ def test_cli_help_and_closed_forms_never_import_numpy():
           "--etas=-3", "--ly-ratios", "1"], ["frustration"]),
         (["spin-ed", "--lx", "2", "--ly", "2", "--lambda-a=-0.2", "--omega", "1",
           "--nexc", "1"], ["basis", "linalg", "observables", "spinmodel", "symmetry"]),
+        (["polya", "--lx", "3", "--ly", "3"], ["basis", "symmetry"]),
     ],
 )
 def test_cli_command_executes_only_its_own_models(argv, models):

@@ -52,6 +52,22 @@ def test_basis_dimension_and_roundtrip():
     assert top.photons.rank_keys(np.array([top.photons.key_weight(0)]))[0] == -1
 
 
+def test_photon_keys_past_int64_are_refused():
+    # base-3 keys of 40 modes: the last configuration at total 2 is
+    # 2 * 3**39 < 2**63 - 1, at total 3 it is 2 * 3**39 + 3**38, past it
+    fits = jcmodel.PhotonBlock.build(2, 40, 2)
+    assert int(fits.keys[-1]) == 2 * 3**39
+    assert np.all(np.diff(fits.keys) > 0)
+    with pytest.raises(ValueError, match="int64"):
+        jcmodel.PhotonBlock.build(3, 40, 2)
+    # the largest key weight alone: 64 modes at cap 1 weigh 2**63 in mode 0
+    with pytest.raises(ValueError, match="int64"):
+        jcmodel.PhotonBlock.build(0, 64, 1)
+    with pytest.raises(ValueError, match="int64"):
+        jcmodel.JCBasis(ArrayGeometry(39, 1), 3, 2)
+    assert jcmodel.JCBasis(ArrayGeometry(39, 1), 2).dim == 741 + 39 * 40 + 820
+
+
 def test_basis_guards():
     geom = ArrayGeometry(2, 2)
     with pytest.raises(ValueError):
@@ -200,8 +216,8 @@ def test_observables_conserve_total_excitation():
     geom = ArrayGeometry(2, 2)
     jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=6.0)
     for n_total in (1, 2):
-        spec, basis = jcmodel.jc_sector_ground(geom, jc, n_total, k=4)
-        multiplet = spec.ground_multiplet()
+        spec, basis = jcmodel.jc_sector_ground(geom, jc, n_total)
+        multiplet = spec.eigenvectors
         total = 0.0
         occ = np.zeros(geom.n_sites)
         for blk, seg in block_segments(multiplet, basis):
@@ -219,7 +235,7 @@ def test_jc_correlation_ratio_matches_dense_reference():
     geom = ArrayGeometry(2, 2)
     jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=6.0)
     n_total, cap = 2, 2
-    spec, basis = jcmodel.jc_sector_ground(geom, jc, n_total, n_max=cap, k=12)
+    spec, basis = jcmodel.jc_sector_ground(geom, jc, n_total, n_max=cap)
     res = jcmodel.jc_correlation_ratio(spec, basis)
     assert not res.cluster_truncated
     s_nn, s_nnn, ratio = jc_correlation_reference(geom, jc, n_total, cap)
@@ -313,6 +329,17 @@ def test_symmetric_block_route_matches_full_sector_ed(monkeypatch):
     assert cases == 5 + 6 + 4 + 3
 
 
+def test_symmetric_block_route_on_an_array_whose_group_order_passes_int64():
+    # 25! > 2**63 - 1; a one-element delta_a tuple keeps the sector whole
+    geom = ArrayGeometry(25, 1)  # n_total=2: dim 300 + 650 + 351
+    jc = EffectiveJCParams(omega_at=1.0, g=0.3, delta_a=5.0, delta_b=5.0)
+    spec, basis = jcmodel.jc_sector_ground(geom, jc, 2)
+    full, _ = jcmodel.jc_sector_ground(geom, dataclasses.replace(jc, delta_a=(5.0,)), 2)
+    assert basis.dim == 1301
+    assert (spec.method, full.method) == ("symmetric-block", "lanczos")
+    assert abs(spec.ground_energy - full.ground_energy) <= 1e-12 * abs(full.ground_energy)
+
+
 def test_symmetric_block_route_only_for_one_symmetric_untruncated_pair(monkeypatch):
     geom = ArrayGeometry(3, 3)  # n_total=4: dim 2016, past the dense cutoff
     jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.5)
@@ -324,7 +351,6 @@ def test_symmetric_block_route_only_for_one_symmetric_untruncated_pair(monkeypat
     off_route = [
         (per_line, {}),  # per-line detunings break the symmetry
         (jc, {"n_max": 3}),  # a truncated sector (dim 2010)
-        (jc, {"k": 2}),  # pairs past the ground level
     ]
     for params, kwargs in off_route:
         spec, basis = jcmodel.jc_sector_ground(geom, params, 4, **kwargs)
@@ -336,7 +362,7 @@ def test_symmetric_block_route_only_for_one_symmetric_untruncated_pair(monkeypat
     # level: it goes to the full-sector solver, stubbed here for speed
     full = []
 
-    def full_sector(h, k, seed):
+    def full_sector(h, seed):
         full.append(h.dim)
         return linalg.SpectrumResult(np.zeros(1), np.zeros((h.dim, 1)), np.zeros(1))
 

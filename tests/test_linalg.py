@@ -17,7 +17,7 @@ from cavityspin.linalg import (
     operator_from_entries,
 )
 from cavityspin.params import EffectiveJCParams, SpinCouplings
-from cavityspin.spinmodel import build_sector_hamiltonian
+from cavityspin.spinmodel import build_sector_hamiltonian, sector_ground
 from oracles import symmetry_defect
 
 
@@ -56,19 +56,13 @@ def test_dense_and_lanczos_agree_on_random_spectra():
     for trial in range(5):
         dim = int(rng.integers(60, 140))
         op = _random_operator(rng, dim, density=0.08)
-        k = int(rng.integers(1, 6))
-        dense = ground_state(op, k, method="dense")
-        lanc = ground_state(op, k, method="lanczos", seed=trial)
+        dense = ground_state(op, method="dense")
+        lanc = ground_state(op, method="lanczos", seed=trial)
+        # a random spectrum has a simple ground level: one pair, equal up to sign
+        assert len(dense.eigenvalues) == len(lanc.eigenvalues) == 1
         assert np.allclose(dense.eigenvalues, lanc.eigenvalues, atol=1e-9)
-        # eigenvectors agree up to sign outside degenerate clusters
-        for j in range(k):
-            overlap = abs(float(dense.eigenvectors[:, j] @ lanc.eigenvectors[:, j]))
-            gap_ok = (
-                j + 1 < len(dense.eigenvalues)
-                and dense.eigenvalues[j + 1] - dense.eigenvalues[j] > 1e-6
-            )
-            if gap_ok:
-                assert overlap > 1 - 1e-7
+        overlap = abs(float(dense.eigenvectors[:, 0] @ lanc.eigenvectors[:, 0]))
+        assert overlap > 1 - 1e-7
 
 
 def test_lanczos_resolves_exact_degeneracies():
@@ -81,32 +75,27 @@ def test_lanczos_resolves_exact_degeneracies():
     h = 0.5 * (h + h.T)
     r, c = np.nonzero(np.ones((dim, dim)))
     op = operator_from_entries(dim, r, c, h[r, c])
-    res = ground_state(op, 5, method="lanczos", seed=0)
-    assert np.allclose(res.eigenvalues[:3], -2.0, atol=1e-9)
-    assert res.ground_multiplet().shape[1] == 3
+    res = ground_state(op, method="lanczos", seed=0)
+    assert np.allclose(res.eigenvalues, -2.0, atol=1e-9)
+    assert res.eigenvectors.shape[1] == 3
     # the 3 vectors span the planted eigenspace
     basis = q[:, :3]
-    proj = basis @ (basis.T @ res.ground_multiplet())
-    assert np.max(np.abs(proj - res.ground_multiplet())) < 1e-7
+    proj = basis @ (basis.T @ res.eigenvectors)
+    assert np.max(np.abs(proj - res.eigenvectors)) < 1e-7
 
 
 def test_lanczos_returns_the_whole_ground_cluster():
-    # fully degenerate: every one of the 40 copies comes back at k=3
-    res = ground_state(_scaled_identity(40, scale=-1.0), 3, method="lanczos")
+    # fully degenerate: every one of the 40 copies comes back
+    res = ground_state(_scaled_identity(40, scale=-1.0), method="lanczos")
     assert res.method == "lanczos" and res.converged
-    assert res.ground_multiplet().shape[1] == 40
+    assert res.eigenvectors.shape[1] == 40
     assert np.allclose(res.eigenvalues, -1.0)
-    # a 6-fold diagonal ground level among 60 states at k=1
+    # a 6-fold diagonal ground level among 60 states, and no pair above it
     d = np.arange(60)
     levels = np.concatenate([np.full(6, -1.0), np.linspace(0.0, 1.0, 54)])
-    res = ground_state(operator_from_entries(60, d, d, levels), 1, method="lanczos")
-    assert len(res.eigenvalues) == 6 and res.ground_multiplet().shape[1] == 6
+    res = ground_state(operator_from_entries(60, d, d, levels), method="lanczos")
+    assert len(res.eigenvalues) == 6 and res.eigenvectors.shape[1] == 6
     assert np.allclose(res.eigenvalues, -1.0)
-    # k above the cluster keeps k converged pairs
-    res = ground_state(operator_from_entries(60, d, d, levels), 8, method="lanczos")
-    assert len(res.eigenvalues) == 8 and res.ground_multiplet().shape[1] == 6
-    assert res.converged
-    assert np.abs(res.eigenvalues[:, None] - levels[None, :]).min(axis=1).max() < 1e-12
 
 
 def test_lanczos_counts_the_copies_of_disconnected_blocks():
@@ -118,22 +107,20 @@ def test_lanczos_counts_the_copies_of_disconnected_blocks():
     cols = np.concatenate([i + 1, i, i + n + 1, i + n])
     vals = np.full(len(rows), -1.0)
     op = operator_from_entries(2 * n, rows, cols, vals)
-    res = ground_state(op, 1, method="lanczos")
-    dense = ground_state(op, 1, method="dense")
-    assert res.ground_multiplet().shape[1] == dense.ground_multiplet().shape[1] == 2
+    res = ground_state(op, method="lanczos")
+    dense = ground_state(op, method="dense")
+    assert res.eigenvectors.shape[1] == dense.eigenvectors.shape[1] == 2
     assert np.allclose(res.eigenvalues, dense.eigenvalues, atol=1e-12)
 
 
 def test_dense_path_returns_the_whole_ground_cluster():
-    res = ground_state(_scaled_identity(10, scale=-1.0), 3, method="dense")
-    assert res.ground_multiplet().shape[1] == 10
+    res = ground_state(_scaled_identity(10, scale=-1.0), method="dense")
+    assert res.eigenvectors.shape[1] == 10
     assert np.allclose(res.eigenvalues, -1.0)
-    # a split cluster stops at the first gap; k above it keeps k pairs
+    # a split cluster stops at the first gap
     d = np.arange(6)
     op = operator_from_entries(6, d, d, [-2.0, -2.0, -2.0 + 1e-12, -1.0, 0.0, 1.0])
-    assert ground_state(op, 1, method="dense").ground_multiplet().shape[1] == 3
-    res = ground_state(op, 5, method="dense")
-    assert len(res.eigenvalues) == 5 and res.ground_multiplet().shape[1] == 3
+    assert ground_state(op, method="dense").eigenvectors.shape[1] == 3
 
 
 def test_label_degeneracies_clusters():
@@ -156,12 +143,35 @@ def test_label_degeneracies_clusters():
         assert list(label_degeneracies(e)) == loop_labels(e)
 
 
+def test_every_path_returns_exactly_the_lowest_cluster():
+    # dense, Lanczos and both symmetric blocks: every returned eigenvalue
+    # lies in the one cluster of the ground level, and no pair above it
+    d = np.arange(60)
+    levels = np.concatenate([np.full(6, -1.0), np.linspace(0.0, 1.0, 54)])
+    spectra = [
+        ground_state(op, method=method)
+        for op in (operator_from_entries(60, d, d, levels), _sector_operator(4, 3, 5, 0.1, -0.3))
+        for method in ("dense", "lanczos")
+    ]
+    spin = SpinCouplings(lambda_a=-0.15, lambda_b=-0.07, omega_at=1.0)
+    spectra.append(sector_ground(ArrayGeometry(4, 3), spin, 5)[0])
+    jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.5)
+    spectra.append(jc_sector_ground(ArrayGeometry(3, 3), jc, 4)[0])
+    methods = [spec.method for spec in spectra]
+    assert methods == ["dense", "lanczos"] * 2 + ["symmetric-block"] * 2
+    for spec in spectra:
+        assert spec.converged
+        assert np.all(label_degeneracies(spec.eigenvalues) == 0), spec.eigenvalues
+        assert spec.eigenvectors.shape[1] == len(spec.eigenvalues) == len(spec.residual_norms)
+    assert [len(spec.eigenvalues) for spec in spectra[:2]] == [6, 6]
+    assert len(spectra[2].eigenvalues) == len(spectra[3].eigenvalues)
+
+
 def test_input_validation():
-    op = _scaled_identity(4)
     with pytest.raises(ValueError):
-        ground_state(op, 0)
+        ground_state(_scaled_identity(0))
     with pytest.raises(ValueError):
-        ground_state(op, 5)
+        ground_state(_scaled_identity(40), method="arnoldi")
 
 
 def _sector_operator(lx, ly, n_exc, lambda_a, lambda_b):
@@ -175,11 +185,11 @@ def test_lanczos_needs_two_rounds_above_the_cluster_to_close_it():
     # seed 0 the fourth round lands on the next level (+0.419) while 11
     # copies are still missing; one such round used to close the cluster
     op = _sector_operator(7, 2, 11, 0.1, -0.3)
-    dense = ground_state(op, 1, method="dense")
-    lanc = ground_state(op, 1, method="lanczos", seed=0)
-    assert dense.ground_multiplet().shape[1] == 14
+    dense = ground_state(op, method="dense")
+    lanc = ground_state(op, method="lanczos", seed=0)
+    assert dense.eigenvectors.shape[1] == 14
     assert lanc.method == "lanczos" and lanc.converged
-    assert lanc.ground_multiplet().shape[1] == 14
+    assert lanc.eigenvectors.shape[1] == 14
     assert np.abs(lanc.eigenvalues - dense.eigenvalues).max() <= 1e-12
 
 
@@ -192,13 +202,13 @@ def test_auto_method_matches_dense_on_every_sector(lambda_a, lambda_b):
             if comb(lx * ly, n) <= 32:
                 continue
             op = _sector_operator(lx, ly, n, lambda_a, lambda_b)
-            dense = ground_state(op, 1, method="dense")
-            auto = ground_state(op, 1, method="auto")
-            m = dense.ground_multiplet().shape[1]
+            dense = ground_state(op, method="dense")
+            auto = ground_state(op, method="auto")
+            m = dense.eigenvectors.shape[1]
             assert auto.converged
-            assert auto.ground_multiplet().shape[1] == m, (lx, ly, n)
+            assert auto.eigenvectors.shape[1] == m, (lx, ly, n)
             scale = max(1.0, abs(dense.ground_energy))
-            err = np.abs(auto.eigenvalues[:m] - dense.eigenvalues[:m]).max()
+            err = np.abs(auto.eigenvalues - dense.eigenvalues).max()
             assert err <= 1e-12 * scale, (lx, ly, n, err)
 
 
@@ -245,10 +255,10 @@ def test_positive_hops_on_an_odd_ring_still_take_the_closing_rounds(monkeypatch)
     op = _cycle(41, 1.0)
     assert not _perron_frobenius_simple(op.matrix)
     calls = _count_eigsh(monkeypatch)
-    res = ground_state(op, 1, method="lanczos")
-    dense = ground_state(op, 1, method="dense")
+    res = ground_state(op, method="lanczos")
+    dense = ground_state(op, method="dense")
     assert len(calls) == 1 + CLOSING_ROUNDS
-    assert res.ground_multiplet().shape[1] == dense.ground_multiplet().shape[1] == 1
+    assert res.eigenvectors.shape[1] == dense.eigenvectors.shape[1] == 1
     assert abs(res.ground_energy - dense.ground_energy) <= 1e-12
     # a disconnected pattern is not simple either, gauged or not
     d = np.arange(2)

@@ -197,7 +197,7 @@ def test_uniform_one_exc_correlations():
     # uniform superposition: every coherence is 1/N
     geom = ArrayGeometry(3, 3)
     c = SpinCouplings(lambda_a=-0.2, lambda_b=-0.2, omega_at=1.0)
-    spec, basis = spinmodel.sector_ground(geom, c, 1, k=3)
+    spec, basis = spinmodel.sector_ground(geom, c, 1)
     res = spinmodel.correlation_ratio(spec, basis)
     assert res.defined
     assert res.sigma_nn == pytest.approx(1.0 / 9.0, rel=1e-10)
@@ -210,7 +210,7 @@ def test_correlation_ratio_matches_dense_reference():
     geom = ArrayGeometry(3, 3)
     c = SpinCouplings(lambda_a=-0.15, lambda_b=-0.08, omega_at=0.7)
     for n_exc in (2, 3):
-        spec, basis = spinmodel.sector_ground(geom, c, n_exc, k=min(12, basisdim(geom, n_exc)))
+        spec, basis = spinmodel.sector_ground(geom, c, n_exc)
         res = spinmodel.correlation_ratio(spec, basis)
         assert not res.cluster_truncated
         _, s_nn, s_nnn, ratio, msize = spin_correlation_reference(geom, c, n_exc)
@@ -264,7 +264,7 @@ def _kernel_cases():
     spec, basis = spinmodel.sector_ground(
         geom, SpinCouplings(lambda_a=0.1, lambda_b=-0.3, omega_at=1.0), 5
     )
-    assert spec.method == "lanczos" and spec.ground_multiplet().shape[1] == 3
+    assert spec.method == "lanczos" and spec.eigenvectors.shape[1] == 3
     yield spec, basis
     spec, basis = spinmodel.sector_ground(
         geom, SpinCouplings(lambda_a=-0.12, lambda_b=-0.05, omega_at=1.0), 8
@@ -280,7 +280,7 @@ def _kernel_cases():
 def test_pair_sums_match_the_per_pair_loop():
     for spec, basis in _kernel_cases():
         res = spinmodel.correlation_ratio(spec, basis)
-        multiplet = spec.ground_multiplet()
+        multiplet = spec.eigenvectors
         s_nn, s_nnn = pair_loop_correlations(multiplet, basis)
         assert res.multiplet_size == multiplet.shape[1]
         assert res.sigma_nn == pytest.approx(s_nn, rel=0, abs=1e-13)
@@ -316,7 +316,7 @@ def test_symmetric_block_route_matches_full_sector_ed():
                 assert linalg._perron_frobenius_simple(h.matrix)
                 ref = linalg.ground_state(h)
                 assert spec.ground_energy == pytest.approx(ref.ground_energy, rel=1e-12)
-                assert spec.ground_multiplet().shape[1] == 1
+                assert spec.eigenvectors.shape[1] == 1
                 # the expanded vector is a normalized eigenvector of the sector
                 v = spec.eigenvectors[:, 0]
                 assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -374,8 +374,6 @@ def test_route_is_taken_only_for_one_attractive_pair_past_the_cutoff():
     assert spec.method == "symmetric-block"
     spec, _ = spinmodel.sector_ground(geom, attractive, 4)
     assert spec.method == "dense"  # at or below the dense cutoff
-    spec, _ = spinmodel.sector_ground(geom, attractive, 5, k=2)
-    assert spec.method == "lanczos" and len(spec.eigenvalues) == 2
     for c in (frustrated, SpinCouplings(lambda_a=-0.1, lambda_b=0.0, omega_at=1.0)):
         spec, _ = spinmodel.sector_ground(geom, c, 5)
         assert spec.method == "lanczos"

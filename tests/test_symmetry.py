@@ -223,7 +223,7 @@ def test_orbit_hamiltonian_requires_equal_couplings():
 def test_plaquette_ground_state_lives_in_symmetric_sector():
     geom = ArrayGeometry(2, 2)
     c = SpinCouplings(lambda_a=-0.4, lambda_b=-0.4, omega_at=1.0)
-    spec, basis = spinmodel.sector_ground(geom, c, 2, k=3)
+    spec, basis = spinmodel.sector_ground(geom, c, 2)
     group = symmetry.build_group(geom)
     classes = symmetry.orbits(group, 2)
     dec = symmetry.ground_state_orbit_decomposition(
