@@ -29,7 +29,9 @@ any mismatch or an error over 1e-12.  It then solves every sector that
 with lambda_a == lambda_b) or ``jcmodel.jc_sector_ground`` (the JC arrays
 at scalar detunings) routes to the symmetric orbit block, and compares
 energy, multiplet size and the NN and NNN correlations with the full-sector
-solve (1e-12 relative on the energy, 1e-12 absolute on the correlations).
+solve (1e-12 relative on the energy, 1e-12 absolute on the correlations);
+a routed spin sector's correlations are read in class space, from its block
+vector.
 """
 
 from __future__ import annotations
@@ -199,33 +201,36 @@ def agree() -> int:
 
 
 def _block_cases():
-    """``(label, routed spectrum, full-sector spectrum, basis)`` of every
-    sector that the spin or the JC solver routes to the symmetric block,
-    told by the method of its spectrum."""
+    """``(label, routed spectrum, its basis, full-sector spectrum, sector
+    basis)`` of every sector that the spin or the JC solver routes to the
+    symmetric block, told by the method of its spectrum.  A routed spin
+    sector comes back as its classes and a block vector, never expanded."""
     for lx, ly in AGREE_ARRAYS:
         geom = ArrayGeometry(lx, ly)
         for n in range(lx * ly + 1):
             for c in (ATTRACTIVE, ATTRACTIVE_EQUAL):
-                spec, basis = sector_ground(geom, c, n)
+                spec, sector = sector_ground(geom, c, n)
                 if spec.method == "symmetric-block":
+                    basis = SectorBasis(geom, n)
                     ref = ground_state(build_sector_hamiltonian(geom, c, basis))
-                    yield f"{lx}x{ly} n={n} la={c.lambda_a:g} lb={c.lambda_b:g}", spec, ref, basis
+                    label = f"{lx}x{ly} n={n} la={c.lambda_a:g} lb={c.lambda_b:g}"
+                    yield label, spec, sector, ref, basis
     for geom, basis in _jc_sectors():
         spec, basis = jc_sector_ground(geom, JC, basis.n_total)
         if spec.method == "symmetric-block":
             ref = ground_state(build_jc_hamiltonian(geom, JC, basis))
-            yield f"jc {geom.lx}x{geom.ly} n={basis.n_total}", spec, ref, basis
+            yield f"jc {geom.lx}x{geom.ly} n={basis.n_total}", spec, basis, ref, basis
 
 
 def agree_symmetric_block() -> int:
     cases = 0
     worst_e = worst_c = 0.0
     bad = []
-    for label, spec, ref, basis in _block_cases():
+    for label, spec, sector, ref, basis in _block_cases():
         cases += 1
         e = ref.ground_energy
         rel = abs(spec.ground_energy - e) / max(1.0, abs(e))
-        mine, theirs = multiplet_correlations(spec, basis), multiplet_correlations(ref, basis)
+        mine, theirs = multiplet_correlations(spec, sector), multiplet_correlations(ref, basis)
         dc = max(abs(mine.sigma_nn - theirs.sigma_nn),
                  abs(mine.sigma_nnn - theirs.sigma_nnn))
         worst_e, worst_c = max(worst_e, rel), max(worst_c, dc)

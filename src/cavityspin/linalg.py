@@ -25,11 +25,11 @@ at dimension 495-1001 and 0.09 s slower at 1365, and faster from 1820 up
 
 Attractive spin sectors and Jaynes-Cummings sectors with scalar detunings
 past the cutoff reach this module as their small orbit-sum block, through
-``symmetry.orbit_ground`` (159 classes for the 184 756 states of
-spin 5x4 n=10, 114 for the 2016 states of JC 3x3 n_total=4): the operator
-is the block, usually far below the cutoff, and a spin sector never
-becomes a matrix.  The JC sectors that stay whole (per-line detunings, a
-truncated photon cutoff) close after one Lanczos round: their ground level
+``symmetry.block_ground``: the operator is the block, usually far below
+the cutoff (159 classes for the 184 756 states of spin 5x4 n=10, 114 for
+the 2016 states of JC 3x3 n_total=4), and such a spin sector never becomes
+a matrix or a vector.  The JC sectors that stay whole (per-line detunings,
+a truncated photon cutoff) close after one Lanczos round: their ground level
 is simple by Perron-Frobenius up to a +-1 gauge.
 """
 
@@ -123,14 +123,14 @@ def ground_state(
     """The lowest degeneracy cluster of a real symmetric sparse operator:
     every copy of the lowest level, and no pair above it."""
     dim = op.dim
+    if method not in ("auto", "dense", "lanczos"):
+        raise ValueError(f"unknown method {method!r}")
     if dim < 1:
         raise ValueError(f"empty operator (dim {dim})")
     if method == "auto":
         method = "dense" if dim <= DENSE_CUTOFF else "lanczos"
     if method == "dense" or dim <= 32:
         return _dense_lowest(op)
-    if method != "lanczos":
-        raise ValueError(f"unknown method {method!r}")
     return _lanczos_lowest(op, seed=seed)
 
 

@@ -1,8 +1,7 @@
 """Effective spin model on the array, resolved into excitation sectors.
 
 The photon-eliminated Hamiltonian conserves the number of raised spins, so
-everything here works inside a :class:`~cavityspin.basis.SectorBasis`.  Its
-two pieces:
+everything here works inside one excitation sector.  Its two pieces:
 
 * a uniform diagonal ``(omega_at/2 + [lambda_a + lambda_b]) * (2 n_exc - N)``
   coming from the splitting plus (optionally) the static coupling shift;
@@ -18,22 +17,27 @@ sector ``0 < n_exc < N`` is connected, so by Perron-Frobenius the sector
 ground state is unique and invariant under every row and every column
 permutation.  :func:`sector_ground` then solves for that one pair on the
 block of normalized orbit sums under S_Ly x S_Lx (159 classes for the
-184 756 states of 5x4 n=10) whenever the sector is past the dense cutoff:
-``symmetry`` builds the block from the sector entries out of one state per
-class, the same entries the full matrix is built from, and expands the
-block vector back onto the sector basis.  Every other case is solved on the
-full sector matrix.  Either way a solve returns the whole ground cluster and
-nothing above it.
+184 756 states of 5x4 n=10) whenever the sector is past the dense cutoff.
+The classes come from canonical codes (``canonical.symmetric_sector``),
+the block from the sector entries out of one representative per class, the
+same entries the full matrix is built from, and the block vector is
+returned with its :class:`~cavityspin.canonical.SymmetricSector`: no
+sector table, labelling or sector-sized vector is made, so sectors up to
+the bitmask guard ``basis.MAX_SECTOR_DIM`` take this route.  Every other
+case is solved on the full sector matrix.  Either way a solve returns the
+whole ground cluster and nothing above it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .basis import SectorBasis, line_moves
+from .canonical import SymmetricSector, symmetric_sector
 from .geometry import ArrayGeometry
 from .linalg import (
     SparseOperator,
@@ -43,7 +47,7 @@ from .linalg import (
 )
 from .observables import CorrelationResult, multiplet_correlations
 from .params import SpinCouplings
-from .symmetry import build_group, mask_images, orbit_ground, takes_orbit_block
+from .symmetry import block_ground, takes_orbit_block
 
 
 def _diagonal(
@@ -135,31 +139,28 @@ def sector_ground(
     *,
     include_lambda_shift: bool = True,
     seed: int = 0,
-) -> tuple[SpectrumResult, SectorBasis]:
-    """Every copy of the ground level of a sector.
+) -> tuple[SpectrumResult, SectorBasis | SymmetricSector]:
+    """Every copy of the ground level of a sector, and the basis its
+    vectors live in.
 
     A Perron-Frobenius ground pair that passes the size rule
-    ``symmetry.takes_orbit_block`` is solved by ``symmetry.orbit_ground``
-    on the small block of row x column symmetric orbit sums, from the
-    sector entries out of the class representatives; every other case is
-    solved on the full sector matrix.
+    ``symmetry.takes_orbit_block`` is solved on the small block of row x
+    column symmetric orbit sums, built from the sector entries out of the
+    class representatives; it returns the block vector and the
+    :class:`~cavityspin.canonical.SymmetricSector` of its classes.  Every
+    other case is solved on the full sector matrix of a
+    :class:`~cavityspin.basis.SectorBasis`.
     """
-    basis = SectorBasis(geometry, n_exc)
     if _perron_frobenius_sector(geometry, couplings, n_exc) and takes_orbit_block(
-        basis.dim
+        comb(geometry.n_sites, n_exc)
     ):
-        group = build_group(geometry, include_transpose=False)
-
-        def entries(reps):
-            src, dst, vals = _sector_entries(
-                geometry, couplings, basis.states[reps], n_exc, include_lambda_shift
-            )
-            return reps[src], basis.bulk_rank(dst), vals
-
-        spec = orbit_ground(
-            group, basis.dim, mask_images(group, basis.states), entries, seed
+        basis = symmetric_sector(geometry, n_exc)
+        entries = _sector_entries(
+            geometry, couplings, basis.representatives, n_exc, include_lambda_shift
         )
+        spec = block_ground(basis.block(*entries), seed)
     else:
+        basis = SectorBasis(geometry, n_exc)
         h = build_sector_hamiltonian(geometry, couplings, basis, include_lambda_shift)
         spec = ground_state(h, seed=seed)
     if not spec.converged:
@@ -276,7 +277,7 @@ def excitation_curve(
 
 
 def correlation_ratio(
-    spectrum: SpectrumResult, basis: SectorBasis
+    spectrum: SpectrumResult, basis: SectorBasis | SymmetricSector
 ) -> CorrelationResult:
     """Average NNN/NN correlation ratio of the ground multiplet; undefined
     for the empty and the fully excited sector.

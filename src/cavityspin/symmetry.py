@@ -10,20 +10,20 @@ orbit sums gives a small dense block that contains the permutation-symmetric
 part of the spectrum, including the ground state for attractive couplings.
 
 The group is held as generators: orbit labels come from generator images,
-the order and the cycle index from closed forms, so sectors of up to
-``MAX_LABELLED_DIM`` states are partitioned on any array.
-:func:`orbit_partition` labels any state table from its index images, one
-array per generator: spin masks (:func:`mask_images`) and the states of
-a ``jcmodel`` sector, whose generators move the sites and the line modes
-together.  Only this module knows the orbit-sum format: :func:`orbit_block`
-projects any commuting Hamiltonian from its entries out of one
-representative per class, for :func:`orbit_basis_hamiltonian` and for
-:func:`orbit_ground`, the one symmetric-block route.  The attractive-sector
-solves of ``spinmodel`` and ``jcmodel`` check their Perron-Frobenius
-condition and the size rule :func:`takes_orbit_block`, then hand
-:func:`orbit_ground` their generator images and a function giving the
-Hamiltonian entries of the representative rows; the partition, the block
-and the expanded vector stay here.
+the order and the cycle index from closed forms.  :func:`orbit_partition`
+labels any state table of up to ``MAX_LABELLED_DIM`` states from its index
+images, one array per generator: spin masks (:func:`mask_images`) for
+:func:`orbits` and :func:`orbit_basis_hamiltonian`, and the states of a
+``jcmodel`` sector, whose generators move the sites and the line modes
+together.  :func:`orbit_block` projects any commuting operator from its
+entries out of one representative per class, given the class of both ends
+of every entry; every orbit block is made there, for the labelled classes
+here and for the canonical-code classes of ``canonical``.  :func:`block_ground`
+solves a block.  Both symmetric-block routes share the size rule
+:func:`takes_orbit_block`: the attractive spin route of ``spinmodel``
+works on the classes of ``canonical`` alone, and the Jaynes-Cummings route
+of ``jcmodel`` goes through :func:`orbit_ground`, which labels the sector,
+builds and solves the block and expands the block vector onto the sector.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .basis import SectorBasis, enumerate_masks, line_moves
+from .basis import MAX_SECTOR_DIM, SectorBasis, enumerate_masks, line_moves
 from .geometry import ArrayGeometry
 from .params import SpinCouplings
 
@@ -320,7 +320,6 @@ def orbits(group: PermutationGroup, n_exc: int) -> list[OrbitClass]:
 
 
 def orbit_block(
-    which: np.ndarray,
     sizes: np.ndarray,
     src: np.ndarray,
     dst: np.ndarray,
@@ -329,26 +328,40 @@ def orbit_block(
     """``P^T H P`` on normalized orbit sums, from the entries of H out of
     one representative per class.
 
-    ``which`` is the class of every sector state and ``sizes`` the class
-    sizes; entry t of H has the class ``src[t]`` of its row (a
-    representative), the sector index ``dst[t]`` of its column and the
+    ``sizes`` are the class sizes; entry t of H has the class ``src[t]`` of
+    its row (a representative), the class ``dst[t]`` of its column and the
     value ``vals[t]``.  H commutes with the group, so every member of class
     i has the same sums into each class j and ``E = s_i sum vals`` is the
     sum of H over both classes.  The block is
     ``(E + E^T) / (2 sqrt(s_i s_j))``, exactly symmetric.
     """
     k = len(sizes)
-    sums = np.bincount(src * k + which[dst], weights=vals, minlength=k * k)
+    sums = np.bincount(src * k + dst, weights=vals, minlength=k * k)
     edges = sums.reshape(k, k) * sizes[:, None]
     return (edges + edges.T) / (2.0 * np.sqrt(np.outer(sizes, sizes)))
 
 
 def takes_orbit_block(dim: int) -> bool:
     """The size rule of both symmetric-block routes: a sector past the
-    dense cutoff that the orbit labelling can hold."""
+    dense cutoff and within the bitmask guard ``basis.MAX_SECTOR_DIM``.
+    The spin route labels nothing; a Jaynes-Cummings sector, which is
+    labelled, is held to ``MAX_LABELLED_DIM`` states by its basis guard
+    ``jcmodel.MAX_JC_DIM``."""
     from .linalg import DENSE_CUTOFF  # read at call time: scripts may reset it
 
-    return DENSE_CUTOFF < dim <= MAX_LABELLED_DIM
+    return DENSE_CUTOFF < dim <= MAX_SECTOR_DIM
+
+
+def block_ground(block: np.ndarray, seed: int) -> SpectrumResult:
+    """Ground pair of an orbit block, its vector on the normalized orbit
+    sums.  The caller vouches that the sector ground state is simple and
+    symmetric, so the block's ground pair is the sector's."""
+    # imported here, not at the top, so that a polya process never runs linalg
+    from .linalg import ground_state, operator_from_entries
+
+    i, j = np.nonzero(block)
+    spec = ground_state(operator_from_entries(len(block), i, j, block[i, j]), seed=seed)
+    return replace(spec, method="symmetric-block")
 
 
 def orbit_ground(
@@ -358,33 +371,28 @@ def orbit_ground(
     entries: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
     seed: int = 0,
 ) -> SpectrumResult:
-    """Ground pair of a sector of ``count`` states from its block of
-    normalized orbit sums, expanded onto the sector.
+    """Ground pair of a labelled sector of ``count`` states from its block
+    of normalized orbit sums, expanded onto the sector: the
+    Jaynes-Cummings route of ``jcmodel``.
 
-    Both symmetric-block routes end here, the spin one of ``spinmodel`` and
-    the Jaynes-Cummings one of ``jcmodel``.  ``images`` are the generator
-    images of the sector states (:func:`orbit_partition`); the list is
-    emptied once they are labelled, so a sector-sized image table is freed
-    before ``entries`` runs.  ``entries(reps)`` gives the
-    ``(rows, cols, vals)`` sector entries of H for at least every row in
-    the ascending representatives ``reps``; the rows of other states are
-    dropped here.  A block vector ``c`` is the
+    ``images`` are the generator images of the sector states
+    (:func:`orbit_partition`); the list is emptied once they are labelled,
+    so a sector-sized image table is freed before ``entries`` runs.
+    ``entries(reps)`` gives the ``(rows, cols, vals)`` sector entries of H
+    for at least every row in the ascending representatives ``reps``; the
+    rows of other states are dropped here.  A block vector ``c`` is the
     sector vector with amplitude ``c_i / sqrt(s_i)`` on every member of
-    class i, and its residual is the block residual.  The caller vouches
-    that the sector ground state is simple and symmetric.
+    class i, and its residual is the block residual.
     """
-    # imported here, not at the top, so that a polya process never runs linalg
-    from .linalg import ground_state, operator_from_entries
-
     reps, which, sizes = orbit_partition(group, count, images)
     images.clear()
     rows, cols, vals = entries(reps)
     keep = reps[which[rows]] == rows
-    block = orbit_block(which, sizes, which[rows[keep]], cols[keep], vals[keep])
-    i, j = np.nonzero(block)
-    spec = ground_state(operator_from_entries(len(sizes), i, j, block[i, j]), seed=seed)
+    spec = block_ground(
+        orbit_block(sizes, which[rows[keep]], which[cols[keep]], vals[keep]), seed
+    )
     vectors = (spec.eigenvectors / np.sqrt(sizes)[:, None])[which]
-    return replace(spec, eigenvectors=vectors, method="symmetric-block")
+    return replace(spec, eigenvectors=vectors)
 
 
 @dataclass(frozen=True)
@@ -424,7 +432,7 @@ def orbit_basis_hamiltonian(
     dst = np.searchsorted(masks, np.concatenate([m[1] for m in moves]))
     k = len(classes)
     counts = np.bincount(src * k + which[dst], minlength=k * k).reshape(k, k)
-    matrix = orbit_block(which, sizes, src, dst, np.full(len(src), unit))
+    matrix = orbit_block(sizes, src, which[dst], np.full(len(src), unit))
     return OrbitHamiltonian(
         classes=tuple(classes),
         matrix=matrix,

@@ -5,7 +5,10 @@ Everything here lives in the explicit product space (2^N for spins,
 onto sectors by reading diagonal counting operators.  Slow and obvious on
 purpose: these are the ground truth the fast implementations are tested
 against.  Spin operators are sparse Kronecker products; only the sector
-block taken out of them is made dense.
+block taken out of them is made dense.  One helper reads the package:
+:func:`expand_block_vectors` maps a symmetric-block solve back onto the
+full sector through the canonical codes its classes are named by
+(``SymmetricSector.classify``).
 """
 
 from collections import Counter
@@ -317,3 +320,11 @@ def pair_loop_correlations(vectors: np.ndarray, basis):
         float(np.mean([c[s, t] for s, t in pairs])) if pairs else 0.0
         for pairs in (nn, nnn)
     )
+
+
+def expand_block_vectors(spectrum, sector, masks: np.ndarray) -> np.ndarray:
+    """The block vectors of a symmetric-block solve expanded over the given
+    masks of the sector (ascending, the full table): each mask's canonical
+    code gives its class i, and its amplitude is ``c_i / sqrt(s_i)``."""
+    which = sector.classify(np.asarray(masks, dtype=np.int64))
+    return (spectrum.eigenvectors / np.sqrt(sector.sizes)[:, None])[which]

@@ -1,0 +1,75 @@
+"""Orbit classes from canonical codes against the cycle index, brute-force
+orbits and the labelled route."""
+
+from math import comb
+
+import numpy as np
+import pytest
+
+from cavityspin import canonical, spinmodel, symmetry
+from cavityspin.basis import SectorBasis
+from cavityspin.geometry import ArrayGeometry
+from cavityspin.params import SpinCouplings
+from oracles import brute_group, brute_orbits, expand_block_vectors
+
+
+@pytest.mark.parametrize(
+    "lx, ly",
+    [(1, 1), (1, 5), (5, 1), (4, 3), (3, 4), (7, 2), (2, 7), (4, 4), (5, 4), (4, 5)],
+)
+def test_class_counts_and_sizes_on_every_sector(lx, ly):
+    geom = ArrayGeometry(lx, ly)
+    group = symmetry.build_group(geom, include_transpose=False)
+    inventory = symmetry.cycle_index(group).pattern_inventory()
+    for n_exc in range(geom.n_sites + 1):
+        sector = canonical.symmetric_sector(geom, n_exc)
+        assert len(sector.sizes) == inventory[n_exc]
+        assert sum(sector.sizes.tolist()) == comb(geom.n_sites, n_exc) == sector.dim
+        assert np.all(np.diff(sector.codes) > 0)
+        assert np.array_equal(
+            sector.classify(sector.representatives), np.arange(len(sector.sizes))
+        )
+
+
+@pytest.mark.parametrize("lx, ly", [(4, 3), (3, 4), (2, 5), (3, 3), (1, 4), (4, 1)])
+def test_codes_name_exactly_the_brute_force_orbits(lx, ly):
+    geom = ArrayGeometry(lx, ly)
+    elements = brute_group(geom, transpose=False)
+    for n_exc in range(geom.n_sites + 1):
+        ref = brute_orbits(elements, geom.n_sites, n_exc)
+        sector = canonical.symmetric_sector(geom, n_exc)
+        masks = np.array(sorted(m for _, _, members in ref for m in members), np.int64)
+        classes: dict[int, list[int]] = {}
+        for mask, i in zip(masks.tolist(), sector.classify(masks).tolist()):
+            classes.setdefault(i, []).append(mask)
+        assert sorted((len(m), m[0], tuple(m)) for m in classes.values()) == ref
+        assert all(sector.sizes[i] == len(m) for i, m in classes.items())
+
+
+@pytest.mark.parametrize("lx, ly, n_exc", [(4, 4, 8), (5, 4, 10)])
+def test_block_solve_matches_the_labelled_route(lx, ly, n_exc):
+    geom = ArrayGeometry(lx, ly)
+    c = SpinCouplings(lambda_a=-0.15, lambda_b=-0.07, omega_at=1.0)
+    spec, sector = spinmodel.sector_ground(geom, c, n_exc)
+    basis = SectorBasis(geom, n_exc)
+    group = symmetry.build_group(geom, include_transpose=False)
+
+    def entries(reps):
+        src, dst, vals = spinmodel._sector_entries(geom, c, basis.states[reps], n_exc, True)
+        return reps[src], basis.bulk_rank(dst), vals
+
+    images = symmetry.mask_images(group, basis.states)
+    labelled = symmetry.orbit_ground(group, basis.dim, images, entries)
+    assert spec.ground_energy == pytest.approx(labelled.ground_energy, rel=1e-12)
+    v = expand_block_vectors(spec, sector, basis.states)[:, 0]
+    assert abs(v @ labelled.eigenvectors[:, 0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_symmetric_sector_refuses_what_its_codes_cannot_hold():
+    with pytest.raises(ValueError):
+        canonical.symmetric_sector(ArrayGeometry(3, 3), 10)
+    with pytest.raises(ValueError, match="bitmask limit"):
+        canonical.symmetric_sector(ArrayGeometry(9, 7), 2)  # 63 sites
+    sector = canonical.symmetric_sector(ArrayGeometry(3, 3), 4)
+    with pytest.raises(ValueError, match="outside this sector"):
+        sector.classify(np.array([0b111], np.int64))

@@ -387,6 +387,20 @@ def test_cli_runs_arrays_whose_group_order_passes_int64(capsys):
     assert row[2] == pytest.approx(-15.3, abs=1e-12)
 
 
+def test_cli_solves_attractive_sectors_past_the_labelling_guard(capsys):
+    # 6x4 n=12: 2 704 156 states, solved and correlated on their orbit classes
+    argv = ["--lx", "6", "--ly", "4", "--lambda-a=-0.1", "--lambda-b=-0.05",
+            "--omega", "1", "--nexc", "12"]
+    code, out, err = run_cli(capsys, ["spin-ed", *argv])
+    assert code == 0 and err == ""
+    (row,) = io.parse_csv(out).rows
+    assert row[:2] == (12, 2704156) and row[3] == 1
+    code, out, err = run_cli(capsys, ["correlations", *argv])
+    assert code == 0 and err == ""
+    (row,) = io.parse_csv(out).rows
+    assert row[:2] == ("spin", 12) and row[2] > 0.0 and row[3] > 0.0
+
+
 def test_cli_spin_ed_counts_the_frustrated_multiplet(capsys):
     # lambda_a > 0 > lambda_b on 3x3: the one-excitation ground level is
     # 2-fold (one_exc_closed_spectrum); the one ground solve must count both
@@ -652,7 +666,8 @@ def test_cli_help_and_closed_forms_never_import_numpy():
         (["frustration-scan", "--lx", "10", "--delta-a-ratios", "0.4",
           "--etas=-3", "--ly-ratios", "1"], ["frustration"]),
         (["spin-ed", "--lx", "2", "--ly", "2", "--lambda-a=-0.2", "--omega", "1",
-          "--nexc", "1"], ["basis", "linalg", "observables", "spinmodel", "symmetry"]),
+          "--nexc", "1"],
+         ["basis", "canonical", "linalg", "observables", "spinmodel", "symmetry"]),
         (["polya", "--lx", "3", "--ly", "3"], ["basis", "symmetry"]),
     ],
 )

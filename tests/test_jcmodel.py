@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cavityspin import jcmodel, linalg, onedim, spinmodel
+from cavityspin import jcmodel, linalg, onedim, spinmodel, symmetry
 from cavityspin.geometry import ArrayGeometry
 from cavityspin.observables import block_segments
 from cavityspin.params import EffectiveJCParams, RegimeError, SpinCouplings
@@ -338,6 +338,12 @@ def test_symmetric_block_route_on_an_array_whose_group_order_passes_int64():
     assert basis.dim == 1301
     assert (spec.method, full.method) == ("symmetric-block", "lanczos")
     assert abs(spec.ground_energy - full.ground_energy) <= 1e-12 * abs(full.ground_energy)
+
+
+def test_labelled_route_stays_within_the_labelling_guard():
+    # the shared size rule bounds sectors by the bitmask guard; the JC route
+    # labels its sector, so its basis guard must keep it labellable
+    assert jcmodel.MAX_JC_DIM <= symmetry.MAX_LABELLED_DIM < symmetry.MAX_SECTOR_DIM
 
 
 def test_symmetric_block_route_only_for_one_symmetric_untruncated_pair(monkeypatch):

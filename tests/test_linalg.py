@@ -170,8 +170,10 @@ def test_every_path_returns_exactly_the_lowest_cluster():
 def test_input_validation():
     with pytest.raises(ValueError):
         ground_state(_scaled_identity(0))
-    with pytest.raises(ValueError):
-        ground_state(_scaled_identity(40), method="arnoldi")
+    # an unknown method is refused on both sides of the small-dimension rule
+    for dim in (10, 40):
+        with pytest.raises(ValueError, match="unknown method"):
+            ground_state(_scaled_identity(dim), method="arnoldi")
 
 
 def _sector_operator(lx, ly, n_exc, lambda_a, lambda_b):

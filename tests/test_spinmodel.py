@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cavityspin import jcmodel, linalg, spinmodel
+import cavityspin.basis
+from cavityspin import jcmodel, linalg, observables, spinmodel, symmetry
 from cavityspin.basis import SectorBasis, line_moves
+from cavityspin.canonical import SymmetricSector
 from cavityspin.geometry import ArrayGeometry
 from cavityspin.params import EffectiveJCParams, SpinCouplings
 
 from oracles import (
     dense_spin_full,
     dense_spin_sector,
+    expand_block_vectors,
     pair_loop_correlations,
     sector_block,
     sector_masks,
@@ -281,6 +284,9 @@ def test_pair_sums_match_the_per_pair_loop():
     for spec, basis in _kernel_cases():
         res = spinmodel.correlation_ratio(spec, basis)
         multiplet = spec.eigenvectors
+        if isinstance(basis, SymmetricSector):  # block sums against the loop
+            full = SectorBasis(basis.geometry, basis.n_exc)
+            multiplet, basis = expand_block_vectors(spec, basis, full.states), full
         s_nn, s_nnn = pair_loop_correlations(multiplet, basis)
         assert res.multiplet_size == multiplet.shape[1]
         assert res.sigma_nn == pytest.approx(s_nn, rel=0, abs=1e-13)
@@ -310,19 +316,21 @@ def test_symmetric_block_route_matches_full_sector_ed():
             for n_exc in range(geom.n_sites + 1):
                 if basisdim(geom, n_exc) <= linalg.DENSE_CUTOFF:
                     continue
-                spec, basis = spinmodel.sector_ground(geom, c, n_exc)
+                spec, sector = spinmodel.sector_ground(geom, c, n_exc)
                 assert spec.method == "symmetric-block" and spec.converged
+                basis = SectorBasis(geom, n_exc)
+                assert sector.dim == basis.dim
                 h = spinmodel.build_sector_hamiltonian(geom, c, basis)
                 assert linalg._perron_frobenius_simple(h.matrix)
                 ref = linalg.ground_state(h)
                 assert spec.ground_energy == pytest.approx(ref.ground_energy, rel=1e-12)
                 assert spec.eigenvectors.shape[1] == 1
-                # the expanded vector is a normalized eigenvector of the sector
-                v = spec.eigenvectors[:, 0]
+                # the expanded block vector is a normalized eigenvector of the sector
+                v = expand_block_vectors(spec, sector, basis.states)[:, 0]
                 assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
                 r = h.matvec(v) - spec.ground_energy * v
                 assert np.linalg.norm(r) <= 1e-10 * max(1.0, abs(spec.ground_energy))
-                mine = spinmodel.correlation_ratio(spec, basis)
+                mine = spinmodel.correlation_ratio(spec, sector)
                 theirs = spinmodel.correlation_ratio(ref, basis)
                 assert mine.multiplet_size == theirs.multiplet_size == 1
                 assert abs(mine.sigma_nn - theirs.sigma_nn) <= 1e-12
@@ -336,14 +344,45 @@ def test_symmetric_block_route_past_sixteen_sites(lx, ly, n_exc):
     # a single line is one class
     geom = ArrayGeometry(lx, ly)
     c = SpinCouplings(lambda_a=-0.11, lambda_b=-0.23, omega_at=0.9)
-    spec, basis = spinmodel.sector_ground(geom, c, n_exc)
+    spec, sector = spinmodel.sector_ground(geom, c, n_exc)
     assert spec.method == "symmetric-block"
+    basis = SectorBasis(geom, n_exc)
     ref = linalg.ground_state(spinmodel.build_sector_hamiltonian(geom, c, basis))
     assert spec.ground_energy == pytest.approx(ref.ground_energy, rel=1e-12)
-    mine = spinmodel.correlation_ratio(spec, basis)
+    mine = spinmodel.correlation_ratio(spec, sector)
     theirs = spinmodel.correlation_ratio(ref, basis)
     assert abs(mine.sigma_nn - theirs.sigma_nn) <= 1e-12
     assert abs(mine.sigma_nnn - theirs.sigma_nnn) <= 1e-12
+
+
+def test_routed_sector_builds_no_table_labels_nothing_and_expands_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a routed spin sector reached the sector-sized path")
+
+    for module, name in [
+        (cavityspin.basis, "enumerate_masks"),
+        (observables, "enumerate_masks"),
+        (symmetry, "mask_images"),
+        (symmetry, "orbit_partition"),
+        (symmetry, "orbit_ground"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    geom = ArrayGeometry(4, 4)
+    c = SpinCouplings(lambda_a=-0.12, lambda_b=-0.05, omega_at=1.0)
+    spec, sector = spinmodel.sector_ground(geom, c, 8)
+    assert spec.method == "symmetric-block" and sector.dim == 12870
+    assert spec.eigenvectors.shape == (len(sector.sizes), 1)
+    assert spinmodel.correlation_ratio(spec, sector).defined
+
+
+def test_symmetric_block_route_past_the_labelling_guard(monkeypatch):
+    # the route labels nothing, so the labelling guard does not bound it
+    monkeypatch.setattr(symmetry, "MAX_LABELLED_DIM", 1000)
+    geom = ArrayGeometry(5, 3)  # C(15, 7) = 6435
+    c = SpinCouplings(lambda_a=-0.12, lambda_b=-0.05, omega_at=1.0)
+    spec, sector = spinmodel.sector_ground(geom, c, 7)
+    assert spec.method == "symmetric-block"
+    assert sector.dim == 6435 and spec.eigenvectors.shape == (len(sector.sizes), 1)
 
 
 @pytest.mark.parametrize("lx, ly", [(1, 5), (5, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])

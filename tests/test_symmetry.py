@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from cavityspin import jcmodel, linalg, spinmodel, symmetry
+from cavityspin import canonical, jcmodel, linalg, spinmodel, symmetry
 from cavityspin.basis import SectorBasis
 from cavityspin.geometry import ArrayGeometry
 from cavityspin.params import EffectiveJCParams, SpinCouplings
@@ -169,9 +169,14 @@ def test_orbit_hamiltonian_equals_brute_projection():
     images = symmetry.mask_images(group, basis.states)
     reps, which, sizes = symmetry.orbit_partition(group, basis.dim, images)
     src, dst, vals = spinmodel._sector_entries(geom, c, basis.states[reps], 5, True)
-    block = symmetry.orbit_block(which, sizes, src, basis.bulk_rank(dst), vals)
+    block = symmetry.orbit_block(sizes, src, which[basis.bulk_rank(dst)], vals)
     full = spinmodel.build_sector_hamiltonian(geom, c, basis).to_dense()
     _assert_brute_projection(block, full, which, sizes)
+    # the same sector on its canonical-code classes
+    sector = canonical.symmetric_sector(geom, 5)
+    entries = spinmodel._sector_entries(geom, c, sector.representatives, 5, True)
+    block = sector.block(*entries)
+    _assert_brute_projection(block, full, sector.classify(basis.states), sector.sizes)
 
     geom = ArrayGeometry(3, 2)
     group = symmetry.build_group(geom, include_transpose=False)
@@ -182,7 +187,7 @@ def test_orbit_hamiltonian_equals_brute_projection():
     h = jcmodel.build_jc_hamiltonian(geom, jc, basis)
     rep_rows = np.isin(h.rows, reps)
     block = symmetry.orbit_block(
-        which, sizes, which[h.rows[rep_rows]], h.cols[rep_rows], h.vals[rep_rows]
+        sizes, which[h.rows[rep_rows]], which[h.cols[rep_rows]], h.vals[rep_rows]
     )
     _assert_brute_projection(block, h.to_dense(), which, sizes)
 
@@ -195,17 +200,24 @@ def _assert_brute_projection(block, dense, which, sizes):
 
 
 def test_block_builder_checks_class_sizes_against_the_group_order(monkeypatch):
-    # every orbit block runs the closed-order check of orbit_partition: one
-    # class of all 6 states of the 2x2 n=2 sector cannot be an orbit of a
-    # group of order 8 (with the transpose) or 4 (without)
+    # every orbit block runs a closed-order check: one class of all 6
+    # states of the 2x2 n=2 sector cannot be an orbit of a group of order 8
+    # (with the transpose) or 4 (without)
     geom = ArrayGeometry(2, 2)
     monkeypatch.setattr(linalg, "DENSE_CUTOFF", 0)
     monkeypatch.setattr(symmetry, "_orbit_labels", lambda n, images: np.zeros(n, int))
     equal = SpinCouplings(lambda_a=-0.2, lambda_b=-0.2, omega_at=1.0)
     with pytest.raises(ArithmeticError):
         symmetry.orbit_basis_hamiltonian(geom, equal, 2)
+    # the spin route names its classes by canonical code: one code for every
+    # state makes one class of size 4 / 2! = 2, not the 6 of the sector
+    monkeypatch.setattr(
+        canonical,
+        "canonical_codes",
+        lambda geometry, masks: (np.zeros(len(masks), np.int64), np.ones(len(masks), np.int64)),
+    )
     c = SpinCouplings(lambda_a=-0.2, lambda_b=-0.3, omega_at=1.0)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="sector dimension"):
         spinmodel.sector_ground(geom, c, 2)
     # the Jaynes-Cummings block: one class of all 8 states of n_total=1
     jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.0)
