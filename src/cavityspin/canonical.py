@@ -1,18 +1,19 @@
-"""Orbit classes of a spin sector from canonical codes, with no sector table.
+"""Orbit classes from canonical codes: the one partition method.
 
 The row x column group S_Ly x S_Lx acts on the spin configurations of an
-Ly x Lx array, seen as 0/1 matrices.  A configuration's canonical code
+Ly x Lx array, seen as 0/1 matrices, and on the Jaynes-Cummings states that
+add photon counts on the row and column modes.  A state's canonical code
 (:func:`canonical_codes`) is shared by exactly the members of its orbit, so
-codes name the classes without labelling a state table: the representatives
-of a sector grow one raised spin at a time from the empty array, in the
-spirit of McKay's isomorph-free generation (*J. Algorithms*, 1998), and each
-class size follows from the permutations that fix its code.  A
-:class:`SymmetricSector` holds one representative, the code and the size of
-every class.  From entries out of the representative rows it builds orbit
-blocks with ``symmetry.orbit_block``: the Hamiltonian block of the
-attractive route of ``spinmodel`` and the blocks of the two pair sums of
-the correlations, so neither the solve nor the correlations of such a
-sector hold a vector of its C(N, n) states.
+codes name every orbit class: :func:`code_classes` groups a state table by
+code (``symmetry.orbits``, the Jaynes-Cummings route of ``jcmodel``), and a
+spin sector needs no table.  Its representatives grow one raised spin at a
+time from the empty array, in the spirit of McKay's isomorph-free
+generation (*J. Algorithms*, 1998), and each class size follows from the
+permutations that fix its code.  A :class:`SymmetricSector` holds one
+representative, the code and the size of every class and builds, with
+:func:`orbit_block`, the Hamiltonian block of the attractive route of
+``spinmodel`` and the blocks of the two pair sums of the correlations, so
+neither holds a vector of the C(N, n) sector states.
 """
 
 from __future__ import annotations
@@ -21,12 +22,44 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import comb, factorial, prod
+from typing import Optional
 
 import numpy as np
 
 from .basis import MAX_SITES, line_moves, pair_moves
 from .geometry import ArrayGeometry
-from .symmetry import orbit_block, site_images
+
+
+def site_images(perm, masks: np.ndarray) -> np.ndarray:
+    """The masks with every site bit ``s`` moved to ``perm[s]``; a stack of
+    permutations, shape (perms, sites), gives one row of images each."""
+    perm = np.asarray(perm)
+    img = np.zeros(perm.shape[:-1] + masks.shape, dtype=masks.dtype)
+    for s in range(perm.shape[-1]):
+        img |= ((masks >> s) & 1) << perm[..., s, None]
+    return img
+
+
+def orbit_block(
+    sizes: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    vals: np.ndarray,
+) -> np.ndarray:
+    """``P^T H P`` on normalized orbit sums, from the entries of H out of
+    one representative per class.
+
+    ``sizes`` are the class sizes; entry t of H has the class ``src[t]`` of
+    its row (a representative), the class ``dst[t]`` of its column and the
+    value ``vals[t]``.  H commutes with the group, so every member of class
+    i has the same sums into each class j and ``E = s_i sum vals`` is the
+    sum of H over both classes.  The block is
+    ``(E + E^T) / (2 sqrt(s_i s_j))``, exactly symmetric.
+    """
+    k = len(sizes)
+    sums = np.bincount(src * k + dst, weights=vals, minlength=k * k)
+    edges = sums.reshape(k, k) * sizes[:, None]
+    return (edges + edges.T) / (2.0 * np.sqrt(np.outer(sizes, sizes)))
 
 
 def _line_sites(geometry: ArrayGeometry) -> np.ndarray:
@@ -38,39 +71,115 @@ def _line_sites(geometry: ArrayGeometry) -> np.ndarray:
     return np.array([geometry.row_sites(r) for r in range(geometry.ly)])
 
 
-def canonical_codes(
-    geometry: ArrayGeometry, masks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical code of every mask, and how many permutations of the
-    shorter side reach it.
+def _sort_lines(lines: list[np.ndarray]) -> list[np.ndarray]:
+    """The line words of every state in ascending order: an insertion
+    sorting network."""
+    lines = list(lines)
+    for i in range(1, len(lines)):
+        for j in range(i, 0, -1):
+            lo, hi = lines[j - 1], lines[j]
+            lines[j - 1], lines[j] = np.minimum(lo, hi), np.maximum(lo, hi)
+    return lines
 
-    Under a permutation p of the shorter side the line codes (see
-    :func:`_line_sites`) are permuted bitwise, sorted and packed first line
-    highest; the code is the minimum over every p.  Sorting absorbs the
-    permutations of the longer side, so two masks share a code exactly when
-    a row x column permutation maps one onto the other.  A code takes the
-    ``n_sites <= basis.MAX_SITES`` bits of an int64.
+
+def _pack(items: list[np.ndarray], widths: list[int]) -> np.ndarray:
+    """Items of the given bit widths packed into int64 words of at most 63
+    bits, first item highest; comparing the words one after the other
+    compares the items one after the other.  Shape (words, states)."""
+    words, used = [], 63
+    for item, width in zip(items, widths):
+        if used + width > 63:
+            words.append(item)
+            used = width
+        else:
+            words[-1] = (words[-1] << width) | item
+            used += width
+    return np.array(words)
+
+
+def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first state, the class of every state and the size of every
+    class of equal codes (shape (words, states)), the classes numbered by
+    their first state."""
+    # one word sorts about four times faster without the stable lexsort
+    order = np.argsort(codes[0]) if len(codes) == 1 else np.lexsort(codes[::-1])
+    ranked = codes[:, order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)
+    starts = np.flatnonzero(new)
+    firsts = np.minimum.reduceat(order, starts)
+    number = np.argsort(firsts)
+    rank = np.argsort(number)
+    which = np.empty_like(order)
+    which[order] = rank[np.cumsum(new) - 1]
+    sizes = np.diff(np.append(starts, len(order)))[number]
+    return firsts[number], which, sizes
+
+
+def code_classes(codes: np.ndarray, group_order: int) -> tuple[np.ndarray, ...]:
+    """``(reps, which, sizes)`` of a state table from its codes (shape
+    (words, states)): the smallest index of every class (ascending), the
+    class of every state and the class sizes, checked against the closed
+    group order in Python integers (21! > 2**63)."""
+    reps, which, sizes = _distinct(codes)
+    # a set, not np.unique, whose hash path costs about 1 MB of peak RSS
+    if any(group_order % s for s in set(sizes.tolist())):
+        raise ArithmeticError("orbit size does not divide group order")
+    return reps, which, sizes
+
+
+def canonical_codes(
+    geometry: ArrayGeometry, masks: np.ndarray, modes: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical code of every state, shape (words, states), and how many
+    permutations of the shorter side reach it.
+
+    A state is a spin mask, plus the photon counts ``modes`` (row modes
+    first, one row per state) when given.  Each line of the longer side
+    (:func:`_line_sites`) makes a word: its spins, its mode count above
+    them.  Under a permutation p of the shorter side the spins of every word
+    are permuted, the words sorted and the shorter-side counts, permuted
+    with p, appended; the code is the minimum over every p, packed by
+    :func:`_pack`.  Sorting absorbs the permutations of the longer side, so
+    two states share a code exactly when a row x column permutation maps
+    one onto the other.  A spin code is one word (``basis.MAX_SITES``).
+    The words sorted under the identity are a key that the longer side
+    cannot change, so the loop over p runs once per distinct key.
     """
     width = min(geometry.lx, geometry.ly)
     lines = [
         sum(((masks >> s) & 1) << i for i, s in enumerate(sites))
         for sites in _line_sites(geometry)
     ]
-    values = np.arange(1 << width, dtype=np.int64)
-    best = np.full(len(masks), np.iinfo(np.int64).max)
-    hits = np.zeros(len(masks), dtype=np.int64)
-    for perm in permutations(range(width)):
-        table = site_images(perm, values)
-        col = [table[line] for line in lines]
-        for i in range(1, len(col)):  # an insertion sorting network
-            for j in range(i, 0, -1):
-                col[j - 1], col[j] = np.minimum(col[j - 1], col[j]), np.maximum(col[j - 1], col[j])
-        code = col[0]
-        for c in col[1:]:
-            code = (code << width) | c
-        hits = np.where(code < best, 0, hits) + (code <= best)
-        best = np.minimum(best, code)
-    return best, hits
+    tail, bits = [], 0
+    if modes is not None:
+        bits = int(modes.max(initial=0)).bit_length()
+        rows, cols = modes[:, : geometry.ly].T, modes[:, geometry.ly :].T
+        along, across = (cols, rows) if geometry.ly <= geometry.lx else (rows, cols)
+        lines = [line | (count << width) for line, count in zip(lines, along)]
+        tail = list(across)
+    widths = [width + bits] * len(lines) + [bits] * len(tail)
+    lines = _sort_lines(lines)
+    key = _pack(lines + tail, widths)
+    first, which, _ = _distinct(key)
+    lines = [line[first] for line in lines]
+    tail = [count[first] for count in tail]
+    values = np.arange(1 << (width + bits), dtype=np.int64)
+    counts = values >> width << width
+    perms = list(permutations(range(width)))
+    tables = site_images(perms, values - counts) | counts
+    best = np.full((len(key), len(first)), np.iinfo(np.int64).max)
+    hits = np.zeros(len(first), dtype=np.int64)
+    for perm, table in zip(perms, tables):
+        moved = _sort_lines([table[line] for line in lines])
+        code = _pack(moved + [tail[perm.index(i)] for i in range(len(tail))], widths)
+        less, tie = code[0] < best[0], code[0] == best[0]
+        for c, b in zip(code[1:], best[1:]):  # word by word
+            less |= tie & (c < b)
+            tie &= c == b
+        hits = np.where(less, 0, hits) + (less | tie)
+        best = np.where(less, code, best)
+    return best[:, which], hits[which]
 
 
 @dataclass(frozen=True)
@@ -96,7 +205,7 @@ class SymmetricSector:
 
     def classify(self, masks: np.ndarray) -> np.ndarray:
         """Class index of every mask of the sector, found by its code."""
-        codes, _ = canonical_codes(self.geometry, masks)
+        (codes,), _ = canonical_codes(self.geometry, masks)
         idx = np.searchsorted(self.codes, codes)
         if np.any(idx >= len(self.codes)) or np.any(self.codes[idx] != codes):
             raise ValueError("mask outside this sector")
@@ -152,14 +261,14 @@ def symmetric_sector(geometry: ArrayGeometry, n_exc: int) -> SymmetricSector:
     reps = np.zeros(1, dtype=np.int64)
     for _ in range(min(n_exc, n_sites - n_exc)):
         children = (reps[:, None] | bits)[(reps[:, None] & bits) == 0]
-        codes = canonical_codes(geometry, children)[0]
+        (codes,), _ = canonical_codes(geometry, children)
         order = np.argsort(codes)
         codes = codes[order]
         # the first child of every code; np.unique's hash path costs peak RSS
         reps = children[order[np.r_[True, codes[1:] != codes[:-1]]]]
     if 2 * n_exc > n_sites:
         reps = reps ^ ((np.int64(1) << n_sites) - 1)
-    codes, hits = canonical_codes(geometry, reps)
+    (codes,), hits = canonical_codes(geometry, reps)
     order = np.argsort(codes)
     width, n_lines = min(geometry.lx, geometry.ly), max(geometry.lx, geometry.ly)
     group_order = factorial(geometry.lx) * factorial(geometry.ly)

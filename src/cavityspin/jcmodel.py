@@ -16,8 +16,10 @@ With g > 0 the sector ground state of an untruncated sector is simple, and
 with scalar detunings it is invariant under S_Ly x S_Lx acting on the sites
 and the line modes together; :func:`jc_sector_ground` then solves the ground
 pair of a sector past the dense cutoff on the block of normalized orbit sums
-(114 classes for the 2016 states of 3x3 n_total=4), which ``symmetry``
-builds from the sector entries whose row is a class representative.
+(114 classes for the 2016 states of 3x3 n_total=4).  The classes are named
+by canonical codes (``canonical``) of the spins together with the mode
+counts, which move with their lines; ``symmetry`` builds the block from the
+sector entries whose row is a class representative.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .basis import enumerate_masks
+from .canonical import canonical_codes, code_classes
 from .geometry import ArrayGeometry
 from .linalg import (
     SparseOperator,
@@ -39,14 +42,7 @@ from .linalg import (
 )
 from .observables import CorrelationResult, multiplet_correlations
 from .params import EffectiveJCParams, RegimeError, ScalarOrPerLine
-from .symmetry import (
-    PermutationGroup,
-    build_group,
-    line_images,
-    mask_images,
-    orbit_ground,
-    takes_orbit_block,
-)
+from .symmetry import build_group, orbit_ground, takes_orbit_block
 
 MAX_JC_DIM = 2_000_000
 
@@ -267,18 +263,14 @@ def build_jc_hamiltonian(
     )
 
 
-def _generator_images(group: PermutationGroup, basis: JCBasis) -> list[np.ndarray]:
-    """Per generator, the sector index of every state's image: the site
-    bits and the matching line modes are permuted together."""
-    modes = [line_images(basis.geometry, perm) for perm in group.generators]
-    parts: list[list[np.ndarray]] = [[] for _ in modes]
-    for blk in basis.blocks:
-        photons = blk.photons
-        for part, mode, m_img in zip(parts, modes, mask_images(group, blk.masks)):
-            weights = np.array([photons.key_weight(m) for m in mode], dtype=np.int64)
-            p_img = photons.rank_keys(photons.configs @ weights)
-            part.append(blk.offset + (m_img[:, None] * photons.count + p_img).reshape(-1))
-    return [np.concatenate(part) for part in parts]
+def _state_codes(basis: JCBasis) -> np.ndarray:
+    """Canonical code of every sector state: its spin mask with the photon
+    counts of the line modes, which move with their lines."""
+    masks = np.concatenate([blk.masks.repeat(blk.inner) for blk in basis.blocks])
+    modes = np.concatenate(
+        [np.tile(blk.photons.configs, (len(blk.masks), 1)) for blk in basis.blocks]
+    )
+    return canonical_codes(basis.geometry, masks, modes)[0]
 
 
 def jc_sector_ground(
@@ -307,14 +299,13 @@ def jc_sector_ground(
         and not basis.truncated
         and takes_orbit_block(basis.dim)
     ):
-        group = build_group(geometry, include_transpose=False)
+        order = build_group(geometry, include_transpose=False).order
 
         def entries(reps):
             h = build_jc_hamiltonian(geometry, jc, basis)
             return h.rows, h.cols, h.vals
 
-        images = _generator_images(group, basis)
-        spec = orbit_ground(group, basis.dim, images, entries, seed)
+        spec = orbit_ground(code_classes(_state_codes(basis), order), entries, seed)
     else:
         h = build_jc_hamiltonian(geometry, jc, basis)
         spec = ground_state(h, seed=seed)

@@ -22,7 +22,7 @@ The classes come from canonical codes (``canonical.symmetric_sector``),
 the block from the sector entries out of one representative per class, the
 same entries the full matrix is built from, and the block vector is
 returned with its :class:`~cavityspin.canonical.SymmetricSector`: no
-sector table, labelling or sector-sized vector is made, so sectors up to
+sector table or sector-sized vector is made, so sectors up to
 the bitmask guard ``basis.MAX_SECTOR_DIM`` take this route.  Every other
 case is solved on the full sector matrix.  Either way a solve returns the
 whole ground cluster and nothing above it.

@@ -9,21 +9,18 @@ two-color pattern inventory.  Projecting the Hamiltonian onto normalized
 orbit sums gives a small dense block that contains the permutation-symmetric
 part of the spectrum, including the ground state for attractive couplings.
 
-The group is held as generators: orbit labels come from generator images,
-the order and the cycle index from closed forms.  :func:`orbit_partition`
-labels any state table of up to ``MAX_LABELLED_DIM`` states from its index
-images, one array per generator: spin masks (:func:`mask_images`) for
-:func:`orbits` and :func:`orbit_basis_hamiltonian`, and the states of a
-``jcmodel`` sector, whose generators move the sites and the line modes
-together.  :func:`orbit_block` projects any commuting operator from its
-entries out of one representative per class, given the class of both ends
-of every entry; every orbit block is made there, for the labelled classes
-here and for the canonical-code classes of ``canonical``.  :func:`block_ground`
-solves a block.  Both symmetric-block routes share the size rule
-:func:`takes_orbit_block`: the attractive spin route of ``spinmodel``
-works on the classes of ``canonical`` alone, and the Jaynes-Cummings route
-of ``jcmodel`` goes through :func:`orbit_ground`, which labels the sector,
-builds and solves the block and expands the block vector onto the sector.
+The group is its geometry and whether it has the transpose; the order and
+the cycle index are closed forms.  Orbit classes are named by the canonical
+codes of ``canonical`` alone: :func:`orbits` groups the masks of a sector
+of up to ``MAX_LABELLED_DIM`` states by code (with the transpose, the
+smaller code of a matrix and its transpose) to list every class with its
+members, and :func:`orbit_basis_hamiltonian` projects onto those classes.
+:func:`block_ground` solves an orbit block.  Both symmetric-block routes
+share the size rule :func:`takes_orbit_block`: the attractive spin route of
+``spinmodel`` works on the classes of ``canonical``, and the
+Jaynes-Cummings route of ``jcmodel`` groups its states by code and goes
+through :func:`orbit_ground`, which builds and solves the block and expands
+the block vector onto the sector.
 """
 
 from __future__ import annotations
@@ -38,6 +35,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .basis import MAX_SECTOR_DIM, SectorBasis, enumerate_masks, line_moves
+from .canonical import canonical_codes, code_classes, orbit_block, site_images
 from .geometry import ArrayGeometry
 from .params import SpinCouplings
 
@@ -46,17 +44,13 @@ if TYPE_CHECKING:
 
 MAX_LABELLED_DIM = 2_000_000
 
-Perm = tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class PermutationGroup:
-    """Row x column permutations of an array, optionally with the transpose,
-    held as generators; the order and cycle index are closed forms."""
+    """Row x column permutations of an array, optionally with the
+    transpose; the order and cycle index are closed forms."""
 
     geometry: ArrayGeometry
     transpose: bool
-    generators: tuple[Perm, ...]
 
     @property
     def degree(self) -> int:
@@ -69,20 +63,12 @@ class PermutationGroup:
         return factorial(self.geometry.lx) * factorial(self.geometry.ly) * flips
 
 
-def _swap_perm(n_sites: int, line: list[int], other: list[int]) -> Perm:
-    """Exchange two parallel lines of sites, site by site."""
-    images = list(range(n_sites))
-    for s, t in zip(line, other):
-        images[s], images[t] = t, s
-    return tuple(images)
-
-
-def _transpose_perm(geometry: ArrayGeometry, row_cycles: tuple[int, ...] = ()) -> Perm:
+def _transpose_perm(
+    geometry: ArrayGeometry, row_cycles: tuple[int, ...] = ()
+) -> tuple[int, ...]:
     """Site permutation (rho, id) o T: the transpose, then the row
     permutation rho with cycles of lengths ``row_cycles`` (none moved by
-    default)."""
-    if geometry.lx != geometry.ly:
-        raise ValueError("transpose requires a square array")
+    default); the array is square."""
     rho: list[int] = []
     for a in row_cycles or (1,) * geometry.lx:
         rho += [len(rho) + (i + 1) % a for i in range(a)]
@@ -97,18 +83,13 @@ def build_group(
 
     ``include_transpose=None`` auto-includes it exactly for square arrays
     (the coupling-equality condition is the caller's responsibility when the
-    group is used to block-reduce a Hamiltonian).  Only the adjacent row and
-    column swaps (and the transpose) are formed.
+    group is used to block-reduce a Hamiltonian).
     """
-    n = geometry.n_sites
-    rows, cols = geometry.row_sites, geometry.col_sites
-    gens = [_swap_perm(n, rows(i), rows(i + 1)) for i in range(geometry.ly - 1)]
-    gens += [_swap_perm(n, cols(i), cols(i + 1)) for i in range(geometry.lx - 1)]
     if include_transpose is None:
         include_transpose = geometry.lx == geometry.ly
-    if include_transpose:
-        gens.append(_transpose_perm(geometry))
-    return PermutationGroup(geometry, include_transpose, tuple(gens))
+    if include_transpose and geometry.lx != geometry.ly:
+        raise ValueError("transpose requires a square array")
+    return PermutationGroup(geometry, include_transpose)
 
 
 def _partitions(n: int, largest: Optional[int] = None):
@@ -126,7 +107,7 @@ def _centralizer_order(parts: tuple[int, ...]) -> int:
     return prod(j**m * factorial(m) for j, m in Counter(parts).items())
 
 
-def cycle_type(perm: Perm) -> tuple[int, ...]:
+def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
     """Counts (b_1, ..., b_n) of cycles of each length."""
     n = len(perm)
     counts = [0] * n
@@ -224,78 +205,27 @@ class OrbitClass:
     members: tuple[int, ...] = field(repr=False, default=())
 
 
-def site_images(perm: Perm, masks: np.ndarray) -> np.ndarray:
-    """The masks with every site bit ``s`` moved to ``perm[s]``."""
-    img = np.zeros_like(masks)
-    for s, t in enumerate(perm):
-        img |= ((masks >> s) & 1) << t
-    return img
-
-
-def line_images(geometry: ArrayGeometry, perm: Perm) -> np.ndarray:
-    """Mode image of every line under a row x column site permutation:
-    row mode ``r`` goes to the row of ``perm[site(r, 0)]``, column mode
-    ``ly + c`` to ``ly`` plus the column of ``perm[site(0, c)]``."""
-    rows = [geometry.row_col(perm[geometry.site(r, 0)])[0] for r in range(geometry.ly)]
-    cols = [geometry.row_col(perm[geometry.site(0, c)])[1] for c in range(geometry.lx)]
-    return np.array(rows + [geometry.ly + c for c in cols], dtype=np.int64)
-
-
-def _orbit_labels(count: int, images: list[np.ndarray]) -> np.ndarray:
-    """Per state ``0 .. count-1``, the smallest index of its orbit.
-
-    ``images`` holds one index array per generator: the index of each
-    state's image.  Orbits are the connected components of the Schreier
-    graph on the generators; minimum labels are pushed along its edges and
-    compressed by pointer jumping until they stop changing.
-    """
-    label = np.arange(count)
-    while True:
-        new = label
-        for img in images:
-            new = np.minimum(new, new[img])
-        new = new[new]
-        if np.array_equal(new, label):
-            return label
-        label = new
-
-
-def orbit_partition(
-    group: PermutationGroup, count: int, images: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(reps, which, sizes)`` of the orbits of ``count`` states, from the
-    generator images of ``group``: the smallest index of each orbit
-    (ascending), the orbit of every state and the orbit sizes, checked
-    against the closed group order."""
-    labels = _orbit_labels(count, images)
-    reps, which, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-    # the closed order against the labelling, in Python integers (21! > 2**63);
-    # a set, not np.unique, whose hash path costs about 1 MB of peak RSS
-    if any(group.order % s for s in set(sizes.tolist())):
-        raise ArithmeticError("orbit size does not divide group order")
-    return reps, which, sizes
-
-
-def mask_images(group: PermutationGroup, masks: np.ndarray) -> list[np.ndarray]:
-    """Per generator, the index of every mask's image in a sorted spin-mask
-    table: the images :func:`orbit_partition` labels."""
-    return [np.searchsorted(masks, site_images(g, masks)) for g in group.generators]
-
-
 def _orbit_table(
     group: PermutationGroup, n_exc: int
 ) -> tuple[list[OrbitClass], np.ndarray, np.ndarray]:
     """Orbit classes of the sector sorted by (size, representative), the
     class index of every sector state and the ascending sector masks.
 
-    Sectors past ``MAX_LABELLED_DIM`` are refused before enumeration.
+    Classes are grouped by canonical code; with the transpose a mask takes
+    the smaller (one-word) code of itself and its transpose.  Sectors past
+    ``MAX_LABELLED_DIM``, whose members would not be listed, are refused
+    before enumeration.
     """
     dim = comb(group.degree, max(n_exc, 0))  # enumerate_masks names a bad n_exc
     if dim > MAX_LABELLED_DIM:
         raise ValueError(f"sector dimension {dim} too large to partition")
     masks = enumerate_masks(group.degree, n_exc)
-    order = group.order
-    reps, which, sizes = orbit_partition(group, len(masks), mask_images(group, masks))
+    geometry, order = group.geometry, group.order
+    codes, _ = canonical_codes(geometry, masks)
+    if group.transpose:  # the sector holds every transpose: look its codes up
+        flipped = np.searchsorted(masks, site_images(_transpose_perm(geometry), masks))
+        codes = np.minimum(codes, codes[:, flipped])
+    reps, which, sizes = code_classes(codes, order)
     grouped = masks[np.argsort(which, kind="stable")]
     members = np.split(grouped, np.cumsum(sizes)[:-1])
     # rep indices ascend with their masks, so this is (size, representative)
@@ -309,9 +239,7 @@ def _orbit_table(
         )
         for i in ranked
     ]
-    position = np.empty_like(ranked)
-    position[ranked] = np.arange(len(ranked))
-    return classes, position[which], masks
+    return classes, np.argsort(ranked)[which], masks
 
 
 def orbits(group: PermutationGroup, n_exc: int) -> list[OrbitClass]:
@@ -319,34 +247,10 @@ def orbits(group: PermutationGroup, n_exc: int) -> list[OrbitClass]:
     return _orbit_table(group, n_exc)[0]
 
 
-def orbit_block(
-    sizes: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-    vals: np.ndarray,
-) -> np.ndarray:
-    """``P^T H P`` on normalized orbit sums, from the entries of H out of
-    one representative per class.
-
-    ``sizes`` are the class sizes; entry t of H has the class ``src[t]`` of
-    its row (a representative), the class ``dst[t]`` of its column and the
-    value ``vals[t]``.  H commutes with the group, so every member of class
-    i has the same sums into each class j and ``E = s_i sum vals`` is the
-    sum of H over both classes.  The block is
-    ``(E + E^T) / (2 sqrt(s_i s_j))``, exactly symmetric.
-    """
-    k = len(sizes)
-    sums = np.bincount(src * k + dst, weights=vals, minlength=k * k)
-    edges = sums.reshape(k, k) * sizes[:, None]
-    return (edges + edges.T) / (2.0 * np.sqrt(np.outer(sizes, sizes)))
-
-
 def takes_orbit_block(dim: int) -> bool:
     """The size rule of both symmetric-block routes: a sector past the
-    dense cutoff and within the bitmask guard ``basis.MAX_SECTOR_DIM``.
-    The spin route labels nothing; a Jaynes-Cummings sector, which is
-    labelled, is held to ``MAX_LABELLED_DIM`` states by its basis guard
-    ``jcmodel.MAX_JC_DIM``."""
+    dense cutoff and within the bitmask guard ``basis.MAX_SECTOR_DIM``; a
+    Jaynes-Cummings sector also meets its basis guard ``jcmodel.MAX_JC_DIM``."""
     from .linalg import DENSE_CUTOFF  # read at call time: scripts may reset it
 
     return DENSE_CUTOFF < dim <= MAX_SECTOR_DIM
@@ -365,27 +269,22 @@ def block_ground(block: np.ndarray, seed: int) -> SpectrumResult:
 
 
 def orbit_ground(
-    group: PermutationGroup,
-    count: int,
-    images: list[np.ndarray],
+    classes: tuple[np.ndarray, np.ndarray, np.ndarray],
     entries: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
     seed: int = 0,
 ) -> SpectrumResult:
-    """Ground pair of a labelled sector of ``count`` states from its block
-    of normalized orbit sums, expanded onto the sector: the
-    Jaynes-Cummings route of ``jcmodel``.
+    """Ground pair of a sector from its block of normalized orbit sums,
+    expanded onto the sector: the Jaynes-Cummings route of ``jcmodel``.
 
-    ``images`` are the generator images of the sector states
-    (:func:`orbit_partition`); the list is emptied once they are labelled,
-    so a sector-sized image table is freed before ``entries`` runs.
-    ``entries(reps)`` gives the ``(rows, cols, vals)`` sector entries of H
-    for at least every row in the ascending representatives ``reps``; the
-    rows of other states are dropped here.  A block vector ``c`` is the
-    sector vector with amplitude ``c_i / sqrt(s_i)`` on every member of
-    class i, and its residual is the block residual.
+    ``classes`` are the ``(reps, which, sizes)`` of the sector states from
+    ``canonical.code_classes``.  ``entries(reps)`` gives the
+    ``(rows, cols, vals)`` sector entries of H for at least every row in the
+    ascending representatives ``reps``; the rows of other states are dropped
+    here.  A block vector ``c`` is the sector vector with amplitude
+    ``c_i / sqrt(s_i)`` on every member of class i, and its residual is the
+    block residual.
     """
-    reps, which, sizes = orbit_partition(group, count, images)
-    images.clear()
+    reps, which, sizes = classes
     rows, cols, vals = entries(reps)
     keep = reps[which[rows]] == rows
     spec = block_ground(

@@ -259,6 +259,31 @@ def brute_group(geometry, transpose=None) -> list:
     return sorted(seen)
 
 
+def brute_jc_orbits(elements, geometry, states: list) -> list:
+    """Orbits of Jaynes-Cummings states ``(mask, photon counts)`` (row modes
+    first) under a listed row x column group, each mode moved with its
+    line: sorted tuples of ascending state indices."""
+    lx, ly = geometry.lx, geometry.ly
+    index = {state: i for i, state in enumerate(states)}
+    seen = set()
+    out = []
+    for i, (mask, config) in enumerate(states):
+        if i in seen:
+            continue
+        orbit = set()
+        for p in elements:
+            image = sum(1 << p[s] for s in range(lx * ly) if mask >> s & 1)
+            moved = [0] * (lx + ly)
+            for r in range(ly):
+                moved[p[lx * r] // lx] = config[r]  # row r goes where its site 0 goes
+            for c in range(lx):
+                moved[ly + p[c] % lx] = config[ly + c]
+            orbit.add(index[(image, tuple(moved))])
+        seen |= orbit
+        out.append(tuple(sorted(orbit)))
+    return sorted(out)
+
+
 def brute_cycle_index(elements) -> dict:
     """{cycle-length counts (b_1, ..., b_n): share of the elements}, from
     walking the cycles of every listed permutation."""

@@ -279,7 +279,7 @@ def test_cli_compute_errors_exit_1(capsys):
 
 def test_cli_polya_refuses_oversized_sector_before_enumerating(monkeypatch, capsys):
     def fail(*args, **kwargs):
-        raise AssertionError("sector enumerated past the labelling guard")
+        raise AssertionError("sector enumerated past the member-listing guard")
 
     monkeypatch.setattr(symmetry, "enumerate_masks", fail)
     code, out, err = run_cli(capsys, ["polya", "--lx", "6", "--ly", "6", "--nexc", "7"])
@@ -344,7 +344,7 @@ def test_cli_linalg_error_is_compute_error(monkeypatch, capsys):
                    "--delta-a", "6", "--g", "0.4"]),
         (spinmodel, ["correlations", "--lx", "2", "--ly", "2", "--omega", "1",
                      "--lambda-a=-0.2", "--nexc", "2"]),
-        # symmetry.orbit_ground reads linalg.ground_state at call time
+        # symmetry.block_ground reads linalg.ground_state at call time
         # dim 12870, attractive: solved on the symmetric orbit block
         (linalg, ["correlations", "--lx", "4", "--ly", "4", "--omega", "1",
                   "--lambda-a=-0.1", "--nexc", "8"]),
@@ -668,7 +668,7 @@ def test_cli_help_and_closed_forms_never_import_numpy():
         (["spin-ed", "--lx", "2", "--ly", "2", "--lambda-a=-0.2", "--omega", "1",
           "--nexc", "1"],
          ["basis", "canonical", "linalg", "observables", "spinmodel", "symmetry"]),
-        (["polya", "--lx", "3", "--ly", "3"], ["basis", "symmetry"]),
+        (["polya", "--lx", "3", "--ly", "3"], ["basis", "canonical", "symmetry"]),
     ],
 )
 def test_cli_command_executes_only_its_own_models(argv, models):

@@ -7,12 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from cavityspin import jcmodel, linalg, onedim, spinmodel, symmetry
+from cavityspin import canonical, jcmodel, linalg, onedim, spinmodel, symmetry
 from cavityspin.geometry import ArrayGeometry
 from cavityspin.observables import block_segments
 from cavityspin.params import EffectiveJCParams, RegimeError, SpinCouplings
 
-from oracles import dense_jc_sector, jc_correlation_reference, symmetry_defect
+from oracles import (
+    brute_group,
+    brute_jc_orbits,
+    dense_jc_sector,
+    jc_correlation_reference,
+    symmetry_defect,
+)
 
 
 def brute_compositions(total, parts, cap):
@@ -330,20 +336,39 @@ def test_symmetric_block_route_matches_full_sector_ed(monkeypatch):
 
 
 def test_symmetric_block_route_on_an_array_whose_group_order_passes_int64():
-    # 25! > 2**63 - 1; a one-element delta_a tuple keeps the sector whole
-    geom = ArrayGeometry(25, 1)  # n_total=2: dim 300 + 650 + 351
+    # 25! > 2**63 - 1, and the 7x6 n_total=2 codes take 42 + 13 * 2 = 68
+    # bits, past one int64 word; a delta_a tuple keeps the sector whole
     jc = EffectiveJCParams(omega_at=1.0, g=0.3, delta_a=5.0, delta_b=5.0)
-    spec, basis = jcmodel.jc_sector_ground(geom, jc, 2)
-    full, _ = jcmodel.jc_sector_ground(geom, dataclasses.replace(jc, delta_a=(5.0,)), 2)
-    assert basis.dim == 1301
-    assert (spec.method, full.method) == ("symmetric-block", "lanczos")
-    assert abs(spec.ground_energy - full.ground_energy) <= 1e-12 * abs(full.ground_energy)
+    for (lx, ly), dim in [((25, 1), 1301), ((7, 6), 1498)]:  # 300 + 650 + 351
+        geom = ArrayGeometry(lx, ly)
+        spec, basis = jcmodel.jc_sector_ground(geom, jc, 2)
+        per_line = dataclasses.replace(jc, delta_a=(5.0,) * ly)
+        full, _ = jcmodel.jc_sector_ground(geom, per_line, 2)
+        assert basis.dim == dim
+        assert (spec.method, full.method) == ("symmetric-block", "lanczos")
+        error = abs(spec.ground_energy - full.ground_energy)
+        assert error <= 1e-12 * abs(full.ground_energy)
 
 
-def test_labelled_route_stays_within_the_labelling_guard():
-    # the shared size rule bounds sectors by the bitmask guard; the JC route
-    # labels its sector, so its basis guard must keep it labellable
-    assert jcmodel.MAX_JC_DIM <= symmetry.MAX_LABELLED_DIM < symmetry.MAX_SECTOR_DIM
+@pytest.mark.parametrize("lx, ly, n_total", [(3, 2, 3), (2, 3, 3), (3, 3, 2), (2, 2, 4)])
+def test_jc_classes_are_the_brute_force_orbits(lx, ly, n_total):
+    geom = ArrayGeometry(lx, ly)
+    basis = jcmodel.JCBasis(geom, n_total)
+    states = [
+        (mask, config)
+        for blk in basis.blocks
+        for mask in blk.masks.tolist()
+        for config in map(tuple, blk.photons.configs.tolist())
+    ]
+    order = symmetry.build_group(geom, include_transpose=False).order
+    reps, which, sizes = canonical.code_classes(jcmodel._state_codes(basis), order)
+    classes = {}
+    for state, i in enumerate(which.tolist()):
+        classes.setdefault(i, []).append(state)
+    mine = sorted(tuple(members) for members in classes.values())
+    assert mine == brute_jc_orbits(brute_group(geom, False), geom, states)
+    assert [m[0] for m in sorted(classes.values())] == reps.tolist()
+    assert [len(classes[i]) for i in range(len(reps))] == sizes.tolist()
 
 
 def test_symmetric_block_route_only_for_one_symmetric_untruncated_pair(monkeypatch):

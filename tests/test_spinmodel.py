@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import cavityspin.basis
-from cavityspin import jcmodel, linalg, observables, spinmodel, symmetry
+from cavityspin import canonical, jcmodel, linalg, observables, spinmodel, symmetry
 from cavityspin.basis import SectorBasis, line_moves
 from cavityspin.canonical import SymmetricSector
 from cavityspin.geometry import ArrayGeometry
@@ -362,8 +362,8 @@ def test_routed_sector_builds_no_table_labels_nothing_and_expands_nothing(monkey
     for module, name in [
         (cavityspin.basis, "enumerate_masks"),
         (observables, "enumerate_masks"),
-        (symmetry, "mask_images"),
-        (symmetry, "orbit_partition"),
+        (canonical, "code_classes"),
+        (symmetry, "code_classes"),
         (symmetry, "orbit_ground"),
     ]:
         monkeypatch.setattr(module, name, refuse)
@@ -376,7 +376,7 @@ def test_routed_sector_builds_no_table_labels_nothing_and_expands_nothing(monkey
 
 
 def test_symmetric_block_route_past_the_labelling_guard(monkeypatch):
-    # the route labels nothing, so the labelling guard does not bound it
+    # the route lists no members, so the member-listing guard does not bound it
     monkeypatch.setattr(symmetry, "MAX_LABELLED_DIM", 1000)
     geom = ArrayGeometry(5, 3)  # C(15, 7) = 6435
     c = SpinCouplings(lambda_a=-0.12, lambda_b=-0.05, omega_at=1.0)

@@ -166,10 +166,10 @@ def test_orbit_hamiltonian_equals_brute_projection():
     group = symmetry.build_group(geom, include_transpose=False)
     c = SpinCouplings(lambda_a=-0.13, lambda_b=-0.29, omega_at=1.1)
     basis = SectorBasis(geom, 5)
-    images = symmetry.mask_images(group, basis.states)
-    reps, which, sizes = symmetry.orbit_partition(group, basis.dim, images)
+    codes, _ = canonical.canonical_codes(geom, basis.states)
+    reps, which, sizes = canonical.code_classes(codes, group.order)
     src, dst, vals = spinmodel._sector_entries(geom, c, basis.states[reps], 5, True)
-    block = symmetry.orbit_block(sizes, src, which[basis.bulk_rank(dst)], vals)
+    block = canonical.orbit_block(sizes, src, which[basis.bulk_rank(dst)], vals)
     full = spinmodel.build_sector_hamiltonian(geom, c, basis).to_dense()
     _assert_brute_projection(block, full, which, sizes)
     # the same sector on its canonical-code classes
@@ -182,11 +182,10 @@ def test_orbit_hamiltonian_equals_brute_projection():
     group = symmetry.build_group(geom, include_transpose=False)
     jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.5)
     basis = jcmodel.JCBasis(geom, 3)
-    images = jcmodel._generator_images(group, basis)
-    reps, which, sizes = symmetry.orbit_partition(group, basis.dim, images)
+    reps, which, sizes = canonical.code_classes(jcmodel._state_codes(basis), group.order)
     h = jcmodel.build_jc_hamiltonian(geom, jc, basis)
     rep_rows = np.isin(h.rows, reps)
-    block = symmetry.orbit_block(
+    block = canonical.orbit_block(
         sizes, which[h.rows[rep_rows]], which[h.cols[rep_rows]], h.vals[rep_rows]
     )
     _assert_brute_projection(block, h.to_dense(), which, sizes)
@@ -203,25 +202,26 @@ def test_block_builder_checks_class_sizes_against_the_group_order(monkeypatch):
     # every orbit block runs a closed-order check: one class of all 6
     # states of the 2x2 n=2 sector cannot be an orbit of a group of order 8
     # (with the transpose) or 4 (without)
+    # one code for every state makes every table one class
     geom = ArrayGeometry(2, 2)
     monkeypatch.setattr(linalg, "DENSE_CUTOFF", 0)
-    monkeypatch.setattr(symmetry, "_orbit_labels", lambda n, images: np.zeros(n, int))
+
+    def one_code(geometry, masks, modes=None):
+        return np.zeros((1, len(masks)), np.int64), np.ones(len(masks), np.int64)
+
+    for module in (symmetry, canonical, jcmodel):
+        monkeypatch.setattr(module, "canonical_codes", one_code)
     equal = SpinCouplings(lambda_a=-0.2, lambda_b=-0.2, omega_at=1.0)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="group order"):
         symmetry.orbit_basis_hamiltonian(geom, equal, 2)
-    # the spin route names its classes by canonical code: one code for every
-    # state makes one class of size 4 / 2! = 2, not the 6 of the sector
-    monkeypatch.setattr(
-        canonical,
-        "canonical_codes",
-        lambda geometry, masks: (np.zeros(len(masks), np.int64), np.ones(len(masks), np.int64)),
-    )
+    # the spin route grows its classes: one class of size 4 / 2! = 2, not
+    # the 6 of the sector
     c = SpinCouplings(lambda_a=-0.2, lambda_b=-0.3, omega_at=1.0)
     with pytest.raises(ArithmeticError, match="sector dimension"):
         spinmodel.sector_ground(geom, c, 2)
     # the Jaynes-Cummings block: one class of all 8 states of n_total=1
     jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.0)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="group order"):
         jcmodel.jc_sector_ground(geom, jc, 1)
 
 
