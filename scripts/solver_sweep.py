@@ -30,8 +30,8 @@ with lambda_a == lambda_b) or ``jcmodel.jc_sector_ground`` (the JC arrays
 at scalar detunings) routes to the symmetric orbit block, and compares
 energy, multiplet size and the NN and NNN correlations with the full-sector
 solve (1e-12 relative on the energy, 1e-12 absolute on the correlations);
-a routed spin sector's correlations are read in class space, from its block
-vector.
+a routed spin sector's correlations are read from its block vector, one row
+per class, by the same pair-sum kernel as the full-sector vector.
 """
 
 from __future__ import annotations

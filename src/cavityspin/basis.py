@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,21 +49,6 @@ def enumerate_masks(n_sites: int, n_exc: int) -> np.ndarray:
     return tables[n_exc]
 
 
-def pair_moves(
-    states: np.ndarray, pairs: Iterable[tuple[int, int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every move out of the given configurations that trades a raised and
-    a lowered spin on one of the site pairs: the index in ``states`` of
-    each move's source and the mask it moves to."""
-    src = [np.empty(0, dtype=np.int64)]
-    dst = [np.empty(0, dtype=np.int64)]
-    for s, t in pairs:
-        sel = np.nonzero(((states >> s) & 1) != ((states >> t) & 1))[0]
-        src.append(sel)
-        dst.append(states[sel] ^ np.int64((1 << s) | (1 << t)))
-    return np.concatenate(src), np.concatenate(dst)
-
-
 def line_moves(
     geometry: ArrayGeometry, states: np.ndarray, kind: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -75,7 +60,13 @@ def line_moves(
     line.  This is the hop rule of the model; every sector matrix, orbit
     block and pair correlation uses it.
     """
-    return pair_moves(states, ((s, t) for s, t, line in geometry.line_pairs() if line == kind))
+    src = [np.empty(0, dtype=np.int64)]
+    dst = [np.empty(0, dtype=np.int64)]
+    for s, t in ((s, t) for s, t, line in geometry.line_pairs() if line == kind):
+        sel = np.nonzero(((states >> s) & 1) != ((states >> t) & 1))[0]
+        src.append(sel)
+        dst.append(states[sel] ^ np.int64((1 << s) | (1 << t)))
+    return np.concatenate(src), np.concatenate(dst)
 
 
 class MaskBlock(NamedTuple):

@@ -10,23 +10,24 @@ spin sector needs no table.  Its representatives grow one raised spin at a
 time from the empty array, in the spirit of McKay's isomorph-free
 generation (*J. Algorithms*, 1998), and each class size follows from the
 permutations that fix its code.  A :class:`SymmetricSector` holds one
-representative, the code and the size of every class and builds, with
+representative, the code and the size of every class.  It builds, with
 :func:`orbit_block`, the Hamiltonian block of the attractive route of
-``spinmodel`` and the blocks of the two pair sums of the correlations, so
-neither holds a vector of the C(N, n) sector states.
+``spinmodel`` and gives the correlations of ``observables`` the classes of
+the level below (:meth:`SymmetricSector.lowered`), so neither holds a
+vector of the C(N, n) sector states.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb, factorial, prod
 from typing import Optional
 
 import numpy as np
 
-from .basis import MAX_SITES, line_moves, pair_moves
+from .basis import MAX_SITES
 from .geometry import ArrayGeometry
 
 
@@ -217,28 +218,12 @@ class SymmetricSector:
         mask ``dst[t]`` of its column and its value ``vals[t]``."""
         return orbit_block(self.sizes, src, self.classify(dst), vals)
 
-    def pair_sums(self, vectors: np.ndarray) -> tuple[float, float]:
-        """The two pair sums of the correlations of class-space vectors,
-        summed over the columns: ``c^T B_hop c`` with ``B_hop`` the block of
-        the 0/1 moves of ``basis.line_moves``, and the sum over ordered
-        pairs ``s != t`` of ``<sigma+_t sigma-_s>``, ``c^T B_all c`` with
-        ``B_all`` the block of every single-excitation move.  Both operators
-        commute with every site permutation."""
-        geometry, reps = self.geometry, self.representatives
-        moves = [line_moves(geometry, reps, kind) for kind in ("row", "col")]
-        on_lines = sum(len(src) for src, _ in moves)
-        shared = {(s, t) for s, t, _ in geometry.line_pairs()}
-        pairs = combinations(range(geometry.n_sites), 2)
-        moves.append(pair_moves(reps, (p for p in pairs if p not in shared)))
-        src = np.concatenate([m[0] for m in moves])
-        dst = self.classify(np.concatenate([m[1] for m in moves]))
-        ones = np.ones(len(src))
-        b_hop = orbit_block(self.sizes, src[:on_lines], dst[:on_lines], ones[:on_lines])
-        b_all = orbit_block(self.sizes, src, dst, ones)
-        return (
-            float(np.sum(vectors * (b_hop @ vectors))),
-            float(np.sum(vectors * (b_all @ vectors))),
-        )
+    def lowered(self) -> "SymmetricSector":
+        """The classes of sector n - 1 from the representatives with a spin
+        lowered: each mask of n - 1 is a lowered member of some class of n."""
+        reps = self.representatives[:, None]
+        bits = np.int64(1) << np.arange(self.geometry.n_sites, dtype=np.int64)
+        return _sized_classes(self.geometry, self.n_exc - 1, (reps ^ bits)[(reps & bits) != 0])
 
 
 def symmetric_sector(geometry: ArrayGeometry, n_exc: int) -> SymmetricSector:
@@ -246,11 +231,8 @@ def symmetric_sector(geometry: ArrayGeometry, n_exc: int) -> SymmetricSector:
 
     The representatives of sector n are the children (one raised spin
     added) of those of sector n - 1, kept unique by code, from the empty
-    array up to min(n, N - n), and complemented past N / 2.  A class has
-    size ``|G| / |Stab|``: ``|Stab|`` is the number of permutations of the
-    shorter side that reach its code times ``prod m_c!`` over the counts
-    ``m_c`` of equal lines.  The sizes are checked against the group order
-    and the sector dimension in Python integers (21! > 2**63).
+    array up to min(n, N - n), and complemented past N / 2; then they are
+    sized by :func:`_sized_classes`.
     """
     n_sites = geometry.n_sites
     if not 0 <= n_exc <= n_sites:
@@ -260,27 +242,39 @@ def symmetric_sector(geometry: ArrayGeometry, n_exc: int) -> SymmetricSector:
     bits = np.int64(1) << np.arange(n_sites, dtype=np.int64)
     reps = np.zeros(1, dtype=np.int64)
     for _ in range(min(n_exc, n_sites - n_exc)):
-        children = (reps[:, None] | bits)[(reps[:, None] & bits) == 0]
-        (codes,), _ = canonical_codes(geometry, children)
-        order = np.argsort(codes)
-        codes = codes[order]
-        # the first child of every code; np.unique's hash path costs peak RSS
-        reps = children[order[np.r_[True, codes[1:] != codes[:-1]]]]
+        reps, _, _ = _by_code(geometry, (reps[:, None] | bits)[(reps[:, None] & bits) == 0])
     if 2 * n_exc > n_sites:
         reps = reps ^ ((np.int64(1) << n_sites) - 1)
-    (codes,), hits = canonical_codes(geometry, reps)
+    return _sized_classes(geometry, n_exc, reps)
+
+
+def _by_code(geometry: ArrayGeometry, masks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One mask of every code among ``masks``, its code and its hit count
+    (:func:`canonical_codes`), ascending by code."""
+    (codes,), hits = canonical_codes(geometry, masks)
     order = np.argsort(codes)
+    ranked = codes[order]
+    # the first mask of every code; np.unique's hash path costs peak RSS
+    first = order[np.r_[True, ranked[1:] != ranked[:-1]]]
+    return masks[first], codes[first], hits[first]
+
+
+def _sized_classes(geometry: ArrayGeometry, n_exc: int, masks: np.ndarray) -> SymmetricSector:
+    """The sector whose classes are those of ``masks``.  A class has size
+    ``|G| / |Stab|``, ``|Stab|`` the number of permutations of the shorter
+    side that reach its code times ``prod m_c!`` over the counts ``m_c`` of
+    equal lines, checked against the group order and the sector dimension
+    in Python integers (21! > 2**63): a class that ``masks`` misses fails."""
+    reps, codes, hits = _by_code(geometry, masks)
     width, n_lines = min(geometry.lx, geometry.ly), max(geometry.lx, geometry.ly)
     group_order = factorial(geometry.lx) * factorial(geometry.ly)
     sizes = []
-    for code, reached in zip(codes[order].tolist(), hits[order].tolist()):
+    for code, reached in zip(codes.tolist(), hits.tolist()):
         lines = Counter((code >> (width * j)) & ((1 << width) - 1) for j in range(n_lines))
         size, rest = divmod(group_order, reached * prod(map(factorial, lines.values())))
         if rest:
             raise ArithmeticError("class size does not divide group order")
         sizes.append(size)
-    if sum(sizes) != comb(n_sites, n_exc):
+    if sum(sizes) != comb(geometry.n_sites, n_exc):
         raise ArithmeticError("class sizes do not add up to the sector dimension")
-    return SymmetricSector(
-        geometry, n_exc, reps[order], codes[order], np.array(sizes, dtype=np.int64)
-    )
+    return SymmetricSector(geometry, n_exc, reps, codes, np.array(sizes, dtype=np.int64))

@@ -105,12 +105,9 @@ def _opt(
     if cast is None:
         return value
     try:
-        out = cast(value)
+        return cast(value)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad value for {_flag(name)}: {exc}") from exc
-    if isinstance(out, float) and not math.isfinite(out):
-        raise UsageError(f"bad value for {_flag(name)}: {out} is not finite")
-    return out
 
 
 def _req(args, cfg, name, cast=None):
@@ -121,25 +118,34 @@ def _req(args, cfg, name, cast=None):
 
 
 def _floats(value) -> list[float]:
+    """A comma-separated string, a list or one value, as finite floats.  A
+    boolean is refused, though Python counts it as an integer."""
     if isinstance(value, str):
-        out = [float(p) for p in value.split(",") if p.strip() != ""]
-    elif isinstance(value, (list, tuple)):
-        out = [float(v) for v in value]
-    else:
-        out = [float(value)]
-    for v in out:
-        if not math.isfinite(v):
-            raise ValueError(f"{v} is not finite")
+        value = [p for p in value.split(",") if p.strip() != ""]
+    out = []
+    for v in value if isinstance(value, (list, tuple)) else [value]:
+        if isinstance(v, bool):
+            raise ValueError(f"{v} is not a number")
+        out.append(float(v))
+        if not math.isfinite(out[-1]):
+            raise ValueError(f"{out[-1]} is not finite")
     return out
 
 
 def _ints(value) -> list[int]:
-    out = []
-    for v in _floats(value):
-        if v != int(v):
-            raise ValueError(f"{v} is not an integer")
-        out.append(int(v))
-    return out
+    out = _floats(value)
+    for v in out:
+        if v != int(v) or abs(v) >= 2**53:  # past 2**53 a float is no exact integer
+            raise ValueError(f"{v} is not an integer below 2**53")
+    return [int(v) for v in out]
+
+
+def _float(value) -> float:  # one value: a string is not split
+    return _floats([value])[0]
+
+
+def _int(value) -> int:
+    return _ints([value])[0]
 
 
 def _bool(args, cfg, name, default: Optional[bool]) -> Optional[bool]:
@@ -177,8 +183,8 @@ def _sectors(values: list[int], name: str, top: float = math.inf) -> list[int]:
 
 
 def _geometry(args, cfg) -> ArrayGeometry:
-    lx = _req(args, cfg, "lx", int)
-    ly = _req(args, cfg, "ly", int)
+    lx = _req(args, cfg, "lx", _int)
+    ly = _req(args, cfg, "ly", _int)
     try:
         return ArrayGeometry(lx, ly)
     except ValueError as exc:
@@ -210,9 +216,9 @@ def _resolve_level(args, cfg, *, need_modes: bool):
     if level == "spin":
         if need_modes:
             raise UsageError("this command needs mode detunings: use the JC or drive level")
-        omega = _req(args, cfg, "omega", float)
-        lam_a = _req(args, cfg, "lambda_a", float)
-        lam_b = _opt(args, cfg, "lambda_b", float, default=lam_a)
+        omega = _req(args, cfg, "omega", _float)
+        lam_a = _req(args, cfg, "lambda_a", _float)
+        lam_b = _opt(args, cfg, "lambda_b", _float, default=lam_a)
         couplings = SpinCouplings(lambda_a=lam_a, lambda_b=lam_b, omega_at=omega)
         semantic = {
             "level": "spin",
@@ -224,8 +230,8 @@ def _resolve_level(args, cfg, *, need_modes: bool):
 
     if level == "jc":
         delta_a, delta_b_at = _detunings(args, cfg)
-        omega = _req(args, cfg, "omega", float)
-        g = _at_least(_req(args, cfg, "g", float), 0, "g")  # a magnitude
+        omega = _req(args, cfg, "omega", _float)
+        g = _at_least(_req(args, cfg, "g", _float), 0, "g")  # a magnitude
         jc = EffectiveJCParams(
             omega_at=omega, g=g, delta_a=delta_a, delta_b=delta_b_at(omega)
         )
@@ -246,9 +252,9 @@ def _detunings(args, cfg) -> tuple[float, Callable[[float], float]]:
     """``delta_a`` and ``delta_b`` as a function of the splitting: it is
     ``--delta-b``, else from ``--eta`` at the splitting, else ``delta_a``.
     At most one of ``--delta-b`` and ``--eta`` is given."""
-    delta_a = _req(args, cfg, "delta_a", float)
-    delta_b = _opt(args, cfg, "delta_b", float)
-    eta = _opt(args, cfg, "eta", float)
+    delta_a = _req(args, cfg, "delta_a", _float)
+    delta_b = _opt(args, cfg, "delta_b", _float)
+    eta = _opt(args, cfg, "eta", _float)
     if delta_b is not None and eta is not None:
         raise UsageError("give --delta-b or --eta, not both")
 
@@ -265,9 +271,9 @@ def _drive_level(args, cfg) -> tuple[PhysicalDriveParams, EffectiveJCParams]:
     at the derived splitting."""
     delta_a, delta_b_at = _detunings(args, cfg)
     drive = PhysicalDriveParams(
-        omega_rabi=_req(args, cfg, "rabi", float),
-        g0=_req(args, cfg, "g0", float),
-        delta_e=_req(args, cfg, "delta_e", float),
+        omega_rabi=_req(args, cfg, "rabi", _float),
+        g0=_req(args, cfg, "g0", _float),
+        delta_e=_req(args, cfg, "delta_e", _float),
     )
     jc = derive_effective_params(drive, delta_a, delta_a)
     return drive, dataclasses.replace(jc, delta_b=delta_b_at(jc.omega_at))
@@ -341,7 +347,7 @@ def _cmd_spin_ed(args, cfg, seed: int) -> CommandResult:
     couplings, _, level = _resolve_level(args, cfg, need_modes=False)
     nexc = _sectors(_req(args, cfg, "nexc", _ints), "nexc", geom.n_sites)
     shift = _bool(args, cfg, "shift", True)
-    _opt(args, cfg, "k", int)  # accepted no-op: every solve returns the ground cluster
+    _opt(args, cfg, "k", _int)  # accepted no-op: every solve returns the ground cluster
     rows = []
     for n in nexc:
         spec, basis = spinmodel.sector_ground(
@@ -368,7 +374,7 @@ def _cmd_spin_ed(args, cfg, seed: int) -> CommandResult:
 def _cmd_jc_ed(args, cfg, seed: int) -> CommandResult:
     geom = _geometry(args, cfg)
     _, jc, level = _resolve_level(args, cfg, need_modes=True)
-    n_max = _at_least(_opt(args, cfg, "nmax", int), 0, "nmax")
+    n_max = _at_least(_opt(args, cfg, "nmax", _int), 0, "nmax")
     ntotal = _opt(args, cfg, "ntotal", _ints)
     rows = []
     if ntotal is not None:
@@ -398,13 +404,13 @@ def _cmd_jc_ed(args, cfg, seed: int) -> CommandResult:
 
 def _cmd_crossover(args, cfg, seed: int) -> CommandResult:
     geom = _geometry(args, cfg)
-    omega = _req(args, cfg, "omega", float)
+    omega = _req(args, cfg, "omega", _float)
     if omega <= 0.0:
         raise UsageError("crossover sweep requires omega > 0")
     ratios = _nonempty(_req(args, cfg, "delta_ratios", _floats), "delta_ratios")
-    sectors = _at_least(_opt(args, cfg, "sectors", int, default=3), 1, "sectors")
-    _opt(args, cfg, "tol", float)  # accepted no-op: g_c_jc is an eigenvalue
-    n_max = _at_least(_opt(args, cfg, "nmax", int), 0, "nmax")
+    sectors = _at_least(_opt(args, cfg, "sectors", _int, default=3), 1, "sectors")
+    _opt(args, cfg, "tol", _float)  # accepted no-op: g_c_jc is an eigenvalue
+    n_max = _at_least(_opt(args, cfg, "nmax", _int), 0, "nmax")
     tps = spinmodel.transition_couplings(
         geom,
         omega,
@@ -464,7 +470,7 @@ def _cmd_crossover(args, cfg, seed: int) -> CommandResult:
 
 def _cmd_excitation_curve(args, cfg, seed: int) -> CommandResult:
     geom = _geometry(args, cfg)
-    omega = _req(args, cfg, "omega", float)
+    omega = _req(args, cfg, "omega", _float)
     lambdas = _nonempty(_req(args, cfg, "lambdas", _floats), "lambdas")
     shift = _bool(args, cfg, "shift", True)
     rows = spinmodel.excitation_curve(geom, omega, lambdas, include_lambda_shift=shift)
@@ -487,8 +493,8 @@ def _cmd_correlations(args, cfg, seed: int) -> CommandResult:
     geom = _geometry(args, cfg)
     couplings, _, level = _resolve_level(args, cfg, need_modes=False)
     nexc = _sectors(_req(args, cfg, "nexc", _ints), "nexc", geom.n_sites)
-    jc_ratio = _opt(args, cfg, "jc_delta_ratio", float)
-    _opt(args, cfg, "k", int)  # accepted no-op: every solve returns the ground cluster
+    jc_ratio = _opt(args, cfg, "jc_delta_ratio", _float)
+    _opt(args, cfg, "k", _int)  # accepted no-op: every solve returns the ground cluster
     rows = []
     for n in nexc:
         spec, basis = spinmodel.sector_ground(geom, couplings, n, seed=seed)
@@ -523,10 +529,10 @@ def _cmd_correlations(args, cfg, seed: int) -> CommandResult:
 
 
 def _cmd_analytic_1d(args, cfg, seed: int) -> CommandResult:
-    omega = _opt(args, cfg, "omega", float)
-    lam = _opt(args, cfg, "lam", float)
-    delta = _opt(args, cfg, "delta", float)
-    n_spins = _at_least(_opt(args, cfg, "n", int), 1, "n")
+    omega = _opt(args, cfg, "omega", _float)
+    lam = _opt(args, cfg, "lam", _float)
+    delta = _opt(args, cfg, "delta", _float)
+    n_spins = _at_least(_opt(args, cfg, "n", _int), 1, "n")
     given = [v is not None for v in (omega, lam, delta)]
     if any(given) and not all(given):
         raise UsageError("give all of --omega, --lam, --delta or none (sign table)")
@@ -569,8 +575,8 @@ def _cmd_analytic_1d(args, cfg, seed: int) -> CommandResult:
 
 def _cmd_meanfield(args, cfg, seed: int) -> CommandResult:
     geom = _geometry(args, cfg)
-    delta = _req(args, cfg, "delta", float)
-    omega = _req(args, cfg, "omega", float)
+    delta = _req(args, cfg, "delta", _float)
+    omega = _req(args, cfg, "omega", _float)
     gs = _opt(args, cfg, "g", _floats)
     for g in gs or ():
         _at_least(g, 0, "g")
@@ -648,15 +654,15 @@ def _cmd_polya(args, cfg, seed: int) -> CommandResult:
 
 
 def _cmd_frustration_scan(args, cfg, seed: int) -> CommandResult:
-    lx = _req(args, cfg, "lx", int)
+    lx = _req(args, cfg, "lx", _int)
     if lx < 1:
         raise UsageError(f"array dimensions must be >= 1, got lx={lx}")
     das = _nonempty(_req(args, cfg, "delta_a_ratios", _floats), "delta_a_ratios")
     etas = _nonempty(_req(args, cfg, "etas", _floats), "etas")
     ly_ratios = _nonempty(_req(args, cfg, "ly_ratios", _floats), "ly_ratios")
-    omega = _opt(args, cfg, "omega", float, default=1.0)
-    q_min = _opt(args, cfg, "qmin", float, default=frustration.QUALITY_MIN)
-    _opt(args, cfg, "workers", int)  # accepted no-op: the scan is serial
+    omega = _opt(args, cfg, "omega", _float, default=1.0)
+    q_min = _opt(args, cfg, "qmin", _float, default=frustration.QUALITY_MIN)
+    _opt(args, cfg, "workers", _int)  # accepted no-op: the scan is serial
     scan = frustration.region_scan(
         lx, das, etas, ly_ratios, omega_at=omega, q_min=q_min
     )
@@ -858,7 +864,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         units = _opt(args, cfg, "units", str, default="omega")
         if units not in ("omega", "raw"):
             raise UsageError("--units must be 'omega' or 'raw'")
-        seed = _at_least(_opt(args, cfg, "seed", int, default=0), 0, "seed")
+        seed = _at_least(_opt(args, cfg, "seed", _int, default=0), 0, "seed")
         handler = _HANDLERS[args.command]
         start = time.monotonic()
         result = handler(args, cfg, seed)

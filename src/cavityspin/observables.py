@@ -12,11 +12,11 @@ from the moves of the hop rule (``basis.line_moves``) and the all-pairs sum
 from the lowering operator ``S- = sum_s sigma-_s``.
 
 An attractive spin sector solved on its orbit block is held as a
-:class:`~cavityspin.canonical.SymmetricSector`, with vectors on its
-classes; the same two sums are then block expectations
-(``SymmetricSector.pair_sums``).  :func:`multiplet_correlations` picks the
-representation and applies the one normalization to either, so the models
-hand over whatever basis their solve returned.
+:class:`~cavityspin.canonical.SymmetricSector`, with vectors ``c`` on its
+classes (amplitude ``c_i / sqrt(s_i)`` on every member of class i).  The
+one kernel, :func:`_pair_sums`, reads rows that stand for a number of
+states each, so it takes a mask block and a class vector alike, and
+:func:`multiplet_correlations` applies the one normalization.
 """
 
 from __future__ import annotations
@@ -32,14 +32,11 @@ from .canonical import SymmetricSector
 
 
 def block_segments(vectors: np.ndarray, basis) -> Iterator[tuple[object, np.ndarray]]:
-    """``(block, seg)`` per block, ``seg`` shaped (masks, inner, columns).
-
-    A 1-D vector counts as one column.
-    """
-    v = vectors[:, None] if vectors.ndim == 1 else vectors
+    """``(block, seg)`` per block, ``seg`` shaped (masks, inner, columns)."""
     for blk in basis.blocks:
         n = len(blk.masks)
-        yield blk, v[blk.offset : blk.offset + n * blk.inner].reshape(n, blk.inner, v.shape[1])
+        seg = vectors[blk.offset : blk.offset + n * blk.inner]
+        yield blk, seg.reshape(n, blk.inner, vectors.shape[1])
 
 
 @dataclass(frozen=True)
@@ -58,28 +55,39 @@ class CorrelationResult:
     cluster_truncated: bool = False
 
 
-def _vector_pair_sums(multiplet: np.ndarray, basis) -> tuple[float, float]:
-    """``(<A>, sum over ordered pairs s != t)`` of sector vectors laid out
-    in mask blocks, summed over the columns."""
-    geometry = basis.geometry
-    n_sites = geometry.n_sites
+def _pair_sums(geometry, masks, u, sizes, rank, lower, lower_sizes) -> tuple[float, float]:
+    """``(<A>, sum over ordered pairs s != t)`` of vectors whose row i,
+    ``u[i]`` of shape (inner, columns), stands for ``sizes[i]`` states of
+    mask ``masks[i]`` (a scalar size stands for every row); ``rank`` maps
+    masks of the level to rows, and ``lower``, ``lower_sizes`` are the rows
+    of the level one raised spin below.  ``S- v`` at a lower row sums ``u``
+    over its raisings, which come contiguous, ``N - n + 1`` per lower mask."""
+    weighted = u * np.reshape(sizes, (-1, 1, 1))
     hops = 0.0  # <A>, A the 0/1 matrix of row and column moves
-    ordered = 0.0  # sum over ordered pairs s != t
+    for kind in ("row", "col"):  # one rank call per kind keeps the peak low
+        src, dst = line_moves(geometry, masks, kind)
+        hops += float((weighted[src] * u[rank(dst)]).sum())
+    raised = lower[:, None] | (np.int64(1) << np.arange(geometry.n_sites, dtype=np.int64))
+    raisings = u[rank(raised[raised != lower[:, None]])]
+    lowered = raisings.reshape((len(lower), -1) + u.shape[1:]).sum(axis=1)  # S- v
+    ordered = (np.reshape(lower_sizes, (-1, 1, 1)) * lowered**2).sum()
+    return hops, float(ordered - int(masks[0]).bit_count() * (weighted * u).sum())
+
+
+def _levels(multiplet: np.ndarray, basis) -> Iterator[tuple]:
+    """The :func:`_pair_sums` arguments of every spin level with a raised
+    spin (a level without one has neither sum)."""
+    if isinstance(basis, SymmetricSector):
+        if basis.n_exc:
+            low, sizes = basis.lowered(), basis.sizes
+            u = (multiplet / np.sqrt(sizes)[:, None])[:, None]
+            yield basis.representatives, u, sizes, basis.classify, low.representatives, low.sizes
+        return
     for blk, seg in block_segments(multiplet, basis):
-        for kind in ("row", "col"):
-            src, dst = line_moves(geometry, blk.masks, kind)
-            hops += float((seg[src] * seg[np.searchsorted(blk.masks, dst)]).sum())
         n_exc = int(blk.masks[0]).bit_count()
-        if n_exc == 0:
-            continue
-        lowered = enumerate_masks(n_sites, n_exc - 1)
-        image = np.zeros((len(lowered),) + seg.shape[1:])
-        for s in range(n_sites):
-            sel = np.nonzero((blk.masks >> s) & 1)[0]
-            lower = blk.masks[sel] ^ np.int64(1 << s)  # one image per s: no collisions
-            image[np.searchsorted(lowered, lower)] += seg[sel]
-        ordered += float((image**2).sum() - n_exc * (seg**2).sum())
-    return hops, ordered
+        if n_exc:
+            lower = enumerate_masks(basis.geometry.n_sites, n_exc - 1)
+            yield blk.masks, seg, 1, blk.masks.searchsorted, lower, 1
 
 
 def multiplet_correlations(spectrum, basis) -> CorrelationResult:
@@ -97,8 +105,9 @@ def multiplet_correlations(spectrum, basis) -> CorrelationResult:
       with ``S-`` mapping each block onto the masks of one raised spin
       fewer at the same inner index.
 
-    On a :class:`~cavityspin.canonical.SymmetricSector` the two sums are the
-    block expectations of ``SymmetricSector.pair_sums`` instead.
+    On a :class:`~cavityspin.canonical.SymmetricSector` a row is a class,
+    weighted by its size: the moves and ``S-`` commute with every site
+    permutation, so those of a representative stand for every member's.
 
     An array with no pair of a kind averages to 0.0.  Undefined (ratio
     ``None``) when the NN average is zero up to round-off (``|sigma_nn| <=
@@ -107,10 +116,8 @@ def multiplet_correlations(spectrum, basis) -> CorrelationResult:
     """
     geometry = basis.geometry
     multiplet = spectrum.eigenvectors
-    if isinstance(basis, SymmetricSector):
-        hops, ordered = basis.pair_sums(multiplet)
-    else:
-        hops, ordered = _vector_pair_sums(multiplet, basis)
+    sums = [_pair_sums(geometry, *level) for level in _levels(multiplet, basis)]
+    hops, ordered = sum(h for h, _ in sums), sum(o for _, o in sums)
     lx, ly = geometry.lx, geometry.ly
     n_nn = ly * comb(lx, 2) + lx * comb(ly, 2)
     n_nnn = 2 * comb(lx, 2) * comb(ly, 2)

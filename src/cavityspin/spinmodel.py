@@ -280,7 +280,8 @@ def correlation_ratio(
     spectrum: SpectrumResult, basis: SectorBasis | SymmetricSector
 ) -> CorrelationResult:
     """Average NNN/NN correlation ratio of the ground multiplet; undefined
-    for the empty and the fully excited sector.
+    for the empty and the fully excited sector.  A routed sector is read on
+    its class vector, one row per class, by the kernel of full vectors.
 
     The body is shared with ``jcmodel.jc_correlation_ratio``; neither calls
     the other, so the benchmark tracer (``perfbench/layers.py``) times each

@@ -29,6 +29,11 @@ def test_class_counts_and_sizes_on_every_sector(lx, ly):
         assert np.array_equal(
             sector.classify(sector.representatives), np.arange(len(sector.sizes))
         )
+        if n_exc:  # the level below, from lowered representatives alone
+            below, ref = sector.lowered(), canonical.symmetric_sector(geom, n_exc - 1)
+            assert below.n_exc == n_exc - 1
+            assert np.array_equal(below.codes, ref.codes)
+            assert np.array_equal(below.sizes, ref.sizes)
 
 
 @pytest.mark.parametrize("lx, ly", [(4, 3), (3, 4), (2, 5), (3, 3), (1, 4), (4, 1)])

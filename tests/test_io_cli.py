@@ -249,6 +249,29 @@ def test_cli_usage_errors_exit_2(capsys):
         assert payload["kind"] == "usage" and message in payload["message"]
 
 
+def test_cli_config_numbers_refuse_booleans_and_fractions(tmp_path, capsys):
+    # JSON true is a Python int and 3.7 casts to 3: neither is a number
+    # option, in a config file as on the command line
+    cfg = tmp_path / "cfg.json"
+    base = {"lx": 3, "ly": 1, "omega": 1.0, "lambda_a": -0.1, "nexc": [1]}
+    cfg.write_text(json.dumps(base))
+    assert run_cli(capsys, ["spin-ed", "--config", str(cfg)])[0] == 0
+    for bad, message in [
+        ({"lx": 3.7}, "bad value for --lx: 3.7 is not an integer"),
+        ({"ly": True}, "bad value for --ly: True is not a number"),
+        ({"omega": True}, "bad value for --omega: True is not a number"),
+        ({"nexc": [True]}, "bad value for --nexc: True is not a number"),
+        ({"seed": True}, "bad value for --seed: True is not a number"),
+        # read through a float, a larger integer would silently change
+        ({"seed": 2**53 + 1}, "bad value for --seed: 9007199254740992.0 is not an integer"),
+    ]:
+        cfg.write_text(json.dumps({**base, **bad}))
+        code, out, err = run_cli(capsys, ["spin-ed", "--config", str(cfg)])
+        assert code == 2 and out == "", bad
+        payload = json.loads(err)["error"]
+        assert payload["kind"] == "usage" and message in payload["message"]
+
+
 @pytest.mark.parametrize("lx, ly, n_exc", [(2, 2, 1), (3, 2, 5), (6, 2, 9)])
 def test_cli_round_off_sigma_nn_leaves_the_ratio_empty(capsys, lx, ly, n_exc):
     # row partners give -1/4 and column partners +1/4: sigma_nn is exactly 0,

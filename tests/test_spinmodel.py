@@ -256,7 +256,8 @@ def test_correlations_on_arrays_without_unshared_pairs():
 def _kernel_cases():
     """(spectrum, basis) pairs for the pair-sum kernel: whole small arrays
     at an attractive and a frustrated pair, the Lanczos 3-fold 4x4 n=5
-    level, a routed 4x4 n=8 sector and JC sectors."""
+    level, routed 4x4 n=8, 1x12 n=6 (one class) and 7x2 n=5 sectors and JC
+    sectors."""
     for lx, ly in [(1, 1), (1, 5), (5, 1), (2, 2), (3, 2), (4, 3)]:
         geom = ArrayGeometry(lx, ly)
         for la, lb in [(-0.14, -0.063), (0.1, -0.3)]:
@@ -269,11 +270,14 @@ def _kernel_cases():
     )
     assert spec.method == "lanczos" and spec.eigenvectors.shape[1] == 3
     yield spec, basis
-    spec, basis = spinmodel.sector_ground(
-        geom, SpinCouplings(lambda_a=-0.12, lambda_b=-0.05, omega_at=1.0), 8
-    )
-    assert spec.method == "symmetric-block"
-    yield spec, basis
+    attractive = SpinCouplings(lambda_a=-0.12, lambda_b=-0.05, omega_at=1.0)
+    for geom, n_exc, classes in [
+        (geom, 8, None), (ArrayGeometry(1, 12), 6, 1), (ArrayGeometry(7, 2), 5, None)
+    ]:
+        spec, basis = spinmodel.sector_ground(geom, attractive, n_exc)
+        assert spec.method == "symmetric-block"
+        assert classes is None or len(basis.sizes) == classes
+        yield spec, basis
     jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=4.0)
     for lx, ly in [(2, 2), (3, 2)]:
         for n_total in range(4):
