@@ -1,4 +1,5 @@
-"""Orbit classes from canonical codes: the one partition method.
+"""Orbit classes from canonical codes: the one partition method, and the
+symmetric-block route of both models.
 
 The row x column group S_Ly x S_Lx acts on the spin configurations of an
 Ly x Lx array, seen as 0/1 matrices, and on the Jaynes-Cummings states that
@@ -9,26 +10,32 @@ code (``symmetry.orbits``, the Jaynes-Cummings route of ``jcmodel``), and a
 spin sector needs no table.  Its representatives grow one raised spin at a
 time from the empty array, in the spirit of McKay's isomorph-free
 generation (*J. Algorithms*, 1998), and each class size follows from the
-permutations that fix its code.  A :class:`SymmetricSector` holds one
-representative, the code and the size of every class.  It builds, with
-:func:`orbit_block`, the Hamiltonian block of the attractive route of
-``spinmodel`` and gives the correlations of ``observables`` the classes of
-the level below (:meth:`SymmetricSector.lowered`), so neither holds a
-vector of the C(N, n) sector states.
+permutations that fix its code.  :func:`symmetric_sector` builds each level
+once per process, as a :class:`SymmetricSector` of one representative, the
+code and the size of every class.  It gives the attractive route of
+``spinmodel`` its Hamiltonian block (:func:`orbit_block`), and the
+correlations of ``observables`` read it and the level below, so neither
+holds a vector of the C(N, n) sector states.  Both routes share the size
+rule :func:`takes_orbit_block` and solve their block with
+:func:`block_ground`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import permutations
 from math import comb, factorial, prod
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .basis import MAX_SITES
+from .basis import MAX_SECTOR_DIM, MAX_SITES
 from .geometry import ArrayGeometry
+
+if TYPE_CHECKING:
+    from .linalg import SpectrumResult
 
 
 def site_images(perm, masks: np.ndarray) -> np.ndarray:
@@ -218,58 +225,53 @@ class SymmetricSector:
         mask ``dst[t]`` of its column and its value ``vals[t]``."""
         return orbit_block(self.sizes, src, self.classify(dst), vals)
 
-    def lowered(self) -> "SymmetricSector":
-        """The classes of sector n - 1 from the representatives with a spin
-        lowered: each mask of n - 1 is a lowered member of some class of n."""
-        reps = self.representatives[:, None]
-        bits = np.int64(1) << np.arange(self.geometry.n_sites, dtype=np.int64)
-        return _sized_classes(self.geometry, self.n_exc - 1, (reps ^ bits)[(reps & bits) != 0])
 
-
+@cache
 def symmetric_sector(geometry: ArrayGeometry, n_exc: int) -> SymmetricSector:
-    """The orbit classes of a spin sector, with no sector table.
+    """The orbit classes of a spin sector, with no sector table, built once
+    per process.
 
-    The representatives of sector n are the children (one raised spin
-    added) of those of sector n - 1, kept unique by code, from the empty
-    array up to min(n, N - n), and complemented past N / 2; then they are
-    sized by :func:`_sized_classes`.
+    The representatives of sector n <= N / 2 are the children (one raised
+    spin added) of those of sector n - 1, from the empty array up; past
+    N / 2 they are the complements of those of sector N - n.  Either way
+    :func:`_sized_classes` keeps one per code and sizes the classes.  The
+    arrays of a cached sector are read-only.
     """
     n_sites = geometry.n_sites
     if not 0 <= n_exc <= n_sites:
         raise ValueError(f"n_exc={n_exc} outside [0, {n_sites}]")
     if n_sites > MAX_SITES:
         raise ValueError(f"n_sites={n_sites} exceeds bitmask limit {MAX_SITES}")
-    bits = np.int64(1) << np.arange(n_sites, dtype=np.int64)
-    reps = np.zeros(1, dtype=np.int64)
-    for _ in range(min(n_exc, n_sites - n_exc)):
-        reps, _, _ = _by_code(geometry, (reps[:, None] | bits)[(reps[:, None] & bits) == 0])
-    if 2 * n_exc > n_sites:
-        reps = reps ^ ((np.int64(1) << n_sites) - 1)
-    return _sized_classes(geometry, n_exc, reps)
+    if n_exc == 0:
+        masks = np.zeros(1, dtype=np.int64)
+    elif 2 * n_exc <= n_sites:
+        reps = symmetric_sector(geometry, n_exc - 1).representatives[:, None]
+        bits = np.int64(1) << np.arange(n_sites, dtype=np.int64)
+        masks = (reps | bits)[(reps & bits) == 0]
+    else:
+        reps = symmetric_sector(geometry, n_sites - n_exc).representatives
+        masks = reps ^ ((np.int64(1) << n_sites) - 1)
+    return _sized_classes(geometry, n_exc, masks)
 
 
-def _by_code(geometry: ArrayGeometry, masks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One mask of every code among ``masks``, its code and its hit count
-    (:func:`canonical_codes`), ascending by code."""
+def _sized_classes(geometry: ArrayGeometry, n_exc: int, masks: np.ndarray) -> SymmetricSector:
+    """The sector whose classes are those of ``masks``: the first mask of
+    every code, ascending by code.  A class has size ``|G| / |Stab|``,
+    ``|Stab|`` the number of permutations of the shorter side that reach
+    its code (:func:`canonical_codes`) times ``prod m_c!`` over the counts
+    ``m_c`` of equal lines, checked against the group order and the sector
+    dimension in Python integers (21! > 2**63): a class that ``masks``
+    misses fails."""
     (codes,), hits = canonical_codes(geometry, masks)
     order = np.argsort(codes)
     ranked = codes[order]
     # the first mask of every code; np.unique's hash path costs peak RSS
     first = order[np.r_[True, ranked[1:] != ranked[:-1]]]
-    return masks[first], codes[first], hits[first]
-
-
-def _sized_classes(geometry: ArrayGeometry, n_exc: int, masks: np.ndarray) -> SymmetricSector:
-    """The sector whose classes are those of ``masks``.  A class has size
-    ``|G| / |Stab|``, ``|Stab|`` the number of permutations of the shorter
-    side that reach its code times ``prod m_c!`` over the counts ``m_c`` of
-    equal lines, checked against the group order and the sector dimension
-    in Python integers (21! > 2**63): a class that ``masks`` misses fails."""
-    reps, codes, hits = _by_code(geometry, masks)
+    reps, codes = masks[first], codes[first]
     width, n_lines = min(geometry.lx, geometry.ly), max(geometry.lx, geometry.ly)
     group_order = factorial(geometry.lx) * factorial(geometry.ly)
     sizes = []
-    for code, reached in zip(codes.tolist(), hits.tolist()):
+    for code, reached in zip(codes.tolist(), hits[first].tolist()):
         lines = Counter((code >> (width * j)) & ((1 << width) - 1) for j in range(n_lines))
         size, rest = divmod(group_order, reached * prod(map(factorial, lines.values())))
         if rest:
@@ -277,4 +279,28 @@ def _sized_classes(geometry: ArrayGeometry, n_exc: int, masks: np.ndarray) -> Sy
         sizes.append(size)
     if sum(sizes) != comb(geometry.n_sites, n_exc):
         raise ArithmeticError("class sizes do not add up to the sector dimension")
-    return SymmetricSector(geometry, n_exc, reps, codes, np.array(sizes, dtype=np.int64))
+    sizes = np.array(sizes, dtype=np.int64)
+    for arr in (reps, codes, sizes):
+        arr.flags.writeable = False
+    return SymmetricSector(geometry, n_exc, reps, codes, sizes)
+
+
+def takes_orbit_block(dim: int) -> bool:
+    """The size rule of both symmetric-block routes: a sector past the
+    dense cutoff and within the bitmask guard ``basis.MAX_SECTOR_DIM``; a
+    Jaynes-Cummings sector also meets its basis guard ``jcmodel.MAX_JC_DIM``."""
+    from .linalg import DENSE_CUTOFF  # read at call time: scripts may reset it
+
+    return DENSE_CUTOFF < dim <= MAX_SECTOR_DIM
+
+
+def block_ground(block: np.ndarray, seed: int) -> SpectrumResult:
+    """Ground pair of an orbit block, its vector on the normalized orbit
+    sums.  The caller vouches that the sector ground state is simple and
+    symmetric, so the block's ground pair is the sector's."""
+    # imported here, not at the top, so that a polya process never runs linalg
+    from .linalg import ground_state, operator_from_entries
+
+    i, j = np.nonzero(block)
+    spec = ground_state(operator_from_entries(len(block), i, j, block[i, j]), seed=seed)
+    return replace(spec, method="symmetric-block")

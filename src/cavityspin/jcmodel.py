@@ -18,21 +18,28 @@ and the line modes together; :func:`jc_sector_ground` then solves the ground
 pair of a sector past the dense cutoff on the block of normalized orbit sums
 (114 classes for the 2016 states of 3x3 n_total=4).  The classes are named
 by canonical codes (``canonical``) of the spins together with the mode
-counts, which move with their lines; ``symmetry`` builds the block from the
-sector entries whose row is a class representative.
+counts, which move with their lines; the block is built from the sector
+entries whose row is a class representative (``canonical.orbit_block``) and
+solved by ``canonical.block_ground``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import mul
 from typing import Optional
 
 import numpy as np
 
 from .basis import enumerate_masks
-from .canonical import canonical_codes, code_classes
+from .canonical import (
+    block_ground,
+    canonical_codes,
+    code_classes,
+    orbit_block,
+    takes_orbit_block,
+)
 from .geometry import ArrayGeometry
 from .linalg import (
     SparseOperator,
@@ -42,7 +49,6 @@ from .linalg import (
 )
 from .observables import CorrelationResult, multiplet_correlations
 from .params import EffectiveJCParams, RegimeError, ScalarOrPerLine
-from .symmetry import build_group, orbit_ground, takes_orbit_block
 
 MAX_JC_DIM = 2_000_000
 
@@ -288,9 +294,11 @@ def jc_sector_ground(
     Perron-Frobenius its ground state is simple and positive.  With scalar
     detunings it is then invariant under every row and column permutation,
     and a sector that passes the size rule
-    ``symmetry.takes_orbit_block`` is solved by ``symmetry.orbit_ground`` on
-    the block of symmetric orbit sums.  Every other case is solved on the
-    full sector matrix.
+    ``canonical.takes_orbit_block`` is solved on the block of symmetric
+    orbit sums: the states are grouped by code, the block is built from the
+    rows of the class representatives, and its vector ``c`` is expanded to
+    amplitude ``c_i / sqrt(s_i)`` on every member of class i.  Every other
+    case is solved on the full sector matrix.
     """
     basis = JCBasis(geometry, n_total, n_max)
     if (
@@ -299,13 +307,14 @@ def jc_sector_ground(
         and not basis.truncated
         and takes_orbit_block(basis.dim)
     ):
-        order = build_group(geometry, include_transpose=False).order
-
-        def entries(reps):
-            h = build_jc_hamiltonian(geometry, jc, basis)
-            return h.rows, h.cols, h.vals
-
-        spec = orbit_ground(code_classes(_state_codes(basis), order), entries, seed)
+        order = math.factorial(geometry.lx) * math.factorial(geometry.ly)
+        reps, which, sizes = code_classes(_state_codes(basis), order)
+        h = build_jc_hamiltonian(geometry, jc, basis)
+        keep = reps[which[h.rows]] == h.rows
+        block = orbit_block(sizes, which[h.rows[keep]], which[h.cols[keep]], h.vals[keep])
+        spec = block_ground(block, seed)
+        vectors = (spec.eigenvectors / np.sqrt(sizes)[:, None])[which]
+        spec = replace(spec, eigenvectors=vectors)
     else:
         h = build_jc_hamiltonian(geometry, jc, basis)
         spec = ground_state(h, seed=seed)

@@ -25,7 +25,7 @@ at dimension 495-1001 and 0.09 s slower at 1365, and faster from 1820 up
 
 Attractive spin sectors and Jaynes-Cummings sectors with scalar detunings
 past the cutoff reach this module as their small orbit-sum block, through
-``symmetry.block_ground``: the operator is the block, usually far below
+``canonical.block_ground``: the operator is the block, usually far below
 the cutoff (159 classes for the 184 756 states of spin 5x4 n=10, 114 for
 the 2016 states of JC 3x3 n_total=4), and such a spin sector never becomes
 a matrix or a vector.  The JC sectors that stay whole (per-line detunings,

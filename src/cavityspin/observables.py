@@ -28,7 +28,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .basis import enumerate_masks, line_moves
-from .canonical import SymmetricSector
+from .canonical import SymmetricSector, symmetric_sector
 
 
 def block_segments(vectors: np.ndarray, basis) -> Iterator[tuple[object, np.ndarray]]:
@@ -79,7 +79,7 @@ def _levels(multiplet: np.ndarray, basis) -> Iterator[tuple]:
     spin (a level without one has neither sum)."""
     if isinstance(basis, SymmetricSector):
         if basis.n_exc:
-            low, sizes = basis.lowered(), basis.sizes
+            low, sizes = symmetric_sector(basis.geometry, basis.n_exc - 1), basis.sizes
             u = (multiplet / np.sqrt(sizes)[:, None])[:, None]
             yield basis.representatives, u, sizes, basis.classify, low.representatives, low.sizes
         return

@@ -18,9 +18,10 @@ ground state is unique and invariant under every row and every column
 permutation.  :func:`sector_ground` then solves for that one pair on the
 block of normalized orbit sums under S_Ly x S_Lx (159 classes for the
 184 756 states of 5x4 n=10) whenever the sector is past the dense cutoff.
-The classes come from canonical codes (``canonical.symmetric_sector``),
-the block from the sector entries out of one representative per class, the
-same entries the full matrix is built from, and the block vector is
+The classes come from canonical codes (``canonical.symmetric_sector``,
+each level built once per process), the block from the sector entries out
+of one representative per class, the same entries the full matrix is built
+from, and ``canonical.block_ground`` solves it; the block vector is
 returned with its :class:`~cavityspin.canonical.SymmetricSector`: no
 sector table or sector-sized vector is made, so sectors up to
 the bitmask guard ``basis.MAX_SECTOR_DIM`` take this route.  Every other
@@ -37,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .basis import SectorBasis, line_moves
-from .canonical import SymmetricSector, symmetric_sector
+from .canonical import SymmetricSector, block_ground, symmetric_sector, takes_orbit_block
 from .geometry import ArrayGeometry
 from .linalg import (
     SparseOperator,
@@ -47,7 +48,6 @@ from .linalg import (
 )
 from .observables import CorrelationResult, multiplet_correlations
 from .params import SpinCouplings
-from .symmetry import block_ground, takes_orbit_block
 
 
 def _diagonal(
@@ -144,7 +144,7 @@ def sector_ground(
     vectors live in.
 
     A Perron-Frobenius ground pair that passes the size rule
-    ``symmetry.takes_orbit_block`` is solved on the small block of row x
+    ``canonical.takes_orbit_block`` is solved on the small block of row x
     column symmetric orbit sums, built from the sector entries out of the
     class representatives; it returns the block vector and the
     :class:`~cavityspin.canonical.SymmetricSector` of its classes.  Every
@@ -261,7 +261,7 @@ def excitation_curve(
     lines: dict[tuple[float, int], tuple[float, float]] = {}
     rows = []
     for lam in lambdas:
-        sign = -1.0 if lam < 0.0 else 1.0
+        sign = -1.0 if lam <= 0.0 else 1.0  # at zero both lines give c
         best_n, best_e = 0, np.inf
         for n in range(geometry.n_sites + 1):
             if (sign, n) not in lines:

@@ -1,4 +1,4 @@
-"""Permutation symmetry of the array model: counting and block reduction.
+"""Permutation symmetry of the array model: counting and class tables.
 
 With uniform couplings the spin Hamiltonian commutes with every permutation
 of whole rows and whole columns, plus the transpose when the array is square
@@ -15,32 +15,26 @@ codes of ``canonical`` alone: :func:`orbits` groups the masks of a sector
 of up to ``MAX_LABELLED_DIM`` states by code (with the transpose, the
 smaller code of a matrix and its transpose) to list every class with its
 members, and :func:`orbit_basis_hamiltonian` projects onto those classes.
-:func:`block_ground` solves an orbit block.  Both symmetric-block routes
-share the size rule :func:`takes_orbit_block`: the attractive spin route of
-``spinmodel`` works on the classes of ``canonical``, and the
-Jaynes-Cummings route of ``jcmodel`` groups its states by code and goes
-through :func:`orbit_ground`, which builds and solves the block and expands
-the block vector onto the sector.
+This module serves the ``polya`` command and the acceptance criteria; the
+symmetric-block routes of ``spinmodel`` and ``jcmodel`` live in
+``canonical`` and never run it.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 from math import comb, factorial, gcd, prod
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .basis import MAX_SECTOR_DIM, SectorBasis, enumerate_masks, line_moves
+from .basis import SectorBasis, enumerate_masks, line_moves
 from .canonical import canonical_codes, code_classes, orbit_block, site_images
 from .geometry import ArrayGeometry
 from .params import SpinCouplings
-
-if TYPE_CHECKING:
-    from .linalg import SpectrumResult
 
 MAX_LABELLED_DIM = 2_000_000
 
@@ -245,53 +239,6 @@ def _orbit_table(
 def orbits(group: PermutationGroup, n_exc: int) -> list[OrbitClass]:
     """Partition of the sector into orbit classes, sorted by (size, rep)."""
     return _orbit_table(group, n_exc)[0]
-
-
-def takes_orbit_block(dim: int) -> bool:
-    """The size rule of both symmetric-block routes: a sector past the
-    dense cutoff and within the bitmask guard ``basis.MAX_SECTOR_DIM``; a
-    Jaynes-Cummings sector also meets its basis guard ``jcmodel.MAX_JC_DIM``."""
-    from .linalg import DENSE_CUTOFF  # read at call time: scripts may reset it
-
-    return DENSE_CUTOFF < dim <= MAX_SECTOR_DIM
-
-
-def block_ground(block: np.ndarray, seed: int) -> SpectrumResult:
-    """Ground pair of an orbit block, its vector on the normalized orbit
-    sums.  The caller vouches that the sector ground state is simple and
-    symmetric, so the block's ground pair is the sector's."""
-    # imported here, not at the top, so that a polya process never runs linalg
-    from .linalg import ground_state, operator_from_entries
-
-    i, j = np.nonzero(block)
-    spec = ground_state(operator_from_entries(len(block), i, j, block[i, j]), seed=seed)
-    return replace(spec, method="symmetric-block")
-
-
-def orbit_ground(
-    classes: tuple[np.ndarray, np.ndarray, np.ndarray],
-    entries: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
-    seed: int = 0,
-) -> SpectrumResult:
-    """Ground pair of a sector from its block of normalized orbit sums,
-    expanded onto the sector: the Jaynes-Cummings route of ``jcmodel``.
-
-    ``classes`` are the ``(reps, which, sizes)`` of the sector states from
-    ``canonical.code_classes``.  ``entries(reps)`` gives the
-    ``(rows, cols, vals)`` sector entries of H for at least every row in the
-    ascending representatives ``reps``; the rows of other states are dropped
-    here.  A block vector ``c`` is the sector vector with amplitude
-    ``c_i / sqrt(s_i)`` on every member of class i, and its residual is the
-    block residual.
-    """
-    reps, which, sizes = classes
-    rows, cols, vals = entries(reps)
-    keep = reps[which[rows]] == rows
-    spec = block_ground(
-        orbit_block(sizes, which[rows[keep]], which[cols[keep]], vals[keep]), seed
-    )
-    vectors = (spec.eigenvectors / np.sqrt(sizes)[:, None])[which]
-    return replace(spec, eigenvectors=vectors)
 
 
 @dataclass(frozen=True)

@@ -21,19 +21,34 @@ def test_class_counts_and_sizes_on_every_sector(lx, ly):
     geom = ArrayGeometry(lx, ly)
     group = symmetry.build_group(geom, include_transpose=False)
     inventory = symmetry.cycle_index(group).pattern_inventory()
-    for n_exc in range(geom.n_sites + 1):
-        sector = canonical.symmetric_sector(geom, n_exc)
+    levels = range(geom.n_sites + 1)
+    canonical.symmetric_sector.cache_clear()
+    upward = [canonical.symmetric_sector(geom, n_exc) for n_exc in levels]
+    for n_exc, sector in zip(levels, upward):
+        assert sector.n_exc == n_exc
         assert len(sector.sizes) == inventory[n_exc]
         assert sum(sector.sizes.tolist()) == comb(geom.n_sites, n_exc) == sector.dim
         assert np.all(np.diff(sector.codes) > 0)
         assert np.array_equal(
             sector.classify(sector.representatives), np.arange(len(sector.sizes))
         )
-        if n_exc:  # the level below, from lowered representatives alone
-            below, ref = sector.lowered(), canonical.symmetric_sector(geom, n_exc - 1)
-            assert below.n_exc == n_exc - 1
-            assert np.array_equal(below.codes, ref.codes)
-            assert np.array_equal(below.sizes, ref.sizes)
+    # the same levels when the highest is asked for first
+    canonical.symmetric_sector.cache_clear()
+    downward = [canonical.symmetric_sector(geom, n_exc) for n_exc in reversed(levels)]
+    for up, down in zip(upward, reversed(downward)):
+        assert np.array_equal(up.codes, down.codes)
+        assert np.array_equal(up.sizes, down.sizes)
+
+
+def test_levels_are_built_once_and_read_only():
+    geom = ArrayGeometry(4, 4)
+    canonical.symmetric_sector.cache_clear()
+    sector = canonical.symmetric_sector(geom, 10)  # built from levels 0..6
+    assert canonical.symmetric_sector.cache_info().currsize == 8
+    assert canonical.symmetric_sector(geom, 10) is sector
+    for arr in (sector.representatives, sector.codes, sector.sizes):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 @pytest.mark.parametrize("lx, ly", [(4, 3), (3, 4), (2, 5), (3, 3), (1, 4), (4, 1)])
@@ -53,7 +68,8 @@ def test_codes_name_exactly_the_brute_force_orbits(lx, ly):
 
 @pytest.mark.parametrize("lx, ly, n_exc", [(5, 4, 10)])
 def test_block_solve_matches_the_labelled_route(lx, ly, n_exc):
-    # the grown classes against the table classes that symmetry.orbits lists
+    # the grown classes against the table classes that symmetry.orbits
+    # lists, their block solved dense
     geom = ArrayGeometry(lx, ly)
     c = SpinCouplings(lambda_a=-0.15, lambda_b=-0.07, omega_at=1.0)
     spec, sector = spinmodel.sector_ground(geom, c, n_exc)
@@ -62,17 +78,15 @@ def test_block_solve_matches_the_labelled_route(lx, ly, n_exc):
     which = np.empty(basis.dim, dtype=np.int64)
     for i, cls in enumerate(classes):
         which[basis.bulk_rank(np.asarray(cls.members))] = i
-    reps = basis.bulk_rank(np.array([cls.representative for cls in classes]))
+    reps = np.array([cls.representative for cls in classes])
     sizes = np.array([cls.size for cls in classes])
-
-    def entries(reps):
-        src, dst, vals = spinmodel._sector_entries(geom, c, basis.states[reps], n_exc, True)
-        return reps[src], basis.bulk_rank(dst), vals
-
-    labelled = symmetry.orbit_ground((reps, which, sizes), entries)
-    assert spec.ground_energy == pytest.approx(labelled.ground_energy, rel=1e-12)
+    src, dst, vals = spinmodel._sector_entries(geom, c, reps, n_exc, True)
+    block = canonical.orbit_block(sizes, src, which[basis.bulk_rank(dst)], vals)
+    energies, vectors = np.linalg.eigh(block)
+    assert spec.ground_energy == pytest.approx(energies[0], rel=1e-12)
+    labelled = (vectors[:, 0] / np.sqrt(sizes))[which]
     v = expand_block_vectors(spec, sector, basis.states)[:, 0]
-    assert abs(v @ labelled.eigenvectors[:, 0]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(v @ labelled) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_symmetric_sector_refuses_what_its_codes_cannot_hold():

@@ -367,7 +367,7 @@ def test_cli_linalg_error_is_compute_error(monkeypatch, capsys):
                    "--delta-a", "6", "--g", "0.4"]),
         (spinmodel, ["correlations", "--lx", "2", "--ly", "2", "--omega", "1",
                      "--lambda-a=-0.2", "--nexc", "2"]),
-        # symmetry.block_ground reads linalg.ground_state at call time
+        # canonical.block_ground reads linalg.ground_state at call time
         # dim 12870, attractive: solved on the symmetric orbit block
         (linalg, ["correlations", "--lx", "4", "--ly", "4", "--omega", "1",
                   "--lambda-a=-0.1", "--nexc", "8"]),
@@ -690,7 +690,11 @@ def test_cli_help_and_closed_forms_never_import_numpy():
           "--etas=-3", "--ly-ratios", "1"], ["frustration"]),
         (["spin-ed", "--lx", "2", "--ly", "2", "--lambda-a=-0.2", "--omega", "1",
           "--nexc", "1"],
-         ["basis", "canonical", "linalg", "observables", "spinmodel", "symmetry"]),
+         ["basis", "canonical", "linalg", "observables", "spinmodel"]),
+        # dim 2016, scalar detunings: the JC symmetric orbit block
+        (["jc-ed", "--lx", "3", "--ly", "3", "--omega", "1", "--g", "0.4",
+          "--delta-a", "6", "--delta-b", "5.5", "--ntotal", "4"],
+         ["basis", "canonical", "jcmodel", "linalg", "observables"]),
         (["polya", "--lx", "3", "--ly", "3"], ["basis", "canonical", "symmetry"]),
     ],
 )

@@ -195,6 +195,39 @@ def test_excitation_curve_all_ties_pick_smallest():
     assert rows[0][1] == 0
 
 
+def test_excitation_curve_solves_zero_coupling_on_the_attractive_lines(monkeypatch):
+    # at lambda = 0 every sector energy is c_n on either line; the
+    # attractive lines take the symmetric block, the repulsive ones do not
+    solve = spinmodel.sector_ground
+    seen = []
+
+    def recording(geometry, couplings, n_exc, **kwargs):
+        seen.append(couplings)
+        return solve(geometry, couplings, n_exc, **kwargs)
+
+    monkeypatch.setattr(spinmodel, "sector_ground", recording)
+    rows = spinmodel.excitation_curve(ArrayGeometry(3, 2), 1.0, [0.0, -0.1])
+    assert len(seen) == 7
+    assert not any(c.lambda_a > 0.0 or c.lambda_b > 0.0 for c in seen)
+    assert rows[0] == (0.0, 0, -3.0)
+
+
+def test_excitation_curve_builds_each_orbit_level_once(monkeypatch):
+    # 5x4: 15 routed sectors (n = 3..17) need levels 0..10 and their
+    # complements 11..17, 18 levels, plus one classify per block
+    codes = canonical.canonical_codes
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return codes(*args, **kwargs)
+
+    canonical.symmetric_sector.cache_clear()
+    monkeypatch.setattr(canonical, "canonical_codes", counting)
+    spinmodel.excitation_curve(ArrayGeometry(5, 4), 1.0, [-0.05, -0.3])
+    assert len(calls) == 18 + 15
+
+
 def test_uniform_one_exc_correlations():
     # with equal negative couplings the one-excitation ground state is the
     # uniform superposition: every coherence is 1/N
@@ -368,7 +401,6 @@ def test_routed_sector_builds_no_table_labels_nothing_and_expands_nothing(monkey
         (observables, "enumerate_masks"),
         (canonical, "code_classes"),
         (symmetry, "code_classes"),
-        (symmetry, "orbit_ground"),
     ]:
         monkeypatch.setattr(module, name, refuse)
     geom = ArrayGeometry(4, 4)

@@ -205,6 +205,7 @@ def test_block_builder_checks_class_sizes_against_the_group_order(monkeypatch):
     # one code for every state makes every table one class
     geom = ArrayGeometry(2, 2)
     monkeypatch.setattr(linalg, "DENSE_CUTOFF", 0)
+    canonical.symmetric_sector.cache_clear()  # no level is reused
 
     def one_code(geometry, masks, modes=None):
         return np.zeros((1, len(masks)), np.int64), np.ones(len(masks), np.int64)
