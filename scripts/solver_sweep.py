@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Dense ``eigh`` against ARPACK Lanczos on real sector Hamiltonians.
+"""Dense ``eigh`` against ARPACK Lanczos, and the symmetric orbit block
+against the full sector, on real sector Hamiltonians.
 
 Run from the root of a checkout:
 
     PYTHONPATH=src python3 scripts/solver_sweep.py timing
     PYTHONPATH=src python3 scripts/solver_sweep.py cold
+    PYTHONPATH=src python3 scripts/solver_sweep.py floor
     PYTHONPATH=src python3 scripts/solver_sweep.py agree
 
 ``timing`` solves spin sectors (attractive and frustrated couplings) and JC
@@ -13,10 +15,18 @@ few repeats per path.  ``cold`` times fresh CLI processes that solve one
 sector of dimension 495-2002, once forced dense and once forced Lanczos
 (median of 7 each): the first Lanczos solve of a process also pays the
 import of ``scipy.sparse``, which a dense solve never makes.
-``linalg.DENSE_CUTOFF`` is read off these two tables.  The attractive
-``cold`` rows measure what the CLI runs: forced to cutoff 0 they take the
-symmetric orbit block of ``spinmodel.sector_ground``, not a full-sector
-Lanczos solve.
+``linalg.DENSE_CUTOFF`` is read off these two tables.  The forced-dense
+runs also raise the route floor past every sector, so that they solve the
+full sector matrix; the attractive rows of the Lanczos column measure what
+the CLI runs, the symmetric orbit block of ``spinmodel.sector_ground``.
+
+``floor`` times fresh processes that solve one sector, an attractive spin
+sector of dimension 36-560 or a JC sector of dimension 60-545 at scalar
+detunings, once routed to the symmetric orbit block (floor 0) and once on
+the full sector matrix (floor past every sector, dense), and prints the
+median of 7 of the in-process solve time for each.  ``canonical.FLOOR`` is
+read off this table: the dimension past which the routed solve wins for
+both models.
 
 ``agree`` solves every spin sector of 3x3, 4x3, 6x2, 5x3 and 7x2 with
 32 < dim <= 4096, at one attractive and two frustrated coupling pairs, and
@@ -31,7 +41,10 @@ at scalar detunings) routes to the symmetric orbit block, and compares
 energy, multiplet size and the NN and NNN correlations with the full-sector
 solve (1e-12 relative on the energy, 1e-12 absolute on the correlations);
 a routed spin sector's correlations are read from its block vector, one row
-per class, by the same pair-sum kernel as the full-sector vector.
+per class, by the same pair-sum kernel as the full-sector vector.  Last it
+solves the critical-coupling pencil of ``jcmodel.superradiant_critical_g``
+on every one of those JC sectors that it routes, once on the block and once
+on the full sector, and compares the lowest eigenvalue (1e-12 relative).
 """
 
 from __future__ import annotations
@@ -47,9 +60,15 @@ from math import comb
 
 import numpy as np
 
+from cavityspin import canonical
 from cavityspin.basis import SectorBasis
 from cavityspin.geometry import ArrayGeometry
-from cavityspin.jcmodel import JCBasis, build_jc_hamiltonian, jc_sector_ground
+from cavityspin.jcmodel import (
+    JCBasis,
+    _pencil_ground,
+    build_jc_hamiltonian,
+    jc_sector_ground,
+)
 from cavityspin.linalg import ground_state
 from cavityspin.observables import multiplet_correlations
 from cavityspin.params import EffectiveJCParams, SpinCouplings
@@ -125,17 +144,18 @@ COLD_CASES = (
     "spin-ed --lx 4 --ly 4 --lambda-a=0.1 --lambda-b=-0.3 --omega 1 --nexc 4",
     "spin-ed --lx 7 --ly 2 --lambda-a=0.1 --lambda-b=-0.3 --omega 1 --nexc 5",
 )
-# runs the CLI with the cutoff forced to argv[1]
+# runs the CLI with the cutoff forced to argv[1] and the route floor to argv[2]
 COLD_MAIN = (
-    "import sys, cavityspin.linalg as L; L.DENSE_CUTOFF = int(sys.argv[1]); "
-    "from cavityspin.cli import main; sys.exit(main(sys.argv[2:]))"
+    "import sys, cavityspin.linalg as L, cavityspin.canonical as C; "
+    "L.DENSE_CUTOFF, C.FLOOR = int(sys.argv[1]), int(sys.argv[2]); "
+    "from cavityspin.cli import main; sys.exit(main(sys.argv[3:]))"
 )
 
 
 def cold() -> int:
-    def run(cutoff, argv):
+    def run(cutoff, floor, argv):
         t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-c", COLD_MAIN, str(cutoff), *argv.split()],
+        subprocess.run([sys.executable, "-c", COLD_MAIN, str(cutoff), str(floor), *argv.split()],
                        env=dict(os.environ), capture_output=True, check=True)
         return time.perf_counter() - t0
 
@@ -143,10 +163,64 @@ def cold() -> int:
     for argv in COLD_CASES:
         dense, lanc = [], []
         for _ in range(7):
-            dense.append(run(sys.maxsize, argv))
-            lanc.append(run(0, argv))
+            dense.append(run(sys.maxsize, sys.maxsize, argv))
+            lanc.append(run(0, canonical.FLOOR, argv))
         print(f"{statistics.median(dense):7.3f} {statistics.median(lanc):9.3f}  {argv}")
         sys.stdout.flush()
+    return 0
+
+
+# (array, sector) of every floor case, ascending by dimension: spin 36-560
+# at ATTRACTIVE, JC 60-545 at JC
+FLOOR_SPIN = ((3, 3, 2), (4, 3, 2), (7, 2, 2), (3, 3, 4), (6, 3, 2), (5, 4, 2),
+              (5, 2, 4), (4, 3, 3), (5, 2, 5), (7, 2, 3), (5, 3, 3), (4, 3, 4),
+              (4, 4, 3))
+FLOOR_JC = ((3, 2, 2), (2, 2, 3), (4, 2, 2), (3, 3, 2), (5, 2, 2), (4, 3, 2),
+            (2, 2, 4), (3, 2, 3), (2, 2, 5), (4, 2, 3), (3, 3, 3))
+# runs floor_case(*argv[3:]) with the route floor forced to argv[1], the CLI
+# modules imported first as in a CLI run, and prints its time and method
+FLOOR_MAIN = (
+    "import sys, cavityspin.cli, cavityspin.canonical as C; C.FLOOR = int(sys.argv[1]); "
+    "sys.path.insert(0, sys.argv[2]); from solver_sweep import floor_case; "
+    "print(*floor_case(*sys.argv[3:]))"
+)
+
+
+def floor_case(model, lx, ly, n):
+    """Seconds and method of one solve of a floor case."""
+    geom = ArrayGeometry(int(lx), int(ly))
+    solve = sector_ground if model == "spin" else jc_sector_ground
+    t0 = time.perf_counter()
+    spec, _ = solve(geom, ATTRACTIVE if model == "spin" else JC, int(n))
+    return time.perf_counter() - t0, spec.method
+
+
+def floor() -> int:
+    here = os.path.dirname(os.path.abspath(__file__))
+
+    def run(floor_value, case):
+        out = subprocess.run(
+            [sys.executable, "-c", FLOOR_MAIN, str(floor_value), here, *map(str, case)],
+            env=dict(os.environ), capture_output=True, check=True, text=True,
+        ).stdout.split()
+        return float(out[0]), out[1]
+
+    print(f"{'dim':>5} {'case':<16} {'routed_s':>8} {'full_s':>8} winner")
+    for model, cases in (("spin", FLOOR_SPIN), ("jc", FLOOR_JC)):
+        for lx, ly, n in cases:
+            dim = comb(lx * ly, n) if model == "spin" else JCBasis(ArrayGeometry(lx, ly), n).dim
+            routed, full = [], []
+            for _ in range(7):
+                t, method = run(0, (model, lx, ly, n))
+                assert method == "symmetric-block", method
+                routed.append(t)
+                t, method = run(sys.maxsize, (model, lx, ly, n))
+                assert method == "dense", method
+                full.append(t)
+            tr, tf = statistics.median(routed), statistics.median(full)
+            label = f"{model} {lx}x{ly} n={n}"
+            print(f"{dim:5d} {label:<16} {tr:8.4f} {tf:8.4f} {'routed' if tr < tf else 'full'}")
+            sys.stdout.flush()
     return 0
 
 
@@ -222,6 +296,23 @@ def _block_cases():
             yield f"jc {geom.lx}x{geom.ly} n={basis.n_total}", spec, basis, ref, basis
 
 
+def _pencil_cases():
+    """``(label, routed mu, full-sector mu)`` of every JC sector whose
+    critical-coupling pencil ``jcmodel.superradiant_critical_g`` routes to
+    the symmetric block, at unit g and the detunings of JC."""
+    unit = dataclasses.replace(JC, g=1.0)
+    for geom, basis in _jc_sectors():
+        spec = _pencil_ground(geom, unit, basis.n_total, None, 0)
+        if spec.method == "symmetric-block":
+            saved, canonical.FLOOR = canonical.FLOOR, sys.maxsize
+            try:
+                ref = _pencil_ground(geom, unit, basis.n_total, None, 0)
+            finally:
+                canonical.FLOOR = saved
+            label = f"jc pencil {geom.lx}x{geom.ly} n={basis.n_total}"
+            yield label, spec.ground_energy, ref.ground_energy
+
+
 def agree_symmetric_block() -> int:
     cases = 0
     worst_e = worst_c = 0.0
@@ -240,14 +331,26 @@ def agree_symmetric_block() -> int:
           f"worst correlation error {worst_c:.3g}  failures {len(bad)}")
     for row in bad:
         print("  %s full m=%d block m=%d rel=%.3g corr=%.3g" % row)
-    return 1 if bad else 0
+    pencils = worst_mu = 0
+    bad_mu = []
+    for label, mu, ref in _pencil_cases():
+        pencils += 1
+        rel = abs(mu - ref) / abs(ref)
+        worst_mu = max(worst_mu, rel)
+        if rel > RTOL:
+            bad_mu.append((label, ref, mu, rel))
+    print(f"symmetric pencil: cases {pencils}  worst relative mu error {worst_mu:.3g}  "
+          f"failures {len(bad_mu)}")
+    for row in bad_mu:
+        print("  %s full mu=%.17g block mu=%.17g rel=%.3g" % row)
+    return 1 if bad or bad_mu else 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("mode", choices=("timing", "cold", "agree"))
+    parser.add_argument("mode", choices=("timing", "cold", "floor", "agree"))
     args = parser.parse_args(argv)
-    return {"timing": timing, "cold": cold, "agree": agree}[args.mode]()
+    return {"timing": timing, "cold": cold, "floor": floor, "agree": agree}[args.mode]()
 
 
 if __name__ == "__main__":

@@ -16,8 +16,9 @@ code and the size of every class.  It gives the attractive route of
 ``spinmodel`` its Hamiltonian block (:func:`orbit_block`), and the
 correlations of ``observables`` read it and the level below, so neither
 holds a vector of the C(N, n) sector states.  Both routes share the size
-rule :func:`takes_orbit_block` and solve their block with
-:func:`block_ground`.
+rule :func:`takes_orbit_block`, a sector past the measured route floor
+:data:`FLOOR` (200 states, from ``scripts/solver_sweep.py floor``), and
+solve their block with :func:`block_ground`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ from .geometry import ArrayGeometry
 
 if TYPE_CHECKING:
     from .linalg import SpectrumResult
+
+# The route floor: a sector of at most FLOOR states is solved on its full
+# matrix even where the orbit block would do (:func:`takes_orbit_block`).
+# ``scripts/solver_sweep.py floor`` (fresh processes, 2 cores, median of 7):
+# the routed solve of an attractive spin sector ties the dense one at 126-190
+# states and wins from 210 on (0.006-0.009 s against 0.040-0.050 s at 560,
+# two runs); that of a JC sector ties at 60-97 states and wins from 111 on.
+FLOOR = 200
 
 
 def site_images(perm, masks: np.ndarray) -> np.ndarray:
@@ -287,11 +296,10 @@ def _sized_classes(geometry: ArrayGeometry, n_exc: int, masks: np.ndarray) -> Sy
 
 def takes_orbit_block(dim: int) -> bool:
     """The size rule of both symmetric-block routes: a sector past the
-    dense cutoff and within the bitmask guard ``basis.MAX_SECTOR_DIM``; a
-    Jaynes-Cummings sector also meets its basis guard ``jcmodel.MAX_JC_DIM``."""
-    from .linalg import DENSE_CUTOFF  # read at call time: scripts may reset it
-
-    return DENSE_CUTOFF < dim <= MAX_SECTOR_DIM
+    route floor :data:`FLOOR` and within the bitmask guard
+    ``basis.MAX_SECTOR_DIM``; a Jaynes-Cummings sector also meets its basis
+    guard ``jcmodel.MAX_JC_DIM``."""
+    return FLOOR < dim <= MAX_SECTOR_DIM
 
 
 def block_ground(block: np.ndarray, seed: int) -> SpectrumResult:

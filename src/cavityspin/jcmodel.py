@@ -15,12 +15,15 @@ keys would not fit int64 is refused.
 With g > 0 the sector ground state of an untruncated sector is simple, and
 with scalar detunings it is invariant under S_Ly x S_Lx acting on the sites
 and the line modes together; :func:`jc_sector_ground` then solves the ground
-pair of a sector past the dense cutoff on the block of normalized orbit sums
-(114 classes for the 2016 states of 3x3 n_total=4).  The classes are named
-by canonical codes (``canonical``) of the spins together with the mode
-counts, which move with their lines; the block is built from the sector
-entries whose row is a class representative (``canonical.orbit_block``) and
-solved by ``canonical.block_ground``.
+pair of a sector past the route floor ``canonical.FLOOR`` (200 states, from
+``scripts/solver_sweep.py floor``) on the block of normalized orbit sums (114
+classes for the 2016 states of 3x3 n_total=4), and
+:func:`superradiant_critical_g` the lowest pair of its critical-coupling
+pencil, which has the same sign pattern and graph.  The classes are named by
+canonical codes (``canonical``) of the spins together with the mode counts,
+which move with their lines; the block is built from the sector entries
+whose row is a class representative (``canonical.orbit_block``) and solved
+by ``canonical.block_ground``, both in :func:`_ground`.
 """
 
 from __future__ import annotations
@@ -279,6 +282,42 @@ def _state_codes(basis: JCBasis) -> np.ndarray:
     return canonical_codes(basis.geometry, masks, modes)[0]
 
 
+def _ground(
+    jc: EffectiveJCParams, basis: JCBasis, op: SparseOperator, seed: int
+) -> SpectrumResult:
+    """Ground pair of a sector operator with the sign pattern and the graph
+    of the sector Hamiltonian of ``jc`` that commutes with every row and
+    column permutation at scalar detunings: that Hamiltonian, or the
+    critical-coupling pencil of :func:`_pencil_ground`.
+
+    In the gauge ``(-1)^k`` (k raised spins) every off-diagonal entry is
+    then negative, and for g > 0 an untruncated sector is connected, so by
+    Perron-Frobenius the ground state is simple and positive.  With scalar
+    detunings it is then invariant under every row and column permutation,
+    and a sector that passes the size rule ``canonical.takes_orbit_block``
+    is solved on the block of symmetric orbit sums: the states are grouped
+    by code, the block is built from the rows of the class representatives,
+    and its vector ``c`` is expanded to amplitude ``c_i / sqrt(s_i)`` on
+    every member of class i.  Every other case is solved on the full sector
+    matrix.
+    """
+    if not (
+        jc.g > 0.0
+        and all(isinstance(d, (int, float)) for d in (jc.delta_a, jc.delta_b))
+        and not basis.truncated
+        and takes_orbit_block(basis.dim)
+    ):
+        return ground_state(op, seed=seed)
+    geometry = basis.geometry
+    order = math.factorial(geometry.lx) * math.factorial(geometry.ly)
+    reps, which, sizes = code_classes(_state_codes(basis), order)
+    keep = reps[which[op.rows]] == op.rows
+    block = orbit_block(sizes, which[op.rows[keep]], which[op.cols[keep]], op.vals[keep])
+    spec = block_ground(block, seed)
+    vectors = (spec.eigenvectors / np.sqrt(sizes)[:, None])[which]
+    return replace(spec, eigenvectors=vectors)
+
+
 def jc_sector_ground(
     geometry: ArrayGeometry,
     jc: EffectiveJCParams,
@@ -287,37 +326,12 @@ def jc_sector_ground(
     n_max: Optional[int] = None,
     seed: int = 0,
 ) -> tuple[SpectrumResult, JCBasis]:
-    """Every copy of the ground level of a sector.
-
-    In the gauge ``(-1)^k`` (k raised spins) every off-diagonal entry is
-    negative, and for g > 0 an untruncated sector is connected, so by
-    Perron-Frobenius its ground state is simple and positive.  With scalar
-    detunings it is then invariant under every row and column permutation,
-    and a sector that passes the size rule
-    ``canonical.takes_orbit_block`` is solved on the block of symmetric
-    orbit sums: the states are grouped by code, the block is built from the
-    rows of the class representatives, and its vector ``c`` is expanded to
-    amplitude ``c_i / sqrt(s_i)`` on every member of class i.  Every other
-    case is solved on the full sector matrix.
+    """Every copy of the ground level of a sector, on the symmetric orbit
+    block where :func:`_ground` proves the ground pair simple and symmetric
+    and the sector passes the route floor, else on the full sector matrix.
     """
     basis = JCBasis(geometry, n_total, n_max)
-    if (
-        jc.g > 0.0
-        and all(isinstance(d, (int, float)) for d in (jc.delta_a, jc.delta_b))
-        and not basis.truncated
-        and takes_orbit_block(basis.dim)
-    ):
-        order = math.factorial(geometry.lx) * math.factorial(geometry.ly)
-        reps, which, sizes = code_classes(_state_codes(basis), order)
-        h = build_jc_hamiltonian(geometry, jc, basis)
-        keep = reps[which[h.rows]] == h.rows
-        block = orbit_block(sizes, which[h.rows[keep]], which[h.cols[keep]], h.vals[keep])
-        spec = block_ground(block, seed)
-        vectors = (spec.eigenvectors / np.sqrt(sizes)[:, None])[which]
-        spec = replace(spec, eigenvectors=vectors)
-    else:
-        h = build_jc_hamiltonian(geometry, jc, basis)
-        spec = ground_state(h, seed=seed)
+    spec = _ground(jc, basis, build_jc_hamiltonian(geometry, jc, basis), seed)
     if not spec.converged:
         raise ArithmeticError(f"sector n_total={n_total} ground solve did not converge")
     return spec, basis
@@ -403,6 +417,40 @@ def one_excitation_crossing_g(
     return math.sqrt(rad)
 
 
+def _pencil_ground(
+    geometry: ArrayGeometry,
+    unit: EffectiveJCParams,
+    n_total: int,
+    n_max: Optional[int],
+    seed: int,
+) -> SpectrumResult:
+    """Lowest pair of ``w = D'^-1/2 V D'^-1/2`` on one sector, ``unit`` the
+    parameters at g = 1 (see :func:`superradiant_critical_g`).
+
+    w has the sign pattern and the graph of V, and ``D'`` is unchanged by
+    the row and column permutations at scalar detunings, so :func:`_ground`
+    solves it on the orbit block wherever it would route the sector: in the
+    gauge ``(-1)^k`` the lowest eigenvalue is simple with a positive,
+    symmetric vector.
+    """
+    e_vac = -unit.omega_at * geometry.n_sites / 2.0
+    basis = JCBasis(geometry, n_total, n_max)
+    h = build_jc_hamiltonian(geometry, unit, basis)
+    on = h.rows == h.cols
+    d = np.bincount(h.rows[on], weights=h.vals[on], minlength=basis.dim) - e_vac
+    if d.min() <= 0.0:
+        # a basis state already sits at or below the vacuum at any g
+        raise ValueError("g_lo already past the crossing")
+    rows, cols = h.rows[~on], h.cols[~on]
+    w = operator_from_entries(
+        basis.dim, rows, cols, h.vals[~on] / np.sqrt(d[rows] * d[cols])
+    )
+    spec = _ground(unit, basis, w, seed)
+    if not spec.converged:
+        raise ArithmeticError(f"sector n_total={n_total} solve did not converge")
+    return spec
+
+
 def superradiant_critical_g(
     geometry: ArrayGeometry,
     omega_at: float,
@@ -422,29 +470,16 @@ def superradiant_critical_g(
     diagonal ``D' = D - E_vac`` is positive, so the sector stays above the
     vacuum until ``D' + g V`` turns singular, at ``g = -1 / mu`` with ``mu``
     the lowest eigenvalue of ``D'^-1/2 V D'^-1/2``.  The smallest such g over
-    ``1 <= n <= sectors`` must lie in ``(g_lo, g_hi]``.
+    ``1 <= n <= sectors`` must lie in ``(g_lo, g_hi]``.  A sector past the
+    route floor with scalar detunings and no truncation finds ``mu`` on its
+    orbit block (:func:`_pencil_ground`), like :func:`jc_sector_ground`.
     """
-    e_vac = -omega_at * geometry.n_sites / 2.0
     unit = EffectiveJCParams(
         omega_at=omega_at, g=1.0, delta_a=delta_a, delta_b=delta_b
     )
     mu = 0.0
     for n in range(1, sectors + 1):
-        basis = JCBasis(geometry, n, n_max)
-        h = build_jc_hamiltonian(geometry, unit, basis)
-        on = h.rows == h.cols
-        d = np.bincount(h.rows[on], weights=h.vals[on], minlength=basis.dim) - e_vac
-        if d.min() <= 0.0:
-            # a basis state already sits at or below the vacuum at any g
-            raise ValueError("g_lo already past the crossing")
-        rows, cols = h.rows[~on], h.cols[~on]
-        w = operator_from_entries(
-            basis.dim, rows, cols, h.vals[~on] / np.sqrt(d[rows] * d[cols])
-        )
-        spec = ground_state(w, seed=seed)
-        if not spec.converged:
-            raise ArithmeticError(f"sector n_total={n} solve did not converge")
-        mu = min(mu, spec.ground_energy)
+        mu = min(mu, _pencil_ground(geometry, unit, n, n_max, seed).ground_energy)
     g_c = -1.0 / mu if mu < 0.0 else math.inf
     if g_c <= g_lo:
         raise ValueError("g_lo already past the crossing")

@@ -24,7 +24,8 @@ at dimension 495-1001 and 0.09 s slower at 1365, and faster from 1820 up
 (0.67 s against 0.98 s dense).
 
 Attractive spin sectors and Jaynes-Cummings sectors with scalar detunings
-past the cutoff reach this module as their small orbit-sum block, through
+(and the critical-coupling pencils of the latter) past the route floor
+``canonical.FLOOR`` reach this module as their small orbit-sum block, through
 ``canonical.block_ground``: the operator is the block, usually far below
 the cutoff (159 classes for the 184 756 states of spin 5x4 n=10, 114 for
 the 2016 states of JC 3x3 n_total=4), and such a spin sector never becomes

@@ -17,7 +17,9 @@ sector ``0 < n_exc < N`` is connected, so by Perron-Frobenius the sector
 ground state is unique and invariant under every row and every column
 permutation.  :func:`sector_ground` then solves for that one pair on the
 block of normalized orbit sums under S_Ly x S_Lx (159 classes for the
-184 756 states of 5x4 n=10) whenever the sector is past the dense cutoff.
+184 756 states of 5x4 n=10) whenever the sector is past the route floor
+``canonical.FLOOR`` (200 states: from there the routed solve beats the
+dense one, ``scripts/solver_sweep.py floor``).
 The classes come from canonical codes (``canonical.symmetric_sector``,
 each level built once per process), the block from the sector entries out
 of one representative per class, the same entries the full matrix is built

@@ -311,9 +311,9 @@ def _jc_route_sectors():
 
 
 def test_symmetric_block_route_matches_full_sector_ed(monkeypatch):
-    # the cutoff lowered to 32 routes every sector past it; the reference
+    # the floor lowered to 32 routes every sector past it; the reference
     # solves the full sector matrix, dense up to dim 700
-    monkeypatch.setattr(linalg, "DENSE_CUTOFF", 32)
+    monkeypatch.setattr(canonical, "FLOOR", 32)
     jc = EffectiveJCParams(omega_at=1.0, g=0.6, delta_a=1.7, delta_b=1.2)
     cases = 0
     for geom, n_total in _jc_route_sectors():
@@ -372,7 +372,7 @@ def test_jc_classes_are_the_brute_force_orbits(lx, ly, n_total):
 
 
 def test_symmetric_block_route_only_for_one_symmetric_untruncated_pair(monkeypatch):
-    geom = ArrayGeometry(3, 3)  # n_total=4: dim 2016, past the dense cutoff
+    geom = ArrayGeometry(3, 3)  # n_total=4: dim 2016, past the floor
     jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.5)
     spec, _ = jcmodel.jc_sector_ground(geom, jc, 4)
     assert spec.method == "symmetric-block"
@@ -387,7 +387,7 @@ def test_symmetric_block_route_only_for_one_symmetric_untruncated_pair(monkeypat
         spec, basis = jcmodel.jc_sector_ground(geom, params, 4, **kwargs)
         assert basis.dim > linalg.DENSE_CUTOFF
         assert spec.method == "lanczos", kwargs
-    spec, _ = jcmodel.jc_sector_ground(geom, jc, 3)  # dim 545: dense
+    spec, _ = jcmodel.jc_sector_ground(geom, jc, 2)  # dim 111: below the floor
     assert spec.method == "dense"
     # no coupling leaves the sector disconnected, with a 126-fold ground
     # level: it goes to the full-sector solver, stubbed here for speed
@@ -401,3 +401,58 @@ def test_symmetric_block_route_only_for_one_symmetric_untruncated_pair(monkeypat
     uncoupled = dataclasses.replace(jc, g=0.0)
     jcmodel.jc_sector_ground(geom, uncoupled, 4)
     assert full == [2016]
+
+
+@pytest.mark.parametrize(
+    "lx, ly, n_total, dim", [(2, 2, 4, 192), (3, 3, 2, 111), (3, 2, 3, 220), (2, 2, 5, 360)]
+)
+def test_route_floor_from_both_sides(monkeypatch, lx, ly, n_total, dim):
+    geom = ArrayGeometry(lx, ly)
+    jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.5)
+    spec, basis = jcmodel.jc_sector_ground(geom, jc, n_total)
+    assert basis.dim == dim
+    assert 192 <= canonical.FLOOR < 220  # the measured floor
+    assert spec.method == ("symmetric-block" if dim > canonical.FLOOR else "dense")
+    # a sector at the floor stays whole; one state past it is routed
+    for floor, method in [(dim, "dense"), (dim - 1, "symmetric-block")]:
+        monkeypatch.setattr(canonical, "FLOOR", floor)
+        assert jcmodel.jc_sector_ground(geom, jc, n_total)[0].method == method
+
+
+def _pencil_at_floor(monkeypatch, floor, geom, unit, n_total, n_max=None):
+    monkeypatch.setattr(canonical, "FLOOR", floor)
+    return jcmodel._pencil_ground(geom, unit, n_total, n_max, 0)
+
+
+@pytest.mark.parametrize("lx, ly", [(2, 2), (3, 2), (3, 3)])
+@pytest.mark.parametrize("delta", [1.5, 20.0])
+def test_critical_coupling_pencil_on_the_orbit_block_matches_the_full_pencil(
+    monkeypatch, lx, ly, delta
+):
+    # the floor lowered to 0 routes every pencil; raised past every sector,
+    # none: the lowest eigenvalue mu, and g_c = -1 / min mu, agree
+    geom = ArrayGeometry(lx, ly)
+    unit = EffectiveJCParams(omega_at=1.0, g=1.0, delta_a=delta, delta_b=0.8 * delta)
+    for n_total in (1, 2, 3):
+        block = _pencil_at_floor(monkeypatch, 0, geom, unit, n_total)
+        full = _pencil_at_floor(monkeypatch, 10**9, geom, unit, n_total)
+        assert (block.method, full.method) == ("symmetric-block", "dense")
+        mu = full.ground_energy
+        assert mu < 0.0
+        assert abs(block.ground_energy - mu) <= 1e-12 * abs(mu), n_total
+    g_c = {}
+    for floor in (0, 10**9):
+        monkeypatch.setattr(canonical, "FLOOR", floor)
+        g_c[floor] = jcmodel.superradiant_critical_g(
+            geom, 1.0, delta, 0.8 * delta, g_lo=0.0, g_hi=math.inf
+        )
+    assert abs(g_c[0] - g_c[10**9]) <= 1e-12 * g_c[10**9]
+
+
+def test_critical_coupling_pencil_stays_whole_off_the_route(monkeypatch):
+    geom = ArrayGeometry(3, 2)
+    unit = EffectiveJCParams(omega_at=1.0, g=1.0, delta_a=6.0, delta_b=5.5)
+    per_line = dataclasses.replace(unit, delta_a=(6.0, 6.4))
+    assert _pencil_at_floor(monkeypatch, 0, geom, unit, 2).method == "symmetric-block"
+    assert _pencil_at_floor(monkeypatch, 0, geom, per_line, 2).method == "dense"
+    assert _pencil_at_floor(monkeypatch, 0, geom, unit, 2, n_max=1).method == "dense"

@@ -340,7 +340,7 @@ def test_sector_ground_energy_matches_dense():
 
 
 def test_symmetric_block_route_matches_full_sector_ed():
-    # every sector past the dense cutoff, at three random attractive pairs
+    # every sector past the route floor, at three random attractive pairs
     # (one with lambda_a == lambda_b); the reference solves the full sector
     rng = np.random.default_rng(2017)
     pairs = [tuple(-rng.uniform(0.02, 0.3, size=2)) for _ in range(2)]
@@ -351,7 +351,7 @@ def test_symmetric_block_route_matches_full_sector_ed():
         for la, lb in pairs:
             c = SpinCouplings(lambda_a=float(la), lambda_b=float(lb), omega_at=1.0)
             for n_exc in range(geom.n_sites + 1):
-                if basisdim(geom, n_exc) <= linalg.DENSE_CUTOFF:
+                if basisdim(geom, n_exc) <= canonical.FLOOR:
                     continue
                 spec, sector = spinmodel.sector_ground(geom, c, n_exc)
                 assert spec.method == "symmetric-block" and spec.converged
@@ -373,7 +373,7 @@ def test_symmetric_block_route_matches_full_sector_ed():
                 assert abs(mine.sigma_nn - theirs.sigma_nn) <= 1e-12
                 assert abs(mine.sigma_nnn - theirs.sigma_nnn) <= 1e-12
                 cases += 1
-    assert cases == 3 * (3 + 3 + 7 + 8 + 9)
+    assert cases == 3 * (7 + 7 + 9 + 10 + 11)
 
 
 @pytest.mark.parametrize("lx, ly, n_exc", [(9, 2, 3), (9, 2, 15), (17, 1, 4), (1, 17, 13)])
@@ -441,14 +441,31 @@ def test_route_condition_implies_a_simple_ground_level(lx, ly):
     assert held == 4 * (geom.n_sites - 1)
 
 
-def test_route_is_taken_only_for_one_attractive_pair_past_the_cutoff():
-    geom = ArrayGeometry(4, 3)  # C(12, 4) = 495, C(12, 5) = 792
+def test_route_is_taken_only_for_one_attractive_pair_past_the_floor():
+    geom = ArrayGeometry(4, 3)  # C(12, 2) = 66, C(12, 5) = 792
     attractive = SpinCouplings(lambda_a=-0.15, lambda_b=-0.07, omega_at=1.0)
     frustrated = SpinCouplings(lambda_a=0.1, lambda_b=-0.3, omega_at=1.0)
     spec, _ = spinmodel.sector_ground(geom, attractive, 5)
     assert spec.method == "symmetric-block"
-    spec, _ = spinmodel.sector_ground(geom, attractive, 4)
-    assert spec.method == "dense"  # at or below the dense cutoff
+    spec, _ = spinmodel.sector_ground(geom, attractive, 2)
+    assert spec.method == "dense"  # at or below the floor
     for c in (frustrated, SpinCouplings(lambda_a=-0.1, lambda_b=0.0, omega_at=1.0)):
         spec, _ = spinmodel.sector_ground(geom, c, 5)
         assert spec.method == "lanczos"
+
+
+@pytest.mark.parametrize(
+    "lx, ly, n_exc, dim",
+    [(5, 4, 2, 190), (3, 3, 4, 126), (5, 2, 4, 210), (4, 3, 3, 220)],
+)
+def test_route_floor_from_both_sides(monkeypatch, lx, ly, n_exc, dim):
+    geom = ArrayGeometry(lx, ly)
+    c = SpinCouplings(lambda_a=-0.15, lambda_b=-0.07, omega_at=1.0)
+    assert basisdim(geom, n_exc) == dim
+    assert 190 <= canonical.FLOOR < 210  # the measured floor
+    shipped = "symmetric-block" if dim > canonical.FLOOR else "dense"
+    assert spinmodel.sector_ground(geom, c, n_exc)[0].method == shipped
+    # a sector at the floor stays whole; one state past it is routed
+    for floor, method in [(dim, "dense"), (dim - 1, "symmetric-block")]:
+        monkeypatch.setattr(canonical, "FLOOR", floor)
+        assert spinmodel.sector_ground(geom, c, n_exc)[0].method == method

@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from cavityspin import canonical, jcmodel, linalg, spinmodel, symmetry
+from cavityspin import canonical, jcmodel, spinmodel, symmetry
 from cavityspin.basis import SectorBasis
 from cavityspin.geometry import ArrayGeometry
 from cavityspin.params import EffectiveJCParams, SpinCouplings
@@ -204,7 +204,7 @@ def test_block_builder_checks_class_sizes_against_the_group_order(monkeypatch):
     # (with the transpose) or 4 (without)
     # one code for every state makes every table one class
     geom = ArrayGeometry(2, 2)
-    monkeypatch.setattr(linalg, "DENSE_CUTOFF", 0)
+    monkeypatch.setattr(canonical, "FLOOR", 0)
     canonical.symmetric_sector.cache_clear()  # no level is reused
 
     def one_code(geometry, masks, modes=None):
