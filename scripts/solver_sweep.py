@@ -45,6 +45,12 @@ per class, by the same pair-sum kernel as the full-sector vector.  Last it
 solves the critical-coupling pencil of ``jcmodel.superradiant_critical_g``
 on every one of those JC sectors that it routes, once on the block and once
 on the full sector, and compares the lowest eigenvalue (1e-12 relative).
+Then it compares the photon breakdown coupling of
+``frustration.lambda_c_photon`` on a uniform background given as a scalar
+(the closed form the scan runs) with the same background given as a grid
+(the numeric pencil) on every array up to 10x10, at four coupling ratios,
+three detunings and s^z in {-1, -1/2, 1/2, 1} (1e-12 relative; s^z = 0 must
+give no breakdown on both).
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ import numpy as np
 
 from cavityspin import canonical
 from cavityspin.basis import SectorBasis
+from cavityspin.frustration import FrustrationParams, lambda_c_photon
 from cavityspin.geometry import ArrayGeometry
 from cavityspin.jcmodel import (
     JCBasis,
@@ -343,7 +350,41 @@ def agree_symmetric_block() -> int:
           f"failures {len(bad_mu)}")
     for row in bad_mu:
         print("  %s full mu=%.17g block mu=%.17g rel=%.3g" % row)
-    return 1 if bad or bad_mu else 0
+    return max(1 if bad or bad_mu else 0, agree_scan())
+
+
+def _scan_cases():
+    """``(label, closed-form lambda_c, grid-pencil lambda_c)`` of uniform
+    backgrounds, ``None`` for no breakdown."""
+    for lx in range(1, 11):
+        for ly in range(1, 11):
+            for eta in (-0.3, -1.0, -3.0, -8.0):
+                for da in (0.05, 0.4, 0.95):
+                    p = FrustrationParams(lx=lx, ly=ly, delta_a=da, omega_at=1.0, eta=eta)
+                    for s in (-1.0, -0.5, 0.0, 0.5, 1.0):
+                        label = f"scan {lx}x{ly} eta={eta:g} da={da:g} s={s:g}"
+                        grid = lambda_c_photon(p, s_z=np.full((ly, lx), s))
+                        yield label, lambda_c_photon(p, s_z=s), grid
+
+
+def agree_scan() -> int:
+    cases = worst = 0
+    bad = []
+    for label, closed, grid in _scan_cases():
+        cases += 1
+        if closed is None or grid is None:
+            if closed is not grid or not label.endswith("s=0"):
+                bad.append((label, grid, closed))
+            continue
+        rel = abs(closed - grid) / grid
+        worst = max(worst, rel)
+        if rel > RTOL:
+            bad.append((label, grid, closed))
+    print(f"scan closed form: cases {cases}  worst relative lambda_c error {worst:.3g}  "
+          f"failures {len(bad)}")
+    for row in bad:
+        print("  %s grid lambda_c=%r closed lambda_c=%r" % row)
+    return 1 if bad else 0
 
 
 def main(argv=None) -> int:

@@ -896,6 +896,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ValueError,
         ArithmeticError,
         RuntimeError,
+        MemoryError,
     ) as exc:
         _emit_error("compute", exc)
         return 1

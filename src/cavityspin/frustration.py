@@ -8,21 +8,26 @@ regime exists is decided by two critical couplings: the spin crossing
 detuning quality factor Q map out the usable region in the
 (eta, Ly/Lx) plane.
 
-Everything is evaluated on a frozen spin background s^z per site; the
-uniform background has closed-form photonic eigenvalues, the general one is
-diagonalized numerically.
+Everything is evaluated on a frozen spin background s^z per site.  On the
+uniform background, where every scan point sits, the breakdown coupling is
+a closed form: the pencil's lowest eigenvalue is the lower one of the 2x2
+block of the two uniform modes, which Cauchy interlacing puts below both
+line branches.  A general background is diagonalized numerically; only
+that path imports numpy, at call time, so the scan runs without it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .geometry import ArrayGeometry
 from .params import RegimeError, delta_b_from_eta
+
+if TYPE_CHECKING:
+    import numpy as np
 
 QUALITY_MIN = 10.0
 
@@ -79,10 +84,12 @@ class FrustrationParams:
         return self.eta * lambda_a
 
 
-SzBackground = Union[float, np.ndarray]
+SzBackground = Union[float, "np.ndarray"]
 
 
 def _sz_grid(params: FrustrationParams, s_z: SzBackground) -> np.ndarray:
+    import numpy as np
+
     if np.isscalar(s_z):
         return np.full((params.ly, params.lx), float(s_z))
     arr = np.asarray(s_z, dtype=float)
@@ -96,6 +103,8 @@ def _mode_pencil(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(d0, K)`` with mode matrix ``diag(d0) + lambda_a K``; ``d0`` holds
     the bare detunings."""
+    import numpy as np
+
     sz = _sz_grid(params, s_z)
     eta = params.eta
     ly, lx = params.ly, params.lx
@@ -118,6 +127,8 @@ def photonic_matrix(
     shifted by the line's total s^z; the off-diagonal block couples a row
     mode to a column mode through their shared site.
     """
+    import numpy as np
+
     d0, k = _mode_pencil(params, s_z)
     return np.diag(d0) + lambda_a * k
 
@@ -145,6 +156,8 @@ class PhotonicSpectrum:
         return self.e_minus is not None
 
     def closed_sorted(self) -> np.ndarray:
+        import numpy as np
+
         if not self.closed_available:
             raise ValueError("closed forms need a uniform background")
         vals = [self.e_minus, self.e_plus]
@@ -165,6 +178,8 @@ def photonic_spectrum(
     Closed forms: E_a = Delta_a + 2 lambda_a Lx s (Ly-1 fold), E_b analog
     (Lx-1 fold), and the pair (eps +- xi)/2 mixing the two uniform modes.
     """
+    import numpy as np
+
     m = photonic_matrix(params, lambda_a, s_z)
     numeric = np.linalg.eigvalsh(m)
     sz = _sz_grid(params, s_z)
@@ -197,7 +212,7 @@ def photonic_spectrum(
 
 
 def lambda_c_photon(
-    params: FrustrationParams, *, s_z: float = -1.0
+    params: FrustrationParams, *, s_z: SzBackground = -1.0
 ) -> Optional[float]:
     """Smallest positive row coupling where a mode eigenvalue reaches zero.
 
@@ -207,14 +222,65 @@ def lambda_c_photon(
     crosses first is captured without case analysis.  ``None`` means
     ``mu >= 0``: no breakdown at any positive coupling.
 
-    A line sum of K adds up to max(Lx, Ly) background values, so a ``mu``
+    A scalar ``s_z = s`` is the uniform background, solved in closed form.
+    The two uniform modes span the 2x2 block [[a, b], [b, d]] with
+    ``a = 2 s Lx / Delta_a``, ``d = 2 eta s Ly / Delta_b`` and
+    ``b = (1 + eta) s sqrt(Lx Ly / (Delta_a Delta_b))``; every other mode is
+    a line branch, ``a`` (Ly-1 fold) or ``d`` (Lx-1 fold).  By Cauchy
+    interlacing the block's lower eigenvalue lies below both diagonal
+    entries, so it is ``mu``.  Its determinant is exactly ``-c^2`` with
+    ``c = (1 - eta) s sqrt(Lx Ly / (Delta_a Delta_b))``, and
+    ``mu = det / mu_+`` when ``a + d > 0`` avoids the cancellation.  ``s = 0``
+    gives K = 0 and ``None``.
+
+    A grid ``s_z`` (shape ``(Ly, Lx)``) is diagonalized numerically.  A line
+    sum of K adds up to max(Lx, Ly) background values, so there a ``mu``
     within that rounding of zero (measured on the pencil of ``|s_z|``)
     counts as zero rather than as a breakdown near ``1 / eps``.
+
+    A breakdown coupling that comes out zero, infinite or NaN in floating
+    point (say a detuning near the subnormal range) is an ``ArithmeticError``.
     """
+    if min(params.delta_a, params.delta_b) <= 0.0:
+        raise RegimeError("mode spectrum not positive at zero coupling")
+    if isinstance(s_z, numbers.Real):
+        mu = _uniform_mu(params, float(s_z))
+    else:
+        mu = _grid_mu(params, s_z)
+    if mu is None:
+        return None
+    lam = -1.0 / mu if mu < 0.0 else math.nan
+    if not 0.0 < lam < math.inf:
+        raise ArithmeticError(
+            f"photon breakdown coupling {lam!r} is not finite and positive"
+        )
+    return lam
+
+
+def _uniform_mu(params: FrustrationParams, s: float) -> Optional[float]:
+    """Lowest eigenvalue of ``M0^-1/2 K M0^-1/2`` on the uniform background
+    ``s``, from its 2x2 uniform-mode block (see ``lambda_c_photon``)."""
+    if s == 0.0:
+        return None
+    lx, ly, eta = params.lx, params.ly, params.eta
+    da, db = params.delta_a, params.delta_b
+    a = 2.0 * s * lx / da
+    d = 2.0 * eta * s * ly / db
+    root_lx_ly = math.sqrt(lx * ly / (da * db))
+    b = (1.0 + eta) * s * root_lx_ly
+    c = (1.0 - eta) * s * root_lx_ly  # det = a d - b^2 = -c^2
+    half, root = 0.5 * (a + d), math.hypot(0.5 * (a - d), b)
+    # -c * (c / mu_+) rather than det / mu_+: c^2 overflows first
+    return -c * (c / (half + root)) if half > 0.0 else half - root
+
+
+def _grid_mu(params: FrustrationParams, s_z: np.ndarray) -> Optional[float]:
+    """Lowest eigenvalue of ``M0^-1/2 K M0^-1/2`` on a grid background, or
+    ``None`` within rounding of zero (see ``lambda_c_photon``)."""
+    import numpy as np
+
     sz = _sz_grid(params, s_z)
     d0, k = _mode_pencil(params, sz)
-    if d0.min() <= 0.0:
-        raise RegimeError("mode spectrum not positive at zero coupling")
     scale = 1.0 / np.sqrt(d0)
     mu = float(np.linalg.eigvalsh(scale[:, None] * k * scale[None, :])[0])
     k_abs = np.abs(_mode_pencil(params, np.abs(sz))[1])
@@ -222,7 +288,7 @@ def lambda_c_photon(
         8.0 * max(params.lx, params.ly) * np.finfo(float).eps
         * float(np.max(np.sum(scale[:, None] * k_abs * scale[None, :], axis=1)))
     )
-    return None if mu >= -noise else -1.0 / mu
+    return None if mu >= -noise else mu
 
 
 def g_c_spin(params: FrustrationParams) -> float:

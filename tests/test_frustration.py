@@ -1,11 +1,12 @@
 """Frustrated-regime analysis: closed forms, oracles, and the region scan."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from cavityspin import spinmodel
+from cavityspin import io, spinmodel
 from cavityspin.basis import SectorBasis
 from cavityspin.frustration import (
     FrustrationParams,
@@ -18,6 +19,7 @@ from cavityspin.frustration import (
     quality_and_ratio,
     region_scan,
 )
+from cavityspin.cli import main
 from cavityspin.geometry import ArrayGeometry
 from cavityspin.params import RegimeError, SpinCouplings
 
@@ -164,6 +166,56 @@ def test_photon_breakdown_matches_root_oracle():
         if expect is not None:
             assert got == pytest.approx(expect, rel=1e-9, abs=1e-9)
         checked += 1
+
+
+def test_closed_form_breakdown_matches_the_grid_pencil():
+    # a scalar s_z takes the 2x2 uniform-mode closed form, the same
+    # background as a grid takes the numeric pencil
+    rng = np.random.default_rng(22)
+    for case in range(300):
+        lx, ly = (int(v) for v in rng.integers(1, 13, size=2))
+        if case % 5 == 0:
+            lx = 1
+        elif case % 5 == 1:
+            ly = 1
+        eta = -1.0 if case % 4 == 0 else -float(rng.uniform(0.2, 8.0))
+        da = float(rng.uniform(0.05, 0.95))
+        p = FrustrationParams(lx=lx, ly=ly, delta_a=da, omega_at=1.0, eta=eta)
+        for s in (-1.0, -0.5, 0.5, 1.0):
+            closed = lambda_c_photon(p, s_z=s)
+            grid = lambda_c_photon(p, s_z=np.full((ly, lx), s))
+            assert abs(closed - grid) <= 1e-12 * grid
+        # s = 0: K = 0, no breakdown on either path
+        assert lambda_c_photon(p, s_z=0.0) is None
+        assert lambda_c_photon(p, s_z=np.zeros((ly, lx))) is None
+    # the determinant s^2 Lx Ly (1 - eta)^2 / (Delta_a Delta_b) overflows
+    # here, the closed form does not
+    p = FrustrationParams(lx=4, ly=4, delta_a=0.5, omega_at=1.0, eta=-1e300)
+    closed, grid = lambda_c_photon(p), lambda_c_photon(p, s_z=-np.ones((4, 4)))
+    assert abs(closed - grid) <= 1e-12 * grid
+
+
+def test_scan_prints_r_only_for_a_finite_positive_breakdown(capsys):
+    # Delta_a = 1e-320 overflows a = 2 s Lx / Delta_a: the numeric pencil
+    # leaked a numpy overflow warning onto stderr, and a bare closed form
+    # would print R = 0 from -1 / mu = -1 / -inf.  Ly = 4e300 rows build no
+    # mode matrix, so there R is a number.
+    p = FrustrationParams(lx=4, ly=4, delta_a=1e-320, omega_at=1.0, eta=-3.0)
+    with pytest.raises(ArithmeticError, match="not finite and positive"):
+        lambda_c_photon(p)
+    argv = ["frustration-scan", "--lx", "4", "--delta-a-ratios", "1e-320,0.5",
+            "--etas=-3", "--ly-ratios", "1,1e300"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    rows = io.parse_csv(out).rows
+    for tiny in rows[0::2]:
+        assert tiny[3:] == (None, None, "error")
+    for fine in rows[1::2]:
+        assert math.isfinite(fine[3]) and fine[3] > 0.0
+        assert fine[5] in ("true", "false")
 
 
 def test_photon_breakdown_none_when_exact_mu_is_zero():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cavityspin
-from cavityspin import io, jcmodel, linalg, spinmodel, symmetry
+from cavityspin import cli, io, jcmodel, linalg, spinmodel, symmetry
 from cavityspin.cli import main
 
 
@@ -350,6 +350,43 @@ def test_cli_linalg_error_is_compute_error(monkeypatch, capsys):
     }
 
 
+def test_cli_memory_error_is_compute_error(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setitem(cli._HANDLERS, "frustration-scan", fail)
+    code, out, err = run_cli(
+        capsys,
+        ["frustration-scan", "--lx", "4", "--delta-a-ratios", "0.5", "--etas=-3",
+         "--ly-ratios", "1"],
+    )
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == {
+        "kind": "compute",
+        "type": "MemoryError",
+        "message": "Unable to allocate 74.5 GiB for an array",
+    }
+
+
+def test_cli_scan_of_a_huge_square_array_builds_no_mode_matrix(capsys):
+    # a dense (Lx + Ly)^2 mode matrix at Lx = Ly = 100000 would need 320 GB;
+    # the closed form needs none, and with Ly = Lx the ratio R does not
+    # depend on Lx
+    r = {}
+    for lx in ("100000", "4"):
+        code, out, err = run_cli(
+            capsys,
+            ["frustration-scan", "--lx", lx, "--delta-a-ratios", "0.5", "--etas=-3",
+             "--ly-ratios", "1"],
+        )
+        assert code == 0 and err == ""
+        (row,) = io.parse_csv(out).rows
+        assert row[5] in ("true", "false")
+        r[lx] = row[3]
+    assert abs(r["100000"] - r["4"]) <= 1e-12 * abs(r["4"])
+
+
 @pytest.mark.parametrize(
     "module, argv",
     [
@@ -670,6 +707,8 @@ def test_cli_help_and_closed_forms_never_import_numpy():
         ["analytic-1d", "--omega", "1.0", "--lam=-0.05", "--delta", "2.0", "--n", "4"],
         ["meanfield", "--lx", "18", "--ly", "18", "--delta", "30", "--omega", "1",
          "--g=0.9,1.83"],
+        ["frustration-scan", "--lx", "10", "--delta-a-ratios", "0.4,0.6",
+         "--etas=-3,-5", "--ly-ratios", "1,3"],
     ]
     result = _fresh_cli(argvs)
     assert result["codes"] == [0] * len(argvs)
@@ -678,8 +717,9 @@ def test_cli_help_and_closed_forms_never_import_numpy():
     layers = {"linalg", "basis", "spinmodel", "jcmodel", "frustration", "symmetry", "io"}
     assert {"cavityspin." + m for m in layers} <= set(result["registered"])
     assert result["executed"] == [
-        "cavityspin.cli", "cavityspin.geometry", "cavityspin.io",
-        "cavityspin.meanfield", "cavityspin.onedim", "cavityspin.params",
+        "cavityspin.cli", "cavityspin.frustration", "cavityspin.geometry",
+        "cavityspin.io", "cavityspin.meanfield", "cavityspin.onedim",
+        "cavityspin.params",
     ]
 
 
