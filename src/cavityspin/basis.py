@@ -21,6 +21,14 @@ MAX_SECTOR_DIM = 20_000_000
 MAX_SITES = 62  # states held in int64 bitmasks
 
 
+def check_sector_dim(n_sites: int, n_exc: int) -> None:
+    """Refuse a sector of C(n_sites, n_exc) states past the guard
+    ``MAX_SECTOR_DIM`` that bounds every spin sector."""
+    dim = comb(n_sites, n_exc)
+    if dim > MAX_SECTOR_DIM:
+        raise ValueError(f"sector dimension {dim} exceeds guard {MAX_SECTOR_DIM}")
+
+
 def enumerate_masks(n_sites: int, n_exc: int) -> np.ndarray:
     """All weight-``n_exc`` bitmasks on ``n_sites`` bits, ascending.
 
@@ -32,9 +40,7 @@ def enumerate_masks(n_sites: int, n_exc: int) -> np.ndarray:
         raise ValueError(f"n_exc={n_exc} outside [0, {n_sites}]")
     if n_sites > MAX_SITES:
         raise ValueError(f"n_sites={n_sites} exceeds bitmask limit {MAX_SITES}")
-    dim = comb(n_sites, n_exc)
-    if dim > MAX_SECTOR_DIM:
-        raise ValueError(f"sector dimension {dim} exceeds guard {MAX_SECTOR_DIM}")
+    check_sector_dim(n_sites, n_exc)
     # weight-k tables on the bits placed so far, for each k that can still
     # reach n_exc with the bits left
     empty = np.empty(0, dtype=np.int64)

@@ -5,20 +5,21 @@ The row x column group S_Ly x S_Lx acts on the spin configurations of an
 Ly x Lx array, seen as 0/1 matrices, and on the Jaynes-Cummings states that
 add photon counts on the row and column modes.  A state's canonical code
 (:func:`canonical_codes`) is shared by exactly the members of its orbit, so
-codes name every orbit class: :func:`code_classes` groups a state table by
-code (``symmetry.orbits``, the Jaynes-Cummings route of ``jcmodel``), and a
-spin sector needs no table.  Its representatives grow one raised spin at a
-time from the empty array, in the spirit of McKay's isomorph-free
-generation (*J. Algorithms*, 1998), and each class size follows from the
-permutations that fix its code.  :func:`symmetric_sector` builds each level
-once per process, as a :class:`SymmetricSector` of one representative, the
-code and the size of every class.  It gives the attractive route of
-``spinmodel`` its Hamiltonian block (:func:`orbit_block`), and the
-correlations of ``observables`` read it and the level below, so neither
-holds a vector of the C(N, n) sector states.  Both routes share the size
-rule :func:`takes_orbit_block`, a sector past the measured route floor
-:data:`FLOOR` (200 states, from ``scripts/solver_sweep.py floor``), and
-solve their block with :func:`block_ground`.
+codes name every orbit class: :func:`code_classes` groups a Jaynes-Cummings
+state table by code (the route of ``jcmodel``), and a spin sector needs no
+table.  Its representatives grow one raised spin at a time from the empty
+array, in the spirit of McKay's isomorph-free generation (*J. Algorithms*,
+1998), and each class size follows from the permutations that fix its
+code.  :func:`symmetric_sector` builds each level once per process, as a
+:class:`SymmetricSector` of one representative, the code and the size of
+every class; it is the only partition of a spin sector.  It gives the
+attractive route of ``spinmodel`` its Hamiltonian block
+(:func:`orbit_block`), the correlations of ``observables`` read it and the
+level below, so neither holds a vector of the C(N, n) sector states, and
+``symmetry`` reads it for ``polya`` and its class tables.  Both routes
+share the size rule :func:`takes_orbit_block`, a sector past the measured
+route floor :data:`FLOOR` (200 states, from ``scripts/solver_sweep.py
+floor``), and solve their block with :func:`block_ground`.
 """
 
 from __future__ import annotations

@@ -626,19 +626,19 @@ def _cmd_polya(args, cfg, seed: int) -> CommandResult:
     inventory = symmetry.cycle_index(group).pattern_inventory()
     rows = []
     for n in nexc:
-        classes = symmetry.orbits(group, n)
+        sizes = sorted(symmetry.grown_classes(group, n)[2].tolist())
         count = inventory[n]
-        if count != len(classes):
+        if count != len(sizes):
             raise ArithmeticError(
                 f"pattern inventory {count} disagrees with orbit partition "
-                f"{len(classes)} at n_exc={n}"
+                f"{len(sizes)} at n_exc={n}"
             )
         rows.append(
             (
                 n,
-                len(classes),
-                ";".join(str(c.size) for c in classes),
-                ";".join(str(c.stabilizer_order) for c in classes),
+                len(sizes),
+                ";".join(map(str, sizes)),
+                ";".join(str(group.order // s) for s in sizes),
             )
         )
     return CommandResult(

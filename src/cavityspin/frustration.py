@@ -328,12 +328,24 @@ def quality_and_ratio(
     The point is usable when the photon breakdown sits above the spin
     crossing (R > 1) and both detunings keep a margin of at least q_min
     coupling units (Q >= q_min).
+
+    A spin coupling, an R or a Q that overflows or underflows in floating
+    point (say at an eta near the subnormal range) is an
+    ``ArithmeticError``, never a printed 0 or inf.
     """
     lam_spin = lambda_c_spin(params.omega_at, params.eta, params.ly)
     gc = g_c_spin(params)
-    q = min(
+    if not (0.0 < lam_spin < math.inf and 0.0 < gc < math.inf):
+        raise ArithmeticError(
+            f"spin crossing lambda_c={lam_spin!r}, g_c={gc!r} "
+            "is not finite and positive"
+        )
+    margin = min(
         abs(params.delta_a - params.omega_at), abs(params.delta_b - params.omega_at)
-    ) / gc
+    )
+    q = margin / gc
+    if not math.isfinite(q) or (q == 0.0 and margin != 0.0):
+        raise ArithmeticError(f"quality factor {q!r} over- or underflows")
     lam_phot = lambda_c_photon(params)
     if lam_phot is None:
         r = None
@@ -341,6 +353,8 @@ def quality_and_ratio(
         unbounded = True
     else:
         r = lam_phot / lam_spin
+        if not 0.0 < r < math.inf:
+            raise ArithmeticError(f"ratio R={r!r} is not finite and positive")
         r_ok = r > 1.0
         unbounded = False
     return FrustrationAnalysis(

@@ -10,14 +10,16 @@ orbit sums gives a small dense block that contains the permutation-symmetric
 part of the spectrum, including the ground state for attractive couplings.
 
 The group is its geometry and whether it has the transpose; the order and
-the cycle index are closed forms.  Orbit classes are named by the canonical
-codes of ``canonical`` alone: :func:`orbits` groups the masks of a sector
-of up to ``MAX_LABELLED_DIM`` states by code (with the transpose, the
-smaller code of a matrix and its transpose) to list every class with its
-members, and :func:`orbit_basis_hamiltonian` projects onto those classes.
-This module serves the ``polya`` command and the acceptance criteria; the
-symmetric-block routes of ``spinmodel`` and ``jcmodel`` live in
-``canonical`` and never run it.
+the cycle index are closed forms.  A sector's orbit classes are the grown
+levels of ``canonical.symmetric_sector`` alone: :func:`grown_classes` reads
+the S_Ly x S_Lx level and, with the transpose, merges each class with the
+class of its transposed representative.  The ``polya`` command prints the
+sizes of those classes and enumerates no sector; :func:`orbits` lists the
+members of every class of a sector of up to ``MAX_LABELLED_DIM`` states,
+and :func:`orbit_basis_hamiltonian` projects onto those classes.  This
+module serves ``polya`` and the acceptance criteria; the symmetric-block
+routes of ``spinmodel`` and ``jcmodel`` live in ``canonical`` and never
+run it.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import SectorBasis, enumerate_masks, line_moves
-from .canonical import canonical_codes, code_classes, orbit_block, site_images
+from .basis import SectorBasis, check_sector_dim, enumerate_masks, line_moves
+from .canonical import SymmetricSector, orbit_block, site_images, symmetric_sector
 from .geometry import ArrayGeometry
 from .params import SpinCouplings
 
@@ -199,14 +201,40 @@ class OrbitClass:
     members: tuple[int, ...] = field(repr=False, default=())
 
 
+def grown_classes(
+    group: PermutationGroup, n_exc: int
+) -> tuple[SymmetricSector, np.ndarray, np.ndarray]:
+    """The orbit classes of a sector with no sector table: its grown
+    S_Ly x S_Lx level (``canonical.symmetric_sector``), the class of each
+    class of that level and the class sizes.
+
+    With the transpose, each class of the level merges with the class of
+    its transposed representative, numbered by the first of the two; the
+    merged size is s_i + s_t(i), or s_i for a class that is its own
+    transpose.  A sector past the guard ``basis.MAX_SECTOR_DIM`` is refused
+    before any level grows.
+    """
+    check_sector_dim(group.degree, max(n_exc, 0))  # symmetric_sector names a bad n_exc
+    sector = symmetric_sector(group.geometry, n_exc)
+    index = np.arange(len(sector.sizes))
+    if not group.transpose:
+        return sector, index, sector.sizes
+    flipped = site_images(_transpose_perm(group.geometry), sector.representatives)
+    image = sector.classify(flipped)
+    first = image >= index
+    label = (np.cumsum(first) - 1)[np.minimum(index, image)]
+    sizes = np.where(image == index, sector.sizes, sector.sizes + sector.sizes[image])
+    return sector, label, sizes[first]
+
+
 def _orbit_table(
     group: PermutationGroup, n_exc: int
 ) -> tuple[list[OrbitClass], np.ndarray, np.ndarray]:
     """Orbit classes of the sector sorted by (size, representative), the
     class index of every sector state and the ascending sector masks.
 
-    Classes are grouped by canonical code; with the transpose a mask takes
-    the smaller (one-word) code of itself and its transpose.  Sectors past
+    Every mask takes the class of its code in :func:`grown_classes`, and
+    a class is represented by its smallest member.  Sectors past
     ``MAX_LABELLED_DIM``, whose members would not be listed, are refused
     before enumeration.
     """
@@ -214,21 +242,20 @@ def _orbit_table(
     if dim > MAX_LABELLED_DIM:
         raise ValueError(f"sector dimension {dim} too large to partition")
     masks = enumerate_masks(group.degree, n_exc)
-    geometry, order = group.geometry, group.order
-    codes, _ = canonical_codes(geometry, masks)
-    if group.transpose:  # the sector holds every transpose: look its codes up
-        flipped = np.searchsorted(masks, site_images(_transpose_perm(geometry), masks))
-        codes = np.minimum(codes, codes[:, flipped])
-    reps, which, sizes = code_classes(codes, order)
+    sector, label, sizes = grown_classes(group, n_exc)
+    which = label[sector.classify(masks)]
+    if not np.array_equal(np.bincount(which, minlength=len(sizes)), sizes):
+        raise ArithmeticError("class sizes disagree with the class members")
     grouped = masks[np.argsort(which, kind="stable")]
-    members = np.split(grouped, np.cumsum(sizes)[:-1])
-    # rep indices ascend with their masks, so this is (size, representative)
+    ends = np.cumsum(sizes)
+    members = np.split(grouped, ends[:-1])
+    reps = grouped[ends - sizes]  # the masks of a class stay ascending
     ranked = np.lexsort((reps, sizes))
     classes = [
         OrbitClass(
-            representative=int(masks[reps[i]]),
+            representative=int(reps[i]),
             size=int(sizes[i]),
-            stabilizer_order=order // int(sizes[i]),
+            stabilizer_order=group.order // int(sizes[i]),
             members=tuple(members[i].tolist()),
         )
         for i in ranked

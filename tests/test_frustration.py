@@ -218,6 +218,28 @@ def test_scan_prints_r_only_for_a_finite_positive_breakdown(capsys):
         assert fine[5] in ("true", "false")
 
 
+@pytest.mark.parametrize(
+    "da_ratio, eta",
+    [
+        # lambda_c^spin = -omega / (2 eta Ly) and g_c^spin overflow to inf,
+        # which printed R = 0, Q = 0, valid = false
+        ("0.5", "-1e-310"),
+        # R is about 1e-600 and underflowed to a printed 0
+        ("1e-300", "-1e-300"),
+    ],
+)
+def test_scan_flags_an_overflowing_or_underflowing_point(capsys, da_ratio, eta):
+    argv = ["frustration-scan", "--lx", "4", "--delta-a-ratios", da_ratio,
+            f"--etas={eta}", "--ly-ratios", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    (row,) = io.parse_csv(out).rows
+    assert row[3:] == (None, None, "error")
+
+
 def test_photon_breakdown_none_when_exact_mu_is_zero():
     # at eta = -1 the pencil K holds only line sums of s_z; a background whose
     # row and column sums all vanish gives K = 0 exactly, but the float sums

@@ -15,6 +15,7 @@ import pytest
 import cavityspin
 from cavityspin import cli, io, jcmodel, linalg, spinmodel, symmetry
 from cavityspin.cli import main
+from cavityspin.geometry import ArrayGeometry
 
 
 def test_format_cell_rules():
@@ -300,16 +301,69 @@ def test_cli_compute_errors_exit_1(capsys):
         assert payload["error"]["kind"] == "compute"
 
 
-def test_cli_polya_refuses_oversized_sector_before_enumerating(monkeypatch, capsys):
-    def fail(*args, **kwargs):
-        raise AssertionError("sector enumerated past the member-listing guard")
+def test_cli_polya_reads_the_grown_levels_up_to_the_sector_guard(monkeypatch, capsys):
+    # 6x6 n=7 (8 347 680 states) lists no member and enumerates no sector
+    def refuse(*args, **kwargs):
+        raise AssertionError("polya reached a sector table")
 
-    monkeypatch.setattr(symmetry, "enumerate_masks", fail)
+    for module, name in [
+        (cavityspin.basis, "enumerate_masks"),
+        (symmetry, "enumerate_masks"),
+        (cavityspin.canonical, "code_classes"),
+        (symmetry, "orbits"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
     code, out, err = run_cli(capsys, ["polya", "--lx", "6", "--ly", "6", "--nexc", "7"])
+    assert code == 0 and err == ""
+    ((n_exc, n_classes, sizes, _),) = io.parse_csv(out).rows
+    assert (n_exc, n_classes) == (7, 99)
+    assert sum(int(x) for x in sizes.split(";")) == math.comb(36, 7)
+    # past the bitmask guard every spin-sector path has
+    code, out, err = run_cli(capsys, ["polya", "--lx", "6", "--ly", "6", "--nexc", "8"])
     assert code == 1 and out == ""
     payload = json.loads(err)["error"]
     assert payload["kind"] == "compute"
-    assert payload["message"] == "sector dimension 8347680 too large to partition"
+    assert payload["message"] == "sector dimension 30260340 exceeds guard 20000000"
+
+
+@pytest.mark.parametrize("lx, ly", [(6, 4), (5, 5)])
+def test_cli_polya_counts_every_sector_past_the_member_listing_guard(capsys, lx, ly):
+    # C(24, 12) = 2 704 156 and C(25, 12) = 5 200 300 states exceed the
+    # 2e6-state member-listing guard of symmetry.orbits
+    group = symmetry.build_group(ArrayGeometry(lx, ly))
+    inventory = symmetry.cycle_index(group).pattern_inventory()
+    code, out, err = run_cli(capsys, ["polya", "--lx", str(lx), "--ly", str(ly)])
+    assert code == 0 and err == ""
+    rows = io.parse_csv(out).rows
+    assert [row[:2] for row in rows] == list(enumerate(inventory))
+    for n_exc, _, sizes, stabilizers in rows:
+        sizes = [int(x) for x in str(sizes).split(";")]
+        stabilizers = [int(x) for x in str(stabilizers).split(";")]
+        assert sum(sizes) == math.comb(lx * ly, n_exc)
+        assert all(s * t == group.order for s, t in zip(sizes, stabilizers, strict=True))
+
+
+POLYA_SHAPES = [(1, 1), (2, 2), (3, 3), (4, 4), (6, 2), (2, 6), (4, 3), (5, 4),
+                (4, 5), (5, 3), (7, 2), (17, 1), (1, 5), (3, 2)]
+
+
+@pytest.mark.parametrize(
+    "lx, ly, transpose",
+    [(lx, ly, t) for lx, ly in POLYA_SHAPES
+     for t in ([None, False, True] if lx == ly else [None, False])],
+)
+def test_cli_polya_cells_equal_the_member_tables(capsys, lx, ly, transpose):
+    flag = {None: [], False: ["--no-transpose"], True: ["--transpose"]}[transpose]
+    code, out, err = run_cli(capsys, ["polya", "--lx", str(lx), "--ly", str(ly), *flag])
+    assert code == 0 and err == ""
+    group = symmetry.build_group(ArrayGeometry(lx, ly), transpose)
+    for n_exc, n_classes, sizes, stabilizers in io.parse_csv(out).rows:
+        classes = symmetry.orbits(group, n_exc)
+        assert n_classes == len(classes)
+        assert str(sizes) == ";".join(str(len(c.members)) for c in classes)
+        assert str(stabilizers) == ";".join(
+            str(group.order // len(c.members)) for c in classes
+        )
 
 
 def test_cli_solver_failure_is_compute_error(monkeypatch, capsys):

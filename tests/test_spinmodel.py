@@ -400,7 +400,6 @@ def test_routed_sector_builds_no_table_labels_nothing_and_expands_nothing(monkey
         (cavityspin.basis, "enumerate_masks"),
         (observables, "enumerate_masks"),
         (canonical, "code_classes"),
-        (symmetry, "code_classes"),
     ]:
         monkeypatch.setattr(module, name, refuse)
     geom = ArrayGeometry(4, 4)

@@ -123,6 +123,9 @@ def test_polya_count_bounds():
         (2, 1, None),
         (3, 3, False),
         (4, 4, False),
+        (2, 2, None),
+        (3, 3, None),
+        (4, 4, True),
     ],
 )
 def test_orbits_match_brute_force_group_action(lx, ly, transpose):
@@ -199,10 +202,8 @@ def _assert_brute_projection(block, dense, which, sizes):
 
 
 def test_block_builder_checks_class_sizes_against_the_group_order(monkeypatch):
-    # every orbit block runs a closed-order check: one class of all 6
-    # states of the 2x2 n=2 sector cannot be an orbit of a group of order 8
-    # (with the transpose) or 4 (without)
-    # one code for every state makes every table one class
+    # every orbit block runs a closed-order check; one code for every
+    # state makes every table one class
     geom = ArrayGeometry(2, 2)
     monkeypatch.setattr(canonical, "FLOOR", 0)
     canonical.symmetric_sector.cache_clear()  # no level is reused
@@ -210,13 +211,14 @@ def test_block_builder_checks_class_sizes_against_the_group_order(monkeypatch):
     def one_code(geometry, masks, modes=None):
         return np.zeros((1, len(masks)), np.int64), np.ones(len(masks), np.int64)
 
-    for module in (symmetry, canonical, jcmodel):
+    for module in (canonical, jcmodel):
         monkeypatch.setattr(module, "canonical_codes", one_code)
+    # the spin classes grow from the empty array: its one class would have
+    # size 4 / 2! = 2, not the 1 of the sector, for the orbit-basis
+    # projection and the spin route alike
     equal = SpinCouplings(lambda_a=-0.2, lambda_b=-0.2, omega_at=1.0)
-    with pytest.raises(ArithmeticError, match="group order"):
+    with pytest.raises(ArithmeticError, match="sector dimension"):
         symmetry.orbit_basis_hamiltonian(geom, equal, 2)
-    # the spin route grows its classes: one class of size 4 / 2! = 2, not
-    # the 6 of the sector
     c = SpinCouplings(lambda_a=-0.2, lambda_b=-0.3, omega_at=1.0)
     with pytest.raises(ArithmeticError, match="sector dimension"):
         spinmodel.sector_ground(geom, c, 2)
