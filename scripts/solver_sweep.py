@@ -8,6 +8,7 @@ Run from the root of a checkout:
     PYTHONPATH=src python3 scripts/solver_sweep.py cold
     PYTHONPATH=src python3 scripts/solver_sweep.py floor
     PYTHONPATH=src python3 scripts/solver_sweep.py agree
+    PYTHONPATH=src python3 scripts/solver_sweep.py startup
 
 ``timing`` solves spin sectors (attractive and frustrated couplings) and JC
 sectors of dimension 50-4096 on both paths and prints the best of a
@@ -51,6 +52,14 @@ Then it compares the photon breakdown coupling of
 (the numeric pencil) on every array up to 10x10, at four coupling ratios,
 three detunings and s^z in {-1, -1/2, 1/2, 1} (1e-12 relative; s^z = 0 must
 give no breakdown on both).
+
+``startup`` times fresh processes that do nothing but start: the bare
+interpreter, the CLI import, ``cavityspin --help``, the numpy import and the
+numpy and scipy Lanczos import.  It prints the core count and the median
+wall and CPU time (user plus system, from ``os.wait4``) of 15 processes per
+row, once with ``OPENBLAS_THREAD_TIMEOUT=16`` (the CLI's default, a 2**16
+cycle spin of each idle OpenBLAS worker) and once with 28 (OpenBLAS's own
+default).
 """
 
 from __future__ import annotations
@@ -231,6 +240,47 @@ def floor() -> int:
     return 0
 
 
+STARTUP_CASES = (
+    ("python -c pass", ("-c", "pass")),
+    ("import cavityspin.cli", ("-c", "import cavityspin.cli")),
+    ("cavityspin --help", ("-m", "cavityspin.cli", "--help")),
+    ("import numpy", ("-c", "import numpy")),
+    ("import numpy, scipy.sparse.linalg", ("-c", "import numpy, scipy.sparse.linalg")),
+)
+# OPENBLAS_THREAD_TIMEOUT: the CLI's default, then OpenBLAS's own
+STARTUP_SPINS = ("16", "28")
+
+
+def startup() -> int:
+    def run(args, spin):
+        env = dict(os.environ, OPENBLAS_THREAD_TIMEOUT=spin)
+        env.pop("GOTO_THREAD_TIMEOUT", None)
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{args} exited {proc.returncode}")
+        return wall, usage.ru_utime + usage.ru_stime
+
+    print(f"nproc {os.cpu_count()}, median of 15 fresh processes, ms")
+    print(f"{'':<34}" + "".join(f" {'wall@' + s:>8} {'cpu@' + s:>8}" for s in STARTUP_SPINS))
+    for label, args in STARTUP_CASES:
+        times = {spin: [] for spin in STARTUP_SPINS}
+        for _ in range(15):
+            for spin in STARTUP_SPINS:
+                times[spin].append(run(args, spin))
+        cells = "".join(
+            f" {1e3 * statistics.median(w for w, _ in times[s]):8.1f}"
+            f" {1e3 * statistics.median(c for _, c in times[s]):8.1f}"
+            for s in STARTUP_SPINS
+        )
+        print(f"{label:<34}{cells}")
+        sys.stdout.flush()
+    return 0
+
+
 def _agree_operators():
     """``(label, operator)`` of every agree case: the spin sectors at three
     coupling pairs, and the JC sectors at per-line detunings (full Lanczos,
@@ -389,9 +439,10 @@ def agree_scan() -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("mode", choices=("timing", "cold", "floor", "agree"))
+    modes = {"timing": timing, "cold": cold, "floor": floor, "agree": agree, "startup": startup}
+    parser.add_argument("mode", choices=tuple(modes))
     args = parser.parse_args(argv)
-    return {"timing": timing, "cold": cold, "floor": floor, "agree": agree}[args.mode]()
+    return modes[args.mode]()
 
 
 if __name__ == "__main__":

@@ -11,27 +11,13 @@ failure, 2 usage error; failures print a JSON error object on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib.util
 import json
 import math
+import os
 import sys
 import time
-from typing import Any, Callable, Optional, Sequence
-
-from . import io as tableio
-from .geometry import ArrayGeometry
-from .params import (
-    EffectiveJCParams,
-    PhysicalDriveParams,
-    RegimeError,
-    ResonanceError,
-    SpinCouplings,
-    analyze,
-    delta_b_from_eta,
-    derive_effective_params,
-    derive_spin_couplings,
-)
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 
 def _lazy(name: str):
@@ -50,17 +36,21 @@ def _lazy(name: str):
 
 
 # A command executes (and imports numpy for) only the models it calls, so
-# --help and the closed forms run without numpy.  basis and linalg are
-# registered too: every layer module is named in sys.modules from the start,
-# where perfbench/layers.py finds the functions it wraps.
+# --help and the closed forms run without numpy, and --help executes no
+# package module but this one.  basis and linalg are registered too: every
+# layer module is named in sys.modules from the start, where
+# perfbench/layers.py finds the functions it wraps.
 _lazy("basis")
 _lazy("linalg")
 frustration = _lazy("frustration")
+geometry = _lazy("geometry")
 jcmodel = _lazy("jcmodel")
 meanfield = _lazy("meanfield")
 onedim = _lazy("onedim")
+params = _lazy("params")
 spinmodel = _lazy("spinmodel")
 symmetry = _lazy("symmetry")
+tableio = _lazy("io")
 
 
 class UsageError(Exception):
@@ -72,8 +62,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclasses.dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     """Raw (unscaled) table plus which columns carry energies."""
 
     semantic: dict
@@ -182,11 +171,11 @@ def _sectors(values: list[int], name: str, top: float = math.inf) -> list[int]:
     return values
 
 
-def _geometry(args, cfg) -> ArrayGeometry:
+def _geometry(args, cfg) -> geometry.ArrayGeometry:
     lx = _req(args, cfg, "lx", _int)
     ly = _req(args, cfg, "ly", _int)
     try:
-        return ArrayGeometry(lx, ly)
+        return geometry.ArrayGeometry(lx, ly)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -219,7 +208,7 @@ def _resolve_level(args, cfg, *, need_modes: bool):
         omega = _req(args, cfg, "omega", _float)
         lam_a = _req(args, cfg, "lambda_a", _float)
         lam_b = _opt(args, cfg, "lambda_b", _float, default=lam_a)
-        couplings = SpinCouplings(lambda_a=lam_a, lambda_b=lam_b, omega_at=omega)
+        couplings = params.SpinCouplings(lambda_a=lam_a, lambda_b=lam_b, omega_at=omega)
         semantic = {
             "level": "spin",
             "omega_at": omega,
@@ -232,12 +221,12 @@ def _resolve_level(args, cfg, *, need_modes: bool):
         delta_a, delta_b_at = _detunings(args, cfg)
         omega = _req(args, cfg, "omega", _float)
         g = _at_least(_req(args, cfg, "g", _float), 0, "g")  # a magnitude
-        jc = EffectiveJCParams(
+        jc = params.EffectiveJCParams(
             omega_at=omega, g=g, delta_a=delta_a, delta_b=delta_b_at(omega)
         )
     else:
         _, jc = _drive_level(args, cfg)
-    couplings = derive_spin_couplings(jc)
+    couplings = params.derive_spin_couplings(jc)
     semantic = {
         "level": level,
         "omega_at": jc.omega_at,
@@ -260,23 +249,25 @@ def _detunings(args, cfg) -> tuple[float, Callable[[float], float]]:
 
     def delta_b_at(omega_at: float) -> float:
         if eta is not None:
-            return delta_b_from_eta(delta_a, omega_at, eta)
+            return params.delta_b_from_eta(delta_a, omega_at, eta)
         return delta_a if delta_b is None else delta_b
 
     return delta_a, delta_b_at
 
 
-def _drive_level(args, cfg) -> tuple[PhysicalDriveParams, EffectiveJCParams]:
+def _drive_level(args, cfg) -> tuple[params.PhysicalDriveParams, params.EffectiveJCParams]:
     """Drive flags and the effective JC parameters they give, ``delta_b``
     at the derived splitting."""
+    from dataclasses import replace  # here, not at the top: --help needs no dataclasses
+
     delta_a, delta_b_at = _detunings(args, cfg)
-    drive = PhysicalDriveParams(
+    drive = params.PhysicalDriveParams(
         omega_rabi=_req(args, cfg, "rabi", _float),
         g0=_req(args, cfg, "g0", _float),
         delta_e=_req(args, cfg, "delta_e", _float),
     )
-    jc = derive_effective_params(drive, delta_a, delta_a)
-    return drive, dataclasses.replace(jc, delta_b=delta_b_at(jc.omega_at))
+    jc = params.derive_effective_params(drive, delta_a, delta_a)
+    return drive, replace(jc, delta_b=delta_b_at(jc.omega_at))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +276,7 @@ def _drive_level(args, cfg) -> tuple[PhysicalDriveParams, EffectiveJCParams]:
 
 def _cmd_derive_params(args, cfg, seed: int) -> CommandResult:
     drive, jc = _drive_level(args, cfg)
-    couplings, tag = analyze(jc)
+    couplings, tag = params.analyze(jc)
     row = (
         jc.omega_at,
         jc.g,
@@ -419,14 +410,14 @@ def _cmd_crossover(args, cfg, seed: int) -> CommandResult:
         max_transitions=1,
     )
     if not tps:
-        raise RegimeError("no 0 -> 1 spin crossing inside the search bracket")
+        raise params.RegimeError("no 0 -> 1 spin crossing inside the search bracket")
     lam_c = tps[0].lambda_c
     rows = []
     for ratio in ratios:
         delta = ratio * omega
         rad = -2.0 * lam_c * (delta - omega)
         if rad <= 0.0:
-            raise RegimeError(
+            raise params.RegimeError(
                 f"delta/omega = {ratio:g} gives no real spin-model coupling"
             )
         g_spin = math.sqrt(rad)
@@ -505,12 +496,12 @@ def _cmd_correlations(args, cfg, seed: int) -> CommandResult:
         delta_a = jc_ratio * omega
         rad = -2.0 * couplings.lambda_a * (delta_a - omega)
         if rad <= 0.0 or couplings.lambda_b == 0.0:
-            raise RegimeError(
+            raise params.RegimeError(
                 "cannot realize these couplings at the requested detuning ratio"
             )
         g = math.sqrt(rad)
         delta_b = omega - g * g / (2.0 * couplings.lambda_b)
-        jc = EffectiveJCParams(omega_at=omega, g=g, delta_a=delta_a, delta_b=delta_b)
+        jc = params.EffectiveJCParams(omega_at=omega, g=g, delta_a=delta_a, delta_b=delta_b)
         for n in nexc:
             spec, basis = jcmodel.jc_sector_ground(geom, jc, n, seed=seed)
             r = jcmodel.jc_correlation_ratio(spec, basis)
@@ -731,82 +722,84 @@ def _add_level(p: argparse.ArgumentParser, include_spin: bool = True) -> None:
 _K_HELP = "accepted and ignored (each sector solve returns its whole ground cluster)"
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: Sequence[str]) -> _Parser:
+    """Every subcommand with its help line, and the arguments of the one
+    that ``argv`` names.  Before the subcommand only ``-h`` may stand, so
+    the first subcommand name in ``argv`` is the one argparse selects (or
+    argparse refuses an earlier word before any argument is read)."""
     parser = _Parser(prog="cavityspin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    named = next((a for a in argv if a in _HANDLERS), None)
 
-    p = sub.add_parser("derive-params", help="drive -> JC -> spin parameter chain")
-    _add_common(p)
-    _add_level(p, include_spin=False)
+    def command(name: str, help_text: str) -> Optional[argparse.ArgumentParser]:
+        p = sub.add_parser(name, help=help_text)
+        if name != named:
+            return None
+        _add_common(p)
+        return p
 
-    p = sub.add_parser("spin-ed", help="fixed-sector spin-model ground states")
-    _add_common(p)
-    _add_geometry(p)
-    _add_level(p)
-    p.add_argument("--nexc", help="comma-separated excitation sectors")
-    p.add_argument("--shift", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--k", help=_K_HELP)
+    if p := command("derive-params", "drive -> JC -> spin parameter chain"):
+        _add_level(p, include_spin=False)
 
-    p = sub.add_parser("jc-ed", help="JC lattice ground states per total-excitation sector")
-    _add_common(p)
-    _add_geometry(p)
-    _add_level(p, include_spin=False)
-    p.add_argument("--ntotal", help="comma-separated sectors (omit to scan)")
-    p.add_argument("--nmax", help="per-mode photon cutoff")
+    if p := command("spin-ed", "fixed-sector spin-model ground states"):
+        _add_geometry(p)
+        _add_level(p)
+        p.add_argument("--nexc", help="comma-separated excitation sectors")
+        p.add_argument("--shift", action=argparse.BooleanOptionalAction, default=None)
+        p.add_argument("--k", help=_K_HELP)
 
-    p = sub.add_parser("crossover", help="JC vs spin-model critical coupling")
-    _add_common(p)
-    _add_geometry(p)
-    p.add_argument("--omega")
-    p.add_argument("--delta-ratios", help="comma-separated delta/omega values")
-    p.add_argument("--sectors")
-    p.add_argument("--tol", help="accepted and ignored (no search tolerance)")
-    p.add_argument("--nmax")
+    if p := command("jc-ed", "JC lattice ground states per total-excitation sector"):
+        _add_geometry(p)
+        _add_level(p, include_spin=False)
+        p.add_argument("--ntotal", help="comma-separated sectors (omit to scan)")
+        p.add_argument("--nmax", help="per-mode photon cutoff")
 
-    p = sub.add_parser("excitation-curve", help="ground-sector staircase vs coupling")
-    _add_common(p)
-    _add_geometry(p)
-    p.add_argument("--omega")
-    p.add_argument("--lambdas", help="comma-separated coupling grid")
-    p.add_argument("--shift", action=argparse.BooleanOptionalAction, default=None)
+    if p := command("crossover", "JC vs spin-model critical coupling"):
+        _add_geometry(p)
+        p.add_argument("--omega")
+        p.add_argument("--delta-ratios", help="comma-separated delta/omega values")
+        p.add_argument("--sectors")
+        p.add_argument("--tol", help="accepted and ignored (no search tolerance)")
+        p.add_argument("--nmax")
 
-    p = sub.add_parser("correlations", help="shared-line vs unshared pair correlations")
-    _add_common(p)
-    _add_geometry(p)
-    _add_level(p)
-    p.add_argument("--nexc")
-    p.add_argument("--jc-delta-ratio", help="also run the JC model at this delta/omega")
-    p.add_argument("--k", help=_K_HELP)
+    if p := command("excitation-curve", "ground-sector staircase vs coupling"):
+        _add_geometry(p)
+        p.add_argument("--omega")
+        p.add_argument("--lambdas", help="comma-separated coupling grid")
+        p.add_argument("--shift", action=argparse.BooleanOptionalAction, default=None)
 
-    p = sub.add_parser("analytic-1d", help="single-mode closed-form phase classification")
-    _add_common(p)
-    p.add_argument("--omega")
-    p.add_argument("--lam")
-    p.add_argument("--delta")
-    p.add_argument("--n", help="spin count (adds closed-form ground-state columns)")
+    if p := command("correlations", "shared-line vs unshared pair correlations"):
+        _add_geometry(p)
+        _add_level(p)
+        p.add_argument("--nexc")
+        p.add_argument("--jc-delta-ratio", help="also run the JC model at this delta/omega")
+        p.add_argument("--k", help=_K_HELP)
 
-    p = sub.add_parser("meanfield", help="coherent-state mean-field observables")
-    _add_common(p)
-    _add_geometry(p)
-    p.add_argument("--delta")
-    p.add_argument("--omega")
-    p.add_argument("--g", help="comma-separated coupling grid (omit for g_c only)")
+    if p := command("analytic-1d", "single-mode closed-form phase classification"):
+        p.add_argument("--omega")
+        p.add_argument("--lam")
+        p.add_argument("--delta")
+        p.add_argument("--n", help="spin count (adds closed-form ground-state columns)")
 
-    p = sub.add_parser("polya", help="orbit counts and class tables")
-    _add_common(p)
-    _add_geometry(p)
-    p.add_argument("--nexc")
-    p.add_argument("--transpose", action=argparse.BooleanOptionalAction, default=None)
+    if p := command("meanfield", "coherent-state mean-field observables"):
+        _add_geometry(p)
+        p.add_argument("--delta")
+        p.add_argument("--omega")
+        p.add_argument("--g", help="comma-separated coupling grid (omit for g_c only)")
 
-    p = sub.add_parser("frustration-scan", help="validity map of the mixed regime")
-    _add_common(p)
-    p.add_argument("--lx")
-    p.add_argument("--delta-a-ratios")
-    p.add_argument("--etas")
-    p.add_argument("--ly-ratios")
-    p.add_argument("--omega")
-    p.add_argument("--qmin")
-    p.add_argument("--workers", help="accepted and ignored (the scan is serial)")
+    if p := command("polya", "orbit counts and class tables"):
+        _add_geometry(p)
+        p.add_argument("--nexc")
+        p.add_argument("--transpose", action=argparse.BooleanOptionalAction, default=None)
+
+    if p := command("frustration-scan", "validity map of the mixed regime"):
+        p.add_argument("--lx")
+        p.add_argument("--delta-a-ratios")
+        p.add_argument("--etas")
+        p.add_argument("--ly-ratios")
+        p.add_argument("--omega")
+        p.add_argument("--qmin")
+        p.add_argument("--workers", help="accepted and ignored (the scan is serial)")
 
     return parser
 
@@ -857,9 +850,16 @@ def _emit_error(kind: str, exc: BaseException) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # Each OpenBLAS copy (numpy and scipy bundle one each) starts a worker
+    # per extra core, which busy-waits 2**28 cycles for work after each call.
+    # A command's BLAS calls are too sparse for that wait to pay, so it is
+    # cut to 2**16 cycles unless the user chose a value.  OpenBLAS reads it
+    # as it loads, so it is set before anything can import numpy or scipy.
+    if "GOTO_THREAD_TIMEOUT" not in os.environ:
+        os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "16")
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _build_parser(argv).parse_args(argv)
         cfg = _load_config(args)
         units = _opt(args, cfg, "units", str, default="omega")
         if units not in ("omega", "raw"):
@@ -869,19 +869,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         start = time.monotonic()
         result = handler(args, cfg, seed)
         wall = time.monotonic() - start
-        semantic = dict(result.semantic)
-        semantic["command"] = args.command
-        semantic["units"] = units
-        semantic["seed"] = seed
-        table = tableio.ResultTable(
-            columns=result.columns,
-            rows=_scale_rows(result, units),
-            metadata=tableio.make_metadata(args.command, semantic, wall),
-        )
+        table = tableio.ResultTable(columns=result.columns, rows=_scale_rows(result, units))
         out = _opt(args, cfg, "out", str)
         if out is None:
             sys.stdout.write(tableio.to_csv(table))
         else:
+            semantic = {**result.semantic, "command": args.command, "units": units, "seed": seed}
+            table.metadata = tableio.make_metadata(args.command, semantic, wall)
             tableio.write_outputs(table, out, _opt(args, cfg, "sidecar", str))
         return 0
     except UsageError as exc:
@@ -890,14 +884,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         _emit_error("io", exc)
         return 2
-    except (
-        RegimeError,
-        ResonanceError,
-        ValueError,
-        ArithmeticError,
-        RuntimeError,
-        MemoryError,
-    ) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, MemoryError) as exc:
         _emit_error("compute", exc)
         return 1
 

@@ -10,7 +10,6 @@ empty cells and out-of-regime points carry flag columns instead.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import re
@@ -120,6 +119,8 @@ def to_json(table: ResultTable) -> str:
 
 def config_hash(config: dict) -> str:
     """SHA-256 of the canonical JSON form of the semantic configuration."""
+    import hashlib  # here: a stdout run hashes nothing, and hashlib loads OpenSSL
+
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

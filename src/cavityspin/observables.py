@@ -61,14 +61,21 @@ def _pair_sums(geometry, masks, u, sizes, rank, lower, lower_sizes) -> tuple[flo
     mask ``masks[i]`` (a scalar size stands for every row); ``rank`` maps
     masks of the level to rows, and ``lower``, ``lower_sizes`` are the rows
     of the level one raised spin below.  ``S- v`` at a lower row sums ``u``
-    over its raisings, which come contiguous, ``N - n + 1`` per lower mask."""
+    over its raisings, which come contiguous, ``N - n + 1`` per lower mask.
+    They are ranked bit-major and the ranks put back in that order: over
+    sorted lower masks each bit's raisings ascend, which ``searchsorted``
+    ranks in about half the time of the interleaved order."""
     weighted = u * np.reshape(sizes, (-1, 1, 1))
     hops = 0.0  # <A>, A the 0/1 matrix of row and column moves
     for kind in ("row", "col"):  # one rank call per kind keeps the peak low
         src, dst = line_moves(geometry, masks, kind)
         hops += float((weighted[src] * u[rank(dst)]).sum())
-    raised = lower[:, None] | (np.int64(1) << np.arange(geometry.n_sites, dtype=np.int64))
-    raisings = u[rank(raised[raised != lower[:, None]])]
+    raised = (np.int64(1) << np.arange(geometry.n_sites, dtype=np.int64))[:, None] | lower
+    fresh = raised != lower
+    ranks = rank(raised[fresh])
+    rows = np.empty(raised.shape, dtype=ranks.dtype)
+    rows[fresh] = ranks
+    raisings = u[rows.T[fresh.T]]
     lowered = raisings.reshape((len(lower), -1) + u.shape[1:]).sum(axis=1)  # S- v
     ordered = (np.reshape(lower_sizes, (-1, 1, 1)) * lowered**2).sum()
     return hops, float(ordered - int(masks[0]).bit_count() * (weighted * u).sum())

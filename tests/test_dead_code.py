@@ -1,7 +1,8 @@
 """No function or class of the package that only unit tests reach.
 
 Every top-level ``def`` and ``class`` of ``src/cavityspin``, and every
-method and property in a class body (dunder methods aside: Python calls
+method and property in a class body (dunder functions aside, in a class
+body or at module level, such as a PEP 562 ``__getattr__``: Python calls
 them), must be named
 somewhere other than its own definition in the package, the scripts, the
 benchmark or the acceptance tests: as a name, an attribute, an import or a
@@ -90,9 +91,11 @@ def _references(tree: ast.AST) -> list[tuple[str, int]]:
 
 def _definitions(tree: ast.Module):
     """``(qualified name, node)`` of the top-level defs and classes and of
-    the methods in class bodies."""
+    the methods in class bodies, dunder functions aside."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("__"):
             continue
         yield node.name, node
         if isinstance(node, ast.ClassDef):

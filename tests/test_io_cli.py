@@ -680,9 +680,10 @@ def test_cli_seed_changes_nothing_semantic(capsys):
 # runs cli.main on each argv of the JSON list in argv[1], then prints the exit
 # codes, every scipy module the process imported, whether it imported numpy,
 # the package modules in sys.modules right after the CLI import and those
-# executed by the end (a lazily registered module stays unexecuted until used)
+# executed by the end (a lazily registered module stays unexecuted until used),
+# which of a few start-up-costly modules it imported, and the OpenBLAS spin
 FRESH_CLI = """
-import json, sys, types
+import json, os, sys, types
 from cavityspin.cli import main
 registered = sorted(m for m in sys.modules if m.startswith("cavityspin."))
 codes = []
@@ -696,17 +697,25 @@ executed = sorted(
     m for m, module in sys.modules.items()
     if m.startswith("cavityspin.") and type(module) is types.ModuleType
 )
+costly = sorted(m for m in ("csv", "dataclasses", "hashlib", "numpy") if m in sys.modules)
 print(json.dumps({"codes": codes, "scipy": scipy, "numpy": "numpy" in sys.modules,
-                  "registered": registered, "executed": executed}))
+                  "registered": registered, "executed": executed, "costly": costly,
+                  "blas_timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT")}))
 """
 
 
-def _fresh_cli(argvs):
+def _fresh_cli(argvs, **env):
+    """The FRESH_CLI report; ``env`` sets variables, or unsets them with None."""
     src = str(Path(cavityspin.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    environ = dict(os.environ, PYTHONPATH=path)
+    for key, value in env.items():
+        environ.pop(key, None)
+        if value is not None:
+            environ[key] = value
     proc = subprocess.run(
         [sys.executable, "-c", FRESH_CLI, json.dumps(argvs)],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=environ,
         capture_output=True,
         text=True,
         check=True,
@@ -797,3 +806,58 @@ def test_cli_command_executes_only_its_own_models(argv, models):
     assert result["codes"] == [0]
     base = ["cli", "geometry", "io", "params"]
     assert result["executed"] == sorted("cavityspin." + m for m in base + models)
+
+
+def test_cli_help_executes_only_the_cli_and_imports_nothing_costly():
+    result = _fresh_cli([["--help"]])
+    assert result["codes"] == [0]
+    assert result["executed"] == ["cavityspin.cli"]
+    assert result["costly"] == []
+
+
+def test_cli_stdout_run_hashes_nothing_and_out_sidecar_hashes_its_config(tmp_path):
+    argv = ["spin-ed", "--lx", "2", "--ly", "2", "--lambda-a=-0.2", "--omega", "1",
+            "--nexc", "1"]
+    result = _fresh_cli([argv, argv + [f"--out={tmp_path / 't.csv'}"]])
+    assert result["codes"] == [0, 0]
+    assert "hashlib" in result["costly"]  # the --out run
+    assert "hashlib" not in _fresh_cli([argv])["costly"]
+    meta = json.loads((tmp_path / "t.csv.json").read_text(encoding="utf-8"))
+    assert meta["config_hash"] == io.config_hash(meta["config"])
+
+
+@pytest.mark.parametrize(
+    "env, expected",
+    [
+        ({"OPENBLAS_THREAD_TIMEOUT": None, "GOTO_THREAD_TIMEOUT": None}, "16"),
+        ({"OPENBLAS_THREAD_TIMEOUT": "30", "GOTO_THREAD_TIMEOUT": None}, "30"),
+        ({"OPENBLAS_THREAD_TIMEOUT": None, "GOTO_THREAD_TIMEOUT": "30"}, None),
+    ],
+)
+def test_cli_shortens_the_idle_blas_spin_unless_the_user_set_it(env, expected):
+    result = _fresh_cli([["analytic-1d"]], **env)
+    assert result["codes"] == [0]
+    assert result["blas_timeout"] == expected
+
+
+def test_package_exports_resolve_lazily():
+    for name in [*cavityspin.__all__, "__version__"]:
+        assert getattr(cavityspin, name) is not None
+    assert cavityspin.__version__ == io.ARTIFACT_VERSION
+    assert cavityspin.ArrayGeometry is ArrayGeometry
+    with pytest.raises(AttributeError):
+        cavityspin.no_such_name
+
+
+@pytest.mark.parametrize("name", sorted(cli._HANDLERS))
+def test_cli_subcommand_help(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: cavityspin {name}")
+
+
+def test_cli_flag_of_another_command_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, ["polya", "--lambda-a=1"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["kind"] == "usage"
