@@ -41,8 +41,8 @@ with lambda_a == lambda_b) or ``jcmodel.jc_sector_ground`` (the JC arrays
 at scalar detunings) routes to the symmetric orbit block, and compares
 energy, multiplet size and the NN and NNN correlations with the full-sector
 solve (1e-12 relative on the energy, 1e-12 absolute on the correlations);
-a routed spin sector's correlations are read from its block vector, one row
-per class, by the same pair-sum kernel as the full-sector vector.  Last it
+a routed sector's correlations are read from its class vector, one row per
+class, by the same pair-sum kernel as the full-sector vector.  Last it
 solves the critical-coupling pencil of ``jcmodel.superradiant_critical_g``
 on every one of those JC sectors that it routes, once on the block and once
 on the full sector, and compares the lowest eigenvalue (1e-12 relative).
@@ -332,10 +332,10 @@ def agree() -> int:
 
 
 def _block_cases():
-    """``(label, routed spectrum, its basis, full-sector spectrum, sector
+    """``(label, routed spectrum, its classes, full-sector spectrum, sector
     basis)`` of every sector that the spin or the JC solver routes to the
-    symmetric block, told by the method of its spectrum.  A routed spin
-    sector comes back as its classes and a block vector, never expanded."""
+    symmetric block, told by the method of its spectrum.  A routed sector
+    comes back as its classes and a block vector, never expanded."""
     for lx, ly in AGREE_ARRAYS:
         geom = ArrayGeometry(lx, ly)
         for n in range(lx * ly + 1):
@@ -347,10 +347,10 @@ def _block_cases():
                     label = f"{lx}x{ly} n={n} la={c.lambda_a:g} lb={c.lambda_b:g}"
                     yield label, spec, sector, ref, basis
     for geom, basis in _jc_sectors():
-        spec, basis = jc_sector_ground(geom, JC, basis.n_total)
+        spec, sector = jc_sector_ground(geom, JC, basis.n_total)
         if spec.method == "symmetric-block":
             ref = ground_state(build_jc_hamiltonian(geom, JC, basis))
-            yield f"jc {geom.lx}x{geom.ly} n={basis.n_total}", spec, basis, ref, basis
+            yield f"jc {geom.lx}x{geom.ly} n={basis.n_total}", spec, sector, ref, basis
 
 
 def _pencil_cases():

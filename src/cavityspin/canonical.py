@@ -5,21 +5,17 @@ The row x column group S_Ly x S_Lx acts on the spin configurations of an
 Ly x Lx array, seen as 0/1 matrices, and on the Jaynes-Cummings states that
 add photon counts on the row and column modes.  A state's canonical code
 (:func:`canonical_codes`) is shared by exactly the members of its orbit, so
-codes name every orbit class: :func:`code_classes` groups a Jaynes-Cummings
-state table by code (the route of ``jcmodel``), and a spin sector needs no
-table.  Its representatives grow one raised spin at a time from the empty
-array, in the spirit of McKay's isomorph-free generation (*J. Algorithms*,
-1998), and each class size follows from the permutations that fix its
-code.  :func:`symmetric_sector` builds each level once per process, as a
-:class:`SymmetricSector` of one representative, the code and the size of
-every class; it is the only partition of a spin sector.  It gives the
-attractive route of ``spinmodel`` its Hamiltonian block
-(:func:`orbit_block`), the correlations of ``observables`` read it and the
-level below, so neither holds a vector of the C(N, n) sector states, and
-``symmetry`` reads it for ``polya`` and its class tables.  Both routes
+codes name every orbit class and no sector needs a table.  The
+representatives of a spin sector grow one raised spin at a time from the
+empty array, in the spirit of McKay's isomorph-free generation (*J.
+Algorithms*, 1998), each class sized by the permutations that fix its code
+(:func:`symmetric_sector`); those of a Jaynes-Cummings sector pair the spin
+levels with the photon configurations (:func:`symmetric_jc_sector`).  Both
+routes build their block from the entries out of the representative rows,
 share the size rule :func:`takes_orbit_block`, a sector past the measured
 route floor :data:`FLOOR` (200 states, from ``scripts/solver_sweep.py
-floor``), and solve their block with :func:`block_ground`.
+floor``), and solve with :func:`block_ground`; ``observables`` reads the
+class vectors and ``symmetry`` the spin levels.
 """
 
 from __future__ import annotations
@@ -134,18 +130,6 @@ def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return firsts[number], which, sizes
 
 
-def code_classes(codes: np.ndarray, group_order: int) -> tuple[np.ndarray, ...]:
-    """``(reps, which, sizes)`` of a state table from its codes (shape
-    (words, states)): the smallest index of every class (ascending), the
-    class of every state and the class sizes, checked against the closed
-    group order in Python integers (21! > 2**63)."""
-    reps, which, sizes = _distinct(codes)
-    # a set, not np.unique, whose hash path costs about 1 MB of peak RSS
-    if any(group_order % s for s in set(sizes.tolist())):
-        raise ArithmeticError("orbit size does not divide group order")
-    return reps, which, sizes
-
-
 def canonical_codes(
     geometry: ArrayGeometry, masks: np.ndarray, modes: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +146,8 @@ def canonical_codes(
     two states share a code exactly when a row x column permutation maps
     one onto the other.  A spin code is one word (``basis.MAX_SITES``).
     The words sorted under the identity are a key that the longer side
-    cannot change, so the loop over p runs once per distinct key.
+    cannot change, so p runs over the distinct keys only: every p at once,
+    on blocks of about 8192 (permutation, key) pairs.
     """
     width = min(geometry.lx, geometry.ly)
     lines = [
@@ -184,20 +169,20 @@ def canonical_codes(
     tail = [count[first] for count in tail]
     values = np.arange(1 << (width + bits), dtype=np.int64)
     counts = values >> width << width
-    perms = list(permutations(range(width)))
+    perms = np.array(list(permutations(range(width))))
     tables = site_images(perms, values - counts) | counts
-    best = np.full((len(key), len(first)), np.iinfo(np.int64).max)
-    hits = np.zeros(len(first), dtype=np.int64)
-    for perm, table in zip(perms, tables):
-        moved = _sort_lines([table[line] for line in lines])
-        code = _pack(moved + [tail[perm.index(i)] for i in range(len(tail))], widths)
-        less, tie = code[0] < best[0], code[0] == best[0]
-        for c, b in zip(code[1:], best[1:]):  # word by word
-            less |= tie & (c < b)
-            tie &= c == b
-        hits = np.where(less, 0, hits) + (less | tie)
-        best = np.where(less, code, best)
-    return best[:, which], hits[which]
+    inverse = np.argsort(perms, axis=1).T  # word i of the permuted tail is tail[inverse[i]]
+    codes, hits = [], []
+    for at in np.array_split(np.arange(len(first)), max(1, len(first) * len(perms) // 8192)):
+        moved = _sort_lines([tables[:, line[at]] for line in lines])
+        tails = [np.array(tail)[:, at][i] for i in inverse] if tail else []
+        tie, least = np.ones((len(perms), len(at)), dtype=bool), []
+        for word in _pack(moved + tails, widths):  # the least code, word by word
+            least.append(np.where(tie, word, np.iinfo(np.int64).max).min(axis=0))
+            tie &= word == least[-1]
+        codes.append(np.array(least))
+        hits.append(tie.sum(axis=0))
+    return np.concatenate(codes, axis=1)[:, which], np.concatenate(hits)[which]
 
 
 @dataclass(frozen=True)
@@ -228,12 +213,6 @@ class SymmetricSector:
         if np.any(idx >= len(self.codes)) or np.any(self.codes[idx] != codes):
             raise ValueError("mask outside this sector")
         return idx
-
-    def block(self, src: np.ndarray, dst: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """The orbit block of an operator from its entries out of the
-        representative rows: the class ``src[t]`` of each entry's row, the
-        mask ``dst[t]`` of its column and its value ``vals[t]``."""
-        return orbit_block(self.sizes, src, self.classify(dst), vals)
 
 
 @cache
@@ -295,21 +274,90 @@ def _sized_classes(geometry: ArrayGeometry, n_exc: int, masks: np.ndarray) -> Sy
     return SymmetricSector(geometry, n_exc, reps, codes, sizes)
 
 
+def bounded_compositions(total: int, parts: int, cap: int) -> np.ndarray:
+    """All distributions of ``total`` quanta over ``parts`` capped modes,
+    lexicographically ascending, shape (count, parts): grown one mode at a
+    time, keeping the heads whose remaining quanta fit the modes left."""
+    out = np.zeros((1, 0), dtype=np.int64)
+    for left in range(parts - 1, -1, -1):
+        out = np.column_stack([out.repeat(cap + 1, axis=0), np.tile(np.arange(cap + 1), len(out))])
+        rest = total - out.sum(axis=1)
+        out = out[(rest >= 0) & (rest <= left * cap)]
+    return out if parts else out[: int(total == 0)]
+
+
+@dataclass(frozen=True)
+class SymmetricJCSector:
+    """An untruncated Jaynes-Cummings sector held as its orbit classes: the
+    raised-spin count, a representative mask with its photon counts (row
+    modes first) and the size of every class, spin counts descending; class
+    vectors as in :class:`SymmetricSector`."""
+
+    geometry: ArrayGeometry
+    n_total: int
+    spins: np.ndarray = field(repr=False)
+    representatives: np.ndarray = field(repr=False)
+    modes: np.ndarray = field(repr=False)
+    sizes: np.ndarray = field(repr=False)
+
+    @property
+    def dim(self) -> int:
+        return int(self.sizes.sum())
+
+    def classify(self, masks: np.ndarray, modes: np.ndarray) -> np.ndarray:
+        """Class index of every state of the sector, found by its code among
+        those of the representatives, which come first and so number i."""
+        table = (np.r_[self.representatives, masks], np.r_[self.modes, modes])
+        which = _distinct(canonical_codes(self.geometry, *table)[0])[1][len(self.sizes) :]
+        if np.any(which >= len(self.sizes)):
+            raise ValueError("state outside this sector")
+        return which
+
+
+@cache
+def symmetric_jc_sector(geometry: ArrayGeometry, n_total: int) -> SymmetricJCSector:
+    """The orbit classes of an untruncated Jaynes-Cummings sector, built
+    once per process with no sector table, their arrays read-only.  Level k
+    pairs the representatives of ``symmetric_sector(geometry, k)`` with every
+    photon configuration of ``n_total - k`` quanta and keeps the first
+    candidate of every code.  The candidates that share a code are the orbit
+    of the representative's stabilizer on the configurations, so a class has
+    the spin-class size times their number."""
+    levels = []
+    for k in range(min(geometry.n_sites, n_total), -1, -1):
+        spin = symmetric_sector(geometry, k)
+        configs = bounded_compositions(n_total - k, geometry.n_modes, n_total - k)
+        pairs = np.repeat(np.arange(len(spin.sizes)), len(configs))
+        levels.append((np.full(len(pairs), k), spin.representatives[pairs],
+                       np.tile(configs, (len(spin.sizes), 1)), spin.sizes[pairs]))
+    spins, masks, modes, sizes = (np.concatenate(part) for part in zip(*levels))
+    first, _, counts = _distinct(canonical_codes(geometry, masks, modes)[0])
+    arrays = [spins[first], masks[first], modes[first], sizes[first] * counts]
+    group_order = factorial(geometry.lx) * factorial(geometry.ly)
+    if any(group_order % s for s in set(arrays[-1].tolist())):  # in Python integers
+        raise ArithmeticError("class size does not divide group order")
+    for arr in arrays:
+        arr.flags.writeable = False
+    return SymmetricJCSector(geometry, n_total, *arrays)
+
+
 def takes_orbit_block(dim: int) -> bool:
     """The size rule of both symmetric-block routes: a sector past the
     route floor :data:`FLOOR` and within the bitmask guard
-    ``basis.MAX_SECTOR_DIM``; a Jaynes-Cummings sector also meets its basis
-    guard ``jcmodel.MAX_JC_DIM``."""
+    ``basis.MAX_SECTOR_DIM``.  A Jaynes-Cummings sector, sized in closed
+    form before a class grows, also stays within ``jcmodel.MAX_JC_DIM``."""
     return FLOOR < dim <= MAX_SECTOR_DIM
 
 
-def block_ground(block: np.ndarray, seed: int) -> SpectrumResult:
-    """Ground pair of an orbit block, its vector on the normalized orbit
-    sums.  The caller vouches that the sector ground state is simple and
-    symmetric, so the block's ground pair is the sector's."""
+def block_ground(sizes, src, dst, vals, seed: int) -> SpectrumResult:
+    """Ground pair of the orbit block (:func:`orbit_block`) of an operator
+    given by its entries out of the representative rows, its vector on the
+    normalized orbit sums.  The caller vouches that the sector ground state
+    is simple and symmetric, so the block's ground pair is the sector's."""
     # imported here, not at the top, so that a polya process never runs linalg
     from .linalg import ground_state, operator_from_entries
 
+    block = orbit_block(sizes, src, dst, vals)
     i, j = np.nonzero(block)
     spec = ground_state(operator_from_entries(len(block), i, j, block[i, j]), seed=seed)
     return replace(spec, method="symmetric-block")

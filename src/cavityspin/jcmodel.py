@@ -9,27 +9,26 @@ makes the sector matrix exact, not truncated.
 
 Mode layout: modes ``0 .. ly-1`` are the row modes, ``ly .. ly+lx-1`` the
 column modes.  Photon configurations are ranked through base-``n_max+1``
-packed int64 keys, which keeps matrix assembly vectorized; a block whose
-keys would not fit int64 is refused.
+packed int64 keys; a block whose keys would not fit int64 is refused.  One
+entry builder, :func:`_jc_entries`, gives the matrix entries out of any
+list of states.
 
-With g > 0 the sector ground state of an untruncated sector is simple, and
-with scalar detunings it is invariant under S_Ly x S_Lx acting on the sites
-and the line modes together; :func:`jc_sector_ground` then solves the ground
-pair of a sector past the route floor ``canonical.FLOOR`` (200 states, from
-``scripts/solver_sweep.py floor``) on the block of normalized orbit sums (114
-classes for the 2016 states of 3x3 n_total=4), and
+With g > 0 and scalar detunings the ground state of an untruncated sector
+is simple and invariant under S_Ly x S_Lx acting on the sites and the line
+modes together.  Past the route floor ``canonical.FLOOR``
+:func:`jc_sector_ground` solves its ground pair, and
 :func:`superradiant_critical_g` the lowest pair of its critical-coupling
-pencil, which has the same sign pattern and graph.  The classes are named by
-canonical codes (``canonical``) of the spins together with the mode counts,
-which move with their lines; the block is built from the sector entries
-whose row is a class representative (``canonical.orbit_block``) and solved
-by ``canonical.block_ground``, both in :func:`_ground`.
+pencil, on the block of normalized orbit sums (114 classes for the 2016
+states of 3x3 n_total=4): the classes grow from the spin levels
+(``canonical.symmetric_jc_sector``) and the block comes from the entries out
+of their representatives, so no :class:`JCBasis` or sector-sized array is
+made.  Every other sector is solved on :func:`build_jc_hamiltonian`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import mul
 from typing import Optional
 
@@ -37,10 +36,10 @@ import numpy as np
 
 from .basis import enumerate_masks
 from .canonical import (
+    SymmetricJCSector,
     block_ground,
-    canonical_codes,
-    code_classes,
-    orbit_block,
+    bounded_compositions,
+    symmetric_jc_sector,
     takes_orbit_block,
 )
 from .geometry import ArrayGeometry
@@ -56,38 +55,13 @@ from .params import EffectiveJCParams, RegimeError, ScalarOrPerLine
 MAX_JC_DIM = 2_000_000
 
 
-def bounded_compositions(total: int, parts: int, cap: int) -> np.ndarray:
-    """All distributions of ``total`` quanta over ``parts`` capped modes,
-    lexicographically ascending, shape (count, parts)."""
-    if parts == 0:
-        return np.zeros((1 if total == 0 else 0, 0), dtype=np.int64)
-    out: list[list[int]] = []
-    config = [0] * parts
-
-    def fill(pos: int, rem: int) -> None:
-        if pos == parts - 1:
-            if rem <= cap:
-                config[pos] = rem
-                out.append(config.copy())
-            return
-        tail_cap = (parts - pos - 1) * cap
-        for v in range(max(0, rem - tail_cap), min(cap, rem) + 1):
-            config[pos] = v
-            fill(pos + 1, rem - v)
-
-    fill(0, total)
-    return np.asarray(out, dtype=np.int64).reshape(len(out), parts)
-
-
 @dataclass
 class PhotonBlock:
     """Photon configurations at one total, with packed-key ranking."""
 
-    total: int
-    n_modes: int
-    cap: int
     configs: np.ndarray  # (count, n_modes)
     keys: np.ndarray  # packed base-(cap+1), ascending
+    weights: np.ndarray  # the key of one quantum in each mode
 
     @classmethod
     def build(cls, total: int, n_modes: int, cap: int) -> "PhotonBlock":
@@ -100,19 +74,14 @@ class PhotonBlock:
         weights = np.array(weights, dtype=np.int64)
         keys = configs @ weights if n_modes else np.zeros(len(configs), np.int64)
         # lex order on configs is ascending key order by construction
-        return cls(total=total, n_modes=n_modes, cap=cap, configs=configs, keys=keys)
+        return cls(configs, keys, weights)
 
     @property
     def count(self) -> int:
         return len(self.configs)
 
-    def key_weight(self, mode: int) -> int:
-        return (self.cap + 1) ** (self.n_modes - 1 - mode)
-
     def rank_keys(self, keys: np.ndarray) -> np.ndarray:
         """Indices of packed keys, -1 where the key is absent."""
-        if len(self.keys) == 0:
-            return np.full(len(keys), -1, dtype=np.int64)
         pos = np.searchsorted(self.keys, keys)
         pos = np.clip(pos, 0, len(self.keys) - 1)
         return np.where(self.keys[pos] == keys, pos, -1)
@@ -129,8 +98,7 @@ class JCBlock:
 
     @property
     def inner(self) -> int:
-        """Photon configurations per spin mask (the observables kernel's
-        inner dimension)."""
+        """Photon configurations per mask (the observables' inner index)."""
         return self.photons.count
 
     @property
@@ -148,35 +116,43 @@ class JCBasis:
             n_max = n_total  # per-mode occupation cannot exceed the sector total
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
-        self.geometry = geometry
-        self.n_total = n_total
-        self.n_max = n_max
-        n_sites = geometry.n_sites
-        n_modes = geometry.n_modes
+        self.geometry, self.n_total, self.n_max = geometry, n_total, n_max
         blocks: list[JCBlock] = []
         offset = 0
-        for k in range(min(n_sites, n_total), -1, -1):
-            photons = PhotonBlock.build(n_total - k, n_modes, n_max)
+        for k in range(min(geometry.n_sites, n_total), -1, -1):
+            photons = PhotonBlock.build(n_total - k, geometry.n_modes, n_max)
             if photons.count == 0:
                 continue
-            masks = enumerate_masks(n_sites, k)
+            masks = enumerate_masks(geometry.n_sites, k)
             blocks.append(JCBlock(k=k, masks=masks, photons=photons, offset=offset))
             offset += len(masks) * photons.count
         if offset > MAX_JC_DIM:
             raise ValueError(f"sector dimension {offset} exceeds guard {MAX_JC_DIM}")
         if offset == 0:
-            raise ValueError(
-                f"sector n_total={n_total} empty under per-mode cutoff n_max={n_max}"
-            )
+            raise ValueError(f"sector n_total={n_total} empty under per-mode cutoff n_max={n_max}")
         self.blocks = blocks
         self.dim = offset
         self.truncated = n_max < n_total
 
-    def row_mode(self, row: int) -> int:
-        return row
+    def states(self) -> tuple[np.ndarray, ...]:
+        """The raised-spin count, the spin mask and the photon counts of
+        every sector state, in basis order."""
+        parts = [
+            (np.full(b.size, b.k), b.masks.repeat(b.inner),
+             np.tile(b.photons.configs, (len(b.masks), 1)))
+            for b in self.blocks
+        ]
+        return tuple(np.concatenate(part) for part in zip(*parts))
 
-    def col_mode(self, col: int) -> int:
-        return self.geometry.ly + col
+    def rank(self, spins: np.ndarray, masks: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Basis index of every state given by its raised-spin count, its
+        spin mask and its photon key."""
+        out = np.empty(len(masks), dtype=np.int64)
+        for b in self.blocks:
+            i = np.flatnonzero(spins == b.k)
+            inside = np.searchsorted(b.masks, masks[i]) * b.inner + b.photons.rank_keys(keys[i])
+            out[i] = b.offset + inside
+        return out
 
 
 def _expand(value: ScalarOrPerLine, count: int) -> np.ndarray:
@@ -195,127 +171,104 @@ def mode_detunings(geometry: ArrayGeometry, jc: EffectiveJCParams) -> np.ndarray
     )
 
 
+def _jc_entries(geometry, jc, states, cap: int, weights) -> tuple[np.ndarray, ...]:
+    """Sector matrix entries out of the given states (raised-spin counts,
+    spin masks and photon counts, row modes first): the row index, the mask
+    and the photon key (``weights`` per quantum) of the column, and the value
+    of each entry.  Diagonal: spin splitting plus photon energies.  A raised
+    spin turns into a photon of either mode crossing its site, and back, with
+    amplitude ``g sqrt(n)``, n the photons of that mode with the spin
+    lowered; no mode passes ``cap``."""
+    spins, masks, modes = states
+    keys = modes @ weights
+    rows, cols, col_keys = [np.arange(len(masks))], [masks], [keys]
+    spin_energy = jc.omega_at / 2.0 * (2 * spins - geometry.n_sites)
+    vals = [spin_energy + modes @ mode_detunings(geometry, jc)]
+    occupations = np.ascontiguousarray(modes.T)
+    for s in range(geometry.n_sites if jc.g != 0.0 else 0):
+        raised = (masks >> s) & 1 == 1
+        moves = ((1, np.flatnonzero(raised)), (-1, np.flatnonzero(~raised)))
+        r, c = geometry.row_col(s)
+        for m in (r, geometry.ly + c):
+            for step, at in moves:
+                n = occupations[m][at] + (step > 0)  # photons in mode m, the spin lowered
+                ok = (n > 0) & (n <= cap)
+                i = at[ok]
+                rows.append(i)
+                cols.append(masks[i] ^ (1 << s))
+                col_keys.append(keys[i] + step * weights[m])
+                vals.append(jc.g * np.sqrt(n[ok]))
+    return tuple(np.concatenate(part) for part in (rows, cols, col_keys, vals))
+
+
 def build_jc_hamiltonian(
     geometry: ArrayGeometry, jc: EffectiveJCParams, basis: JCBasis
 ) -> SparseOperator:
-    """Sector matrix of the array model.
-
-    Diagonal: spin splitting plus photon energies.  Off-diagonal: one raised
-    spin converts into one photon of either mode crossing its site, with
-    amplitude ``g sqrt(n_mode + 1)``.  The overall sign of g is a gauge
-    choice (a phase flip of every raised spin absorbs it), so the magnitude
-    is used.
-    """
+    """Sector matrix of the array model: the entries of :func:`_jc_entries`
+    out of every basis state, their columns ranked in the basis.  The
+    overall sign of g is a gauge choice (a phase flip of every raised spin
+    absorbs it)."""
     if basis.geometry != geometry:
         raise ValueError("basis geometry mismatch")
-    n_sites = geometry.n_sites
-    deltas = mode_detunings(geometry, jc)
-    g = jc.g
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    spins, masks, _ = states = basis.states()
+    weights = basis.blocks[0].photons.weights
+    rows, cols, keys, vals = _jc_entries(geometry, jc, states, basis.n_max, weights)
+    col_spins = spins[rows] + np.sign(cols - masks[rows])  # one spin flipped, or none
+    return operator_from_entries(basis.dim, rows, basis.rank(col_spins, cols, keys), vals)
 
-    # diagonal, block by block
-    for blk in basis.blocks:
-        diag_spin = jc.omega_at / 2.0 * (2 * blk.k - n_sites)
-        diag_phot = blk.photons.configs @ deltas
-        d = (diag_spin + diag_phot[None, :]).repeat(len(blk.masks), axis=0).reshape(-1)
-        idx = blk.offset + np.arange(blk.size)
-        rows.append(idx)
-        cols.append(idx)
-        vals.append(d)
 
-    # spin-lowering / photon-raising between adjacent spin blocks
-    by_k = {blk.k: blk for blk in basis.blocks}
-    for blk in basis.blocks:
-        lower = by_k.get(blk.k - 1)
-        if lower is None or g == 0.0:
-            continue
-        np_hi = blk.photons.count
-        np_lo = lower.photons.count
-        for s in range(n_sites):
-            bit = np.int64(1) << s
-            sel = np.nonzero((blk.masks & bit) != 0)[0]
-            if len(sel) == 0:
-                continue
-            partner = blk.masks[sel] ^ bit
-            pr = np.searchsorted(lower.masks, partner)
-            if not np.array_equal(lower.masks[pr], partner):
-                raise AssertionError("spin block mismatch")
-            r, c = geometry.row_col(s)
-            for m in (basis.row_mode(r), basis.col_mode(c)):
-                occ = blk.photons.configs[:, m]
-                ok = np.nonzero(occ < basis.n_max)[0]
-                if len(ok) == 0:
-                    continue
-                tgt = lower.photons.rank_keys(
-                    blk.photons.keys[ok] + blk.photons.key_weight(m)
-                )
-                good = tgt >= 0
-                ok = ok[good]
-                tgt = tgt[good]
-                if len(ok) == 0:
-                    continue
-                amp = g * np.sqrt(occ[ok] + 1.0)
-                ridx = blk.offset + (sel[:, None] * np_hi + ok[None, :]).reshape(-1)
-                cidx = lower.offset + (pr[:, None] * np_lo + tgt[None, :]).reshape(-1)
-                v = np.broadcast_to(amp, (len(sel), len(ok))).reshape(-1)
-                rows.append(ridx)
-                cols.append(cidx)
-                vals.append(v)
-                rows.append(cidx)
-                cols.append(ridx)
-                vals.append(v)
-
-    return operator_from_entries(
-        basis.dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+def _sector_entries(
+    geometry: ArrayGeometry, jc: EffectiveJCParams, n_total: int, n_max: Optional[int]
+) -> tuple[JCBasis | SymmetricJCSector, np.ndarray, np.ndarray, np.ndarray]:
+    """A sector and the entries (row, column, value) of the matrix of ``jc``
+    on it.  With g > 0 an untruncated sector is connected and, in the gauge
+    ``(-1)^k`` (k raised spins), all its off-diagonal entries are negative:
+    by Perron-Frobenius its ground state is simple and positive, and with
+    scalar detunings invariant under every row and column permutation.  Such
+    a sector that passes ``canonical.takes_orbit_block`` and
+    :data:`MAX_JC_DIM` is held as its classes, the entries taken out of the
+    representatives and their columns classified by code; any other is the
+    whole :class:`JCBasis`."""
+    n_modes = geometry.n_modes
+    dim = sum(  # untruncated, in closed form
+        math.comb(geometry.n_sites, k) * math.comb(n_total - k + n_modes - 1, n_modes - 1)
+        for k in range(min(geometry.n_sites, n_total) + 1)
     )
+    scalar = all(isinstance(d, (int, float)) for d in (jc.delta_a, jc.delta_b))
+    untruncated = n_max is None or n_max >= n_total
+    if not (jc.g > 0.0 and scalar and untruncated and takes_orbit_block(dim)) or dim > MAX_JC_DIM:
+        basis = JCBasis(geometry, n_total, n_max)
+        h = build_jc_hamiltonian(geometry, jc, basis)
+        return basis, h.rows, h.cols, h.vals
+    sector = symmetric_jc_sector(geometry, n_total)
+    weights = PhotonBlock.build(n_total, n_modes, n_total).weights
+    reps = (sector.spins, sector.representatives, sector.modes)
+    rows, cols, keys, vals = _jc_entries(geometry, jc, reps, n_total, weights)
+    cols = sector.classify(cols, keys[:, None] // weights % (n_total + 1))
+    return sector, rows, cols, vals
 
 
-def _state_codes(basis: JCBasis) -> np.ndarray:
-    """Canonical code of every sector state: its spin mask with the photon
-    counts of the line modes, which move with their lines."""
-    masks = np.concatenate([blk.masks.repeat(blk.inner) for blk in basis.blocks])
-    modes = np.concatenate(
-        [np.tile(blk.photons.configs, (len(blk.masks), 1)) for blk in basis.blocks]
-    )
-    return canonical_codes(basis.geometry, masks, modes)[0]
-
-
-def _ground(
-    jc: EffectiveJCParams, basis: JCBasis, op: SparseOperator, seed: int
-) -> SpectrumResult:
-    """Ground pair of a sector operator with the sign pattern and the graph
-    of the sector Hamiltonian of ``jc`` that commutes with every row and
-    column permutation at scalar detunings: that Hamiltonian, or the
-    critical-coupling pencil of :func:`_pencil_ground`.
-
-    In the gauge ``(-1)^k`` (k raised spins) every off-diagonal entry is
-    then negative, and for g > 0 an untruncated sector is connected, so by
-    Perron-Frobenius the ground state is simple and positive.  With scalar
-    detunings it is then invariant under every row and column permutation,
-    and a sector that passes the size rule ``canonical.takes_orbit_block``
-    is solved on the block of symmetric orbit sums: the states are grouped
-    by code, the block is built from the rows of the class representatives,
-    and its vector ``c`` is expanded to amplitude ``c_i / sqrt(s_i)`` on
-    every member of class i.  Every other case is solved on the full sector
-    matrix.
-    """
-    if not (
-        jc.g > 0.0
-        and all(isinstance(d, (int, float)) for d in (jc.delta_a, jc.delta_b))
-        and not basis.truncated
-        and takes_orbit_block(basis.dim)
-    ):
-        return ground_state(op, seed=seed)
-    geometry = basis.geometry
-    order = math.factorial(geometry.lx) * math.factorial(geometry.ly)
-    reps, which, sizes = code_classes(_state_codes(basis), order)
-    keep = reps[which[op.rows]] == op.rows
-    block = orbit_block(sizes, which[op.rows[keep]], which[op.cols[keep]], op.vals[keep])
-    spec = block_ground(block, seed)
-    vectors = (spec.eigenvectors / np.sqrt(sizes)[:, None])[which]
-    return replace(spec, eigenvectors=vectors)
+def _solve(geometry, jc, n_total, n_max, seed, pencil=False):
+    """Ground pair of the sector matrix of ``jc``, or of its critical-coupling
+    pencil (:func:`_pencil_ground`), with its sector (:func:`_sector_entries`),
+    on the orbit block of a routed sector.  The pencil has the sign pattern
+    and graph of the matrix and a symmetric diagonal, so it routes alike."""
+    sector, rows, cols, vals = _sector_entries(geometry, jc, n_total, n_max)
+    if pencil:  # each class and each state has one diagonal entry
+        on = rows == cols
+        d = np.bincount(rows[on], weights=vals[on]) + jc.omega_at * geometry.n_sites / 2.0
+        if d.min() <= 0.0:
+            # a basis state already sits at or below the vacuum at any g
+            raise ValueError("g_lo already past the crossing")
+        rows, cols = rows[~on], cols[~on]
+        vals = vals[~on] / np.sqrt(d[rows] * d[cols])
+    if isinstance(sector, SymmetricJCSector):
+        spec = block_ground(sector.sizes, rows, cols, vals, seed)
+    else:
+        spec = ground_state(operator_from_entries(sector.dim, rows, cols, vals), seed=seed)
+    if not spec.converged:
+        raise ArithmeticError(f"sector n_total={n_total} ground solve did not converge")
+    return spec, sector
 
 
 def jc_sector_ground(
@@ -325,16 +278,12 @@ def jc_sector_ground(
     *,
     n_max: Optional[int] = None,
     seed: int = 0,
-) -> tuple[SpectrumResult, JCBasis]:
-    """Every copy of the ground level of a sector, on the symmetric orbit
-    block where :func:`_ground` proves the ground pair simple and symmetric
-    and the sector passes the route floor, else on the full sector matrix.
-    """
-    basis = JCBasis(geometry, n_total, n_max)
-    spec = _ground(jc, basis, build_jc_hamiltonian(geometry, jc, basis), seed)
-    if not spec.converged:
-        raise ArithmeticError(f"sector n_total={n_total} ground solve did not converge")
-    return spec, basis
+) -> tuple[SpectrumResult, JCBasis | SymmetricJCSector]:
+    """Every copy of the ground level of a sector, and the sector its
+    vectors live in: a routed sector's class vector with its
+    :class:`~cavityspin.canonical.SymmetricJCSector`, else full vectors
+    with the :class:`JCBasis` (:func:`_sector_entries`)."""
+    return _solve(geometry, jc, n_total, n_max, seed)
 
 
 @dataclass(frozen=True)
@@ -344,7 +293,7 @@ class JCGroundResult:
     n_total: int
     energy: float
     spectrum: SpectrumResult
-    basis: JCBasis
+    basis: JCBasis | SymmetricJCSector
     scan: tuple[tuple[int, int, float], ...]  # (n_total, dim, energy) per sector
 
 
@@ -365,7 +314,7 @@ def jc_ground_state(
     Each sector is solved once; the winner's spectrum and basis come from
     the scan.
     """
-    solved: dict[int, tuple[SpectrumResult, JCBasis]] = {}
+    solved: dict[int, tuple[SpectrumResult, JCBasis | SymmetricJCSector]] = {}
 
     def energy(n: int) -> float:
         if n not in solved:
@@ -417,38 +366,11 @@ def one_excitation_crossing_g(
     return math.sqrt(rad)
 
 
-def _pencil_ground(
-    geometry: ArrayGeometry,
-    unit: EffectiveJCParams,
-    n_total: int,
-    n_max: Optional[int],
-    seed: int,
-) -> SpectrumResult:
+def _pencil_ground(geometry, unit, n_total, n_max, seed) -> SpectrumResult:
     """Lowest pair of ``w = D'^-1/2 V D'^-1/2`` on one sector, ``unit`` the
-    parameters at g = 1 (see :func:`superradiant_critical_g`).
-
-    w has the sign pattern and the graph of V, and ``D'`` is unchanged by
-    the row and column permutations at scalar detunings, so :func:`_ground`
-    solves it on the orbit block wherever it would route the sector: in the
-    gauge ``(-1)^k`` the lowest eigenvalue is simple with a positive,
-    symmetric vector.
-    """
-    e_vac = -unit.omega_at * geometry.n_sites / 2.0
-    basis = JCBasis(geometry, n_total, n_max)
-    h = build_jc_hamiltonian(geometry, unit, basis)
-    on = h.rows == h.cols
-    d = np.bincount(h.rows[on], weights=h.vals[on], minlength=basis.dim) - e_vac
-    if d.min() <= 0.0:
-        # a basis state already sits at or below the vacuum at any g
-        raise ValueError("g_lo already past the crossing")
-    rows, cols = h.rows[~on], h.cols[~on]
-    w = operator_from_entries(
-        basis.dim, rows, cols, h.vals[~on] / np.sqrt(d[rows] * d[cols])
-    )
-    spec = _ground(unit, basis, w, seed)
-    if not spec.converged:
-        raise ArithmeticError(f"sector n_total={n_total} solve did not converge")
-    return spec
+    parameters at g = 1 (see :func:`superradiant_critical_g`), on the
+    orbit block where the sector is routed."""
+    return _solve(geometry, unit, n_total, n_max, seed, pencil=True)[0]
 
 
 def superradiant_critical_g(
@@ -488,8 +410,11 @@ def superradiant_critical_g(
     return g_c
 
 
-def jc_correlation_ratio(spectrum: SpectrumResult, basis: JCBasis) -> CorrelationResult:
-    """Ground-multiplet correlation ratio with the photons traced out."""
+def jc_correlation_ratio(
+    spectrum: SpectrumResult, basis: JCBasis | SymmetricJCSector
+) -> CorrelationResult:
+    """Ground-multiplet correlation ratio with the photons traced out; a
+    routed sector is read on its class vector."""
     return multiplet_correlations(spectrum, basis)
 
 

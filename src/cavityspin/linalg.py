@@ -7,7 +7,8 @@ Lanczos (``scipy.sparse.linalg.eigsh``) on the CSR ``matrix``, built on first
 use, in deflated rounds until the lowest degeneracy cluster is provably
 closed.  A solve returns that cluster and nothing else: every copy of the
 lowest level on both paths, with the residual norm ``|H v - E v|`` of every
-pair.
+pair; the Lanczos path returns that of an operator with no nonzero
+off-diagonal entry exactly, a unit vector and residual 0 per copy.
 
 Only the Lanczos path and ``nnz`` import scipy, so a process whose solves
 are all dense (and one that solves nothing) runs on numpy alone.  The
@@ -28,10 +29,10 @@ Attractive spin sectors and Jaynes-Cummings sectors with scalar detunings
 ``canonical.FLOOR`` reach this module as their small orbit-sum block, through
 ``canonical.block_ground``: the operator is the block, usually far below
 the cutoff (159 classes for the 184 756 states of spin 5x4 n=10, 114 for
-the 2016 states of JC 3x3 n_total=4), and such a spin sector never becomes
-a matrix or a vector.  The JC sectors that stay whole (per-line detunings,
-a truncated photon cutoff) close after one Lanczos round: their ground level
-is simple by Perron-Frobenius up to a +-1 gauge.
+the 2016 states of JC 3x3 n_total=4), and such a sector never becomes a
+matrix or a sector-sized vector.  The JC sectors that stay whole (per-line
+detunings, a truncated photon cutoff) close after one Lanczos round: their
+ground level is simple by Perron-Frobenius up to a +-1 gauge.
 """
 
 from __future__ import annotations
@@ -171,11 +172,18 @@ def _lanczos_lowest(op: SparseOperator, *, seed: int) -> SpectrumResult:
     the lowest are still missing.  The cluster is closed only after two
     consecutive rounds from independent starts both land above it, or from
     the start when Perron-Frobenius proves the ground level simple (up to
-    a +-1 gauge, as in every Jaynes-Cummings sector).
+    a +-1 gauge, as in every Jaynes-Cummings sector).  A diagonal operator
+    takes no round.
     """
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     dim = op.dim
+    off = op.rows != op.cols
+    if not np.any(op.vals[off]):  # no Krylov space: the diagonal is the spectrum
+        d = np.bincount(op.rows[~off], weights=op.vals[~off], minlength=dim)
+        low = np.argsort(d, kind="stable")[: _lowest_cluster_size(np.sort(d))]
+        unit = (np.arange(dim)[:, None] == low).astype(float)
+        return _result(op.matrix, d[low], unit, "lanczos")
     rng = np.random.default_rng(seed)
     sigma = 2.0 * float(abs(op.matrix).sum(axis=1).max()) + 1.0
     vals = np.empty(0)

@@ -11,9 +11,9 @@ Pair correlations are never formed pair by pair: the shared-line sum comes
 from the moves of the hop rule (``basis.line_moves``) and the all-pairs sum
 from the lowering operator ``S- = sum_s sigma-_s``.
 
-An attractive spin sector solved on its orbit block is held as a
-:class:`~cavityspin.canonical.SymmetricSector`, with vectors ``c`` on its
-classes (amplitude ``c_i / sqrt(s_i)`` on every member of class i).  The
+A sector solved on its orbit block is held as its classes
+(:class:`~cavityspin.canonical.SymmetricSector`,
+:class:`~cavityspin.canonical.SymmetricJCSector`) with vectors on them.  The
 one kernel, :func:`_pair_sums`, reads rows that stand for a number of
 states each, so it takes a mask block and a class vector alike, and
 :func:`multiplet_correlations` applies the one normalization.
@@ -28,7 +28,12 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .basis import enumerate_masks, line_moves
-from .canonical import SymmetricSector, symmetric_sector
+from .canonical import (
+    SymmetricJCSector,
+    SymmetricSector,
+    symmetric_jc_sector,
+    symmetric_sector,
+)
 
 
 def block_segments(vectors: np.ndarray, basis) -> Iterator[tuple[object, np.ndarray]]:
@@ -55,24 +60,29 @@ class CorrelationResult:
     cluster_truncated: bool = False
 
 
-def _pair_sums(geometry, masks, u, sizes, rank, lower, lower_sizes) -> tuple[float, float]:
+def _pair_sums(geometry, masks, u, sizes, rank, lower, lower_sizes, modes=None, lower_modes=None):
     """``(<A>, sum over ordered pairs s != t)`` of vectors whose row i,
     ``u[i]`` of shape (inner, columns), stands for ``sizes[i]`` states of
     mask ``masks[i]`` (a scalar size stands for every row); ``rank`` maps
     masks of the level to rows, and ``lower``, ``lower_sizes`` are the rows
-    of the level one raised spin below.  ``S- v`` at a lower row sums ``u``
-    over its raisings, which come contiguous, ``N - n + 1`` per lower mask.
-    They are ranked bit-major and the ranks put back in that order: over
-    sorted lower masks each bit's raisings ascend, which ``searchsorted``
-    ranks in about half the time of the interleaved order."""
+    of the level one raised spin below.  Jaynes-Cummings class rows carry
+    photon counts (``modes``, ``lower_modes``), which moves and raisings keep
+    and ``rank`` takes second.  ``S- v`` at a lower row sums ``u`` over its
+    raisings, ``N - n + 1`` per lower mask, ranked bit-major and put back in
+    that order: over sorted lower masks each bit's raisings ascend, which
+    ``searchsorted`` ranks in about half the time of the interleaved order."""
+
+    def find(states, photons, of):  # with the photons of rows ``of``, if any
+        return rank(states) if photons is None else rank(states, photons[of])
+
     weighted = u * np.reshape(sizes, (-1, 1, 1))
     hops = 0.0  # <A>, A the 0/1 matrix of row and column moves
     for kind in ("row", "col"):  # one rank call per kind keeps the peak low
         src, dst = line_moves(geometry, masks, kind)
-        hops += float((weighted[src] * u[rank(dst)]).sum())
+        hops += float((weighted[src] * u[find(dst, modes, src)]).sum())
     raised = (np.int64(1) << np.arange(geometry.n_sites, dtype=np.int64))[:, None] | lower
     fresh = raised != lower
-    ranks = rank(raised[fresh])
+    ranks = find(raised[fresh], lower_modes, np.nonzero(fresh)[1])
     rows = np.empty(raised.shape, dtype=ranks.dtype)
     rows[fresh] = ranks
     raisings = u[rows.T[fresh.T]]
@@ -83,18 +93,31 @@ def _pair_sums(geometry, masks, u, sizes, rank, lower, lower_sizes) -> tuple[flo
 
 def _levels(multiplet: np.ndarray, basis) -> Iterator[tuple]:
     """The :func:`_pair_sums` arguments of every spin level with a raised
-    spin (a level without one has neither sum)."""
+    spin (a level without one has neither sum).  Level k of a
+    Jaynes-Cummings sector lowers into level k - 1 of the sector one
+    excitation below, with the same photons."""
     if isinstance(basis, SymmetricSector):
         if basis.n_exc:
             low, sizes = symmetric_sector(basis.geometry, basis.n_exc - 1), basis.sizes
             u = (multiplet / np.sqrt(sizes)[:, None])[:, None]
             yield basis.representatives, u, sizes, basis.classify, low.representatives, low.sizes
-        return
-    for blk, seg in block_segments(multiplet, basis):
-        n_exc = int(blk.masks[0]).bit_count()
-        if n_exc:
-            lower = enumerate_masks(basis.geometry.n_sites, n_exc - 1)
-            yield blk.masks, seg, 1, blk.masks.searchsorted, lower, 1
+    elif isinstance(basis, SymmetricJCSector):
+        u = (multiplet / np.sqrt(basis.sizes)[:, None])[:, None]
+        for k in range(1, int(basis.spins[0]) + 1):
+            low = symmetric_jc_sector(basis.geometry, basis.n_total - 1)
+            at, down = basis.spins == k, low.spins == k - 1
+
+            def rank(masks, modes, start=np.argmax(at)):  # rows of the level
+                return basis.classify(masks, modes) - start
+
+            yield (basis.representatives[at], u[at], basis.sizes[at], rank,
+                   low.representatives[down], low.sizes[down], basis.modes[at], low.modes[down])
+    else:
+        for blk, seg in block_segments(multiplet, basis):
+            n_exc = int(blk.masks[0]).bit_count()
+            if n_exc:
+                lower = enumerate_masks(basis.geometry.n_sites, n_exc - 1)
+                yield blk.masks, seg, 1, blk.masks.searchsorted, lower, 1
 
 
 def multiplet_correlations(spectrum, basis) -> CorrelationResult:
@@ -112,9 +135,9 @@ def multiplet_correlations(spectrum, basis) -> CorrelationResult:
       with ``S-`` mapping each block onto the masks of one raised spin
       fewer at the same inner index.
 
-    On a :class:`~cavityspin.canonical.SymmetricSector` a row is a class,
-    weighted by its size: the moves and ``S-`` commute with every site
-    permutation, so those of a representative stand for every member's.
+    On a class vector a row is a class, weighted by its size: the moves and
+    ``S-`` commute with every row and column permutation, so those of a
+    representative stand for every member's.
 
     An array with no pair of a kind averages to 0.0.  Undefined (ratio
     ``None``) when the NN average is zero up to round-off (``|sigma_nn| <=

@@ -15,20 +15,14 @@ ground vectors give two-point spin correlations.
 With both couplings negative every hop is negative and the hop graph of a
 sector ``0 < n_exc < N`` is connected, so by Perron-Frobenius the sector
 ground state is unique and invariant under every row and every column
-permutation.  :func:`sector_ground` then solves for that one pair on the
-block of normalized orbit sums under S_Ly x S_Lx (159 classes for the
-184 756 states of 5x4 n=10) whenever the sector is past the route floor
-``canonical.FLOOR`` (200 states: from there the routed solve beats the
-dense one, ``scripts/solver_sweep.py floor``).
-The classes come from canonical codes (``canonical.symmetric_sector``,
-each level built once per process), the block from the sector entries out
-of one representative per class, the same entries the full matrix is built
-from, and ``canonical.block_ground`` solves it; the block vector is
-returned with its :class:`~cavityspin.canonical.SymmetricSector`: no
-sector table or sector-sized vector is made, so sectors up to
-the bitmask guard ``basis.MAX_SECTOR_DIM`` take this route.  Every other
-case is solved on the full sector matrix.  Either way a solve returns the
-whole ground cluster and nothing above it.
+permutation.  Past the route floor ``canonical.FLOOR`` :func:`sector_ground`
+then solves for that one pair on the block of normalized orbit sums under
+S_Ly x S_Lx (159 classes for the 184 756 states of 5x4 n=10), built from the
+entries out of the representatives of ``canonical.symmetric_sector``, and
+returns the block vector with its classes: no sector table or sector-sized
+vector is made, up to the bitmask guard ``basis.MAX_SECTOR_DIM``.  Every
+other case is solved on the full sector matrix.  Either way a solve returns
+the whole ground cluster and nothing above it.
 """
 
 from __future__ import annotations
@@ -157,10 +151,10 @@ def sector_ground(
         comb(geometry.n_sites, n_exc)
     ):
         basis = symmetric_sector(geometry, n_exc)
-        entries = _sector_entries(
+        src, dst, vals = _sector_entries(
             geometry, couplings, basis.representatives, n_exc, include_lambda_shift
         )
-        spec = block_ground(basis.block(*entries), seed)
+        spec = block_ground(basis.sizes, src, basis.classify(dst), vals, seed)
     else:
         basis = SectorBasis(geometry, n_exc)
         h = build_sector_hamiltonian(geometry, couplings, basis, include_lambda_shift)

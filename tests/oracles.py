@@ -8,12 +8,12 @@ against.  Spin operators are sparse Kronecker products; only the sector
 block taken out of them is made dense.  One helper reads the package:
 :func:`expand_block_vectors` maps a symmetric-block solve back onto the
 full sector through the canonical codes its classes are named by
-(``SymmetricSector.classify``).
+(``SymmetricSector.classify``, ``SymmetricJCSector.classify``).
 """
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
@@ -284,6 +284,48 @@ def brute_jc_orbits(elements, geometry, states: list) -> list:
     return sorted(out)
 
 
+def loop_canonical_codes(geometry, masks, modes=None) -> tuple[list, list]:
+    """Canonical codes (as tuples of int64 words) and hit counts one state
+    and one shorter-side permutation at a time, in Python integers: the
+    lines of the longer side as words (spins, mode count above them), each
+    word's spins permuted, the words sorted, the permuted shorter-side counts
+    appended; the least item sequence over the permutations, packed first
+    item highest into words of at most 63 bits."""
+    lx, ly = geometry.lx, geometry.ly
+    width, tall = min(lx, ly), ly > lx
+    lines = [[r * lx + c for r in range(ly)] for c in range(lx)]  # columns
+    if tall:
+        lines = [[r * lx + c for c in range(lx)] for r in range(ly)]
+    bits = 0 if modes is None else int(np.max(modes, initial=0)).bit_length()
+    widths = [width + bits] * len(lines) + ([bits] * width if modes is not None else [])
+    codes, hits = [], []
+    for n, mask in enumerate(np.asarray(masks).tolist()):
+        along = across = [0] * max(lx, ly)
+        if modes is not None:
+            rows, cols = list(modes[n][:ly]), list(modes[n][ly:])
+            along, across = (rows, cols) if tall else (cols, rows)
+        items = []
+        for perm in permutations(range(width)):
+            words = sorted(
+                sum(((mask >> s) & 1) << perm[i] for i, s in enumerate(line)) | along[j] << width
+                for j, line in enumerate(lines)
+            )
+            tail = [across[perm.index(i)] for i in range(width)] if modes is not None else []
+            items.append(tuple(words + tail))
+        least = min(items)
+        packed, used = [], 63
+        for item, w in zip(least, widths):
+            if used + w > 63:
+                packed.append(item)
+                used = w
+            else:
+                packed[-1] = packed[-1] << w | item
+                used += w
+        codes.append(tuple(packed))
+        hits.append(items.count(least))
+    return codes, hits
+
+
 def brute_cycle_index(elements) -> dict:
     """{cycle-length counts (b_1, ..., b_n): share of the elements}, from
     walking the cycles of every listed permutation."""
@@ -347,9 +389,11 @@ def pair_loop_correlations(vectors: np.ndarray, basis):
     )
 
 
-def expand_block_vectors(spectrum, sector, masks: np.ndarray) -> np.ndarray:
+def expand_block_vectors(spectrum, sector, masks: np.ndarray, modes=None) -> np.ndarray:
     """The block vectors of a symmetric-block solve expanded over the given
-    masks of the sector (ascending, the full table): each mask's canonical
-    code gives its class i, and its amplitude is ``c_i / sqrt(s_i)``."""
-    which = sector.classify(np.asarray(masks, dtype=np.int64))
+    states of the sector (the full table: masks, with their photon counts
+    ``modes`` in a Jaynes-Cummings sector): each state's canonical code
+    gives its class i, and its amplitude is ``c_i / sqrt(s_i)``."""
+    masks = np.asarray(masks, dtype=np.int64)
+    which = sector.classify(masks) if modes is None else sector.classify(masks, modes)
     return (spectrum.eigenvectors / np.sqrt(sector.sizes)[:, None])[which]

@@ -10,7 +10,7 @@ from cavityspin import canonical, spinmodel, symmetry
 from cavityspin.basis import SectorBasis
 from cavityspin.geometry import ArrayGeometry
 from cavityspin.params import SpinCouplings
-from oracles import brute_group, brute_orbits, expand_block_vectors
+from oracles import brute_group, brute_orbits, expand_block_vectors, loop_canonical_codes
 
 
 @pytest.mark.parametrize(
@@ -38,6 +38,24 @@ def test_class_counts_and_sizes_on_every_sector(lx, ly):
     for up, down in zip(upward, reversed(downward)):
         assert np.array_equal(up.codes, down.codes)
         assert np.array_equal(up.sizes, down.sizes)
+
+
+@pytest.mark.parametrize(
+    "lx, ly, photons", [(6, 2, False), (2, 6, True), (6, 6, False), (7, 6, True), (4, 4, True)]
+)
+def test_codes_in_blocks_match_the_one_permutation_loop(lx, ly, photons):
+    # every shorter-side permutation runs at once on blocks of about 8192
+    # (permutation, key) pairs: 6-wide tables of 40 keys span four blocks;
+    # repeated states share their code; 7x6 codes with photons take 2 words
+    geom = ArrayGeometry(lx, ly)
+    rng = np.random.default_rng(10 * lx + ly)
+    masks = rng.integers(0, 1 << geom.n_sites, size=40)
+    masks = np.r_[masks, masks[:8]]
+    modes = rng.integers(0, 4, size=(len(masks), geom.n_modes)) if photons else None
+    codes, hits = canonical.canonical_codes(geom, masks, modes)
+    assert (list(map(tuple, codes.T.tolist())), hits.tolist()) == loop_canonical_codes(
+        geom, masks, modes
+    )
 
 
 def test_levels_are_built_once_and_read_only():

@@ -309,7 +309,6 @@ def test_cli_polya_reads_the_grown_levels_up_to_the_sector_guard(monkeypatch, ca
     for module, name in [
         (cavityspin.basis, "enumerate_masks"),
         (symmetry, "enumerate_masks"),
-        (cavityspin.canonical, "code_classes"),
         (symmetry, "orbits"),
     ]:
         monkeypatch.setattr(module, name, refuse)
@@ -559,6 +558,65 @@ def test_cli_jc_ed_scan_builds_each_sector_basis_once(monkeypatch, capsys):
     assert code == 0
     assert sorted(built) == [0, 1, 2, 3, 4]
     assert [r[0] for r in io.parse_csv(out).rows] == [0, 1, 2, 3, 4]
+
+
+def test_cli_routed_jc_sectors_build_no_basis_and_no_sector_matrix(monkeypatch, capsys):
+    # a routed Jaynes-Cummings sector is grown from the spin levels and built
+    # from its representative rows: no JCBasis, mask table or sector matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("a routed Jaynes-Cummings sector reached the sector-sized path")
+
+    for name in ("JCBasis", "enumerate_masks", "build_jc_hamiltonian"):
+        monkeypatch.setattr(jcmodel, name, refuse)
+    # the spin sector of 126 states solves whole, from its mask table
+    code, out, err = run_cli(
+        capsys,
+        ["correlations", "--lx", "3", "--ly", "3", "--lambda-a=-0.15", "--lambda-b=-0.07",
+         "--omega", "1", "--nexc", "4", "--jc-delta-ratio", "40"],
+    )
+    assert code == 0 and err == ""
+    assert [r[0] for r in io.parse_csv(out).rows] == ["spin", "jc"]
+    monkeypatch.setattr(cavityspin.basis, "enumerate_masks", refuse)
+    jc_ed = ["jc-ed", "--lx", "4", "--ly", "4", "--omega", "1", "--g", "0.4",
+             "--delta-a", "6", "--delta-b", "5.5"]
+    code, out, err = run_cli(capsys, jc_ed + ["--ntotal", "6"])
+    assert code == 0 and err == ""
+    ((n_total, dim, _, _),) = io.parse_csv(out).rows
+    assert (n_total, dim) == (6, 229660)
+    # past the basis guard the sector is refused, as the whole basis is
+    monkeypatch.undo()
+    code, out, err = run_cli(capsys, jc_ed + ["--ntotal", "8"])
+    assert code == 1 and out == ""
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == "compute"
+    assert payload["message"] == "sector dimension 2228225 exceeds guard 2000000"
+
+
+@pytest.mark.parametrize(
+    "argv, row",
+    [
+        (["spin-ed", "--lx", "4", "--ly", "3", "--lambda-a", "0", "--omega", "1",
+          "--nexc", "6"], ["6", "924", "0", "924"]),
+        (["spin-ed", "--lx", "4", "--ly", "3", "--lambda-a", "0", "--omega", "1",
+          "--nexc", "5"], ["5", "792", "-1", "792"]),
+        (["spin-ed", "--lx", "4", "--ly", "3", "--lambda-a", "0", "--omega", "0",
+          "--units", "raw", "--nexc", "6"], ["6", "924", "0", "924"]),
+        (["correlations", "--lx", "4", "--ly", "3", "--lambda-a", "0", "--omega", "1",
+          "--nexc", "6"], ["spin", "6", "0", "0", ""]),
+        (["jc-ed", "--lx", "3", "--ly", "3", "--omega", "1", "--g", "0", "--delta-a", "5",
+          "--ntotal", "4"], ["4", "2016", "-0.5", ""]),
+    ],
+)
+def test_cli_diagonal_sector_past_the_dense_cutoff_is_exact(capsys, argv, row):
+    # no hop and no exchange: the Lanczos path returns the lowest diagonal
+    # cluster, every copy, exactly and the same on every run
+    outs = []
+    for _ in range(2):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert out.splitlines()[1].split(",") == row
 
 
 def test_cli_excitation_curve_prints_unsigned_zero(capsys):

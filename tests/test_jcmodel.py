@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cavityspin import canonical, jcmodel, linalg, onedim, spinmodel, symmetry
+from cavityspin import canonical, jcmodel, linalg, onedim, spinmodel
 from cavityspin.geometry import ArrayGeometry
 from cavityspin.observables import block_segments
 from cavityspin.params import EffectiveJCParams, RegimeError, SpinCouplings
@@ -16,6 +16,7 @@ from oracles import (
     brute_group,
     brute_jc_orbits,
     dense_jc_sector,
+    expand_block_vectors,
     jc_correlation_reference,
     symmetry_defect,
 )
@@ -55,7 +56,7 @@ def test_basis_dimension_and_roundtrip():
     # one photon in the first mode is no configuration of the k=2 block
     top = basis.blocks[0]
     assert top.k == 2
-    assert top.photons.rank_keys(np.array([top.photons.key_weight(0)]))[0] == -1
+    assert top.photons.rank_keys(top.photons.weights[:1])[0] == -1
 
 
 def test_photon_keys_past_int64_are_refused():
@@ -317,16 +318,20 @@ def test_symmetric_block_route_matches_full_sector_ed(monkeypatch):
     jc = EffectiveJCParams(omega_at=1.0, g=0.6, delta_a=1.7, delta_b=1.2)
     cases = 0
     for geom, n_total in _jc_route_sectors():
-        spec, basis = jcmodel.jc_sector_ground(geom, jc, n_total)
+        spec, sector = jcmodel.jc_sector_ground(geom, jc, n_total)
         assert spec.method == "symmetric-block" and spec.converged
+        basis = jcmodel.JCBasis(geom, n_total)
+        assert sector.dim == basis.dim
         h = jcmodel.build_jc_hamiltonian(geom, jc, basis)
         ref = linalg.ground_state(h, method="dense" if basis.dim <= 700 else "lanczos")
         e = ref.ground_energy
         assert abs(spec.ground_energy - e) <= 1e-12 * abs(e), (geom, n_total)
-        v = spec.eigenvectors[:, 0]
+        # the expanded class vector is a normalized eigenvector of the sector
+        _, masks, modes = basis.states()
+        v = expand_block_vectors(spec, sector, masks, modes)[:, 0]
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(h.matvec(v) - e * v) <= 1e-10 * max(1.0, abs(e))
-        mine = jcmodel.jc_correlation_ratio(spec, basis)
+        mine = jcmodel.jc_correlation_ratio(spec, sector)  # on the class vector
         theirs = jcmodel.jc_correlation_ratio(ref, basis)
         assert mine.multiplet_size == theirs.multiplet_size == 1
         assert abs(mine.sigma_nn - theirs.sigma_nn) <= 1e-12
@@ -352,23 +357,22 @@ def test_symmetric_block_route_on_an_array_whose_group_order_passes_int64():
 
 @pytest.mark.parametrize("lx, ly, n_total", [(3, 2, 3), (2, 3, 3), (3, 3, 2), (2, 2, 4)])
 def test_jc_classes_are_the_brute_force_orbits(lx, ly, n_total):
+    # the classes grown from the spin levels, every basis state classified
+    # by its code
     geom = ArrayGeometry(lx, ly)
     basis = jcmodel.JCBasis(geom, n_total)
-    states = [
-        (mask, config)
-        for blk in basis.blocks
-        for mask in blk.masks.tolist()
-        for config in map(tuple, blk.photons.configs.tolist())
-    ]
-    order = symmetry.build_group(geom, include_transpose=False).order
-    reps, which, sizes = canonical.code_classes(jcmodel._state_codes(basis), order)
+    _, masks, modes = basis.states()
+    states = list(zip(masks.tolist(), map(tuple, modes.tolist())))
+    sector = canonical.symmetric_jc_sector(geom, n_total)
     classes = {}
-    for state, i in enumerate(which.tolist()):
+    for state, i in enumerate(sector.classify(masks, modes).tolist()):
         classes.setdefault(i, []).append(state)
     mine = sorted(tuple(members) for members in classes.values())
     assert mine == brute_jc_orbits(brute_group(geom, False), geom, states)
-    assert [m[0] for m in sorted(classes.values())] == reps.tolist()
-    assert [len(classes[i]) for i in range(len(reps))] == sizes.tolist()
+    index = np.arange(len(sector.sizes))
+    assert np.array_equal(sector.classify(sector.representatives, sector.modes), index)
+    assert [len(classes[i]) for i in index] == sector.sizes.tolist()
+    assert sector.dim == basis.dim
 
 
 def test_symmetric_block_route_only_for_one_symmetric_untruncated_pair(monkeypatch):

@@ -252,6 +252,23 @@ def test_gauged_perron_frobenius_closes_a_jc_sector_after_one_round(monkeypatch)
     assert _perron_frobenius_simple(_cycle(41, -1.0).matrix)
 
 
+def test_lanczos_path_returns_a_diagonal_operator_exactly(monkeypatch):
+    # no nonzero off-diagonal entry: no eigsh round, the lowest diagonal
+    # cluster with unit vectors and residual 0 (a stored zero hop aside)
+    calls = _count_eigsh(monkeypatch)
+    d = np.arange(50)
+    levels = np.where(d % 7 == 3, -0.5, 0.1 * d)
+    op = operator_from_entries(50, np.r_[d, 0], np.r_[d, 1], np.r_[levels, 0.0])
+    res = ground_state(op, method="lanczos")
+    assert res.converged and res.method == "lanczos"
+    assert np.array_equal(res.eigenvalues, np.full(7, -0.5))
+    assert np.array_equal(res.eigenvectors, np.eye(50)[:, d % 7 == 3])
+    assert np.array_equal(res.residual_norms, np.zeros(7))
+    empty = ground_state(operator_from_entries(40, [], [], []), method="lanczos")
+    assert np.array_equal(empty.eigenvalues, np.zeros(40))
+    assert calls == []
+
+
 def test_positive_hops_on_an_odd_ring_still_take_the_closing_rounds(monkeypatch):
     # no +-1 gauge makes every hop of an odd ring negative: not provably simple
     op = _cycle(41, 1.0)

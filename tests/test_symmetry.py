@@ -163,35 +163,27 @@ def test_orbit_hamiltonian_equals_brute_projection():
         )
         assert np.allclose(rebuilt, oh.matrix)
     # the builder itself, on entries out of the class representatives: a
-    # spin sector at lambda_a != lambda_b with the shifted diagonal, and a
-    # Jaynes-Cummings sector with its g sqrt(n + 1) amplitudes
+    # spin sector at lambda_a != lambda_b with the shifted diagonal, on its
+    # canonical-code classes, and the routed Jaynes-Cummings sector 3x2
+    # n_total=3 (220 states) with its g sqrt(n + 1) amplitudes
     geom = ArrayGeometry(4, 3)
-    group = symmetry.build_group(geom, include_transpose=False)
     c = SpinCouplings(lambda_a=-0.13, lambda_b=-0.29, omega_at=1.1)
     basis = SectorBasis(geom, 5)
-    codes, _ = canonical.canonical_codes(geom, basis.states)
-    reps, which, sizes = canonical.code_classes(codes, group.order)
-    src, dst, vals = spinmodel._sector_entries(geom, c, basis.states[reps], 5, True)
-    block = canonical.orbit_block(sizes, src, which[basis.bulk_rank(dst)], vals)
     full = spinmodel.build_sector_hamiltonian(geom, c, basis).to_dense()
-    _assert_brute_projection(block, full, which, sizes)
-    # the same sector on its canonical-code classes
     sector = canonical.symmetric_sector(geom, 5)
-    entries = spinmodel._sector_entries(geom, c, sector.representatives, 5, True)
-    block = sector.block(*entries)
+    src, dst, vals = spinmodel._sector_entries(geom, c, sector.representatives, 5, True)
+    block = canonical.orbit_block(sector.sizes, src, sector.classify(dst), vals)
     _assert_brute_projection(block, full, sector.classify(basis.states), sector.sizes)
 
     geom = ArrayGeometry(3, 2)
-    group = symmetry.build_group(geom, include_transpose=False)
     jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.5)
+    sector, *entries = jcmodel._sector_entries(geom, jc, 3, None)
+    assert isinstance(sector, canonical.SymmetricJCSector)
+    block = canonical.orbit_block(sector.sizes, *entries)
     basis = jcmodel.JCBasis(geom, 3)
-    reps, which, sizes = canonical.code_classes(jcmodel._state_codes(basis), group.order)
     h = jcmodel.build_jc_hamiltonian(geom, jc, basis)
-    rep_rows = np.isin(h.rows, reps)
-    block = canonical.orbit_block(
-        sizes, which[h.rows[rep_rows]], which[h.cols[rep_rows]], h.vals[rep_rows]
-    )
-    _assert_brute_projection(block, h.to_dense(), which, sizes)
+    _, masks, modes = basis.states()
+    _assert_brute_projection(block, h.to_dense(), sector.classify(masks, modes), sector.sizes)
 
 
 def _assert_brute_projection(block, dense, which, sizes):
@@ -207,12 +199,13 @@ def test_block_builder_checks_class_sizes_against_the_group_order(monkeypatch):
     geom = ArrayGeometry(2, 2)
     monkeypatch.setattr(canonical, "FLOOR", 0)
     canonical.symmetric_sector.cache_clear()  # no level is reused
+    canonical.symmetric_jc_sector.cache_clear()
+    spin_codes = canonical.canonical_codes
 
     def one_code(geometry, masks, modes=None):
         return np.zeros((1, len(masks)), np.int64), np.ones(len(masks), np.int64)
 
-    for module in (canonical, jcmodel):
-        monkeypatch.setattr(module, "canonical_codes", one_code)
+    monkeypatch.setattr(canonical, "canonical_codes", one_code)
     # the spin classes grow from the empty array: its one class would have
     # size 4 / 2! = 2, not the 1 of the sector, for the orbit-basis
     # projection and the spin route alike
@@ -222,10 +215,20 @@ def test_block_builder_checks_class_sizes_against_the_group_order(monkeypatch):
     c = SpinCouplings(lambda_a=-0.2, lambda_b=-0.3, omega_at=1.0)
     with pytest.raises(ArithmeticError, match="sector dimension"):
         spinmodel.sector_ground(geom, c, 2)
-    # the Jaynes-Cummings block: one class of all 8 states of n_total=1
+    # the Jaynes-Cummings classes grow from the spin levels and fail with
+    # them; with the spin codes kept, one code for every Jaynes-Cummings
+    # state makes the three 2-spin classes of n_total=2 one class of size 6
     jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.0)
-    with pytest.raises(ArithmeticError, match="group order"):
+    with pytest.raises(ArithmeticError, match="sector dimension"):
         jcmodel.jc_sector_ground(geom, jc, 1)
+
+    def photon_code(geometry, masks, modes=None):
+        return spin_codes(geometry, masks) if modes is None else one_code(geometry, masks)
+
+    monkeypatch.setattr(canonical, "canonical_codes", photon_code)
+    canonical.symmetric_sector.cache_clear()
+    with pytest.raises(ArithmeticError, match="group order"):
+        jcmodel.jc_sector_ground(geom, jc, 2)
 
 
 def test_orbit_hamiltonian_requires_equal_couplings():
