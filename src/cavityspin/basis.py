@@ -4,7 +4,7 @@ A sector with ``n_exc`` raised spins out of ``n_sites`` is the set of all
 bitmasks of that Hamming weight, stored in ascending integer order.  A
 state's rank is its index in that table, found by a vectorized binary search
 over an array of masks; a mask outside the sector is an error, never an index.
-The model's one hop rule, :func:`line_moves`, acts on these tables.
+The model's one hop rule, :func:`line_moves`, builds spin sector matrices.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ def line_moves(
 
     Returns the index in ``states`` of each move's source and the mask it
     moves to: one raised spin trades places with a lowered one on the same
-    line.  This is the hop rule of the model; every sector matrix, orbit
-    block and pair correlation uses it.
+    line.  This is the hop rule of the model; every spin sector matrix and
+    orbit block uses it.
     """
     src = [np.empty(0, dtype=np.int64)]
     dst = [np.empty(0, dtype=np.int64)]

@@ -7,9 +7,9 @@ inner dimension 1; a :class:`~cavityspin.jcmodel.JCBasis` has one block per
 raised-spin count, whose inner dimension is its photon-configuration count.
 Summing over the inner index traces the photons out, so the two-point spin
 correlations of either model come from the same loops.
-Pair correlations are never formed pair by pair: the shared-line sum comes
-from the moves of the hop rule (``basis.line_moves``) and the all-pairs sum
-from the lowering operator ``S- = sum_s sigma-_s``.
+Pair correlations are never formed pair by pair: both sums come from the
+lowering operator ``J-`` of every row and column, read off one table of
+raisings per level.
 
 A sector solved on its orbit block is held as its classes
 (:class:`~cavityspin.canonical.SymmetricSector`,
@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .basis import enumerate_masks, line_moves
+from .basis import enumerate_masks
 from .canonical import (
     SymmetricJCSector,
     SymmetricSector,
@@ -60,35 +60,33 @@ class CorrelationResult:
     cluster_truncated: bool = False
 
 
-def _pair_sums(geometry, masks, u, sizes, rank, lower, lower_sizes, modes=None, lower_modes=None):
+def _pair_sums(geometry, n, u, sizes, rank, lower, lower_sizes, lower_modes=None):
     """``(<A>, sum over ordered pairs s != t)`` of vectors whose row i,
-    ``u[i]`` of shape (inner, columns), stands for ``sizes[i]`` states of
-    mask ``masks[i]`` (a scalar size stands for every row); ``rank`` maps
-    masks of the level to rows, and ``lower``, ``lower_sizes`` are the rows
-    of the level one raised spin below.  Jaynes-Cummings class rows carry
-    photon counts (``modes``, ``lower_modes``), which moves and raisings keep
-    and ``rank`` takes second.  ``S- v`` at a lower row sums ``u`` over its
-    raisings, ``N - n + 1`` per lower mask, ranked bit-major and put back in
-    that order: over sorted lower masks each bit's raisings ascend, which
-    ``searchsorted`` ranks in about half the time of the interleaved order."""
-
-    def find(states, photons, of):  # with the photons of rows ``of``, if any
-        return rank(states) if photons is None else rank(states, photons[of])
-
-    weighted = u * np.reshape(sizes, (-1, 1, 1))
-    hops = 0.0  # <A>, A the 0/1 matrix of row and column moves
-    for kind in ("row", "col"):  # one rank call per kind keeps the peak low
-        src, dst = line_moves(geometry, masks, kind)
-        hops += float((weighted[src] * u[find(dst, modes, src)]).sum())
+    ``u[i]`` of shape (inner, columns), stands for ``sizes[i]`` states of a
+    level of ``n`` raised spins (a scalar size stands for every row);
+    ``rank`` maps masks of the level to rows, and ``lower``, ``lower_sizes``
+    are the rows one raised spin below.  Jaynes-Cummings class rows carry
+    photon counts, which raisings keep and ``rank`` takes second
+    (``lower_modes``).  The raisings of every lower row, one per site, are
+    ranked once; a site already raised reads a zero row."""
     raised = (np.int64(1) << np.arange(geometry.n_sites, dtype=np.int64))[:, None] | lower
     fresh = raised != lower
-    ranks = find(raised[fresh], lower_modes, np.nonzero(fresh)[1])
-    rows = np.empty(raised.shape, dtype=ranks.dtype)
-    rows[fresh] = ranks
-    raisings = u[rows.T[fresh.T]]
-    lowered = raisings.reshape((len(lower), -1) + u.shape[1:]).sum(axis=1)  # S- v
-    ordered = (np.reshape(lower_sizes, (-1, 1, 1)) * lowered**2).sum()
-    return hops, float(ordered - int(masks[0]).bit_count() * (weighted * u).sum())
+    table = np.full(raised.shape, len(u))  # row of every raising, by site
+    modes = () if lower_modes is None else (lower_modes[np.nonzero(fresh)[1]],)
+    table[fresh] = rank(raised[fresh], *modes)
+    norm = float((np.reshape(sizes, (-1, 1, 1)) * u**2).sum())
+    u = np.concatenate([u, np.zeros_like(u[:1])])
+
+    def lowered(sites):  # J- v of the line through these sites
+        return u[table[sites]].sum(axis=0)
+
+    def square(w):  # ||w||^2 over the lower rows
+        return float((np.reshape(lower_sizes, (-1, 1, 1)) * w**2).sum())
+
+    rows = [lowered(geometry.row_sites(r)) for r in range(geometry.ly)]
+    cols = (lowered(geometry.col_sites(c)) for c in range(geometry.lx))  # one at a time
+    hops = sum(map(square, rows)) + sum(map(square, cols)) - 2 * n * norm
+    return hops, square(sum(rows)) - n * norm
 
 
 def _levels(multiplet: np.ndarray, basis) -> Iterator[tuple]:
@@ -100,7 +98,7 @@ def _levels(multiplet: np.ndarray, basis) -> Iterator[tuple]:
         if basis.n_exc:
             low, sizes = symmetric_sector(basis.geometry, basis.n_exc - 1), basis.sizes
             u = (multiplet / np.sqrt(sizes)[:, None])[:, None]
-            yield basis.representatives, u, sizes, basis.classify, low.representatives, low.sizes
+            yield basis.n_exc, u, sizes, basis.classify, low.representatives, low.sizes
     elif isinstance(basis, SymmetricJCSector):
         u = (multiplet / np.sqrt(basis.sizes)[:, None])[:, None]
         for k in range(1, int(basis.spins[0]) + 1):
@@ -110,14 +108,14 @@ def _levels(multiplet: np.ndarray, basis) -> Iterator[tuple]:
             def rank(masks, modes, start=np.argmax(at)):  # rows of the level
                 return basis.classify(masks, modes) - start
 
-            yield (basis.representatives[at], u[at], basis.sizes[at], rank,
-                   low.representatives[down], low.sizes[down], basis.modes[at], low.modes[down])
+            yield (k, u[at], basis.sizes[at], rank,
+                   low.representatives[down], low.sizes[down], low.modes[down])
     else:
         for blk, seg in block_segments(multiplet, basis):
             n_exc = int(blk.masks[0]).bit_count()
             if n_exc:
                 lower = enumerate_masks(basis.geometry.n_sites, n_exc - 1)
-                yield blk.masks, seg, 1, blk.masks.searchsorted, lower, 1
+                yield n_exc, seg, 1, blk.masks.searchsorted, lower, 1
 
 
 def multiplet_correlations(spectrum, basis) -> CorrelationResult:
@@ -129,15 +127,15 @@ def multiplet_correlations(spectrum, basis) -> CorrelationResult:
     ``<sigma+_s sigma-_t>`` is symmetric in s and t.  Two identities give
     the pair sums without visiting pairs:
 
-    * the NN sum is half the expectation of the 0/1 hop matrix, one term
-      per move of :func:`~cavityspin.basis.line_moves`;
+    * the NN sum is half of ``<A> = sum over lines of ||J- v||^2 - 2n``,
+      A the 0/1 hop matrix: off its diagonal ``J+ J-`` is a line's hops;
     * the sum over all ordered pairs ``s != t`` is ``||S- v||^2 - n``,
-      with ``S-`` mapping each block onto the masks of one raised spin
-      fewer at the same inner index.
+      with ``S-`` the sum of the row lowerings.
 
-    On a class vector a row is a class, weighted by its size: the moves and
-    ``S-`` commute with every row and column permutation, so those of a
-    representative stand for every member's.
+    Each lowering maps a block onto the masks of one raised spin fewer at
+    the same inner index.  On a class vector a row is a class, weighted by
+    its size: a row and column permutation permutes the lines, so ``S- v``
+    and ``sum |J- v|^2`` of a representative stand for every member's.
 
     An array with no pair of a kind averages to 0.0.  Undefined (ratio
     ``None``) when the NN average is zero up to round-off (``|sigma_nn| <=

@@ -333,6 +333,41 @@ def test_pair_sums_match_the_per_pair_loop():
         assert res.sigma_nnn == pytest.approx(s_nnn, rel=0, abs=1e-13)
 
 
+def test_pair_sums_read_one_raising_table_per_level(monkeypatch):
+    # full and routed sectors of both models take no hop move, and a routed
+    # sector codes one query set per spin level with a raised spin
+    attractive = SpinCouplings(lambda_a=-0.15, lambda_b=-0.07, omega_at=1.0)
+    jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.5)
+    cases = [
+        (spinmodel.correlation_ratio, spinmodel.sector_ground(ArrayGeometry(3, 3), attractive, 4)),
+        (spinmodel.correlation_ratio, spinmodel.sector_ground(ArrayGeometry(5, 4), attractive, 10)),
+        (jcmodel.jc_correlation_ratio, jcmodel.jc_sector_ground(ArrayGeometry(3, 2), jc, 2)),
+        (jcmodel.jc_correlation_ratio, jcmodel.jc_sector_ground(ArrayGeometry(3, 3), jc, 4)),
+    ]
+    assert [spec.method for _, (spec, _) in cases] == ["dense", "symmetric-block"] * 2
+    canonical.symmetric_jc_sector(ArrayGeometry(3, 3), 3)  # the sector one excitation below
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pair sums took hop moves")
+
+    for module in (cavityspin.basis, observables, spinmodel, symmetry):
+        if hasattr(module, "line_moves"):
+            monkeypatch.setattr(module, "line_moves", refuse)
+    codes, calls = canonical.canonical_codes, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return codes(*args, **kwargs)
+
+    monkeypatch.setattr(canonical, "canonical_codes", counting)
+    counts = []
+    for ratio, (spec, basis) in cases:
+        calls.clear()
+        assert ratio(spec, basis).defined
+        counts.append(len(calls))
+    assert counts == [0, 1, 0, 4]
+
+
 def test_sector_ground_energy_matches_dense():
     geom = ArrayGeometry(3, 3)
     c = SpinCouplings(lambda_a=-0.4, lambda_b=0.25, omega_at=1.3)
