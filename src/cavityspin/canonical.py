@@ -11,11 +11,11 @@ empty array, in the spirit of McKay's isomorph-free generation (*J.
 Algorithms*, 1998), each class sized by the permutations that fix its code
 (:func:`symmetric_sector`); those of a Jaynes-Cummings sector pair the spin
 levels with the photon configurations (:func:`symmetric_jc_sector`).  Both
-routes build their block from the entries out of the representative rows,
-share the size rule :func:`takes_orbit_block`, a sector past the measured
-route floor :data:`FLOOR` (200 states, from ``scripts/solver_sweep.py
-floor``), and solve with :func:`block_ground`; ``observables`` reads the
-class vectors and ``symmetry`` the spin levels.
+routes build their block as entries out of the representative rows, never
+a classes x classes array, share the size rule :func:`takes_orbit_block`,
+a sector past the measured route floor :data:`FLOOR` (200 states, from
+``scripts/solver_sweep.py floor``), and solve with :func:`block_ground`;
+``observables`` reads the class vectors and ``symmetry`` the spin levels.
 """
 
 from __future__ import annotations
@@ -59,21 +59,20 @@ def orbit_block(
     src: np.ndarray,
     dst: np.ndarray,
     vals: np.ndarray,
-) -> np.ndarray:
-    """``P^T H P`` on normalized orbit sums, from the entries of H out of
-    one representative per class.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``P^T H P`` on normalized orbit sums, as entries (rows, cols, vals)
+    from the entries of H out of one representative per class.
 
-    ``sizes`` are the class sizes; entry t of H has the class ``src[t]`` of
-    its row (a representative), the class ``dst[t]`` of its column and the
-    value ``vals[t]``.  H commutes with the group, so every member of class
-    i has the same sums into each class j and ``E = s_i sum vals`` is the
-    sum of H over both classes.  The block is
-    ``(E + E^T) / (2 sqrt(s_i s_j))``, exactly symmetric.
+    Entry t of H has the class ``src[t]`` of its row (a representative),
+    the class ``dst[t]`` of its column and the value ``vals[t]``; ``sizes``
+    are the class sizes.  H commutes with the group, so the block is
+    ``(E + E^T) / (2 sqrt(s_i s_j))`` with ``E = s_i sum vals`` the sum of H
+    over both classes: each entry and, next to it, its transpose carry
+    ``v sqrt(s_src / s_dst) / 2``, so duplicates summed in order add up to
+    an exactly symmetric block.  No classes x classes array is built.
     """
-    k = len(sizes)
-    sums = np.bincount(src * k + dst, weights=vals, minlength=k * k)
-    edges = sums.reshape(k, k) * sizes[:, None]
-    return (edges + edges.T) / (2.0 * np.sqrt(np.outer(sizes, sizes)))
+    half = np.repeat(vals * np.sqrt(sizes[src] / sizes[dst]) / 2.0, 2)
+    return np.c_[src, dst].ravel(), np.c_[dst, src].ravel(), half
 
 
 def _line_sites(geometry: ArrayGeometry) -> np.ndarray:
@@ -350,14 +349,12 @@ def takes_orbit_block(dim: int) -> bool:
 
 
 def block_ground(sizes, src, dst, vals, seed: int) -> SpectrumResult:
-    """Ground pair of the orbit block (:func:`orbit_block`) of an operator
-    given by its entries out of the representative rows, its vector on the
-    normalized orbit sums.  The caller vouches that the sector ground state
-    is simple and symmetric, so the block's ground pair is the sector's."""
+    """Ground pair of the orbit block, solved from its entries
+    (:func:`orbit_block`), of an operator given by its entries out of the
+    representative rows, its vector on the normalized orbit sums.  The caller
+    vouches that the sector ground state is simple and symmetric."""
     # imported here, not at the top, so that a polya process never runs linalg
     from .linalg import ground_state, operator_from_entries
 
-    block = orbit_block(sizes, src, dst, vals)
-    i, j = np.nonzero(block)
-    spec = ground_state(operator_from_entries(len(block), i, j, block[i, j]), seed=seed)
-    return replace(spec, method="symmetric-block")
+    block = operator_from_entries(len(sizes), *orbit_block(sizes, src, dst, vals))
+    return replace(ground_state(block, seed=seed), method="symmetric-block")

@@ -69,11 +69,11 @@ def _pair_sums(geometry, n, u, sizes, rank, lower, lower_sizes, lower_modes=None
     photon counts, which raisings keep and ``rank`` takes second
     (``lower_modes``).  The raisings of every lower row, one per site, are
     ranked once; a site already raised reads a zero row."""
-    raised = (np.int64(1) << np.arange(geometry.n_sites, dtype=np.int64))[:, None] | lower
-    fresh = raised != lower
-    table = np.full(raised.shape, len(u))  # row of every raising, by site
+    bits = (np.int64(1) << np.arange(geometry.n_sites, dtype=np.int64))[:, None]
+    fresh = (bits & lower) == 0
+    table = np.full(fresh.shape, len(u))  # row of every raising, by site
     modes = () if lower_modes is None else (lower_modes[np.nonzero(fresh)[1]],)
-    table[fresh] = rank(raised[fresh], *modes)
+    table[fresh] = rank((bits | lower)[fresh], *modes)  # the full table is freed first
     norm = float((np.reshape(sizes, (-1, 1, 1)) * u**2).sum())
     u = np.concatenate([u, np.zeros_like(u[:1])])
 

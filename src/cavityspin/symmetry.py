@@ -6,7 +6,7 @@ and the two couplings are equal.  The group acts on spin configurations;
 its orbits label equivalence classes of states, counted without enumeration
 by the cycle index polynomial (coefficients kept as exact rationals) and the
 two-color pattern inventory.  Projecting the Hamiltonian onto normalized
-orbit sums gives a small dense block that contains the permutation-symmetric
+orbit sums gives a small block, built as entries, that holds the symmetric
 part of the spectrum, including the ground state for attractive couplings.
 
 The group is its geometry and whether it has the transpose; the order and
@@ -305,7 +305,10 @@ def orbit_basis_hamiltonian(
     dst = np.searchsorted(masks, np.concatenate([m[1] for m in moves]))
     k = len(classes)
     counts = np.bincount(src * k + which[dst], minlength=k * k).reshape(k, k)
-    matrix = orbit_block(sizes, src, which[dst], np.full(len(src), unit))
+    from .linalg import operator_from_entries  # not at the top: polya never runs linalg
+
+    block = orbit_block(sizes, src, which[dst], np.full(len(src), unit))
+    matrix = operator_from_entries(k, *block).to_dense()
     return OrbitHamiltonian(
         classes=tuple(classes),
         matrix=matrix,

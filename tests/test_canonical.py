@@ -9,6 +9,7 @@ import pytest
 from cavityspin import canonical, spinmodel, symmetry
 from cavityspin.basis import SectorBasis
 from cavityspin.geometry import ArrayGeometry
+from cavityspin.linalg import operator_from_entries
 from cavityspin.params import SpinCouplings
 from oracles import brute_group, brute_orbits, expand_block_vectors, loop_canonical_codes
 
@@ -99,7 +100,8 @@ def test_block_solve_matches_the_labelled_route(lx, ly, n_exc):
     reps = np.array([cls.representative for cls in classes])
     sizes = np.array([cls.size for cls in classes])
     src, dst, vals = spinmodel._sector_entries(geom, c, reps, n_exc, True)
-    block = canonical.orbit_block(sizes, src, which[basis.bulk_rank(dst)], vals)
+    entries = canonical.orbit_block(sizes, src, which[basis.bulk_rank(dst)], vals)
+    block = operator_from_entries(len(sizes), *entries).to_dense()
     energies, vectors = np.linalg.eigh(block)
     assert spec.ground_energy == pytest.approx(energies[0], rel=1e-12)
     labelled = (vectors[:, 0] / np.sqrt(sizes))[which]

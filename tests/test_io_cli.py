@@ -762,8 +762,9 @@ print(json.dumps({"codes": codes, "scipy": scipy, "numpy": "numpy" in sys.module
 """
 
 
-def _fresh_cli(argvs, **env):
-    """The FRESH_CLI report; ``env`` sets variables, or unsets them with None."""
+def _child(script, *args, **env):
+    """A fresh interpreter running ``script`` on the package source; ``env``
+    sets variables, or unsets them with None."""
     src = str(Path(cavityspin.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     environ = dict(os.environ, PYTHONPATH=path)
@@ -771,13 +772,15 @@ def _fresh_cli(argvs, **env):
         environ.pop(key, None)
         if value is not None:
             environ[key] = value
-    proc = subprocess.run(
-        [sys.executable, "-c", FRESH_CLI, json.dumps(argvs)],
-        env=environ,
-        capture_output=True,
-        text=True,
-        check=True,
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=environ, capture_output=True, text=True
     )
+
+
+def _fresh_cli(argvs, **env):
+    """The FRESH_CLI report; ``env`` as in :func:`_child`."""
+    proc = _child(FRESH_CLI, json.dumps(argvs), **env)
+    proc.check_returncode()
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -864,6 +867,37 @@ def test_cli_command_executes_only_its_own_models(argv, models):
     assert result["codes"] == [0]
     base = ["cli", "geometry", "io", "params"]
     assert result["executed"] == sorted("cavityspin." + m for m in base + models)
+
+
+# the CLI in a child whose address space is capped at 1.5 GiB, set by the
+# child itself; one BLAS thread keeps its address space off the core count
+CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+from cavityspin.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+JC_SCAN = ["jc-ed", "--lx", "3", "--ly", "3", "--omega", "1", "--g", "0.9",
+           "--delta-a", "1.2", "--delta-b", "1.1"]
+
+
+def test_cli_routed_jc_sectors_fit_a_capped_address_space():
+    # n_total=10 is routed to 8316 classes, whose dense block alone would be
+    # 553 MB; its block is entries
+    proc = _child(CAPPED_CLI, *JC_SCAN, "--ntotal", "10", OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 0, proc.stderr
+    (row,) = io.parse_csv(proc.stdout).rows
+    assert row[:2] == (10, 236640)
+    assert row[2] == pytest.approx(-10.781906586889104, rel=1e-12)
+    # the scan solves n_total = 0..13 and stops at the JC guard of 14
+    proc = _child(CAPPED_CLI, *JC_SCAN, OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "MemoryError" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == {
+        "kind": "compute",
+        "type": "ValueError",
+        "message": "sector dimension 2099232 exceeds guard 2000000",
+    }
 
 
 def test_cli_help_executes_only_the_cli_and_imports_nothing_costly():

@@ -9,6 +9,7 @@ import pytest
 from cavityspin import canonical, jcmodel, spinmodel, symmetry
 from cavityspin.basis import SectorBasis
 from cavityspin.geometry import ArrayGeometry
+from cavityspin.linalg import operator_from_entries
 from cavityspin.params import EffectiveJCParams, SpinCouplings
 from oracles import brute_cycle_index, brute_group, brute_orbits
 
@@ -172,14 +173,16 @@ def test_orbit_hamiltonian_equals_brute_projection():
     full = spinmodel.build_sector_hamiltonian(geom, c, basis).to_dense()
     sector = canonical.symmetric_sector(geom, 5)
     src, dst, vals = spinmodel._sector_entries(geom, c, sector.representatives, 5, True)
-    block = canonical.orbit_block(sector.sizes, src, sector.classify(dst), vals)
+    entries = canonical.orbit_block(sector.sizes, src, sector.classify(dst), vals)
+    block = operator_from_entries(len(sector.sizes), *entries).to_dense()
     _assert_brute_projection(block, full, sector.classify(basis.states), sector.sizes)
 
     geom = ArrayGeometry(3, 2)
     jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.5)
     sector, *entries = jcmodel._sector_entries(geom, jc, 3, None)
     assert isinstance(sector, canonical.SymmetricJCSector)
-    block = canonical.orbit_block(sector.sizes, *entries)
+    entries = canonical.orbit_block(sector.sizes, *entries)
+    block = operator_from_entries(len(sector.sizes), *entries).to_dense()
     basis = jcmodel.JCBasis(geom, 3)
     h = jcmodel.build_jc_hamiltonian(geom, jc, basis)
     _, masks, modes = basis.states()
