@@ -7,6 +7,7 @@ Run from the root of a checkout:
     PYTHONPATH=src python3 scripts/solver_sweep.py timing
     PYTHONPATH=src python3 scripts/solver_sweep.py cold
     PYTHONPATH=src python3 scripts/solver_sweep.py floor
+    PYTHONPATH=src python3 scripts/solver_sweep.py rows
     PYTHONPATH=src python3 scripts/solver_sweep.py agree
     PYTHONPATH=src python3 scripts/solver_sweep.py startup
 
@@ -28,6 +29,19 @@ the full sector matrix (floor past every sector, dense), and prints the
 median of 7 of the in-process solve time for each.  ``canonical.FLOOR`` is
 read off this table: the dimension past which the routed solve wins for
 both models.
+
+``rows`` runs every route that ``basis.check_rows`` bounds at three or more
+sizes, each in a fresh process under a 3 GiB address-space cap that the
+process sets on itself, with one BLAS thread: the full spin sector matrix
+(frustrated), the full JC sector matrix (per-line detunings), the spin and JC
+class growths, the spin and JC orbit blocks (attractive, scalar detunings),
+the mask table and the orbit table of ``symmetry.orbits``.  For each it
+prints the rows that the route counted in closed form under its own name,
+the process's peak RSS, and the bytes per row above the peak RSS of a
+process that imports the same modules and runs nothing, against the bytes
+per row recorded next to ``basis.MAX_ROWS`` (the last field of
+``ROW_ROUTES``), and exits 1 if a case fails.  ``basis.MAX_ROWS`` is read off
+this table: no route's bytes per row times the budget may pass 4 GiB.
 
 ``agree`` solves every spin sector of 3x3, 4x3, 6x2, 5x3 and 7x2 with
 32 < dim <= 4096, at one attractive and two frustrated coupling pairs, and
@@ -69,6 +83,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -78,7 +93,7 @@ from math import comb
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from cavityspin import canonical
+from cavityspin import basis, canonical, jcmodel, spinmodel, symmetry
 from cavityspin.basis import SectorBasis
 from cavityspin.frustration import FrustrationParams, lambda_c_photon
 from cavityspin.geometry import ArrayGeometry
@@ -241,6 +256,90 @@ def floor() -> int:
             print(f"{dim:5d} {label:<16} {tr:8.4f} {tf:8.4f} {'routed' if tr < tf else 'full'}")
             sys.stdout.flush()
     return 0
+
+
+# each route: the name it counts its rows under, its run on (geometry, n)
+# from a fresh process, and the bytes per row recorded next to basis.MAX_ROWS
+ROW_ROUTES = {
+    "spin-matrix": ("sector matrix", lambda g, n: sector_ground(g, FRUSTRATED[0], n), 100),
+    "jc-matrix": ("sector matrix", lambda g, n: jc_sector_ground(g, _per_line(g), n), 60),
+    "spin-growth": ("class growth", canonical.symmetric_sector, 120),
+    "jc-growth": ("class growth", canonical.symmetric_jc_sector, 260),
+    "spin-block": ("orbit block", lambda g, n: sector_ground(g, ATTRACTIVE, n), 80),
+    "jc-block": ("orbit block", lambda g, n: jc_sector_ground(g, JC, n), 190),
+    "mask-table": ("sector table", lambda g, n: basis.enumerate_masks(g.n_sites, n), 20),
+    "orbit-table": ("sector table", lambda g, n: symmetry.orbits(symmetry.build_group(g), n), 120),
+}
+ROW_CASES = (
+    ("spin-matrix", 4, 4, 8), ("spin-matrix", 5, 4, 6), ("spin-matrix", 6, 3, 9),
+    ("jc-matrix", 3, 3, 6), ("jc-matrix", 4, 3, 6), ("jc-matrix", 3, 3, 8),
+    ("spin-growth", 6, 5, 15), ("spin-growth", 7, 5, 14), ("spin-growth", 20, 3, 30),
+    ("spin-growth", 10, 4, 20),
+    ("jc-growth", 3, 3, 13), ("jc-growth", 3, 3, 16), ("jc-growth", 3, 3, 20),
+    ("spin-block", 7, 4, 14), ("spin-block", 6, 5, 15), ("spin-block", 8, 4, 16),
+    ("jc-block", 3, 3, 11), ("jc-block", 3, 3, 12), ("jc-block", 3, 3, 13),
+    ("mask-table", 11, 2, 11), ("mask-table", 8, 3, 12), ("mask-table", 5, 5, 12),
+    ("orbit-table", 5, 4, 10), ("orbit-table", 7, 3, 10), ("orbit-table", 6, 4, 11),
+)
+ROWS_CAP = 3 << 30
+# runs rows_case(*argv[3:]) under an address-space cap of argv[1] bytes, set
+# by the process itself, the CLI modules imported first as in a CLI run
+ROWS_MAIN = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2); "
+    "import cavityspin.cli; sys.path.insert(0, sys.argv[2]); from solver_sweep import rows_case; "
+    "print(*rows_case(*sys.argv[3:]))"
+)
+
+
+def rows_case(route, lx=1, ly=1, n=0):
+    """The largest row count that one run of a route checked under its own
+    name, and the peak RSS of this process in bytes; the route "baseline"
+    runs nothing."""
+    checked = [0]
+    if route != "baseline":
+        what, run, _ = ROW_ROUTES[route]
+
+        def record(rows, name, check=basis.check_rows):
+            checked.append(rows if name == what else 0)
+            check(rows, name)
+
+        for module in (basis, canonical, jcmodel, spinmodel):
+            module.check_rows = record
+        run(ArrayGeometry(int(lx), int(ly)), int(n))
+    return max(checked), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+
+def rows() -> int:
+    here = os.path.dirname(os.path.abspath(__file__))
+
+    def run(*case):
+        out = subprocess.run(
+            [sys.executable, "-c", ROWS_MAIN, str(ROWS_CAP), here, *map(str, case)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+        )
+        if out.returncode:
+            return None, out.stderr.strip().splitlines()[-1]
+        return tuple(map(int, out.stdout.split()))
+
+    _, base = run("baseline")
+    print(f"nproc {os.cpu_count()}, affinity {len(os.sched_getaffinity(0))}; fresh processes "
+          f"under a {ROWS_CAP >> 30} GiB address-space cap; baseline peak RSS "
+          f"{base / 2**20:.1f} MiB")
+    print(f"{'route':<12} {'case':<9} {'rows':>9} {'peak_MiB':>8} {'B/row':>6} "
+          f"{'recorded':>8} {'ratio':>5}")
+    failed = 0
+    for route, lx, ly, n in ROW_CASES:
+        count, peak = run(route, lx, ly, n)
+        label = f"{lx}x{ly} n={n}"
+        if count is None:
+            print(f"{route:<12} {label:<9} failed: {peak}")
+            failed += 1
+            continue
+        per_row, recorded = (peak - base) / count, ROW_ROUTES[route][2]
+        print(f"{route:<12} {label:<9} {count:9d} {peak / 2**20:8.1f} {per_row:6.0f} "
+              f"{recorded:8d} {per_row / recorded:5.2f}")
+        sys.stdout.flush()
+    return 1 if failed else 0
 
 
 STARTUP_CASES = (
@@ -446,7 +545,8 @@ def agree_scan() -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    modes = {"timing": timing, "cold": cold, "floor": floor, "agree": agree, "startup": startup}
+    modes = {"timing": timing, "cold": cold, "floor": floor, "rows": rows, "agree": agree,
+             "startup": startup}
     parser.add_argument("mode", choices=tuple(modes))
     args = parser.parse_args(argv)
     return modes[args.mode]()

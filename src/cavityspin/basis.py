@@ -1,10 +1,10 @@
 """Fixed-excitation-number occupation bases over bitmask-encoded spin states.
 
-A sector with ``n_exc`` raised spins out of ``n_sites`` is the set of all
-bitmasks of that Hamming weight, stored in ascending integer order.  A
-state's rank is its index in that table, found by a vectorized binary search
-over an array of masks; a mask outside the sector is an error, never an index.
-The model's one hop rule, :func:`line_moves`, builds spin sector matrices.
+A sector with ``n_exc`` raised spins out of ``n_sites`` is the ascending
+table of all bitmasks of that weight; a state's rank is its index there,
+found by binary search, and a mask outside the sector is an error.  The one
+hop rule, :func:`line_moves`, builds spin sector matrices.  Every route of
+both models stays within the row budget :data:`MAX_ROWS` (:func:`check_rows`).
 """
 
 from __future__ import annotations
@@ -17,16 +17,21 @@ import numpy as np
 
 from .geometry import ArrayGeometry
 
-MAX_SECTOR_DIM = 20_000_000
+# The row budget of every route: matrix entries, class growth candidates,
+# orbit block entries or table states, each counted in closed form before
+# it is allocated.  ``scripts/solver_sweep.py rows`` (fresh processes, 2
+# cores), bytes per row above a bare process: spin matrix 98-100, JC matrix
+# 51-67, spin growth 77-189 (rising with the longer side), JC growth 261,
+# spin block 75-87, JC block 186-194, mask table 18-21, orbit table 104-136.
+# So no route passes 2.6 GB within the budget; 4 GiB would take 430 B a row.
+MAX_ROWS = 10_000_000
 MAX_SITES = 62  # states held in int64 bitmasks
 
 
-def check_sector_dim(n_sites: int, n_exc: int) -> None:
-    """Refuse a sector of C(n_sites, n_exc) states past the guard
-    ``MAX_SECTOR_DIM`` that bounds every spin sector."""
-    dim = comb(n_sites, n_exc)
-    if dim > MAX_SECTOR_DIM:
-        raise ValueError(f"sector dimension {dim} exceeds guard {MAX_SECTOR_DIM}")
+def check_rows(rows: int, what: str) -> None:
+    """Refuse a route that would hold more than ``MAX_ROWS`` rows."""
+    if rows > MAX_ROWS:
+        raise ValueError(f"{what} of {rows} rows exceeds the budget {MAX_ROWS}")
 
 
 def enumerate_masks(n_sites: int, n_exc: int) -> np.ndarray:
@@ -40,7 +45,7 @@ def enumerate_masks(n_sites: int, n_exc: int) -> np.ndarray:
         raise ValueError(f"n_exc={n_exc} outside [0, {n_sites}]")
     if n_sites > MAX_SITES:
         raise ValueError(f"n_sites={n_sites} exceeds bitmask limit {MAX_SITES}")
-    check_sector_dim(n_sites, n_exc)
+    check_rows(comb(n_sites, n_exc), "sector table")
     # weight-k tables on the bits placed so far, for each k that can still
     # reach n_exc with the bits left
     empty = np.empty(0, dtype=np.int64)

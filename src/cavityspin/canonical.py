@@ -1,21 +1,19 @@
 """Orbit classes from canonical codes: the one partition method, and the
 symmetric-block route of both models.
 
-The row x column group S_Ly x S_Lx acts on the spin configurations of an
-Ly x Lx array, seen as 0/1 matrices, and on the Jaynes-Cummings states that
-add photon counts on the row and column modes.  A state's canonical code
+S_Ly x S_Lx permutes the rows and columns of an Ly x Lx array: its spin
+configurations as 0/1 matrices, and the Jaynes-Cummings states with their
+row and column photon counts.  A state's canonical code
 (:func:`canonical_codes`) is shared by exactly the members of its orbit, so
-codes name every orbit class and no sector needs a table.  The
-representatives of a spin sector grow one raised spin at a time from the
-empty array, in the spirit of McKay's isomorph-free generation (*J.
-Algorithms*, 1998), each class sized by the permutations that fix its code
-(:func:`symmetric_sector`); those of a Jaynes-Cummings sector pair the spin
-levels with the photon configurations (:func:`symmetric_jc_sector`).  Both
-routes build their block as entries out of the representative rows, never
-a classes x classes array, share the size rule :func:`takes_orbit_block`,
-a sector past the measured route floor :data:`FLOOR` (200 states, from
-``scripts/solver_sweep.py floor``), and solve with :func:`block_ground`;
-``observables`` reads the class vectors and ``symmetry`` the spin levels.
+no sector needs a table.  Spin representatives grow one raised spin at a
+time from the empty array, in the spirit of McKay's isomorph-free
+generation (*J. Algorithms*, 1998) (:func:`symmetric_sector`); those of a
+Jaynes-Cummings sector pair the spin levels with the photon configurations
+(:func:`symmetric_jc_sector`).  Past the route floor :data:`FLOOR` both
+routes build their block as entries out of the representative rows and
+solve it with :func:`block_ground`; each counts its candidates and entries
+against ``basis.MAX_ROWS`` before it allocates.  ``observables`` reads the
+class vectors and ``symmetry`` the spin levels.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .basis import MAX_SECTOR_DIM, MAX_SITES
+from .basis import MAX_SITES, check_rows
 from .geometry import ArrayGeometry
 
 if TYPE_CHECKING:
@@ -234,6 +232,7 @@ def symmetric_sector(geometry: ArrayGeometry, n_exc: int) -> SymmetricSector:
         masks = np.zeros(1, dtype=np.int64)
     elif 2 * n_exc <= n_sites:
         reps = symmetric_sector(geometry, n_exc - 1).representatives[:, None]
+        check_rows(len(reps) * n_sites, "class growth")
         bits = np.int64(1) << np.arange(n_sites, dtype=np.int64)
         masks = (reps | bits)[(reps & bits) == 0]
     else:
@@ -276,13 +275,16 @@ def _sized_classes(geometry: ArrayGeometry, n_exc: int, masks: np.ndarray) -> Sy
 def bounded_compositions(total: int, parts: int, cap: int) -> np.ndarray:
     """All distributions of ``total`` quanta over ``parts`` capped modes,
     lexicographically ascending, shape (count, parts): grown one mode at a
-    time, keeping the heads whose remaining quanta fit the modes left."""
-    out = np.zeros((1, 0), dtype=np.int64)
-    for left in range(parts - 1, -1, -1):
-        out = np.column_stack([out.repeat(cap + 1, axis=0), np.tile(np.arange(cap + 1), len(out))])
-        rest = total - out.sum(axis=1)
-        out = out[(rest >= 0) & (rest <= left * cap)]
-    return out if parts else out[: int(total == 0)]
+    time, each head followed by every count that leaves quanta the modes
+    after it can hold, the last mode given the rest."""
+    heads, rest = [], np.array([total] if 0 <= total <= parts * cap else [], dtype=np.int64)
+    for left in range(parts - 1, 0, -1):
+        lo = np.maximum(rest - left * cap, 0)
+        counts = np.minimum(rest, cap) - lo + 1
+        at = np.repeat(np.arange(len(rest)), counts)
+        count = lo[at] + np.arange(len(at)) - (np.cumsum(counts) - counts)[at]
+        heads, rest = [head[at] for head in heads] + [count], rest[at] - count
+    return np.column_stack(heads + [rest]) if parts else np.zeros((int(total == 0), 0), np.int64)
 
 
 @dataclass(frozen=True)
@@ -322,10 +324,14 @@ def symmetric_jc_sector(geometry: ArrayGeometry, n_total: int) -> SymmetricJCSec
     candidate of every code.  The candidates that share a code are the orbit
     of the representative's stabilizer on the configurations, so a class has
     the spin-class size times their number."""
+    m = geometry.n_modes
+    spins = [symmetric_sector(geometry, k) for k in range(min(geometry.n_sites, n_total), -1, -1)]
+    grown = sum(len(s.sizes) * comb(n_total - s.n_exc + m - 1, m - 1) for s in spins)
+    check_rows(grown, "class growth")
     levels = []
-    for k in range(min(geometry.n_sites, n_total), -1, -1):
-        spin = symmetric_sector(geometry, k)
-        configs = bounded_compositions(n_total - k, geometry.n_modes, n_total - k)
+    for spin in spins:
+        k = spin.n_exc
+        configs = bounded_compositions(n_total - k, m, n_total - k)
         pairs = np.repeat(np.arange(len(spin.sizes)), len(configs))
         levels.append((np.full(len(pairs), k), spin.representatives[pairs],
                        np.tile(configs, (len(spin.sizes), 1)), spin.sizes[pairs]))
@@ -342,10 +348,9 @@ def symmetric_jc_sector(geometry: ArrayGeometry, n_total: int) -> SymmetricJCSec
 
 def takes_orbit_block(dim: int) -> bool:
     """The size rule of both symmetric-block routes: a sector past the
-    route floor :data:`FLOOR` and within the bitmask guard
-    ``basis.MAX_SECTOR_DIM``.  A Jaynes-Cummings sector, sized in closed
-    form before a class grows, also stays within ``jcmodel.MAX_JC_DIM``."""
-    return FLOOR < dim <= MAX_SECTOR_DIM
+    route floor :data:`FLOOR`.  What a route holds is bounded by the row
+    budget ``basis.MAX_ROWS``, not by the sector dimension."""
+    return FLOOR < dim
 
 
 def block_ground(sizes, src, dst, vals, seed: int) -> SpectrumResult:

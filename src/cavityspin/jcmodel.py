@@ -1,28 +1,23 @@
 """Exact diagonalization of the light-matter model on the array.
 
 Spins sit at row/column intersections; every row has its own mode, every
-column too.  The exchange coupling conserves the total excitation number
-(raised spins plus all photons), so the Hilbert space splits into sectors
-labelled by that total.  Within a sector no photon mode can ever hold more
-quanta than the sector total, so a per-mode cutoff ``n_max >= n_total``
-makes the sector matrix exact, not truncated.
-
-Mode layout: modes ``0 .. ly-1`` are the row modes, ``ly .. ly+lx-1`` the
-column modes.  Photon configurations are ranked through base-``n_max+1``
-packed int64 keys; a block whose keys would not fit int64 is refused.  One
-entry builder, :func:`_jc_entries`, gives the matrix entries out of any
-list of states.
+column too (modes ``0 .. ly-1`` the rows, ``ly .. ly+lx-1`` the columns).
+The exchange conserves the total excitation number (raised spins plus
+photons), so the space splits into sectors labelled by that total.  No mode
+can hold more quanta than the sector total, so a per-mode cutoff
+``n_max >= n_total`` leaves the sector matrix exact.  Photon configurations
+are ranked through base-``n_max+1`` packed int64 keys; a block whose keys
+would not fit int64 is refused.  One entry builder, :func:`_jc_entries`,
+gives the matrix entries out of any list of states.
 
 With g > 0 and scalar detunings the ground state of an untruncated sector
-is simple and invariant under S_Ly x S_Lx acting on the sites and the line
-modes together.  Past the route floor ``canonical.FLOOR``
-:func:`jc_sector_ground` solves its ground pair, and
-:func:`superradiant_critical_g` the lowest pair of its critical-coupling
-pencil, on the block of normalized orbit sums (114 classes for the 2016
-states of 3x3 n_total=4): the classes grow from the spin levels
-(``canonical.symmetric_jc_sector``) and the block comes from the entries out
-of their representatives, so no :class:`JCBasis` or sector-sized array is
-made.  Every other sector is solved on :func:`build_jc_hamiltonian`.
+is simple and invariant under S_Ly x S_Lx acting on sites and line modes
+together.  Past the route floor ``canonical.FLOOR`` :func:`jc_sector_ground`
+and :func:`superradiant_critical_g` solve it on the block of normalized orbit
+sums (114 classes for the 2016 states of 3x3 n_total=4), grown from the spin
+levels (``canonical.symmetric_jc_sector``) with no :class:`JCBasis`.  Every
+other sector is solved on :func:`build_jc_hamiltonian`.  Both routes count
+their rows against ``basis.MAX_ROWS`` before they allocate.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import enumerate_masks
+from .basis import check_rows, enumerate_masks
 from .canonical import (
     SymmetricJCSector,
     block_ground,
@@ -51,8 +46,6 @@ from .linalg import (
 )
 from .observables import CorrelationResult, multiplet_correlations
 from .params import EffectiveJCParams, RegimeError, ScalarOrPerLine
-
-MAX_JC_DIM = 2_000_000
 
 
 @dataclass
@@ -117,6 +110,8 @@ class JCBasis:
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
         self.geometry, self.n_total, self.n_max = geometry, n_total, n_max
+        entries = (1 + 2 * geometry.n_sites) * _sector_dim(geometry, n_total, n_max)
+        check_rows(entries, "sector matrix")  # a diagonal and two moves per site
         blocks: list[JCBlock] = []
         offset = 0
         for k in range(min(geometry.n_sites, n_total), -1, -1):
@@ -126,8 +121,6 @@ class JCBasis:
             masks = enumerate_masks(geometry.n_sites, k)
             blocks.append(JCBlock(k=k, masks=masks, photons=photons, offset=offset))
             offset += len(masks) * photons.count
-        if offset > MAX_JC_DIM:
-            raise ValueError(f"sector dimension {offset} exceeds guard {MAX_JC_DIM}")
         if offset == 0:
             raise ValueError(f"sector n_total={n_total} empty under per-mode cutoff n_max={n_max}")
         self.blocks = blocks
@@ -153,6 +146,15 @@ class JCBasis:
             inside = np.searchsorted(b.masks, masks[i]) * b.inner + b.photons.rank_keys(keys[i])
             out[i] = b.offset + inside
         return out
+
+
+def _sector_dim(geometry: ArrayGeometry, n_total: int, cap: int) -> int:
+    """The sector dimension in closed form, by inclusion-exclusion over modes past ``cap``."""
+    m, c = geometry.n_modes, cap + 1
+    return sum(math.comb(geometry.n_sites, k) * (-1) ** j * math.comb(m, j)
+               * math.comb(n_total - k - j * c + m - 1, m - 1)
+               for k in range(min(geometry.n_sites, n_total) + 1)
+               for j in range(min(m, (n_total - k) // c) + 1))
 
 
 def _expand(value: ScalarOrPerLine, count: int) -> np.ndarray:
@@ -225,23 +227,19 @@ def _sector_entries(
     ``(-1)^k`` (k raised spins), all its off-diagonal entries are negative:
     by Perron-Frobenius its ground state is simple and positive, and with
     scalar detunings invariant under every row and column permutation.  Such
-    a sector that passes ``canonical.takes_orbit_block`` and
-    :data:`MAX_JC_DIM` is held as its classes, the entries taken out of the
-    representatives and their columns classified by code; any other is the
-    whole :class:`JCBasis`."""
-    n_modes = geometry.n_modes
-    dim = sum(  # untruncated, in closed form
-        math.comb(geometry.n_sites, k) * math.comb(n_total - k + n_modes - 1, n_modes - 1)
-        for k in range(min(geometry.n_sites, n_total) + 1)
-    )
+    a sector that passes ``canonical.takes_orbit_block`` is held as its
+    classes, the entries taken out of the representatives and their columns
+    classified by code; any other is the whole :class:`JCBasis`."""
+    dim = _sector_dim(geometry, n_total, n_total)
     scalar = all(isinstance(d, (int, float)) for d in (jc.delta_a, jc.delta_b))
     untruncated = n_max is None or n_max >= n_total
-    if not (jc.g > 0.0 and scalar and untruncated and takes_orbit_block(dim)) or dim > MAX_JC_DIM:
+    if not (jc.g > 0.0 and scalar and untruncated and takes_orbit_block(dim)):
         basis = JCBasis(geometry, n_total, n_max)
         h = build_jc_hamiltonian(geometry, jc, basis)
         return basis, h.rows, h.cols, h.vals
     sector = symmetric_jc_sector(geometry, n_total)
-    weights = PhotonBlock.build(n_total, n_modes, n_total).weights
+    check_rows(len(sector.sizes) * (1 + 2 * geometry.n_sites), "orbit block")
+    weights = PhotonBlock.build(n_total, geometry.n_modes, n_total).weights
     reps = (sector.spins, sector.representatives, sector.modes)
     rows, cols, keys, vals = _jc_entries(geometry, jc, reps, n_total, weights)
     cols = sector.classify(cols, keys[:, None] // weights % (n_total + 1))
@@ -307,13 +305,16 @@ def jc_ground_state(
 ) -> JCGroundResult:
     """Scan sectors upward until the minimum is interior.
 
-    The scanned range, from 0 to 4, doubles while the lowest energy sits at
-    its top; a minimum still at the cap means the photon branch is unbounded
-    for these parameters, which is reported as a regime error rather than a
-    value.  Sector ties (within 1e-8 relative) resolve to the smaller total.
-    Each sector is solved once; the winner's spectrum and basis come from
-    the scan.
+    With no cutoff, a mode below zero detuning, or at zero with g > 0, lowers
+    the energy without bound as photons are added: a regime error before any
+    solve.  Else the scanned range, from 0 to 4, doubles while the lowest
+    energy sits at its top, and a minimum still at the cap is the same error.
+    Sector ties (within 1e-8 relative) resolve to the smaller total.  Each
+    sector is solved once; the winner's spectrum and basis come from the scan.
     """
+    low = mode_detunings(geometry, jc).min()
+    if n_max is None and (low < 0.0 or low == 0.0 < jc.g):
+        raise RegimeError(f"mode detuning {low:g}: unbounded photon growth at these parameters")
     solved: dict[int, tuple[SpectrumResult, JCBasis | SymmetricJCSector]] = {}
 
     def energy(n: int) -> float:

@@ -1,28 +1,22 @@
 """Effective spin model on the array, resolved into excitation sectors.
 
-The photon-eliminated Hamiltonian conserves the number of raised spins, so
-everything here works inside one excitation sector.  Its two pieces:
-
-* a uniform diagonal ``(omega_at/2 + [lambda_a + lambda_b]) * (2 n_exc - N)``
-  coming from the splitting plus (optionally) the static coupling shift;
-* an excitation-hopping interaction moving one raised spin between two sites
-  that share a row (amplitude ``2 lambda_a``) or a column (``2 lambda_b``),
-  the moves of the one hop rule ``basis.line_moves``.
-
-Ground energies per sector give level crossings (superradiant steps), and
-ground vectors give two-point spin correlations.
+The photon-eliminated Hamiltonian conserves the number of raised spins.  In
+a sector it is a uniform diagonal ``(omega_at/2 + [lambda_a + lambda_b]) *
+(2 n_exc - N)`` (the splitting plus, optionally, the static coupling shift)
+and hops of one raised spin to a site of its row (``2 lambda_a``) or column
+(``2 lambda_b``), the moves of ``basis.line_moves``.  Ground energies per
+sector give level crossings, ground vectors two-point spin correlations.
 
 With both couplings negative every hop is negative and the hop graph of a
 sector ``0 < n_exc < N`` is connected, so by Perron-Frobenius the sector
-ground state is unique and invariant under every row and every column
-permutation.  Past the route floor ``canonical.FLOOR`` :func:`sector_ground`
-then solves for that one pair on the block of normalized orbit sums under
-S_Ly x S_Lx (159 classes for the 184 756 states of 5x4 n=10), built from the
-entries out of the representatives of ``canonical.symmetric_sector``, and
-returns the block vector with its classes: no sector table or sector-sized
-vector is made, up to the bitmask guard ``basis.MAX_SECTOR_DIM``.  Every
-other case is solved on the full sector matrix.  Either way a solve returns
-the whole ground cluster and nothing above it.
+ground state is unique and invariant under every row and column permutation.
+Past the route floor ``canonical.FLOOR`` :func:`sector_ground` solves that
+pair on the block of normalized orbit sums under S_Ly x S_Lx (159 classes for
+the 184 756 states of 5x4 n=10), built from the entries out of the
+representatives of ``canonical.symmetric_sector``, and returns the block
+vector with its classes; only the row budget ``basis.MAX_ROWS`` bounds it.
+Every other case is solved on the full sector matrix, counted against the
+same budget.  Either way a solve returns the whole ground cluster.
 """
 
 from __future__ import annotations
@@ -33,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import SectorBasis, line_moves
+from .basis import SectorBasis, check_rows, line_moves
 from .canonical import SymmetricSector, block_ground, symmetric_sector, takes_orbit_block
 from .geometry import ArrayGeometry
 from .linalg import (
@@ -57,6 +51,13 @@ def _diagonal(
     if include_lambda_shift:
         coeff += couplings.lambda_a + couplings.lambda_b
     return coeff * (2 * n_exc - geometry.n_sites)
+
+
+def _hop_pairs(geometry: ArrayGeometry, couplings: SpinCouplings) -> int:
+    """The site pairs on lines that carry a hop: each gives a state at most
+    one move, and a sector 2 C(N - 2, n - 1) moves."""
+    rows = geometry.ly * comb(geometry.lx, 2) * (couplings.lambda_a != 0.0)
+    return rows + geometry.lx * comb(geometry.ly, 2) * (couplings.lambda_b != 0.0)
 
 
 def _sector_entries(
@@ -105,6 +106,9 @@ def build_sector_hamiltonian(
     """
     if basis.geometry != geometry:
         raise ValueError("basis geometry mismatch")
+    n, k = geometry.n_sites, basis.n_exc
+    hops = 2 * _hop_pairs(geometry, couplings) * comb(max(n - 2, 0), k - 1) if k else 0
+    check_rows(basis.dim + hops, "sector matrix")
     rows, cols, vals = _sector_entries(
         geometry, couplings, basis.states, basis.n_exc, include_lambda_shift
     )
@@ -137,20 +141,16 @@ def sector_ground(
     seed: int = 0,
 ) -> tuple[SpectrumResult, SectorBasis | SymmetricSector]:
     """Every copy of the ground level of a sector, and the basis its
-    vectors live in.
-
-    A Perron-Frobenius ground pair that passes the size rule
-    ``canonical.takes_orbit_block`` is solved on the small block of row x
-    column symmetric orbit sums, built from the sector entries out of the
-    class representatives; it returns the block vector and the
-    :class:`~cavityspin.canonical.SymmetricSector` of its classes.  Every
-    other case is solved on the full sector matrix of a
-    :class:`~cavityspin.basis.SectorBasis`.
+    vectors live in: a Perron-Frobenius pair past the size rule
+    ``canonical.takes_orbit_block`` is solved on the orbit block, its vector
+    on the classes of a :class:`~cavityspin.canonical.SymmetricSector`;
+    every other case on the full matrix of a :class:`~cavityspin.basis.SectorBasis`.
     """
     if _perron_frobenius_sector(geometry, couplings, n_exc) and takes_orbit_block(
         comb(geometry.n_sites, n_exc)
     ):
         basis = symmetric_sector(geometry, n_exc)
+        check_rows(len(basis.sizes) * (1 + _hop_pairs(geometry, couplings)), "orbit block")
         src, dst, vals = _sector_entries(
             geometry, couplings, basis.representatives, n_exc, include_lambda_shift
         )

@@ -2,24 +2,20 @@
 
 With uniform couplings the spin Hamiltonian commutes with every permutation
 of whole rows and whole columns, plus the transpose when the array is square
-and the two couplings are equal.  The group acts on spin configurations;
-its orbits label equivalence classes of states, counted without enumeration
-by the cycle index polynomial (coefficients kept as exact rationals) and the
-two-color pattern inventory.  Projecting the Hamiltonian onto normalized
-orbit sums gives a small block, built as entries, that holds the symmetric
-part of the spectrum, including the ground state for attractive couplings.
+and the two couplings are equal.  The group is its geometry and whether it
+has the transpose; its order and cycle index (exact rational coefficients)
+are closed forms, and the pattern inventory counts its orbits on spin
+configurations without enumeration.
 
-The group is its geometry and whether it has the transpose; the order and
-the cycle index are closed forms.  A sector's orbit classes are the grown
-levels of ``canonical.symmetric_sector`` alone: :func:`grown_classes` reads
-the S_Ly x S_Lx level and, with the transpose, merges each class with the
-class of its transposed representative.  The ``polya`` command prints the
-sizes of those classes and enumerates no sector; :func:`orbits` lists the
-members of every class of a sector of up to ``MAX_LABELLED_DIM`` states,
-and :func:`orbit_basis_hamiltonian` projects onto those classes.  This
-module serves ``polya`` and the acceptance criteria; the symmetric-block
-routes of ``spinmodel`` and ``jcmodel`` live in ``canonical`` and never
-run it.
+A sector's orbit classes are the grown levels of
+``canonical.symmetric_sector``: :func:`grown_classes` reads the S_Ly x S_Lx
+level and, with the transpose, merges each class with the class of its
+transposed representative.  The ``polya`` command prints their sizes and
+enumerates no sector; :func:`orbits` lists the members of every class of a
+sector whose table fits ``basis.MAX_ROWS``, and
+:func:`orbit_basis_hamiltonian` projects onto them (a block, built as
+entries).  This module serves ``polya`` and the acceptance criteria; the
+symmetric-block routes live in ``canonical`` and never run it.
 """
 
 from __future__ import annotations
@@ -28,17 +24,16 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations as iter_permutations
-from math import comb, factorial, gcd, prod
+from math import factorial, gcd, prod
 from typing import Optional
 
 import numpy as np
 
-from .basis import SectorBasis, check_sector_dim, enumerate_masks, line_moves
+from .basis import SectorBasis, enumerate_masks, line_moves
 from .canonical import SymmetricSector, orbit_block, site_images, symmetric_sector
 from .geometry import ArrayGeometry
 from .params import SpinCouplings
 
-MAX_LABELLED_DIM = 2_000_000
 
 @dataclass(frozen=True)
 class PermutationGroup:
@@ -211,10 +206,8 @@ def grown_classes(
     With the transpose, each class of the level merges with the class of
     its transposed representative, numbered by the first of the two; the
     merged size is s_i + s_t(i), or s_i for a class that is its own
-    transpose.  A sector past the guard ``basis.MAX_SECTOR_DIM`` is refused
-    before any level grows.
+    transpose.
     """
-    check_sector_dim(group.degree, max(n_exc, 0))  # symmetric_sector names a bad n_exc
     sector = symmetric_sector(group.geometry, n_exc)
     index = np.arange(len(sector.sizes))
     if not group.transpose:
@@ -234,13 +227,9 @@ def _orbit_table(
     class index of every sector state and the ascending sector masks.
 
     Every mask takes the class of its code in :func:`grown_classes`, and
-    a class is represented by its smallest member.  Sectors past
-    ``MAX_LABELLED_DIM``, whose members would not be listed, are refused
-    before enumeration.
+    a class is represented by its smallest member.  The C(N, n) members
+    are bounded by the row budget of the table (``basis.enumerate_masks``).
     """
-    dim = comb(group.degree, max(n_exc, 0))  # enumerate_masks names a bad n_exc
-    if dim > MAX_LABELLED_DIM:
-        raise ValueError(f"sector dimension {dim} too large to partition")
     masks = enumerate_masks(group.degree, n_exc)
     sector, label, sizes = grown_classes(group, n_exc)
     which = label[sector.classify(masks)]

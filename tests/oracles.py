@@ -397,3 +397,9 @@ def expand_block_vectors(spectrum, sector, masks: np.ndarray, modes=None) -> np.
     masks = np.asarray(masks, dtype=np.int64)
     which = sector.classify(masks) if modes is None else sector.classify(masks, modes)
     return (spectrum.eigenvectors / np.sqrt(sector.sizes)[:, None])[which]
+
+
+def refuse(*args, **kwargs):
+    """Stands in for a builder that a route refused by its row budget must
+    never reach."""
+    raise AssertionError("the route allocated past its row budget")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import cavityspin.basis
 from cavityspin.basis import SectorBasis, enumerate_masks
 from cavityspin.geometry import ArrayGeometry
 from oracles import successor_masks
@@ -72,3 +73,11 @@ def test_bulk_rank_matches_scalar_rank():
     ]
     with pytest.raises(ValueError):
         basis.bulk_rank(np.array([0b11, 0b101], dtype=np.int64))
+
+
+def test_sector_tables_are_refused_past_the_row_budget(monkeypatch):
+    # C(10, 5) = 252 states; no numpy call is reached before the refusal
+    monkeypatch.setattr(cavityspin.basis, "MAX_ROWS", 251)
+    monkeypatch.setattr(cavityspin.basis, "np", None)
+    with pytest.raises(ValueError, match="^sector table of 252 rows exceeds the budget 251$"):
+        enumerate_masks(10, 5)

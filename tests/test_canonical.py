@@ -1,17 +1,20 @@
 """Orbit classes from canonical codes against the cycle index, brute-force
 orbits and the table classes of ``symmetry.orbits``."""
 
+import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 
+import cavityspin.basis
 from cavityspin import canonical, spinmodel, symmetry
 from cavityspin.basis import SectorBasis
 from cavityspin.geometry import ArrayGeometry
 from cavityspin.linalg import operator_from_entries
 from cavityspin.params import SpinCouplings
-from oracles import brute_group, brute_orbits, expand_block_vectors, loop_canonical_codes
+from oracles import brute_group, brute_orbits, expand_block_vectors, loop_canonical_codes, refuse
 
 
 @pytest.mark.parametrize(
@@ -117,3 +120,43 @@ def test_symmetric_sector_refuses_what_its_codes_cannot_hold():
     sector = canonical.symmetric_sector(ArrayGeometry(3, 3), 4)
     with pytest.raises(ValueError, match="outside this sector"):
         sector.classify(np.array([0b111], np.int64))
+
+
+def test_bounded_compositions_match_the_filtered_product_in_lex_order():
+    for total, parts, cap in itertools.product(range(6), range(5), range(6)):
+        ref = [c for c in itertools.product(range(cap + 1), repeat=parts) if sum(c) == total]
+        out = canonical.bounded_compositions(total, parts, cap)
+        assert out.shape == (len(ref), parts) and out.tolist() == [list(c) for c in ref]
+    # no head is repeated past the counts it can take: 30 quanta on 6 modes
+    tracemalloc.start()
+    try:
+        out = canonical.bounded_compositions(30, 6, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (comb(35, 5), 6) and peak <= 3 * out.nbytes
+
+
+def test_class_growth_is_refused_past_the_row_budget(monkeypatch):
+    # 5x3 n=7 grows from the 26 classes of n=6, one candidate per site
+    geom = ArrayGeometry(5, 3)
+    canonical.symmetric_sector.cache_clear()
+    canonical.symmetric_sector(geom, 6)
+    monkeypatch.setattr(cavityspin.basis, "MAX_ROWS", 389)
+    monkeypatch.setattr(canonical, "canonical_codes", refuse)
+    with pytest.raises(ValueError, match="^class growth of 390 rows exceeds the budget 389$"):
+        canonical.symmetric_sector(geom, 7)
+
+
+def test_jc_class_growth_is_refused_past_the_row_budget(monkeypatch):
+    # 3x3 n_total=6: the classes (1, 1, 3, 6, 7, 7, 6) of the spin levels
+    # k = 0..6 times the C(11 - k, 5) photon configurations of each
+    geom = ArrayGeometry(3, 3)
+    for k in range(7):
+        canonical.symmetric_sector(geom, k)
+    canonical.symmetric_jc_sector.cache_clear()
+    monkeypatch.setattr(cavityspin.basis, "MAX_ROWS", 1622)
+    for name in ("bounded_compositions", "canonical_codes"):
+        monkeypatch.setattr(canonical, name, refuse)
+    with pytest.raises(ValueError, match="^class growth of 1623 rows exceeds the budget 1622$"):
+        canonical.symmetric_jc_sector(geom, 6)

@@ -317,18 +317,19 @@ def test_cli_polya_reads_the_grown_levels_up_to_the_sector_guard(monkeypatch, ca
     ((n_exc, n_classes, sizes, _),) = io.parse_csv(out).rows
     assert (n_exc, n_classes) == (7, 99)
     assert sum(int(x) for x in sizes.split(";")) == math.comb(36, 7)
-    # past the bitmask guard every spin-sector path has
+    # 6x6 n=8 (30 260 340 states): only the row budget of each level bounds it
+    inventory = symmetry.cycle_index(symmetry.build_group(ArrayGeometry(6, 6))).pattern_inventory()
     code, out, err = run_cli(capsys, ["polya", "--lx", "6", "--ly", "6", "--nexc", "8"])
-    assert code == 1 and out == ""
-    payload = json.loads(err)["error"]
-    assert payload["kind"] == "compute"
-    assert payload["message"] == "sector dimension 30260340 exceeds guard 20000000"
+    assert code == 0 and err == ""
+    ((n_exc, n_classes, sizes, _),) = io.parse_csv(out).rows
+    assert (n_exc, n_classes) == (8, inventory[8])
+    assert sum(int(x) for x in sizes.split(";")) == math.comb(36, 8)
 
 
-@pytest.mark.parametrize("lx, ly", [(6, 4), (5, 5)])
+@pytest.mark.parametrize("lx, ly", [(6, 4), (5, 5), (6, 5)])
 def test_cli_polya_counts_every_sector_past_the_member_listing_guard(capsys, lx, ly):
-    # C(24, 12) = 2 704 156 and C(25, 12) = 5 200 300 states exceed the
-    # 2e6-state member-listing guard of symmetry.orbits
+    # C(24, 12) = 2 704 156, C(25, 12) = 5 200 300 and C(30, 15) = 155 117 520
+    # states: no sector table is made, so only the levels' growth is counted
     group = symmetry.build_group(ArrayGeometry(lx, ly))
     inventory = symmetry.cycle_index(group).pattern_inventory()
     code, out, err = run_cli(capsys, ["polya", "--lx", str(lx), "--ly", str(ly)])
@@ -514,6 +515,21 @@ def test_cli_solves_attractive_sectors_past_the_labelling_guard(capsys):
     assert row[:2] == ("spin", 12) and row[2] > 0.0 and row[3] > 0.0
 
 
+def test_cli_solves_the_half_filled_6x5_sector_on_its_classes(capsys):
+    # 155 117 520 states in 3616 classes: the route holds no sector-sized array
+    argv = ["--lx", "6", "--ly", "5", "--lambda-a=-0.1", "--lambda-b=-0.05",
+            "--omega", "1", "--nexc", "15"]
+    code, out, err = run_cli(capsys, ["spin-ed", *argv])
+    assert code == 0 and err == ""
+    (row,) = io.parse_csv(out).rows
+    assert row[:2] == (15, 155117520) and row[3] == 1
+    assert row[2] == pytest.approx(-11.225317813051529, rel=1e-12)
+    code, out, err = run_cli(capsys, ["correlations", *argv])
+    assert code == 0 and err == ""
+    (row,) = io.parse_csv(out).rows
+    assert row[:2] == ("spin", 15) and row[2] > 0.0 and row[3] > 0.0
+
+
 def test_cli_spin_ed_counts_the_frustrated_multiplet(capsys):
     # lambda_a > 0 > lambda_b on 3x3: the one-excitation ground level is
     # 2-fold (one_exc_closed_spectrum); the one ground solve must count both
@@ -583,13 +599,11 @@ def test_cli_routed_jc_sectors_build_no_basis_and_no_sector_matrix(monkeypatch, 
     assert code == 0 and err == ""
     ((n_total, dim, _, _),) = io.parse_csv(out).rows
     assert (n_total, dim) == (6, 229660)
-    # past the basis guard the sector is refused, as the whole basis is
-    monkeypatch.undo()
+    # 7843 classes: the route holds no sector-sized array at any dimension
     code, out, err = run_cli(capsys, jc_ed + ["--ntotal", "8"])
-    assert code == 1 and out == ""
-    payload = json.loads(err)["error"]
-    assert payload["kind"] == "compute"
-    assert payload["message"] == "sector dimension 2228225 exceeds guard 2000000"
+    assert code == 0 and err == ""
+    ((n_total, dim, _, _),) = io.parse_csv(out).rows
+    assert (n_total, dim) == (8, 2228225)
 
 
 @pytest.mark.parametrize(
@@ -889,14 +903,34 @@ def test_cli_routed_jc_sectors_fit_a_capped_address_space():
     (row,) = io.parse_csv(proc.stdout).rows
     assert row[:2] == (10, 236640)
     assert row[2] == pytest.approx(-10.781906586889104, rel=1e-12)
-    # the scan solves n_total = 0..13 and stops at the JC guard of 14
+    # the whole scan, n_total = 0..16 (up to 2 964 960 states), is routed
     proc = _child(CAPPED_CLI, *JC_SCAN, OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 0, proc.stderr
+    rows = io.parse_csv(proc.stdout).rows
+    assert [row[0] for row in rows] == list(range(17))
+    ((n_total, _, energy, _),) = [row for row in rows if row[3] == "true"]
+    assert n_total == 11 and energy == pytest.approx(-10.843718192219303, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv, what, rows",
+    [
+        (["spin-ed", "--lx", "6", "--ly", "4", "--lambda-a=0.1", "--lambda-b=-0.3",
+          "--omega", "1", "--nexc", "12"], "sector matrix", 138147100),
+        (["jc-ed", "--lx", "4", "--ly", "4", "--omega", "1", "--g", "0.4", "--delta-a", "6",
+          "--delta-b", "6", "--ntotal", "8", "--nmax", "7"], "sector matrix", 33 * 2228217),
+        (["jc-ed", "--lx", "3", "--ly", "3", "--omega", "1", "--g", "0.3", "--delta-a", "5",
+          "--delta-b", "5", "--ntotal", "40"], "class growth", 25924668),
+    ],
+)
+def test_cli_routes_past_the_row_budget_exit_1_before_they_allocate(argv, what, rows):
+    # each would need gigabytes; the capped child refuses before it allocates
+    proc = _child(CAPPED_CLI, *argv, OPENBLAS_NUM_THREADS="1")
     assert proc.returncode == 1 and proc.stdout == ""
-    assert "Traceback" not in proc.stderr and "MemoryError" not in proc.stderr
     assert json.loads(proc.stderr)["error"] == {
         "kind": "compute",
         "type": "ValueError",
-        "message": "sector dimension 2099232 exceeds guard 2000000",
+        "message": f"{what} of {rows} rows exceeds the budget 10000000",
     }
 
 

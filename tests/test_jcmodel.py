@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import cavityspin.basis
 from cavityspin import canonical, jcmodel, linalg, onedim, spinmodel
 from cavityspin.geometry import ArrayGeometry
 from cavityspin.observables import block_segments
@@ -18,6 +19,7 @@ from oracles import (
     dense_jc_sector,
     expand_block_vectors,
     jc_correlation_reference,
+    refuse,
     symmetry_defect,
 )
 
@@ -460,3 +462,43 @@ def test_critical_coupling_pencil_stays_whole_off_the_route(monkeypatch):
     assert _pencil_at_floor(monkeypatch, 0, geom, unit, 2).method == "symmetric-block"
     assert _pencil_at_floor(monkeypatch, 0, geom, per_line, 2).method == "dense"
     assert _pencil_at_floor(monkeypatch, 0, geom, unit, 2, n_max=1).method == "dense"
+
+
+def test_full_jc_sectors_are_refused_past_the_row_budget(monkeypatch):
+    # 1 + 2 x 4 entries for each of the 84 states of 2x2 n_total=3 at cap 2,
+    # counted in closed form before any photon block or mask table is built
+    geom = ArrayGeometry(2, 2)
+    for n_total, cap in itertools.product(range(7), range(8)):
+        dim = jcmodel._sector_dim(geom, n_total, cap)
+        if dim:  # JCBasis refuses an empty sector
+            assert jcmodel.JCBasis(geom, n_total, cap).dim == dim
+    monkeypatch.setattr(cavityspin.basis, "MAX_ROWS", 755)
+    monkeypatch.setattr(jcmodel.PhotonBlock, "build", refuse)
+    monkeypatch.setattr(jcmodel, "enumerate_masks", refuse)
+    jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.5)
+    with pytest.raises(ValueError, match="^sector matrix of 756 rows exceeds the budget 755$"):
+        jcmodel.jc_sector_ground(geom, jc, 3, n_max=2)
+
+
+def test_routed_jc_blocks_are_refused_past_the_row_budget(monkeypatch):
+    # 3x3 n_total=4: 114 classes of at most 1 + 2 x 9 entries, counted after growth
+    geom = ArrayGeometry(3, 3)
+    canonical.symmetric_jc_sector(geom, 4)
+    monkeypatch.setattr(cavityspin.basis, "MAX_ROWS", 2165)
+    monkeypatch.setattr(jcmodel, "_jc_entries", refuse)
+    jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.5)
+    with pytest.raises(ValueError, match="^orbit block of 2166 rows exceeds the budget 2165$"):
+        jcmodel.jc_sector_ground(geom, jc, 4)
+
+
+def test_ground_state_scan_refuses_an_unbounded_photon_branch_before_any_solve(monkeypatch):
+    geom = ArrayGeometry(2, 2)
+    monkeypatch.setattr(jcmodel, "jc_sector_ground", refuse)
+    for delta_a in (-5.0, 0.0, (1.0, -0.1)):
+        jc = EffectiveJCParams(omega_at=1.0, g=0.3, delta_a=delta_a, delta_b=5.0)
+        with pytest.raises(RegimeError, match="unbounded photon growth"):
+            jcmodel.jc_ground_state(geom, jc)
+    monkeypatch.undo()
+    # at g = 0 a mode at zero detuning only ties, so the scan ends
+    free = EffectiveJCParams(omega_at=1.0, g=0.0, delta_a=0.0, delta_b=5.0)
+    assert jcmodel.jc_ground_state(geom, free).n_total == 0

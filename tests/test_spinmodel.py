@@ -18,6 +18,7 @@ from oracles import (
     pair_loop_correlations,
     sector_block,
     sector_masks,
+    refuse,
     spin_correlation_reference,
 )
 
@@ -448,8 +449,10 @@ def test_routed_sector_builds_no_table_labels_nothing_and_expands_nothing(monkey
 
 
 def test_symmetric_block_route_past_the_labelling_guard(monkeypatch):
-    # the route lists no members, so the member-listing guard does not bound it
-    monkeypatch.setattr(symmetry, "MAX_LABELLED_DIM", 1000)
+    # the route holds its classes (390 candidates, 1334 block rows), so a
+    # row budget below the 6435 states of the sector does not bound it
+    canonical.symmetric_sector.cache_clear()
+    monkeypatch.setattr(cavityspin.basis, "MAX_ROWS", 2000)
     geom = ArrayGeometry(5, 3)  # C(15, 7) = 6435
     c = SpinCouplings(lambda_a=-0.12, lambda_b=-0.05, omega_at=1.0)
     spec, sector = spinmodel.sector_ground(geom, c, 7)
@@ -505,3 +508,26 @@ def test_route_floor_from_both_sides(monkeypatch, lx, ly, n_exc, dim):
     for floor, method in [(dim, "dense"), (dim - 1, "symmetric-block")]:
         monkeypatch.setattr(canonical, "FLOOR", floor)
         assert spinmodel.sector_ground(geom, c, n_exc)[0].method == method
+
+
+def test_full_sector_entries_are_refused_past_the_row_budget(monkeypatch):
+    # 4x3 n=5, frustrated: C(12, 5) = 792 diagonal entries and 2 x 30 line
+    # pairs x C(10, 4) = 12600 hops, counted before any entry is built
+    geom = ArrayGeometry(4, 3)
+    c = SpinCouplings(lambda_a=0.1, lambda_b=-0.3, omega_at=1.0)
+    assert len(spinmodel.build_sector_hamiltonian(geom, c, SectorBasis(geom, 5)).rows) == 13392
+    monkeypatch.setattr(cavityspin.basis, "MAX_ROWS", 13391)
+    monkeypatch.setattr(spinmodel, "_sector_entries", refuse)
+    with pytest.raises(ValueError, match="^sector matrix of 13392 rows exceeds the budget 13391$"):
+        spinmodel.sector_ground(geom, c, 5)
+
+
+def test_routed_spin_blocks_are_refused_past_the_row_budget(monkeypatch):
+    # 5x3 n=7: 29 classes of at most 1 + 45 entries each, counted after growth
+    geom = ArrayGeometry(5, 3)
+    c = SpinCouplings(lambda_a=-0.12, lambda_b=-0.05, omega_at=1.0)
+    canonical.symmetric_sector(geom, 7)
+    monkeypatch.setattr(cavityspin.basis, "MAX_ROWS", 1333)
+    monkeypatch.setattr(spinmodel, "_sector_entries", refuse)
+    with pytest.raises(ValueError, match="^orbit block of 1334 rows exceeds the budget 1333$"):
+        spinmodel.sector_ground(geom, c, 7)

@@ -6,12 +6,13 @@ from math import comb
 import numpy as np
 import pytest
 
+import cavityspin.basis
 from cavityspin import canonical, jcmodel, spinmodel, symmetry
 from cavityspin.basis import SectorBasis
 from cavityspin.geometry import ArrayGeometry
 from cavityspin.linalg import operator_from_entries
 from cavityspin.params import EffectiveJCParams, SpinCouplings
-from oracles import brute_cycle_index, brute_group, brute_orbits
+from oracles import brute_cycle_index, brute_group, brute_orbits, refuse
 
 
 def test_group_orders():
@@ -291,3 +292,12 @@ def test_match_up_to_class_permutation_roundtrip():
     broken[0, 1] = broken[1, 0] = 7.0
     assert symmetry.match_up_to_class_permutation(a, broken) is None
     assert symmetry.match_up_to_class_permutation(a, np.eye(4)) is None
+
+
+def test_orbit_tables_are_refused_past_the_row_budget(monkeypatch):
+    # the members of 3x3 n=4 are its C(9, 4) = 126 table states
+    monkeypatch.setattr(cavityspin.basis, "MAX_ROWS", 125)
+    monkeypatch.setattr(cavityspin.basis, "np", None)
+    monkeypatch.setattr(symmetry, "grown_classes", refuse)
+    with pytest.raises(ValueError, match="^sector table of 126 rows exceeds the budget 125$"):
+        symmetry.orbits(symmetry.build_group(ArrayGeometry(3, 3)), 4)
