@@ -264,9 +264,9 @@ ROW_ROUTES = {
     "spin-matrix": ("sector matrix", lambda g, n: sector_ground(g, FRUSTRATED[0], n), 100),
     "jc-matrix": ("sector matrix", lambda g, n: jc_sector_ground(g, _per_line(g), n), 60),
     "spin-growth": ("class growth", canonical.symmetric_sector, 120),
-    "jc-growth": ("class growth", canonical.symmetric_jc_sector, 260),
+    "jc-growth": ("class growth", canonical.symmetric_jc_sector, 250),
     "spin-block": ("orbit block", lambda g, n: sector_ground(g, ATTRACTIVE, n), 80),
-    "jc-block": ("orbit block", lambda g, n: jc_sector_ground(g, JC, n), 190),
+    "jc-block": ("orbit block", lambda g, n: jc_sector_ground(g, JC, n), 140),
     "mask-table": ("sector table", lambda g, n: basis.enumerate_masks(g.n_sites, n), 20),
     "orbit-table": ("sector table", lambda g, n: symmetry.orbits(symmetry.build_group(g), n), 120),
 }

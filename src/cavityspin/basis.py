@@ -21,9 +21,9 @@ from .geometry import ArrayGeometry
 # orbit block entries or table states, each counted in closed form before
 # it is allocated.  ``scripts/solver_sweep.py rows`` (fresh processes, 2
 # cores), bytes per row above a bare process: spin matrix 98-100, JC matrix
-# 51-67, spin growth 77-189 (rising with the longer side), JC growth 261,
-# spin block 75-87, JC block 186-194, mask table 18-21, orbit table 104-136.
-# So no route passes 2.6 GB within the budget; 4 GiB would take 430 B a row.
+# 51-67, spin growth 76-187 (rising with the longer side), JC growth 248-250,
+# spin block 74-87, JC block 129-141, mask table 18-21, orbit table 104-136.
+# So no route passes 2.5 GB within the budget; 4 GiB would take 430 B a row.
 MAX_ROWS = 10_000_000
 MAX_SITES = 62  # states held in int64 bitmasks
 

@@ -9,11 +9,12 @@ no sector needs a table.  Spin representatives grow one raised spin at a
 time from the empty array, in the spirit of McKay's isomorph-free
 generation (*J. Algorithms*, 1998) (:func:`symmetric_sector`); those of a
 Jaynes-Cummings sector pair the spin levels with the photon configurations
-(:func:`symmetric_jc_sector`).  Past the route floor :data:`FLOOR` both
-routes build their block as entries out of the representative rows and
-solve it with :func:`block_ground`; each counts its candidates and entries
-against ``basis.MAX_ROWS`` before it allocates.  ``observables`` reads the
-class vectors and ``symmetry`` the spin levels.
+(:func:`symmetric_jc_sector`).  Both are one :class:`SymmetricSector`: its
+classes ascend by code, and a state is classified by looking its code up.
+Past the route floor :data:`FLOOR` both routes build their block as
+entries out of the representative rows and solve it with
+:func:`block_ground`; each counts its candidates and entries against
+``basis.MAX_ROWS`` before it allocates.
 """
 
 from __future__ import annotations
@@ -110,60 +111,67 @@ def _pack(items: list[np.ndarray], widths: list[int]) -> np.ndarray:
 
 def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first state, the class of every state and the size of every
-    class of equal codes (shape (words, states)), the classes numbered by
-    their first state."""
+    class of equal codes (shape (words, states)), classes ascending by code."""
     # one word sorts about four times faster without the stable lexsort
     order = np.argsort(codes[0]) if len(codes) == 1 else np.lexsort(codes[::-1])
     ranked = codes[:, order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)
     starts = np.flatnonzero(new)
-    firsts = np.minimum.reduceat(order, starts)
-    number = np.argsort(firsts)
-    rank = np.argsort(number)
     which = np.empty_like(order)
-    which[order] = rank[np.cumsum(new) - 1]
-    sizes = np.diff(np.append(starts, len(order)))[number]
-    return firsts[number], which, sizes
+    which[order] = np.cumsum(new) - 1
+    return np.minimum.reduceat(order, starts), which, np.diff(np.append(starts, len(order)))
+
+
+def _rows(codes: np.ndarray) -> np.ndarray:
+    """Codes (words, states) as one item per state that sorts as the code:
+    its one word, or its words as the fields of a row."""
+    if len(codes) == 1:
+        return codes[0]
+    fields = [(f"w{i}", np.int64) for i in range(len(codes))]
+    return np.ascontiguousarray(codes.T).view(fields)[:, 0]
 
 
 def canonical_codes(
-    geometry: ArrayGeometry, masks: np.ndarray, modes: Optional[np.ndarray] = None
+    geometry: ArrayGeometry, masks: np.ndarray, modes: Optional[np.ndarray] = None, cap: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Canonical code of every state, shape (words, states), and how many
     permutations of the shorter side reach it.
 
     A state is a spin mask, plus the photon counts ``modes`` (row modes
     first, one row per state) when given.  Each line of the longer side
-    (:func:`_line_sites`) makes a word: its spins, its mode count above
-    them.  Under a permutation p of the shorter side the spins of every word
-    are permuted, the words sorted and the shorter-side counts, permuted
-    with p, appended; the code is the minimum over every p, packed by
-    :func:`_pack`.  Sorting absorbs the permutations of the longer side, so
-    two states share a code exactly when a row x column permutation maps
-    one onto the other.  A spin code is one word (``basis.MAX_SITES``).
-    The words sorted under the identity are a key that the longer side
-    cannot change, so p runs over the distinct keys only: every p at once,
-    on blocks of about 8192 (permutation, key) pairs.
+    (:func:`_line_sites`) makes a word: its spins, its mode count above them
+    in a field as wide as ``cap`` needs, so that the codes of one sector
+    compare whichever states are coded; a count outside [0, cap] is refused.
+    Under a permutation p of the shorter side the spins of every word are
+    permuted, the words sorted and the shorter-side counts, permuted with p,
+    appended; the code is the minimum over every p, packed by :func:`_pack`.
+    Sorting absorbs the permutations of the longer side, so two states share
+    a code exactly when a row x column permutation maps one onto the other.
+    A spin code is one word (``basis.MAX_SITES``).  The words sorted under
+    the identity are a key that the longer side cannot change, so p runs
+    over the distinct keys only: every p at once, on blocks of about 8192
+    (permutation, key) pairs.
     """
     width = min(geometry.lx, geometry.ly)
     lines = [
         sum(((masks >> s) & 1) << i for i, s in enumerate(sites))
         for sites in _line_sites(geometry)
     ]
-    tail, bits = [], 0
+    tail, bits = np.zeros((0, len(masks)), np.int64), 0
     if modes is not None:
-        bits = int(modes.max(initial=0)).bit_length()
+        if not 0 <= modes.min(initial=0) <= modes.max(initial=0) <= cap:
+            raise ValueError(f"photon count outside [0, {cap}]")
+        bits = int(cap).bit_length()
         rows, cols = modes[:, : geometry.ly].T, modes[:, geometry.ly :].T
-        along, across = (cols, rows) if geometry.ly <= geometry.lx else (rows, cols)
+        along, tail = (cols, rows) if geometry.ly <= geometry.lx else (rows, cols)
         lines = [line | (count << width) for line, count in zip(lines, along)]
-        tail = list(across)
     widths = [width + bits] * len(lines) + [bits] * len(tail)
     lines = _sort_lines(lines)
-    key = _pack(lines + tail, widths)
+    key = _pack(lines + list(tail), widths)
     first, which, _ = _distinct(key)
     lines = [line[first] for line in lines]
-    tail = [count[first] for count in tail]
+    tail = tail[:, first]
     values = np.arange(1 << (width + bits), dtype=np.int64)
     counts = values >> width << width
     perms = np.array(list(permutations(range(width))))
@@ -172,7 +180,7 @@ def canonical_codes(
     codes, hits = [], []
     for at in np.array_split(np.arange(len(first)), max(1, len(first) * len(perms) // 8192)):
         moved = _sort_lines([tables[:, line[at]] for line in lines])
-        tails = [np.array(tail)[:, at][i] for i in inverse] if tail else []
+        tails = list(tail[:, at][inverse]) if len(tail) else []
         tie, least = np.ones((len(perms), len(at)), dtype=bool), []
         for word in _pack(moved + tails, widths):  # the least code, word by word
             least.append(np.where(tie, word, np.iinfo(np.int64).max).min(axis=0))
@@ -184,31 +192,43 @@ def canonical_codes(
 
 @dataclass(frozen=True)
 class SymmetricSector:
-    """A spin sector held as its S_Ly x S_Lx orbit classes: a
-    representative mask, the canonical code and the size of every class,
-    ascending by code.
+    """A sector of ``n`` excitations (raised spins plus photons) held as
+    its S_Ly x S_Lx orbit classes, ascending by canonical code: per class
+    the raised-spin count, a representative mask with its photon counts
+    (row modes first; ``None`` in a spin sector), the code and the size.
+    The arrays are read-only.
 
     A vector ``c`` on the classes stands for the sector vector with
     amplitude ``c_i / sqrt(s_i)`` on every member of class i.
     """
 
     geometry: ArrayGeometry
-    n_exc: int
+    n: int
+    spins: np.ndarray = field(repr=False)
     representatives: np.ndarray = field(repr=False)
+    modes: Optional[np.ndarray] = field(repr=False)
     codes: np.ndarray = field(repr=False)
     sizes: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        for arr in (self.spins, self.representatives, self.modes, self.codes, self.sizes):
+            if arr is not None:
+                arr.flags.writeable = False
+
     @property
     def dim(self) -> int:
-        """The sector dimension C(N, n)."""
-        return comb(self.geometry.n_sites, self.n_exc)
+        return int(self.sizes.sum())
 
-    def classify(self, masks: np.ndarray) -> np.ndarray:
-        """Class index of every mask of the sector, found by its code."""
-        (codes,), _ = canonical_codes(self.geometry, masks)
-        idx = np.searchsorted(self.codes, codes)
-        if np.any(idx >= len(self.codes)) or np.any(self.codes[idx] != codes):
-            raise ValueError("mask outside this sector")
+    def classify(self, masks: np.ndarray, modes: Optional[np.ndarray] = None) -> np.ndarray:
+        """Class index of every state of the sector, found by its code in
+        the sorted table: only the given states are coded."""
+        if modes is not None and not 0 <= modes.min(initial=0) <= modes.max(initial=0) <= self.n:
+            raise ValueError("state outside this sector")  # a count the codes cannot hold
+        table = _rows(self.codes)
+        codes = _rows(canonical_codes(self.geometry, masks, modes, self.n)[0])
+        idx = np.searchsorted(table, codes)
+        if np.any(idx >= len(table)) or np.any(table[idx] != codes):
+            raise ValueError("state outside this sector")
         return idx
 
 
@@ -217,11 +237,15 @@ def symmetric_sector(geometry: ArrayGeometry, n_exc: int) -> SymmetricSector:
     """The orbit classes of a spin sector, with no sector table, built once
     per process.
 
-    The representatives of sector n <= N / 2 are the children (one raised
-    spin added) of those of sector n - 1, from the empty array up; past
-    N / 2 they are the complements of those of sector N - n.  Either way
-    :func:`_sized_classes` keeps one per code and sizes the classes.  The
-    arrays of a cached sector are read-only.
+    The candidates of sector n <= N / 2 are the children (one raised spin
+    added) of the representatives of sector n - 1, from the empty array up;
+    past N / 2 they are the complements of those of sector N - n.  Either
+    way the first candidate of every code represents its class.  A class
+    has size ``|G| / |Stab|``, ``|Stab|`` the number of permutations of the
+    shorter side that reach its code (:func:`canonical_codes`) times
+    ``prod m_c!`` over the counts ``m_c`` of equal lines, checked against
+    the group order and the sector dimension in Python integers
+    (21! > 2**63).
     """
     n_sites = geometry.n_sites
     if not 0 <= n_exc <= n_sites:
@@ -238,38 +262,24 @@ def symmetric_sector(geometry: ArrayGeometry, n_exc: int) -> SymmetricSector:
     else:
         reps = symmetric_sector(geometry, n_sites - n_exc).representatives
         masks = reps ^ ((np.int64(1) << n_sites) - 1)
-    return _sized_classes(geometry, n_exc, masks)
-
-
-def _sized_classes(geometry: ArrayGeometry, n_exc: int, masks: np.ndarray) -> SymmetricSector:
-    """The sector whose classes are those of ``masks``: the first mask of
-    every code, ascending by code.  A class has size ``|G| / |Stab|``,
-    ``|Stab|`` the number of permutations of the shorter side that reach
-    its code (:func:`canonical_codes`) times ``prod m_c!`` over the counts
-    ``m_c`` of equal lines, checked against the group order and the sector
-    dimension in Python integers (21! > 2**63): a class that ``masks``
-    misses fails."""
-    (codes,), hits = canonical_codes(geometry, masks)
-    order = np.argsort(codes)
-    ranked = codes[order]
-    # the first mask of every code; np.unique's hash path costs peak RSS
-    first = order[np.r_[True, ranked[1:] != ranked[:-1]]]
-    reps, codes = masks[first], codes[first]
+    codes, hits = canonical_codes(geometry, masks)
+    first = _distinct(codes)[0]
+    codes = codes[:, first]
     width, n_lines = min(geometry.lx, geometry.ly), max(geometry.lx, geometry.ly)
     group_order = factorial(geometry.lx) * factorial(geometry.ly)
     sizes = []
-    for code, reached in zip(codes.tolist(), hits[first].tolist()):
+    for code, reached in zip(codes[0].tolist(), hits[first].tolist()):
         lines = Counter((code >> (width * j)) & ((1 << width) - 1) for j in range(n_lines))
         size, rest = divmod(group_order, reached * prod(map(factorial, lines.values())))
         if rest:
             raise ArithmeticError("class size does not divide group order")
         sizes.append(size)
-    if sum(sizes) != comb(geometry.n_sites, n_exc):
+    if sum(sizes) != comb(n_sites, n_exc):
         raise ArithmeticError("class sizes do not add up to the sector dimension")
-    sizes = np.array(sizes, dtype=np.int64)
-    for arr in (reps, codes, sizes):
-        arr.flags.writeable = False
-    return SymmetricSector(geometry, n_exc, reps, codes, sizes)
+    spins = np.full(len(first), n_exc, dtype=np.int64)
+    return SymmetricSector(
+        geometry, n_exc, spins, masks[first], None, codes, np.array(sizes, dtype=np.int64)
+    )
 
 
 def bounded_compositions(total: int, parts: int, cap: int) -> np.ndarray:
@@ -287,63 +297,35 @@ def bounded_compositions(total: int, parts: int, cap: int) -> np.ndarray:
     return np.column_stack(heads + [rest]) if parts else np.zeros((int(total == 0), 0), np.int64)
 
 
-@dataclass(frozen=True)
-class SymmetricJCSector:
-    """An untruncated Jaynes-Cummings sector held as its orbit classes: the
-    raised-spin count, a representative mask with its photon counts (row
-    modes first) and the size of every class, spin counts descending; class
-    vectors as in :class:`SymmetricSector`."""
-
-    geometry: ArrayGeometry
-    n_total: int
-    spins: np.ndarray = field(repr=False)
-    representatives: np.ndarray = field(repr=False)
-    modes: np.ndarray = field(repr=False)
-    sizes: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return int(self.sizes.sum())
-
-    def classify(self, masks: np.ndarray, modes: np.ndarray) -> np.ndarray:
-        """Class index of every state of the sector, found by its code among
-        those of the representatives, which come first and so number i."""
-        table = (np.r_[self.representatives, masks], np.r_[self.modes, modes])
-        which = _distinct(canonical_codes(self.geometry, *table)[0])[1][len(self.sizes) :]
-        if np.any(which >= len(self.sizes)):
-            raise ValueError("state outside this sector")
-        return which
-
-
 @cache
-def symmetric_jc_sector(geometry: ArrayGeometry, n_total: int) -> SymmetricJCSector:
+def symmetric_jc_sector(geometry: ArrayGeometry, n_total: int) -> SymmetricSector:
     """The orbit classes of an untruncated Jaynes-Cummings sector, built
-    once per process with no sector table, their arrays read-only.  Level k
-    pairs the representatives of ``symmetric_sector(geometry, k)`` with every
-    photon configuration of ``n_total - k`` quanta and keeps the first
-    candidate of every code.  The candidates that share a code are the orbit
-    of the representative's stabilizer on the configurations, so a class has
-    the spin-class size times their number."""
+    once per process with no sector table.  Level k pairs the
+    representatives of ``symmetric_sector(geometry, k)`` with every photon
+    configuration of ``n_total - k`` quanta, and the first candidate of
+    every code represents its class.  The candidates that share a code are
+    the orbit of the representative's stabilizer on the configurations, so
+    a class has the spin-class size times their number."""
     m = geometry.n_modes
-    spins = [symmetric_sector(geometry, k) for k in range(min(geometry.n_sites, n_total), -1, -1)]
-    grown = sum(len(s.sizes) * comb(n_total - s.n_exc + m - 1, m - 1) for s in spins)
+    spins = [symmetric_sector(geometry, k) for k in range(min(geometry.n_sites, n_total) + 1)]
+    grown = sum(len(s.sizes) * comb(n_total - s.n + m - 1, m - 1) for s in spins)
     check_rows(grown, "class growth")
     levels = []
     for spin in spins:
-        k = spin.n_exc
-        configs = bounded_compositions(n_total - k, m, n_total - k)
+        configs = bounded_compositions(n_total - spin.n, m, n_total - spin.n)
         pairs = np.repeat(np.arange(len(spin.sizes)), len(configs))
-        levels.append((np.full(len(pairs), k), spin.representatives[pairs],
+        levels.append((spin.spins[pairs], spin.representatives[pairs],
                        np.tile(configs, (len(spin.sizes), 1)), spin.sizes[pairs]))
     spins, masks, modes, sizes = (np.concatenate(part) for part in zip(*levels))
-    first, _, counts = _distinct(canonical_codes(geometry, masks, modes)[0])
-    arrays = [spins[first], masks[first], modes[first], sizes[first] * counts]
+    codes = canonical_codes(geometry, masks, modes, n_total)[0]
+    first, _, counts = _distinct(codes)
+    sizes = sizes[first] * counts
     group_order = factorial(geometry.lx) * factorial(geometry.ly)
-    if any(group_order % s for s in set(arrays[-1].tolist())):  # in Python integers
+    if any(group_order % s for s in set(sizes.tolist())):  # in Python integers
         raise ArithmeticError("class size does not divide group order")
-    for arr in arrays:
-        arr.flags.writeable = False
-    return SymmetricJCSector(geometry, n_total, *arrays)
+    return SymmetricSector(
+        geometry, n_total, spins[first], masks[first], modes[first], codes[:, first], sizes
+    )
 
 
 def takes_orbit_block(dim: int) -> bool:

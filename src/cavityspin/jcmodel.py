@@ -15,9 +15,10 @@ is simple and invariant under S_Ly x S_Lx acting on sites and line modes
 together.  Past the route floor ``canonical.FLOOR`` :func:`jc_sector_ground`
 and :func:`superradiant_critical_g` solve it on the block of normalized orbit
 sums (114 classes for the 2016 states of 3x3 n_total=4), grown from the spin
-levels (``canonical.symmetric_jc_sector``) with no :class:`JCBasis`.  Every
-other sector is solved on :func:`build_jc_hamiltonian`.  Both routes count
-their rows against ``basis.MAX_ROWS`` before they allocate.
+levels (``canonical.symmetric_jc_sector``) into the ``SymmetricSector`` type
+of a spin sector, with no :class:`JCBasis`.  Every other sector is solved on
+:func:`build_jc_hamiltonian`.  Both routes count their rows against
+``basis.MAX_ROWS`` before they allocate.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .basis import check_rows, enumerate_masks
 from .canonical import (
-    SymmetricJCSector,
+    SymmetricSector,
     block_ground,
     bounded_compositions,
     symmetric_jc_sector,
@@ -221,7 +222,7 @@ def build_jc_hamiltonian(
 
 def _sector_entries(
     geometry: ArrayGeometry, jc: EffectiveJCParams, n_total: int, n_max: Optional[int]
-) -> tuple[JCBasis | SymmetricJCSector, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[JCBasis | SymmetricSector, np.ndarray, np.ndarray, np.ndarray]:
     """A sector and the entries (row, column, value) of the matrix of ``jc``
     on it.  With g > 0 an untruncated sector is connected and, in the gauge
     ``(-1)^k`` (k raised spins), all its off-diagonal entries are negative:
@@ -260,7 +261,7 @@ def _solve(geometry, jc, n_total, n_max, seed, pencil=False):
             raise ValueError("g_lo already past the crossing")
         rows, cols = rows[~on], cols[~on]
         vals = vals[~on] / np.sqrt(d[rows] * d[cols])
-    if isinstance(sector, SymmetricJCSector):
+    if isinstance(sector, SymmetricSector):
         spec = block_ground(sector.sizes, rows, cols, vals, seed)
     else:
         spec = ground_state(operator_from_entries(sector.dim, rows, cols, vals), seed=seed)
@@ -276,10 +277,10 @@ def jc_sector_ground(
     *,
     n_max: Optional[int] = None,
     seed: int = 0,
-) -> tuple[SpectrumResult, JCBasis | SymmetricJCSector]:
+) -> tuple[SpectrumResult, JCBasis | SymmetricSector]:
     """Every copy of the ground level of a sector, and the sector its
     vectors live in: a routed sector's class vector with its
-    :class:`~cavityspin.canonical.SymmetricJCSector`, else full vectors
+    :class:`~cavityspin.canonical.SymmetricSector`, else full vectors
     with the :class:`JCBasis` (:func:`_sector_entries`)."""
     return _solve(geometry, jc, n_total, n_max, seed)
 
@@ -291,7 +292,7 @@ class JCGroundResult:
     n_total: int
     energy: float
     spectrum: SpectrumResult
-    basis: JCBasis | SymmetricJCSector
+    basis: JCBasis | SymmetricSector
     scan: tuple[tuple[int, int, float], ...]  # (n_total, dim, energy) per sector
 
 
@@ -315,7 +316,7 @@ def jc_ground_state(
     low = mode_detunings(geometry, jc).min()
     if n_max is None and (low < 0.0 or low == 0.0 < jc.g):
         raise RegimeError(f"mode detuning {low:g}: unbounded photon growth at these parameters")
-    solved: dict[int, tuple[SpectrumResult, JCBasis | SymmetricJCSector]] = {}
+    solved: dict[int, tuple[SpectrumResult, JCBasis | SymmetricSector]] = {}
 
     def energy(n: int) -> float:
         if n not in solved:
@@ -412,7 +413,7 @@ def superradiant_critical_g(
 
 
 def jc_correlation_ratio(
-    spectrum: SpectrumResult, basis: JCBasis | SymmetricJCSector
+    spectrum: SpectrumResult, basis: JCBasis | SymmetricSector
 ) -> CorrelationResult:
     """Ground-multiplet correlation ratio with the photons traced out; a
     routed sector is read on its class vector."""

@@ -26,13 +26,14 @@ at dimension 495-1001 and 0.09 s slower at 1365, and faster from 1820 up
 
 Attractive spin sectors and Jaynes-Cummings sectors with scalar detunings
 (and the critical-coupling pencils of the latter) past the route floor
-``canonical.FLOOR`` reach this module as their small orbit-sum block, through
-``canonical.block_ground``: the operator is the block's entries, never a k x k
-array (k classes: 159 for the 184 756 states of spin 5x4 n=10, 114 for the
-2016 of JC 3x3 n_total=4), usually far below the cutoff; such a sector never
-becomes a matrix or a sector-sized vector.  JC sectors that stay whole
-(per-line detunings, a truncated photon cutoff) close after one Lanczos round:
-their ground level is simple by Perron-Frobenius up to a +-1 gauge.
+``canonical.FLOOR`` are held as a ``canonical.SymmetricSector`` and reach
+this module as its small orbit-sum block, through ``canonical.block_ground``:
+the operator is the block's entries, never a k x k array (k classes: 159 for
+the 184 756 states of spin 5x4 n=10, 114 for the 2016 of JC 3x3 n_total=4),
+usually far below the cutoff; such a sector never becomes a matrix or a
+sector-sized vector.  JC sectors that stay whole (per-line detunings, a
+truncated photon cutoff) close after one Lanczos round: their ground level
+is simple by Perron-Frobenius up to a +-1 gauge.
 """
 
 from __future__ import annotations

@@ -11,9 +11,8 @@ Pair correlations are never formed pair by pair: both sums come from the
 lowering operator ``J-`` of every row and column, read off one table of
 raisings per level.
 
-A sector solved on its orbit block is held as its classes
-(:class:`~cavityspin.canonical.SymmetricSector`,
-:class:`~cavityspin.canonical.SymmetricJCSector`) with vectors on them.  The
+A sector of either model solved on its orbit block is held as its classes
+(:class:`~cavityspin.canonical.SymmetricSector`) with vectors on them.  The
 one kernel, :func:`_pair_sums`, reads rows that stand for a number of
 states each, so it takes a mask block and a class vector alike, and
 :func:`multiplet_correlations` applies the one normalization.
@@ -28,12 +27,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .basis import enumerate_masks
-from .canonical import (
-    SymmetricJCSector,
-    SymmetricSector,
-    symmetric_jc_sector,
-    symmetric_sector,
-)
+from .canonical import SymmetricSector, symmetric_jc_sector, symmetric_sector
 
 
 def block_segments(vectors: np.ndarray, basis) -> Iterator[tuple[object, np.ndarray]]:
@@ -91,25 +85,23 @@ def _pair_sums(geometry, n, u, sizes, rank, lower, lower_sizes, lower_modes=None
 
 def _levels(multiplet: np.ndarray, basis) -> Iterator[tuple]:
     """The :func:`_pair_sums` arguments of every spin level with a raised
-    spin (a level without one has neither sum).  Level k of a
-    Jaynes-Cummings sector lowers into level k - 1 of the sector one
-    excitation below, with the same photons."""
+    spin (a level without one has neither sum).  Level k of a class vector
+    lowers into level k - 1 of the sector one excitation below, with the
+    same photons in a Jaynes-Cummings sector."""
     if isinstance(basis, SymmetricSector):
-        if basis.n_exc:
-            low, sizes = symmetric_sector(basis.geometry, basis.n_exc - 1), basis.sizes
-            u = (multiplet / np.sqrt(sizes)[:, None])[:, None]
-            yield basis.n_exc, u, sizes, basis.classify, low.representatives, low.sizes
-    elif isinstance(basis, SymmetricJCSector):
         u = (multiplet / np.sqrt(basis.sizes)[:, None])[:, None]
-        for k in range(1, int(basis.spins[0]) + 1):
-            low = symmetric_jc_sector(basis.geometry, basis.n_total - 1)
+        grow = symmetric_sector if basis.modes is None else symmetric_jc_sector
+        for k in np.unique(basis.spins[basis.spins > 0]).tolist():
+            low = grow(basis.geometry, basis.n - 1)
             at, down = basis.spins == k, low.spins == k - 1
+            row = np.cumsum(at) - 1  # the row of every class within its level
 
-            def rank(masks, modes, start=np.argmax(at)):  # rows of the level
-                return basis.classify(masks, modes) - start
+            def rank(masks, *modes, row=row):
+                return row[basis.classify(masks, *modes)]
 
+            lower_modes = None if low.modes is None else low.modes[down]
             yield (k, u[at], basis.sizes[at], rank,
-                   low.representatives[down], low.sizes[down], low.modes[down])
+                   low.representatives[down], low.sizes[down], lower_modes)
     else:
         for blk, seg in block_segments(multiplet, basis):
             n_exc = int(blk.masks[0]).bit_count()

@@ -8,7 +8,7 @@ against.  Spin operators are sparse Kronecker products; only the sector
 block taken out of them is made dense.  One helper reads the package:
 :func:`expand_block_vectors` maps a symmetric-block solve back onto the
 full sector through the canonical codes its classes are named by
-(``SymmetricSector.classify``, ``SymmetricJCSector.classify``).
+(``SymmetricSector.classify``, for both models).
 """
 
 from collections import Counter
@@ -284,19 +284,20 @@ def brute_jc_orbits(elements, geometry, states: list) -> list:
     return sorted(out)
 
 
-def loop_canonical_codes(geometry, masks, modes=None) -> tuple[list, list]:
+def loop_canonical_codes(geometry, masks, modes=None, cap=0) -> tuple[list, list]:
     """Canonical codes (as tuples of int64 words) and hit counts one state
     and one shorter-side permutation at a time, in Python integers: the
-    lines of the longer side as words (spins, mode count above them), each
-    word's spins permuted, the words sorted, the permuted shorter-side counts
-    appended; the least item sequence over the permutations, packed first
-    item highest into words of at most 63 bits."""
+    lines of the longer side as words (spins, mode count above them in a
+    field as wide as ``cap`` needs), each word's spins permuted, the words
+    sorted, the permuted shorter-side counts appended; the least item
+    sequence over the permutations, packed first item highest into words of
+    at most 63 bits."""
     lx, ly = geometry.lx, geometry.ly
     width, tall = min(lx, ly), ly > lx
     lines = [[r * lx + c for r in range(ly)] for c in range(lx)]  # columns
     if tall:
         lines = [[r * lx + c for c in range(lx)] for r in range(ly)]
-    bits = 0 if modes is None else int(np.max(modes, initial=0)).bit_length()
+    bits = 0 if modes is None else cap.bit_length()
     widths = [width + bits] * len(lines) + ([bits] * width if modes is not None else [])
     codes, hits = [], []
     for n, mask in enumerate(np.asarray(masks).tolist()):

@@ -29,7 +29,7 @@ def test_class_counts_and_sizes_on_every_sector(lx, ly):
     canonical.symmetric_sector.cache_clear()
     upward = [canonical.symmetric_sector(geom, n_exc) for n_exc in levels]
     for n_exc, sector in zip(levels, upward):
-        assert sector.n_exc == n_exc
+        assert sector.n == n_exc
         assert len(sector.sizes) == inventory[n_exc]
         assert sum(sector.sizes.tolist()) == comb(geom.n_sites, n_exc) == sector.dim
         assert np.all(np.diff(sector.codes) > 0)
@@ -56,9 +56,9 @@ def test_codes_in_blocks_match_the_one_permutation_loop(lx, ly, photons):
     masks = rng.integers(0, 1 << geom.n_sites, size=40)
     masks = np.r_[masks, masks[:8]]
     modes = rng.integers(0, 4, size=(len(masks), geom.n_modes)) if photons else None
-    codes, hits = canonical.canonical_codes(geom, masks, modes)
+    codes, hits = canonical.canonical_codes(geom, masks, modes, 3)
     assert (list(map(tuple, codes.T.tolist())), hits.tolist()) == loop_canonical_codes(
-        geom, masks, modes
+        geom, masks, modes, 3
     )
 
 
@@ -120,6 +120,43 @@ def test_symmetric_sector_refuses_what_its_codes_cannot_hold():
     sector = canonical.symmetric_sector(ArrayGeometry(3, 3), 4)
     with pytest.raises(ValueError, match="outside this sector"):
         sector.classify(np.array([0b111], np.int64))
+    # a Jaynes-Cummings state of another total, and one with a count past
+    # the cap n_total = 3 that sets the width of the count fields
+    geom = ArrayGeometry(3, 2)
+    sector = canonical.symmetric_jc_sector(geom, 3)
+    empty = np.zeros(1, np.int64)
+    for modes in ([[1, 0, 0, 0, 0]], [[4, 0, 0, 0, 0]], [[4, -1, 0, 0, 0]]):
+        with pytest.raises(ValueError, match="^state outside this sector$"):
+            sector.classify(empty, np.array(modes))
+    with pytest.raises(ValueError, match=r"^photon count outside \[0, 3\]$"):
+        canonical.canonical_codes(geom, empty, np.array([[4, 0, 0, 0, 0]]), 3)
+
+
+def test_two_word_jc_codes_classify_by_lookup_of_the_queried_states(monkeypatch):
+    # 12x1 n_total=8: twelve 5-bit lines and the 4-bit row count take two
+    # words; a column permutation moves a site and its mode together
+    geom = ArrayGeometry(12, 1)
+    sector = canonical.symmetric_jc_sector(geom, 8)
+    assert sector.codes.shape == (2, 434)
+    rows = list(zip(*sector.codes.tolist()))
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    masks, modes, index = sector.representatives, sector.modes, np.arange(434)
+    assert np.array_equal(sector.classify(masks, modes), index)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        perm = rng.permutation(12)
+        moved = modes.copy()
+        moved[:, 1 + perm] = modes[:, 1:]
+        assert np.array_equal(sector.classify(canonical.site_images(perm, masks), moved), index)
+    coded, codes = [], canonical.canonical_codes
+
+    def counting(geometry, masks, *args):
+        coded.append(len(masks))
+        return codes(geometry, masks, *args)
+
+    monkeypatch.setattr(canonical, "canonical_codes", counting)
+    assert np.array_equal(sector.classify(masks[7:12], modes[7:12]), index[7:12])
+    assert coded == [5]
 
 
 def test_bounded_compositions_match_the_filtered_product_in_lex_order():

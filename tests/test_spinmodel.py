@@ -7,7 +7,7 @@ import scipy.linalg
 import cavityspin.basis
 from cavityspin import canonical, jcmodel, linalg, observables, spinmodel, symmetry
 from cavityspin.basis import SectorBasis, line_moves
-from cavityspin.canonical import SymmetricJCSector, SymmetricSector
+from cavityspin.canonical import SymmetricSector
 from cavityspin.geometry import ArrayGeometry
 from cavityspin.params import EffectiveJCParams, SpinCouplings
 
@@ -322,11 +322,11 @@ def test_pair_sums_match_the_per_pair_loop():
     for spec, basis in _kernel_cases():
         res = spinmodel.correlation_ratio(spec, basis)
         multiplet = spec.eigenvectors
-        if isinstance(basis, SymmetricSector):  # block sums against the loop
-            full = SectorBasis(basis.geometry, basis.n_exc)
+        if isinstance(basis, SymmetricSector) and basis.modes is None:  # block sums vs the loop
+            full = SectorBasis(basis.geometry, basis.n)
             multiplet, basis = expand_block_vectors(spec, basis, full.states), full
-        if isinstance(basis, SymmetricJCSector):
-            full = jcmodel.JCBasis(basis.geometry, basis.n_total)
+        elif isinstance(basis, SymmetricSector):  # a Jaynes-Cummings sector
+            full = jcmodel.JCBasis(basis.geometry, basis.n)
             multiplet, basis = expand_block_vectors(spec, basis, *full.states()[1:]), full
         s_nn, s_nnn = pair_loop_correlations(multiplet, basis)
         assert res.multiplet_size == multiplet.shape[1]

@@ -181,7 +181,7 @@ def test_orbit_hamiltonian_equals_brute_projection():
     geom = ArrayGeometry(3, 2)
     jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.5)
     sector, *entries = jcmodel._sector_entries(geom, jc, 3, None)
-    assert isinstance(sector, canonical.SymmetricJCSector)
+    assert isinstance(sector, canonical.SymmetricSector) and sector.modes is not None
     entries = canonical.orbit_block(sector.sizes, *entries)
     block = operator_from_entries(len(sector.sizes), *entries).to_dense()
     basis = jcmodel.JCBasis(geom, 3)
@@ -206,7 +206,7 @@ def test_block_builder_checks_class_sizes_against_the_group_order(monkeypatch):
     canonical.symmetric_jc_sector.cache_clear()
     spin_codes = canonical.canonical_codes
 
-    def one_code(geometry, masks, modes=None):
+    def one_code(geometry, masks, modes=None, cap=0):
         return np.zeros((1, len(masks)), np.int64), np.ones(len(masks), np.int64)
 
     monkeypatch.setattr(canonical, "canonical_codes", one_code)
@@ -226,7 +226,7 @@ def test_block_builder_checks_class_sizes_against_the_group_order(monkeypatch):
     with pytest.raises(ArithmeticError, match="sector dimension"):
         jcmodel.jc_sector_ground(geom, jc, 1)
 
-    def photon_code(geometry, masks, modes=None):
+    def photon_code(geometry, masks, modes=None, cap=0):
         return spin_codes(geometry, masks) if modes is None else one_code(geometry, masks)
 
     monkeypatch.setattr(canonical, "canonical_codes", photon_code)
