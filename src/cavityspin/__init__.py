@@ -47,25 +47,4 @@ def __getattr__(name: str):
     return value
 
 
-__all__ = [
-    "ARTIFACT_VERSION",
-    "ArrayGeometry",
-    "EffectiveJCParams",
-    "NonUniformError",
-    "PhysicalDriveParams",
-    "RegimeError",
-    "ResonanceError",
-    "ResultTable",
-    "SpinCouplings",
-    "analyze",
-    "classify_regime",
-    "delta_b_from_eta",
-    "derive_effective_params",
-    "derive_spin_couplings",
-    "lambda_coupling",
-    "parse_csv",
-    "to_csv",
-    "to_json",
-    "validity_epsilon",
-    "__version__",
-]
+__all__ = [*sorted(_EXPORTS), "__version__"]

@@ -5,10 +5,11 @@ column too (modes ``0 .. ly-1`` the rows, ``ly .. ly+lx-1`` the columns).
 The exchange conserves the total excitation number (raised spins plus
 photons), so the space splits into sectors labelled by that total.  No mode
 can hold more quanta than the sector total, so a per-mode cutoff
-``n_max >= n_total`` leaves the sector matrix exact.  Photon configurations
-are ranked through base-``n_max+1`` packed int64 keys; a block whose keys
-would not fit int64 is refused.  One entry builder, :func:`_jc_entries`,
-gives the matrix entries out of any list of states.
+``n_max >= n_total`` leaves the sector matrix exact.  States are spin masks
+with photon counts; one entry builder, :func:`_jc_entries`, gives the matrix
+entries out of any list of them, each column as the mode it moves and the
+step.  Packed int64 keys are :class:`JCBasis`'s rank format alone, and a
+basis whose keys would not fit int64 is refused.
 
 With g > 0 and scalar detunings the ground state of an untruncated sector
 is simple and invariant under S_Ly x S_Lx acting on sites and line modes
@@ -16,9 +17,9 @@ together.  Past the route floor ``canonical.FLOOR`` :func:`jc_sector_ground`
 and :func:`superradiant_critical_g` solve it on the block of normalized orbit
 sums (114 classes for the 2016 states of 3x3 n_total=4), grown from the spin
 levels (``canonical.symmetric_jc_sector``) into the ``SymmetricSector`` type
-of a spin sector, with no :class:`JCBasis`.  Every other sector is solved on
-:func:`build_jc_hamiltonian`.  Both routes count their rows against
-``basis.MAX_ROWS`` before they allocate.
+of a spin sector, with no :class:`JCBasis` and no key.  Every other sector
+is solved on :func:`build_jc_hamiltonian`.  Both routes count their rows
+against ``basis.MAX_ROWS`` before they allocate.
 """
 
 from __future__ import annotations
@@ -50,58 +51,30 @@ from .params import EffectiveJCParams, RegimeError, ScalarOrPerLine
 
 
 @dataclass
-class PhotonBlock:
-    """Photon configurations at one total, with packed-key ranking."""
-
-    configs: np.ndarray  # (count, n_modes)
-    keys: np.ndarray  # packed base-(cap+1), ascending
-    weights: np.ndarray  # the key of one quantum in each mode
-
-    @classmethod
-    def build(cls, total: int, n_modes: int, cap: int) -> "PhotonBlock":
-        configs = bounded_compositions(total, n_modes, cap)
-        # in Python integers, so that a key past int64 is refused, not wrapped
-        weights = [(cap + 1) ** (n_modes - 1 - m) for m in range(n_modes)]
-        last = configs[-1].tolist() if len(configs) else []  # the largest key
-        if max(weights + [sum(map(mul, weights, last))]) > np.iinfo(np.int64).max:
-            raise ValueError(f"photon keys of {n_modes} modes at cap {cap} pass int64")
-        weights = np.array(weights, dtype=np.int64)
-        keys = configs @ weights if n_modes else np.zeros(len(configs), np.int64)
-        # lex order on configs is ascending key order by construction
-        return cls(configs, keys, weights)
-
-    @property
-    def count(self) -> int:
-        return len(self.configs)
-
-    def rank_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Indices of packed keys, -1 where the key is absent."""
-        pos = np.searchsorted(self.keys, keys)
-        pos = np.clip(pos, 0, len(self.keys) - 1)
-        return np.where(self.keys[pos] == keys, pos, -1)
-
-
-@dataclass
 class JCBlock:
-    """States with ``k`` raised spins inside a fixed-total sector."""
+    """States with ``k`` raised spins inside a fixed-total sector: every
+    mask with every photon configuration, and their packed keys."""
 
     k: int
     masks: np.ndarray
-    photons: PhotonBlock
+    configs: np.ndarray  # (count, n_modes), lex order: ascending keys
+    keys: np.ndarray
     offset: int
 
     @property
     def inner(self) -> int:
         """Photon configurations per mask (the observables' inner index)."""
-        return self.photons.count
+        return len(self.configs)
 
     @property
     def size(self) -> int:
-        return len(self.masks) * self.photons.count
+        return len(self.masks) * self.inner
 
 
 class JCBasis:
-    """Basis of one total-excitation sector of the array model."""
+    """Basis of one total-excitation sector of the array model.  It alone
+    ranks photon configurations, by base-``cap+1`` int64 keys, ``cap`` the
+    cutoff or the sector total if that is less."""
 
     def __init__(self, geometry: ArrayGeometry, n_total: int, n_max: Optional[int] = None):
         if n_total < 0:
@@ -113,39 +86,63 @@ class JCBasis:
         self.geometry, self.n_total, self.n_max = geometry, n_total, n_max
         entries = (1 + 2 * geometry.n_sites) * _sector_dim(geometry, n_total, n_max)
         check_rows(entries, "sector matrix")  # a diagonal and two moves per site
+        m, cap = geometry.n_modes, min(n_max, n_total)
+        # in Python integers, so that a key past int64 is refused, not wrapped
+        weights = [(cap + 1) ** (m - 1 - i) for i in range(m)]
         blocks: list[JCBlock] = []
         offset = 0
         for k in range(min(geometry.n_sites, n_total), -1, -1):
-            photons = PhotonBlock.build(n_total - k, geometry.n_modes, n_max)
-            if photons.count == 0:
+            configs = bounded_compositions(n_total - k, m, cap)
+            if len(configs) == 0:
                 continue
+            last = sum(map(mul, weights, configs[-1].tolist()))  # the block's largest key
+            if max(weights + [last]) > np.iinfo(np.int64).max:
+                raise ValueError(f"photon keys of {m} modes at cap {cap} pass int64")
             masks = enumerate_masks(geometry.n_sites, k)
-            blocks.append(JCBlock(k=k, masks=masks, photons=photons, offset=offset))
-            offset += len(masks) * photons.count
+            keys = configs @ np.array(weights, dtype=np.int64)
+            blocks.append(JCBlock(k, masks, configs, keys, offset))
+            offset += len(masks) * len(configs)
         if offset == 0:
             raise ValueError(f"sector n_total={n_total} empty under per-mode cutoff n_max={n_max}")
         self.blocks = blocks
         self.dim = offset
-        self.truncated = n_max < n_total
+        self._weights = np.array(weights, dtype=np.int64)
 
     def states(self) -> tuple[np.ndarray, ...]:
         """The raised-spin count, the spin mask and the photon counts of
         every sector state, in basis order."""
         parts = [
-            (np.full(b.size, b.k), b.masks.repeat(b.inner),
-             np.tile(b.photons.configs, (len(b.masks), 1)))
+            (np.full(b.size, b.k), b.masks.repeat(b.inner), np.tile(b.configs, (len(b.masks), 1)))
             for b in self.blocks
         ]
         return tuple(np.concatenate(part) for part in zip(*parts))
 
-    def rank(self, spins: np.ndarray, masks: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    def rank(self, spins: np.ndarray, masks: np.ndarray, modes: np.ndarray) -> np.ndarray:
         """Basis index of every state given by its raised-spin count, its
-        spin mask and its photon key."""
-        out = np.empty(len(masks), dtype=np.int64)
+        spin mask and its photon counts."""
+        if not 0 <= modes.min(initial=0) <= modes.max(initial=0) <= min(self.n_max, self.n_total):
+            raise ValueError("state outside this sector")  # a count the keys cannot hold
+        return self._rank(spins, masks, modes @ self._weights)
+
+    def columns(self, rows, masks, moved, steps) -> np.ndarray:
+        """Basis index of the column of every entry of :func:`_jc_entries`
+        out of the basis states: the row's key plus the step in the moved
+        mode, one raised spin fewer per photon made."""
+        parts = [(np.full(b.size, b.k), np.tile(b.keys, len(b.masks))) for b in self.blocks]
+        spins, keys = (np.concatenate(part) for part in zip(*parts))
+        return self._rank(spins[rows] - steps, masks, keys[rows] + steps * self._weights[moved])
+
+    def _rank(self, spins, masks, keys) -> np.ndarray:
+        out = np.full(len(masks), -1, dtype=np.int64)
         for b in self.blocks:
             i = np.flatnonzero(spins == b.k)
-            inside = np.searchsorted(b.masks, masks[i]) * b.inner + b.photons.rank_keys(keys[i])
-            out[i] = b.offset + inside
+            at = np.searchsorted(b.masks, masks[i]).clip(max=len(b.masks) - 1)
+            inside = np.searchsorted(b.keys, keys[i]).clip(max=b.inner - 1)
+            if np.any(b.masks[at] != masks[i]) or np.any(b.keys[inside] != keys[i]):
+                raise ValueError("state outside this sector")
+            out[i] = b.offset + at * b.inner + inside
+        if np.any(out < 0):
+            raise ValueError("state outside this sector")
         return out
 
 
@@ -174,34 +171,37 @@ def mode_detunings(geometry: ArrayGeometry, jc: EffectiveJCParams) -> np.ndarray
     )
 
 
-def _jc_entries(geometry, jc, states, cap: int, weights) -> tuple[np.ndarray, ...]:
+def _jc_entries(geometry, jc, states, cap: int) -> tuple[np.ndarray, ...]:
     """Sector matrix entries out of the given states (raised-spin counts,
-    spin masks and photon counts, row modes first): the row index, the mask
-    and the photon key (``weights`` per quantum) of the column, and the value
-    of each entry.  Diagonal: spin splitting plus photon energies.  A raised
-    spin turns into a photon of either mode crossing its site, and back, with
-    amplitude ``g sqrt(n)``, n the photons of that mode with the spin
-    lowered; no mode passes ``cap``."""
+    spin masks and photon counts, row modes first): the row index, the
+    column's mask, the mode the entry moves with its step (+1 a photon
+    made, -1 one taken, 0 on the diagonal; int8) and the value.  Diagonal:
+    spin splitting plus photon energies.  A raised spin turns into a photon
+    of either mode crossing its site, and back, with amplitude ``g sqrt(n)``,
+    n the photons of that mode with the spin lowered; no mode passes ``cap``."""
     spins, masks, modes = states
-    keys = modes @ weights
-    rows, cols, col_keys = [np.arange(len(masks))], [masks], [keys]
+    rows, cols, moved, steps = [np.arange(len(masks))], [masks], [], []
     spin_energy = jc.omega_at / 2.0 * (2 * spins - geometry.n_sites)
     vals = [spin_energy + modes @ mode_detunings(geometry, jc)]
     occupations = np.ascontiguousarray(modes.T)
     for s in range(geometry.n_sites if jc.g != 0.0 else 0):
         raised = (masks >> s) & 1 == 1
-        moves = ((1, np.flatnonzero(raised)), (-1, np.flatnonzero(~raised)))
         r, c = geometry.row_col(s)
         for m in (r, geometry.ly + c):
-            for step, at in moves:
+            for step, at in ((1, np.flatnonzero(raised)), (-1, np.flatnonzero(~raised))):
                 n = occupations[m][at] + (step > 0)  # photons in mode m, the spin lowered
                 ok = (n > 0) & (n <= cap)
                 i = at[ok]
                 rows.append(i)
                 cols.append(masks[i] ^ (1 << s))
-                col_keys.append(keys[i] + step * weights[m])
+                moved.append(np.full(len(i), m, np.int8))
+                steps.append(np.full(len(i), step, np.int8))
                 vals.append(jc.g * np.sqrt(n[ok]))
-    return tuple(np.concatenate(part) for part in (rows, cols, col_keys, vals))
+    diagonal = np.zeros(len(masks), np.int8)
+    return tuple(
+        np.concatenate(part)
+        for part in (rows, cols, [diagonal, *moved], [diagonal, *steps], vals)
+    )
 
 
 def build_jc_hamiltonian(
@@ -213,11 +213,8 @@ def build_jc_hamiltonian(
     absorbs it)."""
     if basis.geometry != geometry:
         raise ValueError("basis geometry mismatch")
-    spins, masks, _ = states = basis.states()
-    weights = basis.blocks[0].photons.weights
-    rows, cols, keys, vals = _jc_entries(geometry, jc, states, basis.n_max, weights)
-    col_spins = spins[rows] + np.sign(cols - masks[rows])  # one spin flipped, or none
-    return operator_from_entries(basis.dim, rows, basis.rank(col_spins, cols, keys), vals)
+    rows, cols, moved, steps, vals = _jc_entries(geometry, jc, basis.states(), basis.n_max)
+    return operator_from_entries(basis.dim, rows, basis.columns(rows, cols, moved, steps), vals)
 
 
 def _sector_entries(
@@ -229,8 +226,9 @@ def _sector_entries(
     by Perron-Frobenius its ground state is simple and positive, and with
     scalar detunings invariant under every row and column permutation.  Such
     a sector that passes ``canonical.takes_orbit_block`` is held as its
-    classes, the entries taken out of the representatives and their columns
-    classified by code; any other is the whole :class:`JCBasis`."""
+    classes, the entries taken out of the representatives and their columns,
+    the representative's counts moved by one step, classified by code; any
+    other is the whole :class:`JCBasis`."""
     dim = _sector_dim(geometry, n_total, n_total)
     scalar = all(isinstance(d, (int, float)) for d in (jc.delta_a, jc.delta_b))
     untruncated = n_max is None or n_max >= n_total
@@ -240,11 +238,11 @@ def _sector_entries(
         return basis, h.rows, h.cols, h.vals
     sector = symmetric_jc_sector(geometry, n_total)
     check_rows(len(sector.sizes) * (1 + 2 * geometry.n_sites), "orbit block")
-    weights = PhotonBlock.build(n_total, geometry.n_modes, n_total).weights
     reps = (sector.spins, sector.representatives, sector.modes)
-    rows, cols, keys, vals = _jc_entries(geometry, jc, reps, n_total, weights)
-    cols = sector.classify(cols, keys[:, None] // weights % (n_total + 1))
-    return sector, rows, cols, vals
+    rows, cols, moved, steps, vals = _jc_entries(geometry, jc, reps, n_total)
+    modes = sector.modes[rows]
+    modes[np.arange(len(rows)), moved] += steps
+    return sector, rows, sector.classify(cols, modes), vals
 
 
 def _solve(geometry, jc, n_total, n_max, seed, pencil=False):

@@ -606,6 +606,30 @@ def test_cli_routed_jc_sectors_build_no_basis_and_no_sector_matrix(monkeypatch, 
     assert (n_total, dim) == (8, 2228225)
 
 
+def test_cli_jc_sectors_of_many_modes_are_not_refused_for_a_photon_key(capsys):
+    # 32 modes at cap 3 pass int64 keys, which a routed sector never forms
+    code, out, err = run_cli(
+        capsys,
+        ["jc-ed", "--lx", "30", "--ly", "2", "--omega", "1", "--g", "0.4",
+         "--delta-a", "6", "--delta-b", "6", "--ntotal", "3"],
+    )
+    assert code == 0 and err == ""
+    ((n_total, dim, _, _),) = io.parse_csv(out).rows
+    assert (n_total, dim) == (3, 128524)
+    # a cutoff past the sector total leaves the sector and its bytes alone
+    outs = []
+    for n_max in ("1", "100"):
+        code, out, err = run_cli(
+            capsys,
+            ["jc-ed", "--lx", "6", "--ly", "5", "--omega", "1", "--g", "0.4",
+             "--delta-a", "6", "--delta-b", "6", "--ntotal", "1", "--nmax", n_max],
+        )
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert io.parse_csv(outs[0]).rows[0][:2] == (1, 41)
+
+
 @pytest.mark.parametrize(
     "argv, row",
     [

@@ -45,43 +45,47 @@ def test_basis_dimension_and_roundtrip():
     basis = jcmodel.JCBasis(geom, 2, 2)
     # spins 2 + photons 0, spins 1 + photons 1, spins 0 + photons 2
     assert basis.dim == 6 * 1 + 4 * 4 + 1 * 10
-    assert not basis.truncated
     offset = 0
     for blk in basis.blocks:
         assert blk.offset == offset
         offset += blk.size
         assert all(int(m).bit_count() == blk.k for m in blk.masks)
-        assert np.all(blk.k + blk.photons.configs.sum(axis=1) == 2)
-        ranks = blk.photons.rank_keys(blk.photons.keys)
-        assert np.array_equal(ranks, np.arange(blk.photons.count))
+        assert np.all(blk.k + blk.configs.sum(axis=1) == 2)
+        assert np.all(np.diff(blk.keys) > 0)
     assert offset == basis.dim
-    # one photon in the first mode is no configuration of the k=2 block
-    top = basis.blocks[0]
-    assert top.k == 2
-    assert top.photons.rank_keys(top.photons.weights[:1])[0] == -1
+    assert np.array_equal(basis.rank(*basis.states()), np.arange(basis.dim))
+
+
+def test_rank_refuses_states_outside_the_sector():
+    basis = jcmodel.JCBasis(ArrayGeometry(2, 2), 2)
+    one_photon = np.array([[1, 0, 0, 0]])
+    for spins, mask, modes in [
+        (2, 0b0011, one_photon),  # total 3
+        (2, 0b0111, np.zeros((1, 4), np.int64)),  # a 3-spin mask given as k = 2
+        (3, 0b0111, np.zeros((1, 4), np.int64)),  # no k = 3 block
+        (0, 0, np.array([[3, 0, 0, 0]])),  # past the cap, a key of another state
+        (1, 0b0001, -one_photon),
+    ]:
+        with pytest.raises(ValueError, match="^state outside this sector$"):
+            basis.rank(np.array([spins]), np.array([mask]), modes)
+    # the last of the 4 configurations of the k = 1 block, after its 6 states of k = 2
+    assert basis.rank(np.array([1]), np.array([0b0001]), one_photon)[0] == 6 + 3
 
 
 def test_photon_keys_past_int64_are_refused():
     # base-3 keys of 40 modes: the last configuration at total 2 is
     # 2 * 3**39 < 2**63 - 1, at total 3 it is 2 * 3**39 + 3**38, past it
-    fits = jcmodel.PhotonBlock.build(2, 40, 2)
-    assert int(fits.keys[-1]) == 2 * 3**39
-    assert np.all(np.diff(fits.keys) > 0)
-    with pytest.raises(ValueError, match="int64"):
-        jcmodel.PhotonBlock.build(3, 40, 2)
-    # the largest key weight alone: 64 modes at cap 1 weigh 2**63 in mode 0
-    with pytest.raises(ValueError, match="int64"):
-        jcmodel.PhotonBlock.build(0, 64, 1)
-    with pytest.raises(ValueError, match="int64"):
+    fits = jcmodel.JCBasis(ArrayGeometry(39, 1), 2)
+    assert fits.dim == 741 + 39 * 40 + 820
+    assert int(fits.blocks[-1].keys[-1]) == 2 * 3**39
+    with pytest.raises(ValueError, match="^photon keys of 40 modes at cap 2 pass int64$"):
         jcmodel.JCBasis(ArrayGeometry(39, 1), 3, 2)
-    assert jcmodel.JCBasis(ArrayGeometry(39, 1), 2).dim == 741 + 39 * 40 + 820
 
 
 def test_basis_guards():
     geom = ArrayGeometry(2, 2)
     with pytest.raises(ValueError):
         jcmodel.JCBasis(geom, -1)
-    assert jcmodel.JCBasis(geom, 3, 1).truncated
     tiny = ArrayGeometry(1, 1)
     with pytest.raises(ValueError):
         jcmodel.JCBasis(tiny, 3, 0)  # one spin, capped empty modes
@@ -232,7 +236,7 @@ def test_observables_conserve_total_excitation():
         for blk, seg in block_segments(multiplet, basis):
             w_mask = (seg**2).sum(axis=(1, 2)) / multiplet.shape[1]
             w_phot = (seg**2).sum(axis=(0, 2)) / multiplet.shape[1]
-            total += blk.k * w_mask.sum() + blk.photons.configs.sum(axis=1) @ w_phot
+            total += blk.k * w_mask.sum() + blk.configs.sum(axis=1) @ w_phot
             for s in range(geom.n_sites):
                 occ[s] += w_mask[(blk.masks >> s) & 1 == 1].sum()
         assert total == pytest.approx(n_total, abs=1e-12)
@@ -357,6 +361,45 @@ def test_symmetric_block_route_on_an_array_whose_group_order_passes_int64():
         assert error <= 1e-12 * abs(full.ground_energy)
 
 
+def test_a_routed_sector_of_many_modes_matches_a_hand_built_sector_matrix():
+    # 40x1 n_total=2: base-3 keys of 41 modes pass int64, so no JCBasis
+    # holds the sector; the routed path forms none.  The reference matrix is
+    # built here state by state: spin sets with multisets of photon modes
+    geom = ArrayGeometry(40, 1)
+    jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=6.0)
+    with pytest.raises(ValueError, match="int64"):
+        jcmodel.JCBasis(geom, 2)
+    spec, sector = jcmodel.jc_sector_ground(geom, jc, 2)
+    assert spec.method == "symmetric-block" and sector.dim == 3281
+    detuning = jcmodel.mode_detunings(geom, jc)
+    states = [
+        (spins, photons)
+        for k in range(3)
+        for spins in itertools.combinations(range(geom.n_sites), k)
+        for photons in itertools.combinations_with_replacement(range(geom.n_modes), 2 - k)
+    ]
+    index = {state: i for i, state in enumerate(states)}
+    rows, cols, vals = [], [], []
+    for i, (spins, photons) in enumerate(states):
+        rows.append(i)
+        cols.append(i)
+        spin_energy = jc.omega_at / 2.0 * (2 * len(spins) - geom.n_sites)
+        vals.append(spin_energy + detuning[list(photons)].sum())
+        for s in spins:  # the raised spin s turns into a photon of either mode
+            r, c = geom.row_col(s)
+            for m in (r, geom.ly + c):
+                added = tuple(sorted(photons + (m,)))
+                j = index[(tuple(t for t in spins if t != s), added)]
+                amp = jc.g * math.sqrt(added.count(m))
+                rows += [i, j]
+                cols += [j, i]
+                vals += [amp, amp]
+    assert len(states) == 3281
+    h = linalg.operator_from_entries(len(states), np.array(rows), np.array(cols), np.array(vals))
+    e = linalg.ground_state(h).ground_energy
+    assert abs(spec.ground_energy - e) <= 1e-12 * abs(e)
+
+
 @pytest.mark.parametrize("lx, ly, n_total", [(3, 2, 3), (2, 3, 3), (3, 3, 2), (2, 2, 4)])
 def test_jc_classes_are_the_brute_force_orbits(lx, ly, n_total):
     # the classes grown from the spin levels, every basis state classified
@@ -466,14 +509,14 @@ def test_critical_coupling_pencil_stays_whole_off_the_route(monkeypatch):
 
 def test_full_jc_sectors_are_refused_past_the_row_budget(monkeypatch):
     # 1 + 2 x 4 entries for each of the 84 states of 2x2 n_total=3 at cap 2,
-    # counted in closed form before any photon block or mask table is built
+    # counted in closed form before any photon configuration or mask table is built
     geom = ArrayGeometry(2, 2)
     for n_total, cap in itertools.product(range(7), range(8)):
         dim = jcmodel._sector_dim(geom, n_total, cap)
         if dim:  # JCBasis refuses an empty sector
             assert jcmodel.JCBasis(geom, n_total, cap).dim == dim
     monkeypatch.setattr(cavityspin.basis, "MAX_ROWS", 755)
-    monkeypatch.setattr(jcmodel.PhotonBlock, "build", refuse)
+    monkeypatch.setattr(jcmodel, "bounded_compositions", refuse)
     monkeypatch.setattr(jcmodel, "enumerate_masks", refuse)
     jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.5)
     with pytest.raises(ValueError, match="^sector matrix of 756 rows exceeds the budget 755$"):
