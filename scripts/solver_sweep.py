@@ -273,6 +273,7 @@ ROW_ROUTES = {
 ROW_CASES = (
     ("spin-matrix", 4, 4, 8), ("spin-matrix", 5, 4, 6), ("spin-matrix", 6, 3, 9),
     ("jc-matrix", 3, 3, 6), ("jc-matrix", 4, 3, 6), ("jc-matrix", 3, 3, 8),
+    ("jc-matrix", 39, 1, 3),
     ("spin-growth", 6, 5, 15), ("spin-growth", 7, 5, 14), ("spin-growth", 20, 3, 30),
     ("spin-growth", 10, 4, 20),
     ("jc-growth", 3, 3, 13), ("jc-growth", 3, 3, 16), ("jc-growth", 3, 3, 20),

@@ -8,8 +8,9 @@ can hold more quanta than the sector total, so a per-mode cutoff
 ``n_max >= n_total`` leaves the sector matrix exact.  States are spin masks
 with photon counts; one entry builder, :func:`_jc_entries`, gives the matrix
 entries out of any list of them, each column as the mode it moves and the
-step.  Packed int64 keys are :class:`JCBasis`'s rank format alone, and a
-basis whose keys would not fit int64 is refused.
+step.  :class:`JCBasis` ranks a photon configuration by its lexicographic
+index in its block, never larger than the block, so no sector is refused
+for the width of an index.
 
 With g > 0 and scalar detunings the ground state of an untruncated sector
 is simple and invariant under S_Ly x S_Lx acting on sites and line modes
@@ -17,7 +18,7 @@ together.  Past the route floor ``canonical.FLOOR`` :func:`jc_sector_ground`
 and :func:`superradiant_critical_g` solve it on the block of normalized orbit
 sums (114 classes for the 2016 states of 3x3 n_total=4), grown from the spin
 levels (``canonical.symmetric_jc_sector``) into the ``SymmetricSector`` type
-of a spin sector, with no :class:`JCBasis` and no key.  Every other sector
+of a spin sector, with no :class:`JCBasis`.  Every other sector
 is solved on :func:`build_jc_hamiltonian`.  Both routes count their rows
 against ``basis.MAX_ROWS`` before they allocate.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -53,12 +54,11 @@ from .params import EffectiveJCParams, RegimeError, ScalarOrPerLine
 @dataclass
 class JCBlock:
     """States with ``k`` raised spins inside a fixed-total sector: every
-    mask with every photon configuration, and their packed keys."""
+    mask with every photon configuration."""
 
     k: int
     masks: np.ndarray
-    configs: np.ndarray  # (count, n_modes), lex order: ascending keys
-    keys: np.ndarray
+    configs: np.ndarray  # (count, n_modes), lex order
     offset: int
 
     @property
@@ -72,9 +72,10 @@ class JCBlock:
 
 
 class JCBasis:
-    """Basis of one total-excitation sector of the array model.  It alone
-    ranks photon configurations, by base-``cap+1`` int64 keys, ``cap`` the
-    cutoff or the sector total if that is less."""
+    """Basis of one total-excitation sector of the array model.  A photon
+    configuration is ranked by its lexicographic index in its block, the
+    counts capped at ``cap``, the cutoff or the sector total if that is
+    less."""
 
     def __init__(self, geometry: ArrayGeometry, n_total: int, n_max: Optional[int] = None):
         if n_total < 0:
@@ -87,26 +88,21 @@ class JCBasis:
         entries = (1 + 2 * geometry.n_sites) * _sector_dim(geometry, n_total, n_max)
         check_rows(entries, "sector matrix")  # a diagonal and two moves per site
         m, cap = geometry.n_modes, min(n_max, n_total)
-        # in Python integers, so that a key past int64 is refused, not wrapped
-        weights = [(cap + 1) ** (m - 1 - i) for i in range(m)]
+        self._earlier = _earlier_counts(m, n_total, cap)
         blocks: list[JCBlock] = []
         offset = 0
         for k in range(min(geometry.n_sites, n_total), -1, -1):
             configs = bounded_compositions(n_total - k, m, cap)
             if len(configs) == 0:
                 continue
-            last = sum(map(mul, weights, configs[-1].tolist()))  # the block's largest key
-            if max(weights + [last]) > np.iinfo(np.int64).max:
-                raise ValueError(f"photon keys of {m} modes at cap {cap} pass int64")
             masks = enumerate_masks(geometry.n_sites, k)
-            keys = configs @ np.array(weights, dtype=np.int64)
-            blocks.append(JCBlock(k, masks, configs, keys, offset))
+            blocks.append(JCBlock(k, masks, configs, offset))
             offset += len(masks) * len(configs)
         if offset == 0:
             raise ValueError(f"sector n_total={n_total} empty under per-mode cutoff n_max={n_max}")
         self.blocks = blocks
         self.dim = offset
-        self._weights = np.array(weights, dtype=np.int64)
+        self._moves = _moves(self._earlier, np.concatenate([b.configs for b in blocks]))
 
     def states(self) -> tuple[np.ndarray, ...]:
         """The raised-spin count, the spin mask and the photon counts of
@@ -120,39 +116,92 @@ class JCBasis:
     def rank(self, spins: np.ndarray, masks: np.ndarray, modes: np.ndarray) -> np.ndarray:
         """Basis index of every state given by its raised-spin count, its
         spin mask and its photon counts."""
-        if not 0 <= modes.min(initial=0) <= modes.max(initial=0) <= min(self.n_max, self.n_total):
-            raise ValueError("state outside this sector")  # a count the keys cannot hold
-        return self._rank(spins, masks, modes @ self._weights)
+        cap = min(self.n_max, self.n_total)
+        if not (0 <= modes.min(initial=0) <= modes.max(initial=0) <= cap
+                and np.all(spins >= 0) and np.all(spins + modes.sum(axis=1) == self.n_total)):
+            raise ValueError("state outside this sector")
+        return self._rank(spins, masks, _lex_index(self._earlier, modes))
 
     def columns(self, rows, masks, moved, steps) -> np.ndarray:
         """Basis index of the column of every entry of :func:`_jc_entries`
-        out of the basis states: the row's key plus the step in the moved
-        mode, one raised spin fewer per photon made."""
-        parts = [(np.full(b.size, b.k), np.tile(b.keys, len(b.masks))) for b in self.blocks]
-        spins, keys = (np.concatenate(part) for part in zip(*parts))
-        return self._rank(spins[rows] - steps, masks, keys[rows] + steps * self._weights[moved])
+        out of the basis states: the row's configuration moved by the step
+        in the moved mode (one lookup in :func:`_moves` of every block's
+        configurations), one raised spin fewer per photon made."""
+        parts, start = [], 0
+        for b in self.blocks:
+            parts.append((np.full(b.size, b.k), np.tile(np.arange(start, start + b.inner), len(b.masks))))
+            start += b.inner
+        spins, at = (np.concatenate(part) for part in zip(*parts))
+        return self._rank(spins[rows] - steps, masks, self._moves[steps + 1, at[rows], moved])
 
-    def _rank(self, spins, masks, keys) -> np.ndarray:
+    def _rank(self, spins, masks, inside) -> np.ndarray:
+        """Basis index of every state given by its raised-spin count, its
+        spin mask and its configuration's index in its block."""
         out = np.full(len(masks), -1, dtype=np.int64)
         for b in self.blocks:
             i = np.flatnonzero(spins == b.k)
             at = np.searchsorted(b.masks, masks[i]).clip(max=len(b.masks) - 1)
-            inside = np.searchsorted(b.keys, keys[i]).clip(max=b.inner - 1)
-            if np.any(b.masks[at] != masks[i]) or np.any(b.keys[inside] != keys[i]):
+            if np.any(b.masks[at] != masks[i]):
                 raise ValueError("state outside this sector")
-            out[i] = b.offset + at * b.inner + inside
+            out[i] = b.offset + at * b.inner + inside[i]
         if np.any(out < 0):
             raise ValueError("state outside this sector")
         return out
 
 
+def _compositions(total: int, parts: int, cap: int) -> int:
+    """Distributions of ``total`` quanta over ``parts`` modes of at most
+    ``cap`` each, by inclusion-exclusion over the modes past ``cap``."""
+    if parts == 0:
+        return int(total == 0)
+    c = cap + 1
+    return sum((-1) ** j * math.comb(parts, j) * math.comb(total - j * c + parts - 1, parts - 1)
+               for j in range(min(parts, total // c) + 1))
+
+
 def _sector_dim(geometry: ArrayGeometry, n_total: int, cap: int) -> int:
-    """The sector dimension in closed form, by inclusion-exclusion over modes past ``cap``."""
-    m, c = geometry.n_modes, cap + 1
-    return sum(math.comb(geometry.n_sites, k) * (-1) ** j * math.comb(m, j)
-               * math.comb(n_total - k - j * c + m - 1, m - 1)
-               for k in range(min(geometry.n_sites, n_total) + 1)
-               for j in range(min(m, (n_total - k) // c) + 1))
+    """The sector dimension in closed form."""
+    return sum(math.comb(geometry.n_sites, k) * _compositions(n_total - k, geometry.n_modes, cap)
+               for k in range(min(geometry.n_sites, n_total) + 1))
+
+
+def _earlier_counts(m: int, n_total: int, cap: int) -> np.ndarray:
+    """``earlier[i, t]``: the capped configurations of at most ``t`` quanta
+    on the modes after mode ``i``.  A configuration with ``t`` quanta from
+    mode ``i`` on and ``t'`` after it comes after ``earlier[i, t] -
+    earlier[i, t']`` that agree with it before mode ``i`` and hold fewer
+    there.  Kept modulo 2**64, as int64 sums wrap: a nearly full sector's
+    counts may pass int64, but each difference it reads is below its
+    block's count."""
+    rows = [[c % 2**64 for c in accumulate(_compositions(t, parts, cap) for t in range(n_total + 1))]
+            for parts in range(m - 1, -1, -1)]
+    return np.array(rows, np.uint64).view(np.int64)
+
+
+def _lex_index(earlier, configs) -> np.ndarray:
+    """Index of every configuration in its block's lex order (the inverse
+    of ``bounded_compositions``), summed over the modes from
+    :func:`_earlier_counts`."""
+    left = np.cumsum(configs[:, ::-1], axis=1)[:, ::-1]  # quanta from each mode on
+    i = np.arange(earlier.shape[0])
+    return (earlier[i, left] - earlier[i, left - configs]).sum(axis=1)
+
+
+def _moves(earlier, configs) -> np.ndarray:
+    """Index in its own block (:func:`_lex_index`) of every configuration
+    with one quantum taken (-1), none (0) or made (+1) at each mode, shape
+    (3, count, n_modes).  The step at mode j adds to the quanta from each
+    mode up to j on and after each mode before j, so the index moves by the
+    change of those terms.  A move past 0 or the cap gives a value no entry
+    reads."""
+    left = np.cumsum(configs[:, ::-1], axis=1)[:, ::-1]
+    i, step = np.arange(earlier.shape[0]), np.array([-1, 0, 1])[:, None, None]
+
+    def shift(t):  # each term's change when the quanta t gain the step
+        return earlier[i, (t + step).clip(0, earlier.shape[1] - 1)] - earlier[i, t]
+
+    up, down = shift(left), shift(left - configs)
+    return _lex_index(earlier, configs)[:, None] + np.cumsum(up - down, axis=2) + down
 
 
 def _expand(value: ScalarOrPerLine, count: int) -> np.ndarray:

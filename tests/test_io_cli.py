@@ -290,10 +290,10 @@ def test_cli_round_off_sigma_nn_leaves_the_ratio_empty(capsys, lx, ly, n_exc):
 def test_cli_compute_errors_exit_1(capsys):
     for argv in (
         ["meanfield", "--lx", "2", "--ly", "2", "--delta", "-5.0", "--omega", "1.0"],
-        # base-3 photon keys of 40 modes at total 3 pass 2**63 - 1: refused,
-        # not a silently wrong energy
+        # 40 modes at total 4, cap 2: 1.3e8 rows past the row budget, refused
+        # before they are allocated
         ["jc-ed", "--lx", "39", "--ly", "1", "--omega", "1", "--g", "0.3",
-         "--delta-a", "5", "--delta-b", "5", "--ntotal", "3", "--nmax", "2"],
+         "--delta-a", "5", "--delta-b", "5", "--ntotal", "4", "--nmax", "2"],
     ):
         code, out, err = run_cli(capsys, argv)
         assert code == 1 and out == ""
@@ -607,7 +607,7 @@ def test_cli_routed_jc_sectors_build_no_basis_and_no_sector_matrix(monkeypatch, 
 
 
 def test_cli_jc_sectors_of_many_modes_are_not_refused_for_a_photon_key(capsys):
-    # 32 modes at cap 3 pass int64 keys, which a routed sector never forms
+    # base-(cap+1) keys of 32 modes at cap 3 would pass int64; no route forms one
     code, out, err = run_cli(
         capsys,
         ["jc-ed", "--lx", "30", "--ly", "2", "--omega", "1", "--g", "0.4",
@@ -628,6 +628,22 @@ def test_cli_jc_sectors_of_many_modes_are_not_refused_for_a_photon_key(capsys):
         outs.append(out)
     assert outs[0] == outs[1]
     assert io.parse_csv(outs[0]).rows[0][:2] == (1, 41)
+    # 40 modes at cap 2: a full sector of 6.5e6 rows, inside the budget; the
+    # cap only removes states, so its energy is not below the untruncated
+    # (routed) sector's
+    rows = []
+    for n_max in ("2", "3"):
+        code, out, err = run_cli(
+            capsys,
+            ["jc-ed", "--lx", "39", "--ly", "1", "--omega", "1", "--g", "0.4",
+             "--delta-a", "6", "--delta-b", "6", "--ntotal", "3", "--nmax", n_max],
+        )
+        assert code == 0 and err == ""
+        (row,) = io.parse_csv(out).rows
+        rows.append(row)
+    (_, capped, e_capped, _), (_, whole, e_whole, _) = rows
+    assert (capped, whole) == (82199, 82239)
+    assert e_capped >= e_whole
 
 
 @pytest.mark.parametrize(

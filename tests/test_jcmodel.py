@@ -41,19 +41,36 @@ def test_bounded_compositions_complete_and_sorted():
 
 
 def test_basis_dimension_and_roundtrip():
-    geom = ArrayGeometry(2, 2)
-    basis = jcmodel.JCBasis(geom, 2, 2)
-    # spins 2 + photons 0, spins 1 + photons 1, spins 0 + photons 2
-    assert basis.dim == 6 * 1 + 4 * 4 + 1 * 10
-    offset = 0
-    for blk in basis.blocks:
-        assert blk.offset == offset
-        offset += blk.size
-        assert all(int(m).bit_count() == blk.k for m in blk.masks)
-        assert np.all(blk.k + blk.configs.sum(axis=1) == 2)
-        assert np.all(np.diff(blk.keys) > 0)
-    assert offset == basis.dim
-    assert np.array_equal(basis.rank(*basis.states()), np.arange(basis.dim))
+    jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=6.0)
+    for geom, n_total, n_max, dim in [
+        # spins 2 + photons 0, spins 1 + photons 1, spins 0 + photons 2
+        (ArrayGeometry(2, 2), 2, 2, 6 * 1 + 4 * 4 + 1 * 10),
+        # 41 modes: base-3 keys would pass int64 (2 * 3**40 > 2**63 - 1)
+        (ArrayGeometry(40, 1), 2, None, 780 + 40 * 41 + 861),
+        # 63 modes nearly full: the running counts of earlier configurations
+        # pass int64 and wrap, each difference a state reads still exact
+        (ArrayGeometry(62, 1), 187, 2, 63 + 62),
+    ]:
+        basis = jcmodel.JCBasis(geom, n_total, n_max)
+        assert basis.dim == dim
+        offset = 0
+        for blk in basis.blocks:
+            assert blk.offset == offset
+            offset += blk.size
+            assert all(int(m).bit_count() == blk.k for m in blk.masks)
+            assert np.all(blk.k + blk.configs.sum(axis=1) == n_total)
+            configs = blk.configs.tolist()
+            assert all(a < b for a, b in zip(configs, configs[1:]))  # strictly lex ascending
+        assert offset == basis.dim
+        states = basis.states()
+        assert np.array_equal(basis.rank(*states), np.arange(basis.dim))
+        # every column is the rank of its row with the one quantum moved
+        cap = min(basis.n_max, n_total)
+        rows, cols, moved, steps, _ = jcmodel._jc_entries(geom, jc, states, cap)
+        modes = states[2].astype(np.int8)[rows]
+        modes[np.arange(len(rows)), moved] += steps
+        moved_rank = basis.rank(states[0][rows] - steps, cols, modes)
+        assert np.array_equal(basis.columns(rows, cols, moved, steps), moved_rank)
 
 
 def test_rank_refuses_states_outside_the_sector():
@@ -72,14 +89,15 @@ def test_rank_refuses_states_outside_the_sector():
     assert basis.rank(np.array([1]), np.array([0b0001]), one_photon)[0] == 6 + 3
 
 
-def test_photon_keys_past_int64_are_refused():
+def test_sectors_whose_photon_keys_would_pass_int64_build():
     # base-3 keys of 40 modes: the last configuration at total 2 is
-    # 2 * 3**39 < 2**63 - 1, at total 3 it is 2 * 3**39 + 3**38, past it
+    # 2 * 3**39 < 2**63 - 1, at total 3 it is 2 * 3**39 + 3**38, past it;
+    # a configuration's lex index stays below its block's count
     fits = jcmodel.JCBasis(ArrayGeometry(39, 1), 2)
     assert fits.dim == 741 + 39 * 40 + 820
-    assert int(fits.blocks[-1].keys[-1]) == 2 * 3**39
-    with pytest.raises(ValueError, match="^photon keys of 40 modes at cap 2 pass int64$"):
-        jcmodel.JCBasis(ArrayGeometry(39, 1), 3, 2)
+    past = jcmodel.JCBasis(ArrayGeometry(39, 1), 3, 2)
+    assert past.dim == 82199
+    assert np.array_equal(past.rank(*past.states()), np.arange(past.dim))
 
 
 def test_basis_guards():
@@ -362,13 +380,11 @@ def test_symmetric_block_route_on_an_array_whose_group_order_passes_int64():
 
 
 def test_a_routed_sector_of_many_modes_matches_a_hand_built_sector_matrix():
-    # 40x1 n_total=2: base-3 keys of 41 modes pass int64, so no JCBasis
-    # holds the sector; the routed path forms none.  The reference matrix is
-    # built here state by state: spin sets with multisets of photon modes
+    # 40x1 n_total=2: 41 modes, whose base-3 keys would pass int64.  The
+    # reference matrix is built here state by state: spin sets with
+    # multisets of photon modes
     geom = ArrayGeometry(40, 1)
     jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=6.0)
-    with pytest.raises(ValueError, match="int64"):
-        jcmodel.JCBasis(geom, 2)
     spec, sector = jcmodel.jc_sector_ground(geom, jc, 2)
     assert spec.method == "symmetric-block" and sector.dim == 3281
     detuning = jcmodel.mode_detunings(geom, jc)
@@ -398,6 +414,16 @@ def test_a_routed_sector_of_many_modes_matches_a_hand_built_sector_matrix():
     h = linalg.operator_from_entries(len(states), np.array(rows), np.array(cols), np.array(vals))
     e = linalg.ground_state(h).ground_energy
     assert abs(spec.ground_energy - e) <= 1e-12 * abs(e)
+    # the full JCBasis matrix, each basis state mapped to its reference state
+    basis = jcmodel.JCBasis(geom, 2)
+    _, masks, modes = basis.states()
+    at = [
+        index[(tuple(s for s in range(geom.n_sites) if mask >> s & 1),
+               tuple(np.repeat(np.arange(geom.n_modes), counts).tolist()))]
+        for mask, counts in zip(masks.tolist(), modes)
+    ]
+    full = jcmodel.build_jc_hamiltonian(geom, jc, basis).matrix
+    assert basis.dim == 3281 and abs(full - h.matrix[at][:, at]).max() <= 1e-12 * abs(e)
 
 
 @pytest.mark.parametrize("lx, ly, n_total", [(3, 2, 3), (2, 3, 3), (3, 3, 2), (2, 2, 4)])
