@@ -8,9 +8,9 @@ can hold more quanta than the sector total, so a per-mode cutoff
 ``n_max >= n_total`` leaves the sector matrix exact.  States are spin masks
 with photon counts; one entry builder, :func:`_jc_entries`, gives the matrix
 entries out of any list of them, each column as the mode it moves and the
-step.  :class:`JCBasis` ranks a photon configuration by its lexicographic
-index in its block, never larger than the block, so no sector is refused
-for the width of an index.
+step.  :class:`JCBasis` ranks those columns, and only those: a photon
+configuration by its lexicographic index in its block, never larger than
+the block, so no sector is refused for the width of an index.
 
 With g > 0 and scalar detunings the ground state of an untruncated sector
 is simple and invariant under S_Ly x S_Lx acting on sites and line modes
@@ -72,10 +72,11 @@ class JCBlock:
 
 
 class JCBasis:
-    """Basis of one total-excitation sector of the array model.  A photon
-    configuration is ranked by its lexicographic index in its block, the
-    counts capped at ``cap``, the cutoff or the sector total if that is
-    less."""
+    """Basis of one total-excitation sector of the array model, its states
+    listed by :meth:`states` and the columns of its matrix entries ranked by
+    :meth:`columns`.  A photon configuration is ranked by its lexicographic
+    index in its block, the counts capped at ``cap``, the cutoff or the
+    sector total if that is less."""
 
     def __init__(self, geometry: ArrayGeometry, n_total: int, n_max: Optional[int] = None):
         if n_total < 0:
@@ -88,7 +89,6 @@ class JCBasis:
         entries = (1 + 2 * geometry.n_sites) * _sector_dim(geometry, n_total, n_max)
         check_rows(entries, "sector matrix")  # a diagonal and two moves per site
         m, cap = geometry.n_modes, min(n_max, n_total)
-        self._earlier = _earlier_counts(m, n_total, cap)
         blocks: list[JCBlock] = []
         offset = 0
         for k in range(min(geometry.n_sites, n_total), -1, -1):
@@ -102,7 +102,8 @@ class JCBasis:
             raise ValueError(f"sector n_total={n_total} empty under per-mode cutoff n_max={n_max}")
         self.blocks = blocks
         self.dim = offset
-        self._moves = _moves(self._earlier, np.concatenate([b.configs for b in blocks]))
+        earlier = _earlier_counts(m, n_total, cap)
+        self._moves = _moves(earlier, np.concatenate([b.configs for b in blocks]))
 
     def states(self) -> tuple[np.ndarray, ...]:
         """The raised-spin count, the spin mask and the photon counts of
@@ -113,30 +114,18 @@ class JCBasis:
         ]
         return tuple(np.concatenate(part) for part in zip(*parts))
 
-    def rank(self, spins: np.ndarray, masks: np.ndarray, modes: np.ndarray) -> np.ndarray:
-        """Basis index of every state given by its raised-spin count, its
-        spin mask and its photon counts."""
-        cap = min(self.n_max, self.n_total)
-        if not (0 <= modes.min(initial=0) <= modes.max(initial=0) <= cap
-                and np.all(spins >= 0) and np.all(spins + modes.sum(axis=1) == self.n_total)):
-            raise ValueError("state outside this sector")
-        return self._rank(spins, masks, _lex_index(self._earlier, modes))
-
     def columns(self, rows, masks, moved, steps) -> np.ndarray:
         """Basis index of the column of every entry of :func:`_jc_entries`
         out of the basis states: the row's configuration moved by the step
         in the moved mode (one lookup in :func:`_moves` of every block's
-        configurations), one raised spin fewer per photon made."""
+        configurations), one raised spin fewer per photon made, and the
+        column's mask found in the block of that spin count."""
         parts, start = [], 0
         for b in self.blocks:
             parts.append((np.full(b.size, b.k), np.tile(np.arange(start, start + b.inner), len(b.masks))))
             start += b.inner
-        spins, at = (np.concatenate(part) for part in zip(*parts))
-        return self._rank(spins[rows] - steps, masks, self._moves[steps + 1, at[rows], moved])
-
-    def _rank(self, spins, masks, inside) -> np.ndarray:
-        """Basis index of every state given by its raised-spin count, its
-        spin mask and its configuration's index in its block."""
+        spins, config = (np.concatenate(part) for part in zip(*parts))
+        spins, inside = spins[rows] - steps, self._moves[steps + 1, config[rows], moved]
         out = np.full(len(masks), -1, dtype=np.int64)
         for b in self.blocks:
             i = np.flatnonzero(spins == b.k)

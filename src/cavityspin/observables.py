@@ -9,7 +9,9 @@ Summing over the inner index traces the photons out, so the two-point spin
 correlations of either model come from the same loops.
 Pair correlations are never formed pair by pair: both sums come from the
 lowering operator ``J-`` of every row and column, read off one table of
-raisings per level.
+the raisings of the rows one raised spin below: per spin block of a full
+basis, and at once for a whole class vector, whose rows each carry their
+own raised-spin count.
 
 A sector of either model solved on its orbit block is held as its classes
 (:class:`~cavityspin.canonical.SymmetricSector`) with vectors on them.  The
@@ -54,21 +56,22 @@ class CorrelationResult:
     cluster_truncated: bool = False
 
 
-def _pair_sums(geometry, n, u, sizes, rank, lower, lower_sizes, lower_modes=None):
+def _pair_sums(geometry, n, u, sizes, row_of, lower, lower_sizes, lower_modes=None):
     """``(<A>, sum over ordered pairs s != t)`` of vectors whose row i,
-    ``u[i]`` of shape (inner, columns), stands for ``sizes[i]`` states of a
-    level of ``n`` raised spins (a scalar size stands for every row);
-    ``rank`` maps masks of the level to rows, and ``lower``, ``lower_sizes``
-    are the rows one raised spin below.  Jaynes-Cummings class rows carry
-    photon counts, which raisings keep and ``rank`` takes second
-    (``lower_modes``).  The raisings of every lower row, one per site, are
-    ranked once; a site already raised reads a zero row."""
+    ``u[i]`` of shape (inner, columns), stands for ``sizes[i]`` states of
+    ``n[i]`` raised spins (a scalar stands for every row); ``row_of`` maps
+    states to rows, and ``lower``, ``lower_sizes`` are the rows one raised
+    spin below.  Jaynes-Cummings class rows carry photon counts, which
+    raisings keep and ``row_of`` takes second (``lower_modes``).  The
+    raisings of every lower row, one per site, are ranked once; a site
+    already raised reads a zero row."""
     bits = (np.int64(1) << np.arange(geometry.n_sites, dtype=np.int64))[:, None]
     fresh = (bits & lower) == 0
     table = np.full(fresh.shape, len(u))  # row of every raising, by site
     modes = () if lower_modes is None else (lower_modes[np.nonzero(fresh)[1]],)
-    table[fresh] = rank((bits | lower)[fresh], *modes)  # the full table is freed first
-    norm = float((np.reshape(sizes, (-1, 1, 1)) * u**2).sum())
+    table[fresh] = row_of((bits | lower)[fresh], *modes)  # the full table is freed first
+    weight = np.multiply(n, sizes, dtype=float)  # n * size may pass int64
+    norm = float((np.reshape(weight, (-1, 1, 1)) * u**2).sum())  # <n>, summed over columns
     u = np.concatenate([u, np.zeros_like(u[:1])])
 
     def lowered(sites):  # J- v of the line through these sites
@@ -79,29 +82,23 @@ def _pair_sums(geometry, n, u, sizes, rank, lower, lower_sizes, lower_modes=None
 
     rows = [lowered(geometry.row_sites(r)) for r in range(geometry.ly)]
     cols = (lowered(geometry.col_sites(c)) for c in range(geometry.lx))  # one at a time
-    hops = sum(map(square, rows)) + sum(map(square, cols)) - 2 * n * norm
-    return hops, square(sum(rows)) - n * norm
+    hops = sum(map(square, rows)) + sum(map(square, cols)) - 2 * norm
+    return hops, square(sum(rows)) - norm
 
 
 def _levels(multiplet: np.ndarray, basis) -> Iterator[tuple]:
-    """The :func:`_pair_sums` arguments of every spin level with a raised
-    spin (a level without one has neither sum).  Level k of a class vector
-    lowers into level k - 1 of the sector one excitation below, with the
-    same photons in a Jaynes-Cummings sector."""
+    """The :func:`_pair_sums` arguments of a sector vector.  A class vector
+    is one set: all its classes, each of its own raised-spin count, lower
+    into all classes of the sector one excitation below, with the same
+    photons in a Jaynes-Cummings sector.  A full basis gives one set per
+    spin block with a raised spin (a block without one has neither sum)."""
     if isinstance(basis, SymmetricSector):
-        u = (multiplet / np.sqrt(basis.sizes)[:, None])[:, None]
-        grow = symmetric_sector if basis.modes is None else symmetric_jc_sector
-        for k in np.unique(basis.spins[basis.spins > 0]).tolist():
+        if basis.n:
+            grow = symmetric_sector if basis.modes is None else symmetric_jc_sector
             low = grow(basis.geometry, basis.n - 1)
-            at, down = basis.spins == k, low.spins == k - 1
-            row = np.cumsum(at) - 1  # the row of every class within its level
-
-            def rank(masks, *modes, row=row):
-                return row[basis.classify(masks, *modes)]
-
-            lower_modes = None if low.modes is None else low.modes[down]
-            yield (k, u[at], basis.sizes[at], rank,
-                   low.representatives[down], low.sizes[down], lower_modes)
+            u = (multiplet / np.sqrt(basis.sizes)[:, None])[:, None]
+            yield (basis.spins, u, basis.sizes, basis.classify,
+                   low.representatives, low.sizes, low.modes)
     else:
         for blk, seg in block_segments(multiplet, basis):
             n_exc = int(blk.masks[0]).bit_count()

@@ -25,14 +25,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 from math import factorial, gcd, prod
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .basis import SectorBasis, enumerate_masks, line_moves
 from .canonical import SymmetricSector, orbit_block, site_images, symmetric_sector
 from .geometry import ArrayGeometry
-from .params import SpinCouplings
+
+if TYPE_CHECKING:
+    from .params import SpinCouplings
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,12 @@ Everything here lives in the explicit product space (2^N for spins,
 onto sectors by reading diagonal counting operators.  Slow and obvious on
 purpose: these are the ground truth the fast implementations are tested
 against.  Spin operators are sparse Kronecker products; only the sector
-block taken out of them is made dense.  One helper reads the package:
+block taken out of them is made dense.  Two helpers read the package:
 :func:`expand_block_vectors` maps a symmetric-block solve back onto the
 full sector through the canonical codes its classes are named by
-(``SymmetricSector.classify``, for both models).
+(``SymmetricSector.classify``, for both models), and
+:func:`jc_state_index` looks states up in a table of a ``JCBasis``'s own
+``states()``.
 """
 
 from collections import Counter
@@ -398,6 +400,22 @@ def expand_block_vectors(spectrum, sector, masks: np.ndarray, modes=None) -> np.
     masks = np.asarray(masks, dtype=np.int64)
     which = sector.classify(masks) if modes is None else sector.classify(masks, modes)
     return (spectrum.eigenvectors / np.sqrt(sector.sizes)[:, None])[which]
+
+
+def jc_state_index(basis):
+    """A function giving the basis index of states (raised-spin counts,
+    spin masks, photon counts), each looked up in a dict of
+    ``basis.states()``; a state the basis does not hold raises KeyError."""
+    spins, masks, modes = basis.states()
+    index = {}
+    for i, state in enumerate(zip(spins.tolist(), masks.tolist(), map(tuple, modes.tolist()))):
+        index.setdefault(state, i)  # a repeated state keeps its first index
+
+    def lookup(spins, masks, modes):
+        states = zip(spins.tolist(), masks.tolist(), map(tuple, modes.tolist()))
+        return np.array([index[state] for state in states], dtype=np.int64)
+
+    return lookup
 
 
 def refuse(*args, **kwargs):

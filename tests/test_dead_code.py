@@ -41,7 +41,8 @@ def _scope(node: ast.AST):
 
 
 def _local_names(func) -> set[str]:
-    """The parameters of a function and the names it assigns."""
+    """The parameters of a function, the names it assigns and the names
+    its nested functions and classes bind."""
     args = func.args
     params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
     stored = {
@@ -49,7 +50,12 @@ def _local_names(func) -> set[str]:
         for node in _scope(func)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
     }
-    return stored | {a.arg for a in params if a is not None}
+    nested = {
+        node.name
+        for node in _scope(func)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    return stored | nested | {a.arg for a in params if a is not None}
 
 
 def _local_reads(tree: ast.AST) -> set[int]:

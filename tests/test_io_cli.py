@@ -499,6 +499,18 @@ def test_cli_runs_arrays_whose_group_order_passes_int64(capsys):
     (row,) = io.parse_csv(out).rows
     assert row[:2] == (3, 1330) and row[3] == 1
     assert row[2] == pytest.approx(-15.3, abs=1e-12)
+    # one class of C(62, 31) states, whose raised spins times its size pass
+    # int64 (31 C(62, 31) > 2**63); the line ground state is the Dicke state,
+    # sigma_nn = n (N - n) / (N (N - 1))
+    code, out, err = run_cli(
+        capsys,
+        ["correlations", "--lx", "62", "--ly", "1", "--lambda-a=-0.1", "--omega", "1",
+         "--nexc", "31"],
+    )
+    assert code == 0 and err == ""
+    (row,) = io.parse_csv(out).rows
+    assert row[:2] == ("spin", 31)
+    assert row[2] == pytest.approx(961 / 3782, abs=1e-12)
 
 
 def test_cli_solves_attractive_sectors_past_the_labelling_guard(capsys):
@@ -809,7 +821,9 @@ executed = sorted(
     m for m, module in sys.modules.items()
     if m.startswith("cavityspin.") and type(module) is types.ModuleType
 )
-costly = sorted(m for m in ("csv", "dataclasses", "hashlib", "numpy") if m in sys.modules)
+costly = sorted(
+    m for m in ("csv", "dataclasses", "hashlib", "numpy", "numpy.ma") if m in sys.modules
+)
 print(json.dumps({"codes": codes, "scipy": scipy, "numpy": "numpy" in sys.modules,
                   "registered": registered, "executed": executed, "costly": costly,
                   "blas_timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT")}))
@@ -905,21 +919,22 @@ def test_cli_help_and_closed_forms_never_import_numpy():
     "argv, models",
     [
         (["frustration-scan", "--lx", "10", "--delta-a-ratios", "0.4",
-          "--etas=-3", "--ly-ratios", "1"], ["frustration"]),
+          "--etas=-3", "--ly-ratios", "1"], ["frustration", "params"]),
         (["spin-ed", "--lx", "2", "--ly", "2", "--lambda-a=-0.2", "--omega", "1",
           "--nexc", "1"],
-         ["basis", "canonical", "linalg", "observables", "spinmodel"]),
+         ["basis", "canonical", "linalg", "observables", "params", "spinmodel"]),
         # dim 2016, scalar detunings: the JC symmetric orbit block
         (["jc-ed", "--lx", "3", "--ly", "3", "--omega", "1", "--g", "0.4",
           "--delta-a", "6", "--delta-b", "5.5", "--ntotal", "4"],
-         ["basis", "canonical", "jcmodel", "linalg", "observables"]),
+         ["basis", "canonical", "jcmodel", "linalg", "observables", "params"]),
+        # couplings are no part of a count: polya never executes params
         (["polya", "--lx", "3", "--ly", "3"], ["basis", "canonical", "symmetry"]),
     ],
 )
 def test_cli_command_executes_only_its_own_models(argv, models):
     result = _fresh_cli([argv])
     assert result["codes"] == [0]
-    base = ["cli", "geometry", "io", "params"]
+    base = ["cli", "geometry", "io"]
     assert result["executed"] == sorted("cavityspin." + m for m in base + models)
 
 
@@ -972,6 +987,20 @@ def test_cli_routes_past_the_row_budget_exit_1_before_they_allocate(argv, what, 
         "type": "ValueError",
         "message": f"{what} of {rows} rows exceeds the budget 10000000",
     }
+
+
+def test_cli_class_vector_correlations_never_import_numpy_ma():
+    # sectors read on their orbit classes: 4x4 n=4 and 8 (1820 and 12870
+    # states) and the Jaynes-Cummings 3x3 n_total=4 (2016)
+    argvs = [
+        ["correlations", "--lx", "4", "--ly", "4", "--lambda-a=-0.15", "--lambda-b=-0.07",
+         "--omega", "1", "--nexc", "4,8"],
+        ["correlations", "--lx", "3", "--ly", "3", "--lambda-a=-0.15", "--lambda-b=-0.07",
+         "--omega", "1", "--nexc", "4", "--jc-delta-ratio", "40"],
+    ]
+    result = _fresh_cli(argvs)
+    assert result["codes"] == [0, 0]
+    assert "numpy" in result["costly"] and "numpy.ma" not in result["costly"]
 
 
 def test_cli_help_executes_only_the_cli_and_imports_nothing_costly():

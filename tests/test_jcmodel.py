@@ -19,6 +19,7 @@ from oracles import (
     dense_jc_sector,
     expand_block_vectors,
     jc_correlation_reference,
+    jc_state_index,
     refuse,
     symmetry_defect,
 )
@@ -62,31 +63,15 @@ def test_basis_dimension_and_roundtrip():
             configs = blk.configs.tolist()
             assert all(a < b for a, b in zip(configs, configs[1:]))  # strictly lex ascending
         assert offset == basis.dim
-        states = basis.states()
-        assert np.array_equal(basis.rank(*states), np.arange(basis.dim))
-        # every column is the rank of its row with the one quantum moved
+        states, index = basis.states(), jc_state_index(basis)
+        assert np.array_equal(index(*states), np.arange(basis.dim))  # no state twice
+        # every column is the index of its row with the one quantum moved
         cap = min(basis.n_max, n_total)
         rows, cols, moved, steps, _ = jcmodel._jc_entries(geom, jc, states, cap)
         modes = states[2].astype(np.int8)[rows]
         modes[np.arange(len(rows)), moved] += steps
-        moved_rank = basis.rank(states[0][rows] - steps, cols, modes)
-        assert np.array_equal(basis.columns(rows, cols, moved, steps), moved_rank)
-
-
-def test_rank_refuses_states_outside_the_sector():
-    basis = jcmodel.JCBasis(ArrayGeometry(2, 2), 2)
-    one_photon = np.array([[1, 0, 0, 0]])
-    for spins, mask, modes in [
-        (2, 0b0011, one_photon),  # total 3
-        (2, 0b0111, np.zeros((1, 4), np.int64)),  # a 3-spin mask given as k = 2
-        (3, 0b0111, np.zeros((1, 4), np.int64)),  # no k = 3 block
-        (0, 0, np.array([[3, 0, 0, 0]])),  # past the cap, a key of another state
-        (1, 0b0001, -one_photon),
-    ]:
-        with pytest.raises(ValueError, match="^state outside this sector$"):
-            basis.rank(np.array([spins]), np.array([mask]), modes)
-    # the last of the 4 configurations of the k = 1 block, after its 6 states of k = 2
-    assert basis.rank(np.array([1]), np.array([0b0001]), one_photon)[0] == 6 + 3
+        moved_index = index(states[0][rows] - steps, cols, modes)
+        assert np.array_equal(basis.columns(rows, cols, moved, steps), moved_index)
 
 
 def test_sectors_whose_photon_keys_would_pass_int64_build():
@@ -97,7 +82,7 @@ def test_sectors_whose_photon_keys_would_pass_int64_build():
     assert fits.dim == 741 + 39 * 40 + 820
     past = jcmodel.JCBasis(ArrayGeometry(39, 1), 3, 2)
     assert past.dim == 82199
-    assert np.array_equal(past.rank(*past.states()), np.arange(past.dim))
+    assert np.array_equal(jc_state_index(past)(*past.states()), np.arange(past.dim))
 
 
 def test_basis_guards():

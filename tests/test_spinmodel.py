@@ -334,9 +334,9 @@ def test_pair_sums_match_the_per_pair_loop():
         assert res.sigma_nnn == pytest.approx(s_nnn, rel=0, abs=1e-13)
 
 
-def test_pair_sums_read_one_raising_table_per_level(monkeypatch):
+def test_pair_sums_code_a_routed_sector_in_one_pass(monkeypatch):
     # full and routed sectors of both models take no hop move, and a routed
-    # sector codes one query set per spin level with a raised spin
+    # sector codes the raisings of all its spin levels in one query set
     attractive = SpinCouplings(lambda_a=-0.15, lambda_b=-0.07, omega_at=1.0)
     jc = EffectiveJCParams(omega_at=1.0, g=0.4, delta_a=6.0, delta_b=5.5)
     cases = [
@@ -366,7 +366,7 @@ def test_pair_sums_read_one_raising_table_per_level(monkeypatch):
         calls.clear()
         assert ratio(spec, basis).defined
         counts.append(len(calls))
-    assert counts == [0, 1, 0, 4]
+    assert counts == [0, 1, 0, 1]
 
 
 def test_sector_ground_energy_matches_dense():
